@@ -1,35 +1,16 @@
 """Hot kernels for jet (truncated multivariate Taylor) arithmetic.
 
-The product and division kernels dominate the operator-verifier runtime, so the
-default build JIT-compiles them with numba. Setting QUADALG_DISABLE_NUMBA=1 in
-the environment (or running without numba installed) selects a pure-numpy
-fallback built on bincount scatters; results are identical either way.
+The product and division kernels dominate the operator-verifier runtime. Both
+gather operand pairs through the precomputed index tables of a JetSpace and
+scatter-add them with bincount.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "QUADALG_DISABLE_NUMBA"
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0")
-
-
-NUMBA_ACTIVE = False
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        NUMBA_ACTIVE = True
-    except ImportError:
-        pass
-
-
-def mul_numpy(a, b, i_idx, j_idx, k_idx, n_terms):
+def jet_mul(a, b, i_idx, j_idx, k_idx, n_terms):
     """Truncated Cauchy product via index tables, bincount-based."""
     prod = a[i_idx] * b[j_idx]
     out = np.empty(n_terms, dtype=np.complex128)
@@ -38,7 +19,7 @@ def mul_numpy(a, b, i_idx, j_idx, k_idx, n_terms):
     return out
 
 
-def div_numpy(a, b, i_idx, j_idx, k_idx, level_starts, level_k_starts, n_terms):
+def jet_div(a, b, i_idx, j_idx, k_idx, level_starts, level_k_starts, n_terms):
     """Order-by-order solve of b*c = a, requires b[0] != 0.
 
     Table entries are the product triples with divisor index i > 0, sorted by
@@ -60,40 +41,3 @@ def div_numpy(a, b, i_idx, j_idx, k_idx, level_starts, level_k_starts, n_terms):
             acc.imag = np.bincount(k_idx[lo:hi] - klo, weights=prod.imag, minlength=khi - klo)
         c[klo:khi] = (a[klo:khi] - acc) / b0
     return c
-
-
-if NUMBA_ACTIVE:
-
-    @njit(cache=True)
-    def _mul_loop(a, b, i_idx, j_idx, k_idx, out):  # pragma: no cover - jitted
-        for t in range(i_idx.shape[0]):
-            out[k_idx[t]] += a[i_idx[t]] * b[j_idx[t]]
-
-    def mul_numba(a, b, i_idx, j_idx, k_idx, n_terms):
-        out = np.zeros(n_terms, dtype=np.complex128)
-        _mul_loop(a, b, i_idx, j_idx, k_idx, out)
-        return out
-
-    @njit(cache=True)
-    def _div_loop(a, b, i_idx, j_idx, k_idx, c):  # pragma: no cover - jitted
-        b0 = b[0]
-        c[0] = a[0] / b0
-        pos = 0
-        n_pairs = i_idx.shape[0]
-        for k in range(1, c.shape[0]):
-            s = a[k]
-            while pos < n_pairs and k_idx[pos] == k:
-                s -= b[i_idx[pos]] * c[j_idx[pos]]
-                pos += 1
-            c[k] = s / b0
-        return c
-
-    def div_numba(a, b, i_idx, j_idx, k_idx, level_starts, level_k_starts, n_terms):
-        c = np.zeros(n_terms, dtype=np.complex128)
-        return _div_loop(a, b, i_idx, j_idx, k_idx, c)
-
-    jet_mul = mul_numba
-    jet_div = div_numba
-else:
-    jet_mul = mul_numpy
-    jet_div = div_numpy

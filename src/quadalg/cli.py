@@ -189,76 +189,81 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
                    status="finding", values={"count": 0})
 
 
-def _verify_kepler(report: Report, args) -> None:
-    params = _kepler_params(args)
-    rng = np.random.default_rng(args.seed)
-    sampler = ops.kepler_sampler()
-    k = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2,
-                                   hbar=params.hbar)
-    t = args.trials
-    checks = [("HA", k.A), ("HB", k.B), ("HL2", k.L2), ("HL12", k.L[(1, 2)]),
-              ("HL34", k.L[(3, 4)])]
-    if params.c1 == 0 and params.c2 == 0:
-        checks.append(("HL01", k.L[(0, 1)]))
-    for name, op in checks:
-        r = ops.commutator_residual(k.H, op, None, t, sampler, rng, degree=args.degree)
-        report.required_check(f"jets.kepler5d.commute.{name}",
-                              "integral commutes with the Hamiltonian",
-                              residual=r, tolerance=1e-10)
-    exp = ops.OpScale(-1j * params.hbar, k.L[(1, 3)])
-    r = ops.commutator_residual(k.L[(1, 2)], k.L[(2, 3)], exp, t, sampler, rng,
-                                degree=args.degree)
-    report.required_check("jets.kepler5d.so5.L12L23",
-                          "rotation algebra closure",
-                          residual=r, tolerance=1e-11)
-    closure = ops.kepler_quadratic_closure(c0=params.c0, c1=params.c1, c2=params.c2,
-                                           hbar=params.hbar, trials=max(3, t // 4),
-                                           seed=args.seed, degree=args.degree)
-    report.required_check("jets.kepler5d.closure.AC",
+def _commutator_checks(report: Report, rows, trials: int, sampler, rng, degree: int,
+                       spin_dim: int = 1) -> None:
+    """One check per (check name, op1, op2, expected, tolerance, ref) row: the
+    residual of [op1, op2] = expected, drawn from rng in row order. A row
+    without a tolerance is a finding."""
+    for check, op1, op2, expected, tolerance, ref in rows:
+        r = ops.commutator_residual(op1, op2, expected, trials, sampler, rng,
+                                    spin_dim=spin_dim, degree=degree)
+        if tolerance is None:
+            report.add(check, ref, status="finding", residual=r)
+        else:
+            report.required_check(check, ref, residual=r, tolerance=tolerance)
+
+
+def _closure_checks(report: Report, system: str, closure) -> None:
+    """The [A,C] relation and the fitted constants; [B,C] is reported per system."""
+    report.required_check(f"jets.{system}.closure.AC",
                           "printed [A,C] relation as an operator identity",
                           residual=closure.residual_ac_printed, tolerance=1e-9)
-    report.required_check("jets.kepler5d.closure.BC",
-                          "printed [B,C] relation as an operator identity",
-                          residual=closure.residual_bc_printed, tolerance=1e-9)
-    report.add("jets.kepler5d.closure.fit",
+    report.add(f"jets.{system}.closure.fit",
                "fitted structure constants (printed vs fitted per basis term)",
                status="finding",
                residual=max(closure.fit_ac_residual, closure.fit_bc_residual),
                values={"AC": closure.fit_ac, "BC": closure.fit_bc})
+
+
+_COMMUTES_H = "integral commutes with the Hamiltonian"
+
+
+def _verify_kepler(report: Report, args) -> None:
+    params = _kepler_params(args)
+    k = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2,
+                                   hbar=params.hbar)
+    integrals = [("HA", k.A), ("HB", k.B), ("HL2", k.L2), ("HL12", k.L[(1, 2)]),
+                 ("HL34", k.L[(3, 4)])]
+    if params.c1 == 0 and params.c2 == 0:
+        integrals.append(("HL01", k.L[(0, 1)]))
+    rows = [(f"jets.kepler5d.commute.{name}", k.H, op, None, 1e-10, _COMMUTES_H)
+            for name, op in integrals]
+    rows.append(("jets.kepler5d.so5.L12L23", k.L[(1, 2)], k.L[(2, 3)],
+                 ops.OpScale(-1j * params.hbar, k.L[(1, 3)]), 1e-11,
+                 "rotation algebra closure"))
+    _commutator_checks(report, rows, args.trials, ops.kepler_sampler(),
+                       np.random.default_rng(args.seed), args.degree)
+    closure = ops.kepler_quadratic_closure(c0=params.c0, c1=params.c1, c2=params.c2,
+                                           hbar=params.hbar, trials=max(3, args.trials // 4),
+                                           seed=args.seed, degree=args.degree)
+    _closure_checks(report, "kepler5d", closure)
+    report.required_check("jets.kepler5d.closure.BC",
+                          "printed [B,C] relation as an operator identity",
+                          residual=closure.residual_bc_printed, tolerance=1e-9)
     _verify_fock_track(report, "kepler5d", params, args.p)
 
 
 def _verify_osc8d(report: Report, args) -> None:
     params = _osc_params(args)
-    rng = np.random.default_rng(args.seed)
-    sampler = ops.osc8d_sampler()
     o = ops.build_osc8d_operators(omega=params.omega, lambda1=params.lambda1,
                                   lambda2=params.lambda2, hbar=params.hbar)
     t = max(2, args.trials // 2)
-    for name, op in (("HA", o.A), ("HB", o.B), ("HJ2", o.J2), ("HK2", o.K2),
-                     ("HJ01", o.J[(0, 1)]), ("HK45", o.K[(4, 5)])):
-        r = ops.commutator_residual(o.H, op, None, t, sampler, rng, degree=args.degree)
-        report.required_check(f"jets.osc8d.commute.{name}",
-                              "integral commutes with the Hamiltonian",
-                              residual=r, tolerance=1e-10)
-    for name, a, b in (("AJ2", o.A, o.J2), ("AK2", o.A, o.K2),
-                       ("BJ2", o.B, o.J2), ("BK2", o.B, o.K2)):
-        r = ops.commutator_residual(a, b, None, t, sampler, rng, degree=args.degree)
-        report.required_check(f"jets.osc8d.commute.{name}",
-                              "integral commutes with the block Casimir",
-                              residual=r, tolerance=1e-10)
-    r = ops.commutator_residual(o.H, o.B_literal, None, t, sampler, rng,
-                                degree=args.degree)
-    report.add("jets.osc8d.commute.HB-literal",
-               "literal full-Laplacian reading of the second integral",
-               status="finding", residual=r)
+    block = "integral commutes with the block Casimir"
+    rows = ([(f"jets.osc8d.commute.{name}", o.H, op, None, 1e-10, _COMMUTES_H)
+             for name, op in (("HA", o.A), ("HB", o.B), ("HJ2", o.J2), ("HK2", o.K2),
+                              ("HJ01", o.J[(0, 1)]), ("HK45", o.K[(4, 5)]))]
+            + [(f"jets.osc8d.commute.{name}", a, b, None, 1e-10, block)
+               for name, a, b in (("AJ2", o.A, o.J2), ("AK2", o.A, o.K2),
+                                  ("BJ2", o.B, o.J2), ("BK2", o.B, o.K2))]
+            + [("jets.osc8d.commute.HB-literal", o.H, o.B_literal, None, None,
+                "literal full-Laplacian reading of the second integral")])
+    _commutator_checks(report, rows, t, ops.osc8d_sampler(),
+                       np.random.default_rng(args.seed), args.degree)
     closure = ops.osc8d_quadratic_closure(omega=params.omega, lambda1=params.lambda1,
                                           lambda2=params.lambda2, hbar=params.hbar,
                                           trials=max(2, t // 2), seed=args.seed,
                                           degree=args.degree)
-    report.required_check("jets.osc8d.closure.AC",
-                          "printed [A,C] relation as an operator identity",
-                          residual=closure.residual_ac_printed, tolerance=1e-9)
+    _closure_checks(report, "osc8d", closure)
     report.add("jets.osc8d.closure.BC-printed",
                "printed [B,C] relation (B^2 coefficient under adjudication)",
                status="finding", residual=closure.residual_bc_printed)
@@ -267,11 +272,6 @@ def _verify_osc8d(report: Report, args) -> None:
                           "[B,C] with the fitted B^2 coefficient (-gamma)",
                           residual=closure.fit_bc_residual, tolerance=1e-9,
                           values={"b2_printed": b2_printed, "b2_fitted": b2_fitted})
-    report.add("jets.osc8d.closure.fit",
-               "fitted structure constants (printed vs fitted per basis term)",
-               status="finding",
-               residual=max(closure.fit_ac_residual, closure.fit_bc_residual),
-               values={"AC": closure.fit_ac, "BC": closure.fit_bc})
     _verify_fock_track(report, "osc8d", params, args.p)
 
 
@@ -295,36 +295,33 @@ def _verify_ycm(report: Report, args) -> None:
     for _ in range(10):
         ctx = ops.PointContext(space, sampler.draw(rng))
         for i in range(5):
-            for kk in range(i + 1, 5):
-                for a in range(3):
-                    fik = gauge.field_jet(ctx, i, kk, a).coeffs
-                    fki = gauge.field_jet(ctx, kk, i, a).coeffs
-                    worst_anti = max(worst_anti, float(np.abs(fik + fki).max()))
-        for i in range(5):
             for a in range(3):
                 worst_imag = max(worst_imag, float(
                     np.abs(gauge.potential_jet(ctx, i, a).coeffs.imag).max()))
+                for kk in range(i + 1, 5):
+                    fik = gauge.field_jet(ctx, i, kk, a).coeffs
+                    fki = gauge.field_jet(ctx, kk, i, a).coeffs
+                    # F_ik + F_ki vanishes identically; the rest is rounding,
+                    # measured against the field's own size
+                    scale = max(np.abs(fik).max(), np.abs(fki).max(), 1.0)
+                    worst_anti = max(worst_anti, float(np.abs(fik + fki).max() / scale))
     report.required_check("jets.ycm.gauge.antisymmetry", "field strength antisymmetry",
                           residual=worst_anti, tolerance=1e-12)
     report.required_check("jets.ycm.gauge.real", "gauge potential is real",
                           residual=worst_imag, tolerance=1e-12)
     t = max(2, args.trials // 4)
-    sd = y.spin_dim
-    for name, op in (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
-                     ("HA", y.A), ("HB", y.B), ("HL2", y.L2)):
-        r = ops.commutator_residual(y.H, op, None, t, sampler, rng, spin_dim=sd,
-                                    degree=args.degree)
-        report.add(f"jets.ycm.commute.{name}",
-                   "claimed integral of the monopole system (reported residual)",
-                   status="finding", residual=r)
+    _commutator_checks(report, [
+        (f"jets.ycm.commute.{name}", y.H, op, None, None,
+         "claimed integral of the monopole system (reported residual)")
+        for name, op in (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
+                         ("HA", y.A), ("HB", y.B), ("HL2", y.L2))],
+        t, sampler, rng, args.degree, spin_dim=y.spin_dim)
     if params.T == 0:
         k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
-        rng_a = np.random.default_rng(args.seed)
-        rng_b = np.random.default_rng(args.seed)
-        ra = ops.commutator_residual(y.H, y.A, None, t, sampler, rng_a, spin_dim=1,
-                                     degree=args.degree)
-        rb = ops.commutator_residual(k.H, k.A, None, t, sampler, rng_b, spin_dim=1,
-                                     degree=args.degree)
+        # both from the same seed, so equal trees give equal residuals
+        ra, rb = (ops.commutator_residual(H, A, None, t, sampler,
+                                          np.random.default_rng(args.seed), degree=args.degree)
+                  for H, A in ((y.H, y.A), (k.H, k.A)))
         report.required_check("jets.ycm.t0-reduction",
                               "T = 0 monopole trees reproduce the plain system",
                               residual=abs(ra - rb), tolerance=1e-12)
@@ -332,12 +329,8 @@ def _verify_ycm(report: Report, args) -> None:
 
 def cmd_verify(args) -> int:
     report = Report(command="verify", config=_config_echo(args), version=__version__)
-    if args.system == "kepler5d":
-        _verify_kepler(report, args)
-    elif args.system == "osc8d":
-        _verify_osc8d(report, args)
-    else:
-        _verify_ycm(report, args)
+    verify = {"kepler5d": _verify_kepler, "osc8d": _verify_osc8d, "ycm": _verify_ycm}
+    verify[args.system](report, args)
     return _write_report(report, args)
 
 
@@ -372,8 +365,7 @@ def cmd_crosscheck(args) -> int:
                                   residual=worst, tolerance=1e-12,
                                   values={"samples": args.samples})
     elif args.target == "ycm":
-        channel = dict(part.split("=") for part in args.channel.split(","))
-        s1, s2 = float(channel["s1"]), float(channel["s2"])
+        s1, s2 = _channel(args.channel)
         alpha = 2 * args.c0 / args.hbar**2
         try:
             beta, v, eps_beta, err, _ = ode.solve_parabolic_pair(
@@ -480,6 +472,29 @@ def cmd_hurwitz_check(args) -> int:
 # argument plumbing
 # --------------------------------------------------------------------------
 
+def _channel(text: str) -> tuple:
+    """(s1, s2) from --channel, which must set exactly s1 and s2 to finite numbers."""
+    parts = [part.split("=") for part in text.split(",")]
+    try:
+        values = {key: float(value) for key, value in parts}
+    except ValueError:  # a part without exactly one "=", or a value that is no number
+        values = {}
+    if len(parts) != 2 or set(values) != {"s1", "s2"} or not np.isfinite([*values.values()]).all():
+        raise ConfigError("channel", "--channel must set exactly s1 and s2 to finite numbers, "
+                          f"as in s1=0,s2=0.5; got {text!r}")
+    return values["s1"], values["s2"]
+
+
+def _check_config(args) -> None:
+    """Refuse inputs that would pass a required check over nothing or fail mid-run."""
+    if args.command != "crosscheck":
+        return
+    for flag in ("samples", "levels"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(flag, f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _channel(args.channel)
+
+
 def _config_echo(args) -> dict:
     # output routing is not part of the run configuration: identical runs to
     # different destinations must produce byte-identical reports
@@ -493,22 +508,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
-def _add_kepler_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
-    p.add_argument("--l", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-
-
-def _add_osc_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--lambda1", type=float, default=0.0)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--j", type=float, default=0.0)
-    p.add_argument("--k", type=float, default=0.0)
-    if not any(a.dest == "hbar" for a in p._actions):
-        p.add_argument("--hbar", type=float, default=1.0)
+def _add_system_params(p: argparse.ArgumentParser) -> None:
+    """The system and the parameters of all three systems."""
+    p.add_argument("system", choices=("kepler5d", "osc8d", "ycm"))
+    for name, default in (("c0", 1.0), ("c1", 0.0), ("c2", 0.0), ("l", 0.0), ("hbar", 1.0),
+                          ("omega", 1.0), ("lambda1", 0.0), ("lambda2", 0.0), ("j", 0.0),
+                          ("k", 0.0), ("T", 0.0)):
+        p.add_argument(f"--{name}", type=float, default=default)
+    p.add_argument("--J", type=float, default=None,
+                   help="defaults to |L - T|, the smallest coupled value")
+    p.add_argument("--L", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,26 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="closed-form spectra")
-    sp.add_argument("system", choices=("kepler5d", "osc8d", "ycm"))
-    _add_kepler_params(sp)
-    _add_osc_params(sp)
-    sp.add_argument("--T", type=float, default=0.0)
-    sp.add_argument("--J", type=float, default=None,
-                    help="defaults to |L - T|, the smallest coupled value")
-    sp.add_argument("--L", type=float, default=0.0)
+    _add_system_params(sp)
     sp.add_argument("--p-max", dest="p_max", type=int, default=3)
     sp.add_argument("--n-max", dest="n_max", type=int, default=2)
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     vp = sub.add_parser("verify", help="full invariant suite for one system")
-    vp.add_argument("system", choices=("kepler5d", "osc8d", "ycm"))
-    _add_kepler_params(vp)
-    _add_osc_params(vp)
-    vp.add_argument("--T", type=float, default=0.0)
-    vp.add_argument("--J", type=float, default=None,
-                    help="defaults to |L - T|, the smallest coupled value")
-    vp.add_argument("--L", type=float, default=0.0)
+    _add_system_params(vp)
     vp.add_argument("--p", type=int, default=3)
     vp.add_argument("--trials", type=int, default=20)
     vp.add_argument("--degree", type=int, default=6)
@@ -590,11 +587,9 @@ def main(argv=None) -> int:
     if getattr(args, "J", None) is None and hasattr(args, "T"):
         args.J = abs(args.L - args.T)
     try:
+        _check_config(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

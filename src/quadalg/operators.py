@@ -429,7 +429,7 @@ _EPS_TRIPLES = {
 
 
 # --------------------------------------------------------------------------
-# coefficient-function builders
+# coefficient functions and builders shared between systems
 # --------------------------------------------------------------------------
 
 def _kepler_r(ctx: PointContext) -> Jet:
@@ -442,8 +442,45 @@ def _kepler_r(ctx: PointContext) -> Jet:
     return ctx.coef("r", build)
 
 
-def _mul(key: str, builder) -> OpMul:
-    return OpMul(key, builder)
+def _coord_ops(n_vars: int) -> list:
+    return [OpMul(f"coord[{i}]", lambda ctx, i=i: ctx.coord(i)) for i in range(n_vars)]
+
+
+def _coulomb_parts(mom: list, L: dict, c0: float, c1: float, c2: float) -> tuple:
+    """The pieces shared by the 5D Kepler and the monopole integrals, built on
+    the momenta mom (-i hbar d, or the covariant pi) and the rotations L.
+
+    Returns (L2, L2_full, M, kinetic, potential, A, B). H sums the kinetic and
+    the potential terms; a system's extra term goes between the two.
+    """
+    def coef(key, fn):
+        return OpMul(key, lambda ctx: fn(_kepler_r(ctx), ctx.coord(0)))
+
+    L2 = OpSum([L[(i, j)] @ L[(i, j)] for i in range(1, 5) for j in range(i + 1, 5)])
+    L2_full = OpSum([L[(i, j)] @ L[(i, j)] for i in range(5) for j in range(i + 1, 5)])
+
+    def M_op(k):
+        terms = []
+        for i in range(5):
+            if i == k:
+                continue
+            Lik = L[(i, k)] if i < k else OpScale(-1.0, L[(k, i)])
+            terms.append(OpScale(0.5, mom[i] @ Lik + Lik @ mom[i]))
+        terms.append(OpScale(c0, OpMul(f"coord[{k}]/r", lambda ctx, k=k: ctx.coord(k) / _kepler_r(ctx))))
+        return OpSum(terms)
+
+    M = {k: M_op(k) for k in range(5)}
+    kinetic = [OpScale(0.5, p @ p) for p in mom]
+    potential = [OpScale(-c0, coef("1/r", lambda r, x0: 1.0 / r)),
+                 OpScale(c1, coef("1/(r(r+x0))", lambda r, x0: 1.0 / (r * (r + x0)))),
+                 OpScale(c2, coef("1/(r(r-x0))", lambda r, x0: 1.0 / (r * (r - x0))))]
+    A = OpSum([L2_full,
+               OpScale(2 * c1, coef("r/(r+x0)", lambda r, x0: r / (r + x0))),
+               OpScale(2 * c2, coef("r/(r-x0)", lambda r, x0: r / (r - x0)))])
+    B = OpSum([M[0],
+               OpScale(c1, coef("(r-x0)/(r(r+x0))", lambda r, x0: (r - x0) / (r * (r + x0)))),
+               OpScale(-c2, coef("(r+x0)/(r(r-x0))", lambda r, x0: (r + x0) / (r * (r - x0))))])
+    return L2, L2_full, M, kinetic, potential, A, B
 
 
 # --------------------------------------------------------------------------
@@ -474,47 +511,11 @@ def build_kepler_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                            hbar: float = 1.0) -> KeplerOperators:
     """Verbatim operator trees for the generalized 5D Kepler system."""
     P = [OpScale(-1j * hbar, OpPartial(i)) for i in range(5)]
-    x = [_mul(f"coord[{i}]", lambda ctx, i=i: ctx.coord(i)) for i in range(5)]
-
-    def L_op(i, j):
-        return x[i] @ P[j] - x[j] @ P[i]
-
-    L = {(i, j): L_op(i, j) for i in range(5) for j in range(5) if i < j}
-    L2 = OpSum([L[(i, j)] @ L[(i, j)] for i in range(1, 5) for j in range(i + 1, 5)])
-    L2_full = OpSum([L[(i, j)] @ L[(i, j)] for i in range(5) for j in range(i + 1, 5)])
-
-    inv_r = _mul("1/r", lambda ctx: 1.0 / _kepler_r(ctx))
-    inv_r_rpx = _mul("1/(r(r+x0))",
-                     lambda ctx: 1.0 / (_kepler_r(ctx) * (_kepler_r(ctx) + ctx.coord(0))))
-    inv_r_rmx = _mul("1/(r(r-x0))",
-                     lambda ctx: 1.0 / (_kepler_r(ctx) * (_kepler_r(ctx) - ctx.coord(0))))
-
-    def M_op(k):
-        terms = []
-        for i in range(5):
-            if i == k:
-                continue
-            Lik = L[(i, k)] if i < k else OpScale(-1.0, L[(k, i)])
-            terms.append(OpScale(0.5, P[i] @ Lik + Lik @ P[i]))
-        terms.append(OpScale(c0, _mul(f"coord[{k}]/r", lambda ctx, k=k: ctx.coord(k) / _kepler_r(ctx))))
-        return OpSum(terms)
-
-    M = {k: M_op(k) for k in range(5)}
-
-    H = OpSum([OpScale(0.5, P[i] @ P[i]) for i in range(5)]
-              + [OpScale(-c0, inv_r), OpScale(c1, inv_r_rpx), OpScale(c2, inv_r_rmx)])
-
-    A = OpSum([L2_full,
-               OpScale(2 * c1, _mul("r/(r+x0)", lambda ctx: _kepler_r(ctx) / (_kepler_r(ctx) + ctx.coord(0)))),
-               OpScale(2 * c2, _mul("r/(r-x0)", lambda ctx: _kepler_r(ctx) / (_kepler_r(ctx) - ctx.coord(0))))])
-
-    B = OpSum([M[0],
-               OpScale(c1, _mul("(r-x0)/(r(r+x0))",
-                                lambda ctx: (_kepler_r(ctx) - ctx.coord(0)) / (_kepler_r(ctx) * (_kepler_r(ctx) + ctx.coord(0))))),
-               OpScale(-c2, _mul("(r+x0)/(r(r-x0))",
-                                 lambda ctx: (_kepler_r(ctx) + ctx.coord(0)) / (_kepler_r(ctx) * (_kepler_r(ctx) - ctx.coord(0)))))])
-
-    return KeplerOperators(H=H, A=A, B=B, L2=L2, L2_full=L2_full, L=L, M=M)
+    x = _coord_ops(5)
+    L = {(i, j): x[i] @ P[j] - x[j] @ P[i] for i in range(5) for j in range(i + 1, 5)}
+    L2, L2_full, M, kinetic, potential, A, B = _coulomb_parts(P, L, c0, c1, c2)
+    return KeplerOperators(H=OpSum(kinetic + potential), A=A, B=B, L2=L2, L2_full=L2_full,
+                           L=L, M=M)
 
 
 # --------------------------------------------------------------------------
@@ -540,22 +541,22 @@ def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                         hbar: float = 1.0, T: float = 0.5) -> YCMOperators:
     """Monopole operator trees on (2T+1)-component germs.
 
-    T = 0 reduces every gauge term to zero and reproduces the plain Kepler
-    trees; for T > 0 the printed forms are checked as claims, with residuals
-    reported rather than asserted.
+    The Kepler trees with the momenta minimally coupled (pi), the r^2 F
+    corrections in the rotations and the hbar^2 T(T+1)/2r^2 term in H. T = 0
+    reduces every gauge term to zero and reproduces the plain Kepler values;
+    for T > 0 the printed forms are checked as claims, with residuals reported
+    rather than asserted.
     """
     spin = SpinRep.make(T)
     gauge = GaugeData(hbar=hbar)
     Ts = spin.matrices()
-    dim = spin.dim
-
-    x = [_mul(f"coord[{i}]", lambda ctx, i=i: ctx.coord(i)) for i in range(5)]
+    x = _coord_ops(5)
 
     def pi_op(jv):
         terms = [OpScale(-1j * hbar, OpPartial(jv))]
         for a in range(3):
-            terms.append(OpScale(-hbar, OpMat(Ts[a]) @ _mul(f"gaugeA[{jv},{a}]",
-                                                            lambda ctx, jv=jv, a=a: gauge.potential_jet(ctx, jv, a))))
+            terms.append(OpScale(-hbar, OpMat(Ts[a]) @ OpMul(
+                f"gaugeA[{jv},{a}]", lambda ctx, jv=jv, a=a: gauge.potential_jet(ctx, jv, a))))
         return OpSum(terms)
 
     pi = [pi_op(jv) for jv in range(5)]
@@ -563,50 +564,18 @@ def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
     def L_op(i, k):
         terms = [x[i] @ pi[k], OpScale(-1.0, x[k] @ pi[i])]
         for a in range(3):
-            terms.append(OpScale(-hbar, OpMat(Ts[a]) @ _mul(
+            terms.append(OpScale(-hbar, OpMat(Ts[a]) @ OpMul(
                 f"r2F[{i},{k},{a}]",
                 lambda ctx, i=i, k=k, a=a: (_kepler_r(ctx) * _kepler_r(ctx)) * gauge.field_jet(ctx, i, k, a))))
         return OpSum(terms)
 
-    L = {(i, j): L_op(i, j) for i in range(5) for j in range(5) if i < j}
-    L2 = OpSum([L[(i, j)] @ L[(i, j)] for i in range(1, 5) for j in range(i + 1, 5)])
-    L2_full = OpSum([L[(i, j)] @ L[(i, j)] for i in range(5) for j in range(i + 1, 5)])
-
-    def M_op(k):
-        terms = []
-        for i in range(5):
-            if i == k:
-                continue
-            Lik = L[(i, k)] if i < k else OpScale(-1.0, L[(k, i)])
-            terms.append(OpScale(0.5, pi[i] @ Lik + Lik @ pi[i]))
-        terms.append(OpScale(c0, _mul(f"coord[{k}]/r", lambda ctx, k=k: ctx.coord(k) / _kepler_r(ctx))))
-        return OpSum(terms)
-
-    M = {k: M_op(k) for k in range(5)}
-
-    inv_r = _mul("1/r", lambda ctx: 1.0 / _kepler_r(ctx))
-    inv_r2 = _mul("1/r2", lambda ctx: 1.0 / (_kepler_r(ctx) * _kepler_r(ctx)))
-    inv_r_rpx = _mul("1/(r(r+x0))",
-                     lambda ctx: 1.0 / (_kepler_r(ctx) * (_kepler_r(ctx) + ctx.coord(0))))
-    inv_r_rmx = _mul("1/(r(r-x0))",
-                     lambda ctx: 1.0 / (_kepler_r(ctx) * (_kepler_r(ctx) - ctx.coord(0))))
-
-    H = OpSum([OpScale(0.5, pi[jv] @ pi[jv]) for jv in range(5)]
-              + [OpScale(hbar**2 * spin.casimir / 2, inv_r2),
-                 OpScale(-c0, inv_r), OpScale(c1, inv_r_rpx), OpScale(c2, inv_r_rmx)])
-
-    A = OpSum([L2_full,
-               OpScale(2 * c1, _mul("r/(r+x0)", lambda ctx: _kepler_r(ctx) / (_kepler_r(ctx) + ctx.coord(0)))),
-               OpScale(2 * c2, _mul("r/(r-x0)", lambda ctx: _kepler_r(ctx) / (_kepler_r(ctx) - ctx.coord(0))))])
-
-    B = OpSum([M[0],
-               OpScale(c1, _mul("(r-x0)/(r(r+x0))",
-                                lambda ctx: (_kepler_r(ctx) - ctx.coord(0)) / (_kepler_r(ctx) * (_kepler_r(ctx) + ctx.coord(0))))),
-               OpScale(-c2, _mul("(r+x0)/(r(r-x0))",
-                                 lambda ctx: (_kepler_r(ctx) + ctx.coord(0)) / (_kepler_r(ctx) * (_kepler_r(ctx) - ctx.coord(0)))))])
-
-    return YCMOperators(H=H, A=A, B=B, L2=L2, L2_full=L2_full, L=L, M=M, pi=pi, spin=spin,
-                        gauge=gauge, spin_dim=dim)
+    L = {(i, k): L_op(i, k) for i in range(5) for k in range(i + 1, 5)}
+    L2, L2_full, M, kinetic, potential, A, B = _coulomb_parts(pi, L, c0, c1, c2)
+    centrifugal = OpScale(hbar**2 * spin.casimir / 2,
+                          OpMul("1/r2", lambda ctx: 1.0 / (_kepler_r(ctx) * _kepler_r(ctx))))
+    return YCMOperators(H=OpSum(kinetic + [centrifugal] + potential), A=A, B=B, L2=L2,
+                        L2_full=L2_full, L=L, M=M, pi=pi, spin=spin, gauge=gauge,
+                        spin_dim=spin.dim)
 
 
 # --------------------------------------------------------------------------
@@ -650,7 +619,7 @@ def build_osc8d_operators(omega: float = 1.0, lambda1: float = 0.0, lambda2: flo
     residual is a reported finding.
     """
     rot_factor = -1j * hbar if hbar_normalized_rotations else 1.0
-    u = [_mul(f"coord[{i}]", lambda ctx, i=i: ctx.coord(i)) for i in range(8)]
+    u = _coord_ops(8)
 
     def rot(i, j):
         return OpScale(rot_factor, u[i] @ OpPartial(j) - u[j] @ OpPartial(i))
@@ -668,12 +637,12 @@ def build_osc8d_operators(omega: float = 1.0, lambda1: float = 0.0, lambda2: flo
     rho2 = lambda ctx: _osc_block_jet(ctx, 4, 8, "rho2")
     u2 = lambda ctx: ctx.coef("|u|^2", lambda c: rho1(c) + rho2(c))
 
-    mul_u2 = _mul("|u|^2", u2)
-    inv_rho1 = _mul("1/rho1", lambda ctx: 1.0 / rho1(ctx))
-    inv_rho2 = _mul("1/rho2", lambda ctx: 1.0 / rho2(ctx))
-    u2_over_rho1 = _mul("|u|^2/rho1", lambda ctx: u2(ctx) / rho1(ctx))
-    u2_over_rho2 = _mul("|u|^2/rho2", lambda ctx: u2(ctx) / rho2(ctx))
-    block_diff = _mul("rho1-rho2", lambda ctx: rho1(ctx) - rho2(ctx))
+    mul_u2 = OpMul("|u|^2", u2)
+    inv_rho1 = OpMul("1/rho1", lambda ctx: 1.0 / rho1(ctx))
+    inv_rho2 = OpMul("1/rho2", lambda ctx: 1.0 / rho2(ctx))
+    u2_over_rho1 = OpMul("|u|^2/rho1", lambda ctx: u2(ctx) / rho1(ctx))
+    u2_over_rho2 = OpMul("|u|^2/rho2", lambda ctx: u2(ctx) / rho2(ctx))
+    block_diff = OpMul("rho1-rho2", lambda ctx: rho1(ctx) - rho2(ctx))
 
     H = OpSum([OpScale(-hbar**2 / 2, lap), OpScale(omega**2 / 2, mul_u2),
                OpScale(lambda1, inv_rho1), OpScale(lambda2, inv_rho2)])
@@ -695,8 +664,47 @@ def build_osc8d_operators(omega: float = 1.0, lambda1: float = 0.0, lambda2: flo
 
 
 # --------------------------------------------------------------------------
-# quadratic-algebra closure at the operator level
+# quadratic-algebra relations at the operator level
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RelationSpec:
+    """A printed relation lhs = sum_k c_k basis_k, as data.
+
+    rows holds one (basis name, basis operator, printed coefficient c_k) per
+    term of the right side.
+    """
+
+    name: str
+    lhs: Operator
+    rows: tuple
+
+
+def _fit_rows(spec: RelationSpec, n_samples: int, sampler: PointSampler,
+              rng: np.random.Generator, degree: int):
+    """Least-squares fit of spec.lhs on the basis of its rows.
+
+    Returns ({basis name: (printed, fitted)}, relative fit residual).
+    """
+    names, basis, printed = zip(*spec.rows)
+    fit, resid = fit_operator_coefficients(spec.lhs, basis, n_samples, sampler, rng,
+                                           degree=degree)
+    return {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, resid
+
+
+def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
+                   rng: np.random.Generator, degree: int = DEFAULT_DEGREE):
+    """Residual of the printed relation, then a fit of its coefficients.
+
+    Returns (printed residual, {basis name: (printed, fitted)}, fit residual).
+    The fit uses 2 * len(rows) + 4 samples drawn from rng after the residual's.
+    """
+    rhs = OpSum([OpScale(c, op) for _, op, c in spec.rows])
+    residual = operator_residual(spec.lhs - rhs, [spec.lhs, rhs], trials, sampler, rng,
+                                 degree=degree)
+    fit, fit_residual = _fit_rows(spec, 2 * len(spec.rows) + 4, sampler, rng, degree)
+    return residual, fit, fit_residual
+
 
 @dataclass(frozen=True)
 class ClosureReport:
@@ -708,57 +716,42 @@ class ClosureReport:
     the chosen basis, making the fitted values the operator-level ground truth.
     """
 
-    system: str
     residual_ac_printed: float
     residual_bc_printed: float
     fit_ac: dict
     fit_bc: dict
     fit_ac_residual: float
     fit_bc_residual: float
-    extra: dict
+
+
+def _closure_report(ac: RelationSpec, bc: RelationSpec, trials: int,
+                    sampler: PointSampler, seed: int, degree: int) -> ClosureReport:
+    rng = np.random.default_rng(seed)
+    r_ac, fit_ac, res_ac = check_relation(ac, trials, sampler, rng, degree)
+    r_bc, fit_bc, res_bc = check_relation(bc, trials, sampler, rng, degree)
+    return ClosureReport(residual_ac_printed=r_ac, residual_bc_printed=r_bc,
+                         fit_ac=fit_ac, fit_bc=fit_bc,
+                         fit_ac_residual=res_ac, fit_bc_residual=res_bc)
 
 
 def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                              hbar: float = 1.0, trials: int = 6, seed: int = 0,
                              degree: int = DEFAULT_DEGREE) -> ClosureReport:
     """Closure residuals and constant fits for the generalized 5D Kepler algebra."""
-    rng = np.random.default_rng(seed)
-    sampler = kepler_sampler()
     k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
-    ident = OpIdentity()
     C = commutator(k.A, k.B)
     h2, h4 = hbar**2, hbar**4
-
-    ac_lhs = commutator(k.A, C)
-    ac_basis = [anticommutator(k.A, k.B), k.B, ident]
-    ac_printed = (2 * h2, 8 * h4, -4 * (c1 - c2) * h2 * c0)
-    ac_rhs = OpSum([OpScale(c, op) for c, op in zip(ac_printed, ac_basis)])
-    r_ac = operator_residual(ac_lhs - ac_rhs, [ac_lhs, ac_rhs], trials, sampler, rng,
-                             degree=degree)
-    fit_ac, res_ac = fit_operator_coefficients(ac_lhs, ac_basis, 2 * len(ac_basis) + 4,
-                                               sampler, rng, degree=degree)
-
-    bc_lhs = commutator(k.B, C)
-    bc_basis = [k.B @ k.B, k.H @ k.A, k.L2 @ k.H, k.H, ident]
-    bc_printed = (-2 * h2, 8 * h2, -4 * h2, 16 * h4 - 8 * h2 * (c1 + c2), 2 * h2 * c0**2)
-    bc_rhs = OpSum([OpScale(c, op) for c, op in zip(bc_printed, bc_basis)])
-    r_bc = operator_residual(bc_lhs - bc_rhs, [bc_lhs, bc_rhs], trials, sampler, rng,
-                             degree=degree)
-    fit_bc, res_bc = fit_operator_coefficients(bc_lhs, bc_basis, 2 * len(bc_basis) + 4,
-                                               sampler, rng, degree=degree)
-
-    names_ac = ("anti{A,B}", "B", "1")
-    names_bc = ("B^2", "HA", "L2H", "H", "1")
-    return ClosureReport(
-        system="kepler5d",
-        residual_ac_printed=r_ac,
-        residual_bc_printed=r_bc,
-        fit_ac={n: (p, float(f)) for n, p, f in zip(names_ac, ac_printed, fit_ac)},
-        fit_bc={n: (p, float(f)) for n, p, f in zip(names_bc, bc_printed, fit_bc)},
-        fit_ac_residual=res_ac,
-        fit_bc_residual=res_bc,
-        extra={},
-    )
+    ac = RelationSpec("AC", commutator(k.A, C), (
+        ("anti{A,B}", anticommutator(k.A, k.B), 2 * h2),
+        ("B", k.B, 8 * h4),
+        ("1", OpIdentity(), -4 * (c1 - c2) * h2 * c0)))
+    bc = RelationSpec("BC", commutator(k.B, C), (
+        ("B^2", k.B @ k.B, -2 * h2),
+        ("HA", k.H @ k.A, 8 * h2),
+        ("L2H", k.L2 @ k.H, -4 * h2),
+        ("H", k.H, 16 * h4 - 8 * h2 * (c1 + c2)),
+        ("1", OpIdentity(), 2 * h2 * c0**2)))
+    return _closure_report(ac, bc, trials, kepler_sampler(), seed, degree)
 
 
 def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
@@ -771,171 +764,53 @@ def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
     (the C^2 term consumes eight derivative orders).
     """
     rng = np.random.default_rng(seed)
-    sampler = kepler_sampler()
     k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
-    ident = OpIdentity()
     closure = kepler_quadratic_closure(c0=c0, c1=c1, c2=c2, hbar=hbar, seed=seed)
-    gamma = closure.fit_ac["anti{A,B}"][1]
-    eps = closure.fit_ac["B"][1]
-    zeta = closure.fit_ac["1"][1]
-    c_hA = closure.fit_bc["HA"][1]
-    c_l2h = closure.fit_bc["L2H"][1]
-    c_h = closure.fit_bc["H"][1]
-    c_1 = closure.fit_bc["1"][1]
+    ac = {name: fitted for name, (_, fitted) in closure.fit_ac.items()}
+    bc = {name: fitted for name, (_, fitted) in closure.fit_bc.items()}
+    gamma = ac["anti{A,B}"]
     C = commutator(k.A, k.B)
     B2 = k.B @ k.B
     K_op = OpSum([
         C @ C,
         OpScale(-gamma, k.A @ B2 + B2 @ k.A),
-        OpScale(gamma**2 - eps, B2),
-        OpScale(-2 * zeta, k.B),
-        OpScale(c_hA, k.H @ k.A @ k.A),
-        OpScale(2 * c_l2h, k.L2 @ k.H @ k.A),
-        OpScale(2 * c_h, k.H @ k.A),
-        OpScale(2 * c_1, k.A),
+        OpScale(gamma**2 - ac["B"], B2),
+        OpScale(-2 * ac["1"], k.B),
+        OpScale(bc["HA"], k.H @ k.A @ k.A),
+        OpScale(2 * bc["L2H"], k.L2 @ k.H @ k.A),
+        OpScale(2 * bc["H"], k.H @ k.A),
+        OpScale(2 * bc["1"], k.A),
     ])
-    basis = [k.H @ k.L2, k.H, k.L2, ident]
-    fit, resid = fit_operator_coefficients(K_op, basis, n_samples, sampler, rng,
-                                           degree=degree)
     h2, h4 = hbar**2, hbar**4
-    printed_vals = {
-        "HL2": 16 * h4,
-        "H": -8 * h2 * (c1 - c2) ** 2 + 32 * (c1 + c2) * h4 - 32 * h4 * h2,
-        "L2": 4 * h2 * c0**2,
-        "1": 8 * h2 * (c1 + c2) * c0**2 - 4 * h4 * c0**2,
-    }
-    return {
-        "fit_residual": resid,
-        "coefficients": {n: (printed_vals[n], float(f))
-                         for n, f in zip(("HL2", "H", "L2", "1"), fit)},
-    }
+    casimir = RelationSpec("casimir", K_op, (
+        ("HL2", k.H @ k.L2, 16 * h4),
+        ("H", k.H, -8 * h2 * (c1 - c2) ** 2 + 32 * (c1 + c2) * h4 - 32 * h4 * h2),
+        ("L2", k.L2, 4 * h2 * c0**2),
+        ("1", OpIdentity(), 8 * h2 * (c1 + c2) * c0**2 - 4 * h4 * c0**2)))
+    coefficients, resid = _fit_rows(casimir, n_samples, kepler_sampler(), rng, degree)
+    return {"fit_residual": resid, "coefficients": coefficients}
 
 
 def osc8d_quadratic_closure(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,
                             hbar: float = 1.0, trials: int = 4, seed: int = 0,
                             degree: int = DEFAULT_DEGREE) -> ClosureReport:
     """Closure residuals and constant fits for the 8D singular-oscillator algebra."""
-    rng = np.random.default_rng(seed)
-    sampler = osc8d_sampler()
     o = build_osc8d_operators(omega=omega, lambda1=lambda1, lambda2=lambda2, hbar=hbar)
-    ident = OpIdentity()
     C = commutator(o.A, o.B)
     h2 = hbar**2
     om2 = omega**2
-
-    ac_lhs = commutator(o.A, C)
-    ac_basis = [anticommutator(o.A, o.B), o.B, o.J2 @ o.H, o.K2 @ o.H, o.H, ident]
-    ac_printed = (2.0, 8.0, 1.0, -1.0, -2 * (lambda1 - lambda2) / h2, 0.0)
-    ac_rhs = OpSum([OpScale(c, op) for c, op in zip(ac_printed, ac_basis)])
-    r_ac = operator_residual(ac_lhs - ac_rhs, [ac_lhs, ac_rhs], trials, sampler, rng,
-                             degree=degree)
-    fit_ac, res_ac = fit_operator_coefficients(ac_lhs, ac_basis, 2 * len(ac_basis) + 4,
-                                               sampler, rng, degree=degree)
-
-    bc_lhs = commutator(o.B, C)
-    bc_basis = [o.B @ o.B, o.H @ o.H, o.A, o.J2, o.K2, ident]
-    bc_printed = (4 * h2, 2.0, -16 * h2 * om2, -4 * h2 * om2, -4 * h2 * om2,
-                  8 * (lambda1 + lambda2 - 4 * h2) * om2)
-    bc_rhs = OpSum([OpScale(c, op) for c, op in zip(bc_printed, bc_basis)])
-    r_bc = operator_residual(bc_lhs - bc_rhs, [bc_lhs, bc_rhs], trials, sampler, rng,
-                             degree=degree)
-    fit_bc, res_bc = fit_operator_coefficients(bc_lhs, bc_basis, 2 * len(bc_basis) + 4,
-                                               sampler, rng, degree=degree)
-
-    names_ac = ("anti{A,B}", "B", "J2H", "K2H", "H", "1")
-    names_bc = ("B^2", "H^2", "A", "J2", "K2", "1")
-    return ClosureReport(
-        system="osc8d",
-        residual_ac_printed=r_ac,
-        residual_bc_printed=r_bc,
-        fit_ac={n: (p, float(f)) for n, p, f in zip(names_ac, ac_printed, fit_ac)},
-        fit_bc={n: (p, float(f)) for n, p, f in zip(names_bc, bc_printed, fit_bc)},
-        fit_ac_residual=res_ac,
-        fit_bc_residual=res_bc,
-        extra={},
-    )
-
-
-def osc8d_casimir_fit(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,
-                      hbar: float = 1.0, seed: int = 0, degree: int = 8,
-                      n_samples: int = 10) -> dict:
-    """Fit the oscillator Casimir combination onto its printed monomial basis.
-
-    Built from the operator-level fitted relation constants; needs jet degree 8
-    for the C^2 term. Returns (printed, fitted) per basis monomial together
-    with the fit residual. On generic germs the residual stays at order 0.1:
-    the combination is central but does NOT lie in the span of polynomial
-    monomials in (H, J^2, K^2) alone, because each 4-block carries a second
-    rotational invariant whose square contributes; those contributions vanish
-    on the representations where the printed scalar form is used, which the
-    Fock-side check confirms. The large residual is therefore itself the
-    reported finding, not a solver failure.
-    """
-    rng = np.random.default_rng(seed)
-    sampler = osc8d_sampler()
-    o = build_osc8d_operators(omega=omega, lambda1=lambda1, lambda2=lambda2, hbar=hbar)
-    ident = OpIdentity()
-    closure = osc8d_quadratic_closure(omega=omega, lambda1=lambda1, lambda2=lambda2,
-                                      hbar=hbar, seed=seed, trials=2)
-    gamma = closure.fit_ac["anti{A,B}"][1]
-    eps = closure.fit_ac["B"][1]
-    z_j2h = closure.fit_ac["J2H"][1]
-    z_k2h = closure.fit_ac["K2H"][1]
-    z_h = closure.fit_ac["H"][1]
-    c_h2 = closure.fit_bc["H^2"][1]
-    c_a = closure.fit_bc["A"][1]
-    c_j2 = closure.fit_bc["J2"][1]
-    c_k2 = closure.fit_bc["K2"][1]
-    c_1 = closure.fit_bc["1"][1]
-    C = commutator(o.A, o.B)
-    B2 = o.B @ o.B
-    # zeta and z are polynomials in the central elements; orderings commute
-    zeta_B = OpSum([OpScale(z_j2h, o.J2 @ o.H @ o.B), OpScale(z_k2h, o.K2 @ o.H @ o.B),
-                    OpScale(z_h, o.H @ o.B)])
-    z_A = OpSum([OpScale(c_h2, o.H @ o.H @ o.A), OpScale(c_j2, o.J2 @ o.A),
-                 OpScale(c_k2, o.K2 @ o.A), OpScale(c_1, o.A)])
-    K_op = OpSum([
-        C @ C,
-        OpScale(-gamma, o.A @ B2 + B2 @ o.A),
-        OpScale(gamma**2 - eps, B2),
-        OpScale(-2.0, zeta_B),
-        OpScale(c_a, o.H @ o.A @ o.A),
-        OpScale(2.0, z_A),
-    ])
-    basis = [o.J2 @ o.H @ o.H, o.K2 @ o.H @ o.H, o.H @ o.H, o.J2 @ o.J2, o.K2 @ o.K2,
-             o.J2 @ o.K2, o.J2, o.K2, ident]
-    fit, resid = fit_operator_coefficients(K_op, basis, n_samples, sampler, rng,
-                                           degree=degree)
-    h2 = hbar**2
-    om2 = omega**2
-    printed_vals = {
-        "J2H2": -2.0,
-        "K2H2": -2.0,
-        "H2": 4 * (lambda1 + lambda2 - h2) * om2 / h2,
-        "(J2)^2": h2 * om2,
-        "(K2)^2": -h2 * om2,
-        "J2K2": -2 * h2 * om2,
-        "J2": -4 * (lambda1 - lambda2 - 4 * h2) * om2,
-        "K2": 4 * (lambda1 - lambda2 + 4 * h2) * om2,
-        "1": 4 * ((lambda1 - lambda2) ** 2 - 8 * (lambda1 + lambda2) * h2 + 16 * h2 * h2) * om2 / h2,
-    }
-    names = ("J2H2", "K2H2", "H2", "(J2)^2", "(K2)^2", "J2K2", "J2", "K2", "1")
-    return {
-        "fit_residual": resid,
-        "coefficients": {n: (printed_vals[n], float(f)) for n, f in zip(names, fit)},
-    }
-
-
-def verify_quadratic_closure(system: str, trials: int = 4, seed: int = 0,
-                             degree: int = DEFAULT_DEGREE, **params) -> ClosureReport:
-    """Closure residuals and constant fits for one catalog system.
-
-    Relations are checked as operator identities with the Hamiltonian kept as
-    an operator; residuals above tolerance are findings for the report, and the
-    fitted constants identify which printed coefficients the operators support.
-    """
-    if system == "kepler5d":
-        return kepler_quadratic_closure(trials=trials, seed=seed, degree=degree, **params)
-    if system == "osc8d":
-        return osc8d_quadratic_closure(trials=trials, seed=seed, degree=degree, **params)
-    raise ValueError(f"unknown system {system!r}")
+    ac = RelationSpec("AC", commutator(o.A, C), (
+        ("anti{A,B}", anticommutator(o.A, o.B), 2.0),
+        ("B", o.B, 8.0),
+        ("J2H", o.J2 @ o.H, 1.0),
+        ("K2H", o.K2 @ o.H, -1.0),
+        ("H", o.H, -2 * (lambda1 - lambda2) / h2),
+        ("1", OpIdentity(), 0.0)))
+    bc = RelationSpec("BC", commutator(o.B, C), (
+        ("B^2", o.B @ o.B, 4 * h2),
+        ("H^2", o.H @ o.H, 2.0),
+        ("A", o.A, -16 * h2 * om2),
+        ("J2", o.J2, -4 * h2 * om2),
+        ("K2", o.K2, -4 * h2 * om2),
+        ("1", OpIdentity(), 8 * (lambda1 + lambda2 - 4 * h2) * om2)))
+    return _closure_report(ac, bc, trials, osc8d_sampler(), seed, degree)

@@ -55,6 +55,16 @@ def test_verify_ycm_exit_zero(tmp_path):
     assert any(c.startswith("jets.ycm.commute.") for c in checks)
 
 
+def test_verify_ycm_antisymmetry_is_relative_to_the_field(tmp_path):
+    # at this seed the field-strength jets reach sizes where an absolute 1e-12
+    # on F_ik + F_ki failed; measured against |F| the rounding stays ~1e-16
+    code, rep = _run_json(tmp_path, "y18.json",
+                          ["verify", "ycm", "--T", "1", "--trials", "20", "--seed", "18"])
+    assert code == 0
+    by_check = {f["check"]: f for f in rep["findings"]}
+    assert by_check["jets.ycm.gauge.antisymmetry"]["residual"] < 1e-14
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     argv = ["verify", "ycm", "--T", "0.5", "--trials", "3", "--seed", "11"]
     a = tmp_path / "a.json"
@@ -92,6 +102,24 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     assert finding["status"] == "finding"
     assert finding["residual"] > 0.1
     assert finding["values"]["fraction_above_0.1"] > 0.9
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["crosscheck", "euler", "--samples", "0"], "--samples"),
+    (["crosscheck", "euler", "--samples", "-5", "--literal-x0"], "--samples"),
+    (["crosscheck", "ycm", "--channel", "s1=0"], "--channel"),
+    (["crosscheck", "ycm", "--channel", "s1=0,s3=1"], "--channel"),
+    (["crosscheck", "ycm", "--channel", "s1=0,s2=0,s1=1"], "--channel"),
+    (["crosscheck", "ycm", "--channel", "s1=0,s2=nan"], "--channel"),
+    (["crosscheck", "ycm", "--channel", "s1=0,s2=x"], "--channel"),
+    (["crosscheck", "osc8d", "--levels", "0"], "--levels"),
+])
+def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
+    # a configuration error exits 2 and names the flag; 1 means a failed check
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
 
 
 def test_crosscheck_ycm_triple(tmp_path):
