@@ -262,9 +262,28 @@ def phi_family_from_constants(constants_at: Callable[[float], QuadraticAlgebraCo
     return PhiFamily(roots_of=roots_of, scale_of=scale_of, label=label)
 
 
+# A root counts as real when |Im| <= _REAL_TOL * (1 + |Re|). Root extraction
+# splits a double root of Phi (the default Kepler family has one at t = 1/2 for
+# every E) into two reals at some energies and into a conjugate pair at others.
+# A tight threshold lets the real-root count flicker along the energy grid,
+# which shifts the sorted indices the root pairs are keyed on: fake sign
+# changes cost Brent solves, and genuine ones are lost. On the p_max = 1, 2, 3
+# and 6 grids of eight Kepler/oscillator configurations the near-real roots
+# reached a relative |Im| of 1.9e-6 (Kepler l = 1, p_max = 2), and no
+# genuinely complex pair occurred. A pair that is complex beyond the threshold
+# never yields a candidate: StructureFunction keeps only real parts, and the
+# endpoint check rejects such a Phi.
+_REAL_TOL = 1e-5
+
+
 def _real_roots(roots: np.ndarray) -> np.ndarray:
-    mask = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
+    mask = np.abs(roots.imag) <= _REAL_TOL * (1.0 + np.abs(roots.real))
     return np.sort(roots.real[mask])
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal up to the spread of Brent solves of one representation (~1e-9 in E)."""
+    return abs(a - b) <= 1e-8 * (1.0 + max(abs(a), abs(b)))
 
 
 def find_representations(family: PhiFamily, p_max: int,
@@ -279,38 +298,37 @@ def find_representations(family: PhiFamily, p_max: int,
     are solved by pairwise root matching: u sits on one root of the factored
     family and u + p + 1 on another, so each ordered root pair yields a
     one-dimensional root-finding problem in E, bracketed on e_grid and solved
-    by Brent iteration. Survivors must have a strictly positive window.
+    by Brent iteration. The real roots on e_grid do not depend on p and are
+    extracted once. Survivors must have a strictly positive window.
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
+    if closed_form is not None:
+        return [closed_form(p) for p in range(p_max + 1)]
+    if e_grid is None:
+        raise NonConvergence("generic search needs an energy grid")
+    e_grid = np.asarray(e_grid, dtype=float)
+    grid_roots = [_real_roots(family.roots_of(energy)) for energy in e_grid]
     out: list[RepresentationCandidate] = []
     for p in range(p_max + 1):
-        if closed_form is not None:
-            out.append(closed_form(p))
-            continue
-        found = _solve_representations_at_p(family, p, e_grid, endpoint_tol)
+        found = _solve_representations_at_p(family, p, e_grid, grid_roots, endpoint_tol)
         if not found and strict:
             raise NoRepresentation(p)
         out.extend(found)
     return out
 
 
-def _solve_representations_at_p(family: PhiFamily, p: int,
-                                e_grid: Optional[np.ndarray],
+def _solve_representations_at_p(family: PhiFamily, p: int, e_grid: np.ndarray,
+                                grid_roots: list[np.ndarray],
                                 endpoint_tol: float) -> list[RepresentationCandidate]:
-    if e_grid is None:
-        raise NonConvergence("generic search needs an energy grid")
-    e_grid = np.asarray(e_grid, dtype=float)
     gaps = {}
-    for energy in e_grid:
-        roots = _real_roots(family.roots_of(energy))
+    for energy, roots in zip(e_grid, grid_roots):
         for i in range(len(roots)):
             for j in range(len(roots)):
                 if i == j:
                     continue
                 gaps.setdefault((i, j), []).append((energy, roots[j] - roots[i] - (p + 1)))
     found: list[RepresentationCandidate] = []
-    seen = set()
     for (i, j), samples in gaps.items():
         for (e0, g0), (e1, g1) in zip(samples, samples[1:]):
             if not (np.isfinite(g0) and np.isfinite(g1)) or g0 * g1 > 0:
@@ -345,10 +363,8 @@ def _solve_representations_at_p(family: PhiFamily, p: int,
             cand = _candidate_from_family(family, p, u, float(e_star), endpoint_tol)
             if cand is None:
                 continue
-            key = (round(cand.u, 9), round(cand.energy, 11))
-            if key in seen:
+            if any(_same(f.u, cand.u) and _same(f.energy, cand.energy) for f in found):
                 continue
-            seen.add(key)
             found.append(cand)
     found.sort(key=lambda c: (c.energy, c.u))
     return found

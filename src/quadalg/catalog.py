@@ -9,7 +9,7 @@ the catalog is the transcription layer, the oracles decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +34,14 @@ OSC_PHI_PREFACTOR = 3 * 2**22
 OSC_PHI_PREFACTOR_SUBST = 3 * 2**19
 
 
+def _require_finite(params) -> None:
+    """Name the first NaN or infinite number field; both pass the sign checks."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Kepler5DParams:
     """Generalized 5D Kepler couplings and the so(4) Casimir eigenvalue l."""
@@ -45,6 +53,7 @@ class Kepler5DParams:
     l: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.c0 <= 0:
             raise ValueError("c0 must be positive")
         if self.c1 < 0 or self.c2 < 0:
@@ -65,6 +74,7 @@ class Oscillator8DParams:
     k: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -86,6 +96,7 @@ class YCMParams:
     L: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.T < 0 or round(2 * self.T) != 2 * self.T:
             raise ValueError("T must be a non-negative half-integer")
         if not (abs(self.L - self.T) <= self.J <= self.L + self.T + 1e-12):

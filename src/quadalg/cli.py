@@ -489,9 +489,16 @@ def _check_config(args) -> None:
     """Refuse inputs that would pass a required check over nothing or fail mid-run."""
     if args.command != "crosscheck":
         return
-    for flag in ("samples", "levels"):
+    for flag in ("samples", "levels", "grid"):
         if getattr(args, flag) < 1:
             raise ConfigError(flag, f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if args.target == "osc8d" and args.grid > 1024:
+        # the radial oracle extrapolates over three doubled grids up to 4096
+        raise ConfigError("grid", f"--grid must be at most 1024 for crosscheck osc8d, "
+                          f"got {args.grid}")
+    for flag in ("c0", "hbar", "omega", "lambda1"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ConfigError(flag, f"--{flag} must be finite, got {getattr(args, flag)}")
     _channel(args.channel)
 
 

@@ -119,6 +119,8 @@ def parabolic_eigensolve(spec: ParabolicChannelSpec, n_levels: int,
     The grid is refined (halving h) until the extrapolated error estimate drops
     below target; exceeding max_grid raises GridTooCoarse.
     """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     if cutoff is None:
         cutoff = 40.0 / np.sqrt(-spec.beta)
     sizes = []
@@ -253,6 +255,8 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
     """n-th eigenvalue of the radial block, Richardson-extrapolated."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     if cutoff is None:
         # generous tail so domain truncation sits far below the h^2 error
         width = np.sqrt(spec.hbar / spec.omega)

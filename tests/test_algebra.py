@@ -191,6 +191,78 @@ def test_solver_recovers_physical_kepler_tower():
         assert verified >= 1
 
 
+def _general_family(constants):
+    return alg.phi_family_from_constants(constants.at_energy)
+
+
+@pytest.mark.parametrize("params, constants, energy_grid, p_max", [
+    (_kepler_pure(), cat.kepler5d_constants, cat.kepler5d_energy_grid, 3),
+    (_osc_pure(), cat.osc8d_constants, cat.osc8d_energy_grid, 2),
+], ids=["kepler5d", "osc8d"])
+def test_real_root_count_is_constant_on_the_grid(params, constants, energy_grid, p_max):
+    # a double root split by rounding (a real pair at some E, a near-real
+    # conjugate pair at others) must count the same at every energy, or the
+    # root pairing along the grid is scrambled
+    fam = _general_family(constants(params))
+    counts = {len(alg._real_roots(fam.roots_of(energy)))
+              for energy in energy_grid(params, p_max)}
+    assert counts == {6}
+
+
+def test_solver_finds_u_three_halves_at_every_dimension():
+    # u = +3/2 closes at E = -c0^2 / (2 (p+2)^2) for each p; the p = 3 one was
+    # hidden when the real-root count flickered along the grid
+    p = _kepler_pure()
+    fam = _general_family(cat.kepler5d_constants(p))
+    sols = alg.find_representations(fam, 3, e_grid=cat.kepler5d_energy_grid(p, 3))
+    for rp in range(4):
+        assert any(s.p == rp and abs(s.u - 1.5) < 1e-6
+                   and abs(s.energy + 0.5 / (rp + 2) ** 2) < 1e-9 for s in sols), rp
+
+
+def test_solver_reports_each_representation_once():
+    # two Brent solves of one representation differ by ~1e-9 in E; the search
+    # keeps one of them
+    p = cat.Kepler5DParams(c1=0.25, l=3.0)
+    fam = _general_family(cat.kepler5d_constants(p))
+    sols = alg.find_representations(fam, 3, e_grid=cat.kepler5d_energy_grid(p, 3))
+
+    def same(x, y):
+        return abs(x - y) <= 1e-8 * (1.0 + max(abs(x), abs(y)))
+
+    for a_idx, a in enumerate(sols):
+        for b in sols[a_idx + 1:]:
+            assert not (a.p == b.p and same(a.u, b.u) and same(a.energy, b.energy)), \
+                (a.p, a.u, a.energy, b.u, b.energy)
+
+
+def test_solver_extracts_grid_roots_once():
+    p = _kepler_pure()
+    gen = _general_family(cat.kepler5d_constants(p))
+    calls = []
+
+    def roots_of(energy):
+        calls.append(energy)
+        return gen.roots_of(energy)
+
+    fam = alg.PhiFamily(roots_of=roots_of, scale_of=gen.scale_of)
+    grid = cat.kepler5d_energy_grid(p, 3)
+    alg.find_representations(fam, 3, e_grid=grid)
+    # the grid is swept once up front, then only Brent and its checks extract
+    assert calls[:len(grid)] == list(grid)
+    assert len(calls) < 5000
+
+
+def test_solver_builds_no_candidate_from_a_complex_root():
+    # 1 +- 0.5i sits exactly 1 to the right of the moving root t = E at E = 0;
+    # taking real parts of every root would close a p = 0 representation there
+    def roots_of(energy):
+        return np.array([energy, 1 + 0.5j, 1 - 0.5j, 10.0, 20.0, 30.0], dtype=complex)
+
+    fam = alg.PhiFamily(roots_of=roots_of, scale_of=lambda E: 1.0)
+    assert alg.find_representations(fam, 0, e_grid=np.linspace(-1.0, 1.0, 41)) == []
+
+
 # -- Fock matrices -----------------------------------------------------------
 
 def test_fock_p0_is_scalar():

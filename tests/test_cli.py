@@ -113,6 +113,13 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "ycm", "--channel", "s1=0,s2=nan"], "--channel"),
     (["crosscheck", "ycm", "--channel", "s1=0,s2=x"], "--channel"),
     (["crosscheck", "osc8d", "--levels", "0"], "--levels"),
+    (["crosscheck", "osc8d", "--grid", "0"], "--grid"),
+    (["crosscheck", "ycm", "--grid", "0"], "--grid"),
+    (["crosscheck", "osc8d", "--grid", "4096"], "--grid"),
+    (["crosscheck", "ycm", "--c0", "nan"], "--c0"),
+    (["crosscheck", "ycm", "--hbar", "inf"], "--hbar"),
+    (["crosscheck", "osc8d", "--omega", "inf"], "--omega"),
+    (["crosscheck", "osc8d", "--lambda1", "nan"], "--lambda1"),
 ])
 def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     # a configuration error exits 2 and names the flag; 1 means a failed check
@@ -120,6 +127,20 @@ def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "osc8d", "--omega", "inf"], "omega"),
+    (["spectrum", "kepler5d", "--c0", "nan"], "c0"),
+    (["verify", "kepler5d", "--hbar", "nan"], "hbar"),
+    (["spectrum", "ycm", "--T", "nan"], "T"),
+])
+def test_non_finite_parameter_is_named(capsys, argv, name):
+    # NaN and inf pass every sign check, so they are refused by name first
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be finite" in captured.err
 
 
 def test_crosscheck_ycm_triple(tmp_path):

@@ -91,6 +91,16 @@ def test_radial_grid_too_coarse():
         ode.radial_oscillator_eigensolve(spec, 0, n_grid=64, max_grid=256, target=1e-12)
 
 
+@pytest.mark.parametrize("n_grid", [0, -4])
+def test_eigensolvers_reject_empty_grid(n_grid):
+    # the grid-doubling loops would never pass max_grid from a start at 0
+    with pytest.raises(ValueError, match="n_grid"):
+        ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0, n_grid=n_grid)
+    with pytest.raises(ValueError, match="n_grid"):
+        ode.parabolic_eigensolve(ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0), 1,
+                                 n_grid=n_grid)
+
+
 # -- parabolic channel oracle ------------------------------------------------------
 
 def test_parabolic_levels_arithmetic_progression():
