@@ -50,12 +50,7 @@ class GridTooCoarse(QuadalgError):
 
 
 class NoRoot(QuadalgError):
-    """Bisection bracket contains no sign change."""
-
-    def __init__(self, lo: float, hi: float, message: str = ""):
-        self.lo = lo
-        self.hi = hi
-        super().__init__(message or f"no sign change in [{lo}, {hi}]")
+    """A matching condition has no root: the channels carry no bound state."""
 
 
 class ConfigError(QuadalgError):

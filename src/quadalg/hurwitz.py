@@ -43,6 +43,8 @@ class Point5Fiber:
 
 
 def _base_map(u: np.ndarray, literal_x0: bool) -> np.ndarray:
+    """Base point of one point u (shape (8,)) or of each row of an (N, 8) stack."""
+    u = [u[..., j] for j in range(8)]
     x1 = 2 * (u[0] * u[4] - u[1] * u[5] - u[2] * u[6] - u[3] * u[7])
     x2 = 2 * (u[0] * u[5] + u[1] * u[4] - u[2] * u[7] + u[3] * u[6])
     x3 = 2 * (u[0] * u[6] + u[1] * u[7] + u[2] * u[4] - u[3] * u[5])
@@ -52,7 +54,13 @@ def _base_map(u: np.ndarray, literal_x0: bool) -> np.ndarray:
     else:
         x0 = (u[0] ** 2 + u[1] ** 2 + u[2] ** 2 + u[3] ** 2
               - u[4] ** 2 - u[5] ** 2 - u[6] ** 2 - u[7] ** 2)
-    return np.array([x0, x1, x2, x3, x4])
+    return np.stack([x0, x1, x2, x3, x4], axis=-1)
+
+
+def _squared_norm(v: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, as one BLAS dot per row, so that a
+    row of a stack gets the bits np.dot gives the single point."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def hurwitz_forward(p: Point8, literal_x0: bool = False,
@@ -81,12 +89,18 @@ def hurwitz_forward(p: Point8, literal_x0: bool = False,
     return Point5Fiber(x=tuple(float(v) for v in x), angles=angles)
 
 
-def euler_identity_residual(p: Point8, literal_x0: bool = False) -> float:
-    """|sum x_i^2 - (sum u_j^2)^2| / max(1, (sum u_j^2)^2)."""
-    u = p.array
-    x = _base_map(u, literal_x0)
-    norm4 = float(np.dot(u, u)) ** 2
-    return abs(float(np.dot(x, x)) - norm4) / max(1.0, norm4)
+def euler_identity_residual(p, literal_x0: bool = False):
+    """|sum x_i^2 - (sum u_j^2)^2| / max(1, (sum u_j^2)^2).
+
+    p is one point (a Point8 or 8 numbers; returns a float) or an (N, 8) array
+    with one point per row (returns the N residuals).
+    """
+    u = p.array if isinstance(p, Point8) else np.asarray(p, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != 8:
+        raise ValueError(f"need one point or an (N, 8) array, got shape {u.shape}")
+    norm4 = _squared_norm(u) ** 2
+    res = np.abs(_squared_norm(_base_map(u, literal_x0)) - norm4) / np.maximum(1.0, norm4)
+    return float(res) if res.ndim == 0 else res
 
 
 def bilinear_block_residual(p: Point8) -> float:

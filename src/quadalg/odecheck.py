@@ -3,8 +3,10 @@ separated parabolic channels and the 4D radial oscillator blocks.
 
 Discretizations are flux-form symmetric second-order schemes; eigenvalues come
 from LAPACK's symmetric tridiagonal solvers and are Richardson-extrapolated
-over grid halvings. These spectra adjudicate the printed closed forms, so no
-printed formula is used anywhere in this module's numerics.
+over grid halvings. The paired parabolic channels are matched through the
+grid's exact scaling with sqrt(-beta), one eigensolve per channel and grid,
+instead of a root search on beta. These spectra adjudicate the printed closed
+forms, so no printed formula is used anywhere in this module's numerics.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import GridTooCoarse, NoRoot, PochhammerZero
 
@@ -48,13 +49,10 @@ class ParabolicChannelSpec:
     s: float
     alpha: float
     beta: float
-    sign: int = +1  # +1: eigenvalue v/2; -1: eigenvalue -v/2
 
     def __post_init__(self):
         if self.beta >= 0:
             raise ValueError("bound channels need beta < 0")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -176,58 +174,46 @@ def parabolic_closed_form_residual(spec: ParabolicChannelSpec, n: int,
 
 
 def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
-                         n_grid: int = 1024, target: float = 1e-7,
-                         widen_attempts: int = 6):
-    """Bound-state energy from the paired channels, by bisection on beta.
+                         n_grid: int = 1024, target: float = 1e-7):
+    """Bound-state energy from the paired channels, by the grid's scaling law.
 
     Channel 1 carries +v/2 and channel 2 carries -v/2; the matching condition
-    is v(n1; beta) + v'(n2; beta) = 0. Returns (beta*, v*, eps*, err_estimate,
-    eps values per grid) with eps = hbar^2 beta / 2 evaluated at hbar = 1 by the
-    caller's convention.
+    is v(n1; beta) + v'(n2; beta) = 0. With the cutoff 40/kappa, kappa =
+    sqrt(-beta), the grid in y = kappa x is the same for every beta, and the
+    discretized channel operator is exactly kappa M_s + alpha/4, where M_s is
+    the operator at beta = -1, alpha = 0. So v = kappa w + alpha/2 with w the
+    matching level at beta = -1, alpha = 0, and on each grid the condition has
+    the closed-form root kappa = -alpha / (w1 + w2): one eigensolve per channel
+    and grid, no search on beta. Raises NoRoot when w1 + w2 >= 0 (no bound
+    state). Returns (beta*, v*, eps*, err_estimate, eps values per grid) with
+    eps = hbar^2 beta / 2 evaluated at hbar = 1 by the caller's convention.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("n1 and n2 must be nonnegative")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
-    def mismatch(beta: float, n: int) -> float:
-        c1 = ParabolicChannelSpec(s=s1, alpha=alpha, beta=beta, sign=+1)
-        c2 = ParabolicChannelSpec(s=s2, alpha=alpha, beta=beta, sign=-1)
-        v1 = _parabolic_levels(c1, n1 + 1, n, 40.0 / np.sqrt(-beta))[n1]
-        v2 = _parabolic_levels(c2, n2 + 1, n, 40.0 / np.sqrt(-beta))[n2]
-        return v1 + v2
+    def unit_level(s: float, level: int, grid: int) -> float:
+        spec = ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
+        return float(_parabolic_levels(spec, level + 1, grid, 40.0)[level])
 
-    lo = -(alpha / 2) ** 2
-    hi = -(alpha / (2 * (n1 + n2 + s1 + s2 + 10))) ** 2
     betas = []
-    sizes = (n_grid, 2 * n_grid, 4 * n_grid)
-    for n in sizes:
-        a, b = lo, hi
-        root = None
-        for _ in range(widen_attempts):
-            grid = -np.geomspace(-a, -b, 41)
-            vals = [mismatch(bb, n) for bb in grid]
-            bracket = None
-            for (b0, g0), (b1, g1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-                if np.isfinite(g0) and np.isfinite(g1) and g0 * g1 <= 0:
-                    bracket = (b0, b1)
-                    break
-            if bracket is not None:
-                root = brentq(lambda bb: mismatch(bb, n), *bracket, xtol=1e-13, rtol=1e-14)
-                break
-            a, b = a * 4, b / 4
-        if root is None:
-            raise NoRoot(lo, hi, "no sign change after widening the beta bracket")
-        betas.append(root)
+    for grid in (n_grid, 2 * n_grid, 4 * n_grid):
+        w1 = unit_level(s1, n1, grid)
+        w = w1 + unit_level(s2, n2, grid)
+        if w >= 0:
+            raise NoRoot(f"levels (s1={s1}, n1={n1}) and (s2={s2}, n2={n2}) at beta = -1 "
+                         f"sum to {w:.6g} >= 0 on {grid} cells: v1 + v2 = 0 has no bound state")
+        betas.append(-(alpha / w) ** 2)
     extrap = [(4 * b2 - b1) / 3.0 for b1, b2 in zip(betas, betas[1:])]
-    err = abs(extrap[-1] - extrap[-2]) if len(extrap) >= 2 else np.inf
-    beta_star = extrap[-1]
+    err = abs(extrap[1] - extrap[0])
+    beta_star = extrap[1]
     if err > target:
         raise GridTooCoarse(f"pair solve error estimate {err:.3e} above {target:.1e}")
-    c1 = ParabolicChannelSpec(s=s1, alpha=alpha, beta=beta_star, sign=+1)
-    v_star = _parabolic_levels(c1, n1 + 1, sizes[-1], 40.0 / np.sqrt(-beta_star))[n1]
+    # channel 1 level at beta* on the finest grid, by the same scaling law
+    v_star = float(np.sqrt(-beta_star)) * w1 + alpha / 2
     eps = beta_star / 2.0
-    return beta_star, float(v_star), float(eps), float(err), [b / 2.0 for b in betas]
+    return beta_star, v_star, eps, err, [b / 2.0 for b in betas]
 
 
 def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,

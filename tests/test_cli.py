@@ -181,3 +181,35 @@ def test_table_format_prints(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "spectrum.osc8d" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "ycm", "--L", "inf"], "--L"),
+    (["verify", "ycm", "--L", "nan"], "--L"),
+    (["verify", "kepler5d", "--T", "inf"], "--T"),
+    (["dualize", "--energy", "-1"], "--energy"),
+    (["dualize", "--direction", "inverse", "--eps", "0.1"], "--eps"),
+])
+def test_flag_is_named_before_derived_values(capsys, argv, flag):
+    # J defaults to |L - T| and the duality map refuses the wrong sign: the
+    # message names the flag the user set, not the derived field
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {flag} ")
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    # 1 is reserved for a failed required check; a package error raised while
+    # running is an internal error, reported without a traceback or a report
+    from quadalg import odecheck as ode
+    from quadalg.errors import NoRoot
+
+    def no_root(*args, **kwargs):
+        raise NoRoot("no bound state")
+
+    monkeypatch.setattr(ode, "solve_parabolic_pair", no_root)
+    assert main(["crosscheck", "ycm"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: NoRoot: no bound state\n"

@@ -33,6 +33,25 @@ def test_euler_identity_adopted():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("literal_x0", [False, True])
+def test_euler_identity_on_a_stack_matches_the_point_loop(literal_x0):
+    # one (N, 8) draw is the stream of N per-point draws, and each row gets
+    # the bits the single-point call gives
+    rng = np.random.default_rng(5)
+    loop = [hw.euler_identity_residual(hw.Point8(tuple(rng.uniform(-2, 2, 8))), literal_x0)
+            for _ in range(300)]
+    stack = np.random.default_rng(5).uniform(-2, 2, (300, 8))
+    batched = hw.euler_identity_residual(stack, literal_x0)
+    assert batched.shape == (300,)
+    assert np.array_equal(batched, loop)
+
+
+def test_euler_identity_rejects_other_shapes():
+    for bad in (np.zeros(7), np.zeros((3, 5)), np.zeros((2, 3, 8))):
+        with pytest.raises(ValueError, match="8"):
+            hw.euler_identity_residual(bad)
+
+
 def test_euler_identity_zero_point():
     assert hw.euler_identity_residual(hw.Point8((0,) * 8)) == 0.0
 

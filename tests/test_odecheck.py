@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import comb, eval_genlaguerre
 
 from quadalg import odecheck as ode
-from quadalg.errors import GridTooCoarse, PochhammerZero
+from quadalg.errors import GridTooCoarse, NoRoot, PochhammerZero
 
 
 # -- Kummer series -------------------------------------------------------------
@@ -152,6 +153,58 @@ def test_pair_solver_monotone_in_n1():
     es = [ode.solve_parabolic_pair(0.0, 0.0, 2.0, n1, 0, n_grid=512)[2]
           for n1 in range(3)]
     assert es[0] < es[1] < es[2] < 0
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+def test_parabolic_levels_follow_the_scaling_law(s):
+    # with the cutoff 40/kappa the grid in kappa x is fixed, so the channel
+    # matrix is kappa M_s + alpha/4 with M_s the matrix at beta = -1, alpha = 0
+    mu = ode._parabolic_levels(ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0),
+                               3, 256, 40.0) / 2
+    for beta in (-0.01, -0.3, -1.7, -25.0):
+        kappa = np.sqrt(-beta)
+        for alpha in (0.0, 1.3):
+            spec = ode.ParabolicChannelSpec(s=s, alpha=alpha, beta=beta)
+            got = ode._parabolic_levels(spec, 3, 256, 40.0 / kappa)
+            assert got == pytest.approx(2 * (kappa * mu + alpha / 4), rel=1e-9)
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (1, 0), (0, 1)])
+def test_pair_solver_matches_bracketed_root(n1, n2):
+    # reference: a sign-change bracket on beta and brentq on the mismatch
+    # v1 + v2 of the two channels, discretized at each grid with cutoff 40/kappa
+    alpha = 2.0
+
+    def mismatch(beta, n):
+        cut = 40.0 / np.sqrt(-beta)
+        v1 = ode._parabolic_levels(ode.ParabolicChannelSpec(0.0, alpha, beta), n1 + 1, n, cut)
+        v2 = ode._parabolic_levels(ode.ParabolicChannelSpec(0.0, alpha, beta), n2 + 1, n, cut)
+        return v1[n1] + v2[n2]
+
+    _, _, eps, _, per_grid = ode.solve_parabolic_pair(0.0, 0.0, alpha, n1, n2,
+                                                      n_grid=128, target=1.0)
+    betas = []
+    for n in (128, 256, 512):
+        grid = -np.geomspace(4.0, 1e-3, 41)
+        vals = [mismatch(b, n) for b in grid]
+        i = next(i for i in range(40) if vals[i] * vals[i + 1] <= 0)
+        betas.append(brentq(lambda b: mismatch(b, n), grid[i], grid[i + 1],
+                            xtol=1e-14, rtol=1e-14))
+    assert per_grid == pytest.approx([b / 2 for b in betas], abs=1e-9)
+    assert eps == pytest.approx((4 * betas[2] - betas[1]) / 6, abs=1e-9)
+
+
+def test_pair_solver_grid_too_coarse_message():
+    # the s > 0 channels converge slowly; the message carries the estimate
+    with pytest.raises(GridTooCoarse, match="1.951e-03"):
+        ode.solve_parabolic_pair(0.0, 0.5, 2.0, 0, 0)
+
+
+def test_pair_solver_without_bound_state_raises_no_root():
+    # a strongly repulsive channel lifts the summed levels at beta = -1 above
+    # zero, so v1 + v2 = 0 has no root for any beta < 0
+    with pytest.raises(NoRoot, match="no bound state"):
+        ode.solve_parabolic_pair(-30.0, 0.0, 2.0, 0, 0, n_grid=256)
 
 
 def test_pair_solver_input_validation():
