@@ -192,10 +192,10 @@ def _coulomb_q(p: Kepler5DParams, energy: float) -> float:
     return p.c0 / (np.sqrt(-2 * energy) * p.hbar)
 
 
-def kepler5d_phi_family(p: Kepler5DParams, literal_scale: bool = True) -> PhiFamily:
-    """Pre-substitution factored structure function, roots parametrized by energy."""
+def kepler5d_phi_family(p: Kepler5DParams) -> PhiFamily:
+    """Pre-substitution factored structure function, roots parametrized by energy,
+    with its printed prefactor."""
     m1, m2 = kepler5d_m_parameters(p)
-    scale = KEPLER_PHI_PREFACTOR if literal_scale else KEPLER_PHI_PREFACTOR_SUBST
 
     def roots_of(energy):
         q = _coulomb_q(p, energy)
@@ -203,7 +203,7 @@ def kepler5d_phi_family(p: Kepler5DParams, literal_scale: bool = True) -> PhiFam
                          (1 + m1 + m2) / 2, 0.5 - q, 0.5 + q])
 
     def scale_of(energy):
-        return scale * energy * p.hbar**18
+        return KEPLER_PHI_PREFACTOR * energy * p.hbar**18
 
     return PhiFamily(roots_of=roots_of, scale_of=scale_of, label="kepler5d")
 
@@ -306,19 +306,15 @@ def osc8d_m_parameters(p: Oscillator8DParams) -> tuple[tuple[float, float], tupl
     return printed, indicial
 
 
-def osc8d_phi_family(p: Oscillator8DParams, literal_sign: bool = False,
-                     m_convention: str = "printed") -> PhiFamily:
-    """Pre-substitution factored structure function for the oscillator.
+def osc8d_phi_family(p: Oscillator8DParams) -> PhiFamily:
+    """Pre-substitution factored structure function for the oscillator, on the
+    printed m parameters.
 
     With the printed positive prefactor the factored product is negative on the
-    bound window; the default flips the sign so unitary windows are positive,
-    and literal_sign=True keeps the printed sign for the regression check.
+    bound window; the sign is flipped so unitary windows are positive.
     """
-    printed, indicial = osc8d_m_parameters(p)
-    m1, m2 = printed if m_convention == "printed" else indicial
-    scale = OSC_PHI_PREFACTOR * p.omega**2
-    if not literal_sign:
-        scale = -scale
+    (m1, m2), _ = osc8d_m_parameters(p)
+    scale = -(OSC_PHI_PREFACTOR * p.omega**2)
 
     def roots_of(energy):
         qq = energy / (2 * p.omega * p.hbar)

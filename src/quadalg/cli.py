@@ -192,14 +192,14 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
                    status="finding", values={"count": 0})
 
 
-def _commutator_checks(report: Report, rows, trials: int, sampler, rng, degree: int,
+def _commutator_checks(report: Report, rows, trials: int, sampler, rng,
                        spin_dim: int = 1) -> None:
     """One check per (check name, op1, op2, expected, tolerance, ref) row: the
     residual of [op1, op2] = expected, drawn from rng in row order. A row
     without a tolerance is a finding."""
     for check, op1, op2, expected, tolerance, ref in rows:
         r = ops.commutator_residual(op1, op2, expected, trials, sampler, rng,
-                                    spin_dim=spin_dim, degree=degree)
+                                    spin_dim=spin_dim)
         if tolerance is None:
             report.add(check, ref, status="finding", residual=r)
         else:
@@ -235,10 +235,10 @@ def _verify_kepler(report: Report, args) -> None:
                  ops.OpScale(-1j * params.hbar, k.L[(1, 3)]), 1e-11,
                  "rotation algebra closure"))
     _commutator_checks(report, rows, args.trials, ops.kepler_sampler(),
-                       np.random.default_rng(args.seed), args.degree)
+                       np.random.default_rng(args.seed))
     closure = ops.kepler_quadratic_closure(c0=params.c0, c1=params.c1, c2=params.c2,
                                            hbar=params.hbar, trials=max(3, args.trials // 4),
-                                           seed=args.seed, degree=args.degree)
+                                           seed=args.seed)
     _closure_checks(report, "kepler5d", closure)
     report.required_check("jets.kepler5d.closure.BC",
                           "printed [B,C] relation as an operator identity",
@@ -261,11 +261,10 @@ def _verify_osc8d(report: Report, args) -> None:
             + [("jets.osc8d.commute.HB-literal", o.H, o.B_literal, None, None,
                 "literal full-Laplacian reading of the second integral")])
     _commutator_checks(report, rows, t, ops.osc8d_sampler(),
-                       np.random.default_rng(args.seed), args.degree)
+                       np.random.default_rng(args.seed))
     closure = ops.osc8d_quadratic_closure(omega=params.omega, lambda1=params.lambda1,
                                           lambda2=params.lambda2, hbar=params.hbar,
-                                          trials=max(2, t // 2), seed=args.seed,
-                                          degree=args.degree)
+                                          trials=max(2, t // 2), seed=args.seed)
     _closure_checks(report, "osc8d", closure)
     report.add("jets.osc8d.closure.BC-printed",
                "printed [B,C] relation (B^2 coefficient under adjudication)",
@@ -292,7 +291,12 @@ def _verify_ycm(report: Report, args) -> None:
                           residual=float(np.abs(comm).max()), tolerance=1e-14)
     report.required_check("jets.ycm.spin.casimir", "su(2) Casimir is T(T+1)",
                           residual=float(np.abs(cas).max()), tolerance=1e-14)
-    space = ops.jet_space(5, args.degree)
+    rows = [(f"jets.ycm.commute.{name}", y.H, op, None, None,
+             "claimed integral of the monopole system (reported residual)")
+            for name, op in (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
+                             ("HA", y.A), ("HB", y.B), ("HL2", y.L2))]
+    # the gauge jets are checked as deep as the suite's highest-order commutator
+    space = ops.jet_space(5, max(op1.order + op2.order for _, op1, op2, *_ in rows))
     gauge = y.gauge
     worst_anti, worst_imag = 0.0, 0.0
     for _ in range(10):
@@ -313,17 +317,11 @@ def _verify_ycm(report: Report, args) -> None:
     report.required_check("jets.ycm.gauge.real", "gauge potential is real",
                           residual=worst_imag, tolerance=1e-12)
     t = max(2, args.trials // 4)
-    _commutator_checks(report, [
-        (f"jets.ycm.commute.{name}", y.H, op, None, None,
-         "claimed integral of the monopole system (reported residual)")
-        for name, op in (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
-                         ("HA", y.A), ("HB", y.B), ("HL2", y.L2))],
-        t, sampler, rng, args.degree, spin_dim=y.spin_dim)
+    _commutator_checks(report, rows, t, sampler, rng, spin_dim=y.spin_dim)
     if params.T == 0:
         k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
         # both from the same seed, so equal trees give equal residuals
-        ra, rb = (ops.commutator_residual(H, A, None, t, sampler,
-                                          np.random.default_rng(args.seed), degree=args.degree)
+        ra, rb = (ops.commutator_residual(H, A, None, t, sampler, np.random.default_rng(args.seed))
                   for H, A in ((y.H, y.A), (k.H, k.A)))
         report.required_check("jets.ycm.t0-reduction",
                               "T = 0 monopole trees reproduce the plain system",
@@ -363,32 +361,23 @@ def cmd_crosscheck(args) -> int:
                                   values={"samples": args.samples})
     elif args.target == "ycm":
         s1, s2 = _channel(args.channel)
-        alpha = 2 * args.c0 / args.hbar**2
         try:
-            beta, v, eps_beta, err, _ = ode.solve_parabolic_pair(
-                s1, s2, alpha, args.n1, args.n2, n_grid=args.grid)
+            t = hw.ycm_triple(s1, s2, args.c0, args.hbar, args.n1, args.n2, n_grid=args.grid)
         except GridTooCoarse as exc:
             report.add("ode.ycm.pair-solve", "parabolic pair oracle",
                        status="finding", values={"error": str(exc)})
             return _write_report(report, args)
-        eps_oracle = eps_beta * args.hbar**2
-        N = args.n1 + args.n2 + (s1 + s2 + 1)
-        eps_47 = -args.c0**2 / (2 * args.hbar**2 * N**2)
-        m1, m2 = 2 * s1, 2 * s2
-        rep_p = args.n1 + args.n2
-        eps_66 = -args.c0**2 / (2 * args.hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
-        eps_25_analog = -args.c0**2 / (args.hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
         report.required_check("ode.ycm.oracle-error", "extrapolated oracle error",
-                              residual=err, tolerance=1e-6)
+                              residual=t.beta_error, tolerance=1e-6)
         report.add("ode.ycm.triple",
                    "parabolic closed form vs duality chain vs oracle",
                    status="finding",
-                   values={"parabolic": eps_47, "duality": eps_66,
-                           "oracle": eps_oracle, "oracle_error": err})
+                   values={"parabolic": t.parabolic, "duality": t.duality,
+                           "oracle": t.oracle, "oracle_error": t.beta_error})
         supported = []
-        if abs(eps_47 - eps_oracle) < 1e-5:
+        if abs(t.parabolic - t.oracle) < 1e-5:
             supported.append("parabolic")
-        if abs(eps_66 - eps_oracle) < 1e-5:
+        if abs(t.duality - t.oracle) < 1e-5:
             supported.append("duality")
         report.add("ode.ycm.supported-forms",
                    "closed forms within 1e-5 of the oracle",
@@ -396,10 +385,10 @@ def cmd_crosscheck(args) -> int:
         report.add("ode.ycm.halving-adjudication",
                    "denominator normalization: the factor-2 form vs the form without it",
                    status="finding",
-                   values={"with_half": eps_66, "without_half": eps_25_analog,
-                           "oracle": eps_oracle,
-                           "resolved": "factor-2 form" if abs(eps_66 - eps_oracle)
-                           < abs(eps_25_analog - eps_oracle) else "form without 2"})
+                   values={"with_half": t.duality, "without_half": t.unhalved,
+                           "oracle": t.oracle,
+                           "resolved": "factor-2 form" if abs(t.duality - t.oracle)
+                           < abs(t.unhalved - t.oracle) else "form without 2"})
     elif args.target == "osc8d":
         spec = ode.RadialOscillatorSpec(angular=0.0, lam=args.lambda1, omega=args.omega,
                                         hbar=args.hbar)
@@ -508,6 +497,9 @@ def _check_config(args) -> None:
     for flag in ("c0", "hbar", "omega", "lambda1"):
         if not np.isfinite(getattr(args, flag)):
             raise ConfigError(flag, f"--{flag} must be finite, got {getattr(args, flag)}")
+    if args.lambda1 < 0:
+        # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
+        raise ConfigError("lambda1", f"--lambda1 must be non-negative, got {args.lambda1}")
     _channel(args.channel)
 
 
@@ -553,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_params(vp)
     vp.add_argument("--p", type=int, default=3)
     vp.add_argument("--trials", type=int, default=20)
-    vp.add_argument("--degree", type=int, default=6)
     _add_common(vp)
     vp.set_defaults(func=cmd_verify)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import YCMParams, ycm_spectrum_duality
+from . import odecheck
+from .catalog import YCMParams, ycm_parabolic_s_parameters, ycm_spectrum_duality
 from .errors import FiberChartSingular, SignError
-from .odecheck import solve_parabolic_pair
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,35 @@ def map_parameters(direction: str, **kwargs):
 
 
 @dataclass(frozen=True)
+class YCMTriple:
+    """One monopole channel's energy three ways, plus the unhalved closed form."""
+
+    parabolic: float   # -c0^2 / (2 hbar^2 (n1 + n2 + s1 + s2 + 1)^2)
+    duality: float     # the chain with m_i = 2 s_i, p = n1 + n2
+    unhalved: float    # the duality form without the factor 2 in the denominator
+    oracle: float      # finite-difference pair solve
+    beta_error: float  # the pair solve's error estimate on beta
+
+
+def ycm_triple(s1: float, s2: float, c0: float, hbar: float, n1: int, n2: int,
+               n_grid: int = 1024) -> YCMTriple:
+    """Closed forms and the pair oracle for the channel (s1, n1), (s2, n2).
+
+    The oracle is odecheck.solve_parabolic_pair, looked up at call time.
+    """
+    alpha = 2 * c0 / hbar**2
+    _, _, eps_beta, err, _ = odecheck.solve_parabolic_pair(s1, s2, alpha, n1, n2,
+                                                          n_grid=n_grid)
+    N = n1 + n2 + (s1 + s2 + 1)
+    rep_p, m1, m2 = n1 + n2, 2 * s1, 2 * s2
+    return YCMTriple(
+        parabolic=-c0**2 / (2 * hbar**2 * N**2),
+        duality=-c0**2 / (2 * hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2),
+        unhalved=-c0**2 / (hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2),
+        oracle=eps_beta * hbar**2, beta_error=err)
+
+
+@dataclass(frozen=True)
 class DualitySpectrumReport:
     """Three-way spectrum comparison for one monopole channel.
 
@@ -181,26 +210,19 @@ def duality_spectrum_check(p: YCMParams, rep_p: int,
     oscillator-side m parameters at lambda_i = c_i / 2; the oracle solves the
     actual separated pair for the printed channel parameters (n1 = p, n2 = 0).
     """
-    from .catalog import ycm_parabolic_s_parameters, ycm_spectrum_parabolic
-
     kp = p.kepler
     n1, n2 = rep_p, 0
     s1, s2 = ycm_parabolic_s_parameters(p)
+    t = ycm_triple(s1, s2, kp.c0, kp.hbar, n1, n2, n_grid=oracle_grid)
 
     # channel identification: the chain reproduces the parabolic form
-    m1_id, m2_id = 2 * s1, 2 * s2
-    eps_id = -kp.c0**2 / (2 * kp.hbar**2 * (rep_p + 1 + (m1_id + m2_id) / 2) ** 2)
     lhs = 4 * kp.c0
-    rhs = 2 * np.sqrt(-8 * eps_id) * kp.hbar * (rep_p + 1 + (m1_id + m2_id) / 2)
+    rhs = 2 * np.sqrt(-8 * t.duality) * kp.hbar * (rep_p + 1 + (2 * s1 + 2 * s2) / 2)
     chain_res = abs(lhs - rhs) / abs(lhs)
 
     dual_record = ycm_spectrum_duality(p, rep_p)
-    eps_par = ycm_spectrum_parabolic(p, n1, n2).energy
-    alpha = 2 * kp.c0 / kp.hbar**2
-    _, _, eps_beta, err, _ = solve_parabolic_pair(s1, s2, alpha, n1, n2, n_grid=oracle_grid)
-    eps_oracle = eps_beta * kp.hbar**2
     return DualitySpectrumReport(
-        eps_parabolic=float(eps_par), eps_duality=float(eps_id),
+        eps_parabolic=float(t.parabolic), eps_duality=float(t.duality),
         eps_duality_oscillator_m=float(dual_record.energy),
-        eps_oracle=float(eps_oracle), oracle_error=float(err * kp.hbar**2),
+        eps_oracle=float(t.oracle), oracle_error=float(t.beta_error * kp.hbar**2),
         chain_identity_residual=float(chain_res), n1=n1, n2=n2, rep_p=rep_p)

@@ -2,10 +2,10 @@
 
 A jet holds every partial-derivative coefficient of a function germ up to a
 fixed total degree. Jets are closed under +, *, /, sqrt and partial
-differentiation, which lets differential operators act exactly on polynomial
-test functions: the constant term of the final jet is the exact value at the
-expansion point as long as the total derivative order consumed stays at or
-below the jet degree.
+differentiation, which lets differential operators act exactly on test germs:
+the constant term of the final jet is the exact value at the expansion point
+as long as the total derivative order consumed stays at or below the jet
+degree.
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ def jet_seed_polynomial(poly: dict, point, space: JetSpace) -> Jet:
     """Exact Taylor expansion about point of a sparse polynomial.
 
     poly maps exponent tuples to coefficients; its degree must not exceed the
-    space degree, otherwise the expansion would be silently truncated.
+    space degree, otherwise the expansion would be silently truncated. Built
+    from jet products, it serves as an oracle for the jet arithmetic.
     """
     coords = [space.coordinate(v, point) for v in range(space.n_vars)]
     out = space.zero()

@@ -109,37 +109,46 @@ def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
     return 2.0 * vals[::-1]
 
 
+def _richardson(solve, n_grid: int, max_grid: int):
+    """One Richardson step over the three finest grids n_grid 2^k <= max_grid.
+
+    solve(grid) returns a value (or an array of values) with an h^2 error.
+    Extrapolates (4 fine - coarse) / 3 on the two finer pairs of grids and
+    takes their difference as the error estimate. Returns (finest grid, values
+    on the three grids, extrapolated value, error estimate).
+    """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
+    fine = n_grid
+    while 2 * fine <= max_grid:
+        fine *= 2
+    if fine < 4 * n_grid:
+        raise ValueError("need at least three grid sizes between n_grid and max_grid")
+    values = np.array([solve(g) for g in (fine // 4, fine // 2, fine)])
+    extrap = (4 * values[1:] - values[:-1]) / 3.0
+    return fine, values, extrap[1], np.abs(extrap[1] - extrap[0])
+
+
 def parabolic_eigensolve(spec: ParabolicChannelSpec, n_levels: int,
                          n_grid: int = 1024, cutoff: Optional[float] = None,
                          target: float = 1e-7, max_grid: int = 4096) -> list[EigenResult]:
     """Lowest n_levels quantized v values of the channel, Richardson-extrapolated.
 
-    The grid is refined (halving h) until the extrapolated error estimate drops
-    below target; exceeding max_grid raises GridTooCoarse.
+    The levels are solved on the three finest doubled grids from n_grid up to
+    max_grid; an error estimate above target raises GridTooCoarse.
     """
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     if cutoff is None:
         cutoff = 40.0 / np.sqrt(-spec.beta)
-    sizes = []
-    n = n_grid
-    while n <= max_grid:
-        sizes.append(n)
-        n *= 2
-    if len(sizes) < 3:
-        raise ValueError("need at least three grid sizes between n_grid and max_grid")
-    levels = np.array([_parabolic_levels(spec, n_levels, n, cutoff) for n in sizes])
+    grid, levels, extrap, err = _richardson(
+        lambda n: _parabolic_levels(spec, n_levels, n, cutoff), n_grid, max_grid)
     out = []
     for idx in range(n_levels):
-        seq = levels[:, idx]
-        extrap = (4 * seq[1:] - seq[:-1]) / 3.0
-        err = abs(extrap[-1] - extrap[-2])
-        if err > target:
+        if err[idx] > target:
             raise GridTooCoarse(
-                f"level {idx}: error estimate {err:.3e} above target {target:.1e}")
-        out.append(EigenResult(index=idx, eigenvalue=float(seq[-1]),
-                               grid_size=sizes[-1], extrapolated=float(extrap[-1]),
-                               error_estimate=float(err)))
+                f"level {idx}: error estimate {err[idx]:.3e} above target {target:.1e}")
+        out.append(EigenResult(index=idx, eigenvalue=float(levels[-1, idx]),
+                               grid_size=grid, extrapolated=float(extrap[idx]),
+                               error_estimate=float(err[idx])))
     return out
 
 
@@ -197,23 +206,22 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
         spec = ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
         return float(_parabolic_levels(spec, level + 1, grid, 40.0)[level])
 
-    betas = []
-    for grid in (n_grid, 2 * n_grid, 4 * n_grid):
+    def beta_and_w1(grid: int) -> tuple:
         w1 = unit_level(s1, n1, grid)
         w = w1 + unit_level(s2, n2, grid)
         if w >= 0:
             raise NoRoot(f"levels (s1={s1}, n1={n1}) and (s2={s2}, n2={n2}) at beta = -1 "
                          f"sum to {w:.6g} >= 0 on {grid} cells: v1 + v2 = 0 has no bound state")
-        betas.append(-(alpha / w) ** 2)
-    extrap = [(4 * b2 - b1) / 3.0 for b1, b2 in zip(betas, betas[1:])]
-    err = abs(extrap[1] - extrap[0])
-    beta_star = extrap[1]
+        return -(alpha / w) ** 2, w1
+
+    _, values, extrap, err = _richardson(beta_and_w1, n_grid, 4 * n_grid)
+    beta_star, err = float(extrap[0]), float(err[0])
     if err > target:
         raise GridTooCoarse(f"pair solve error estimate {err:.3e} above {target:.1e}")
     # channel 1 level at beta* on the finest grid, by the same scaling law
-    v_star = float(np.sqrt(-beta_star)) * w1 + alpha / 2
+    v_star = float(np.sqrt(-beta_star)) * float(values[-1, 1]) + alpha / 2
     eps = beta_star / 2.0
-    return beta_star, v_star, eps, err, [b / 2.0 for b in betas]
+    return beta_star, v_star, eps, err, [float(b) / 2.0 for b in values[:, 0]]
 
 
 def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
@@ -241,23 +249,13 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
     """n-th eigenvalue of the radial block, Richardson-extrapolated."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     if cutoff is None:
         # generous tail so domain truncation sits far below the h^2 error
         width = np.sqrt(spec.hbar / spec.omega)
         cutoff = width * (np.sqrt(4.0 * n + 10.0) + 6.0)
-    sizes = []
-    g = n_grid
-    while g <= max_grid:
-        sizes.append(g)
-        g *= 2
-    if len(sizes) < 3:
-        raise ValueError("need at least three grid sizes")
-    seq = np.array([_radial_levels(spec, n + 1, s, cutoff)[n] for s in sizes])
-    extrap = (4 * seq[1:] - seq[:-1]) / 3.0
-    err = abs(extrap[-1] - extrap[-2])
+    grid, seq, extrap, err = _richardson(
+        lambda g: _radial_levels(spec, n + 1, g, cutoff)[n], n_grid, max_grid)
     if err > target:
         raise GridTooCoarse(f"radial level {n}: error {err:.3e} above {target:.1e}")
-    return EigenResult(index=n, eigenvalue=float(seq[-1]), grid_size=sizes[-1],
-                       extrapolated=float(extrap[-1]), error_estimate=float(err))
+    return EigenResult(index=n, eigenvalue=float(seq[-1]), grid_size=grid,
+                       extrapolated=float(extrap), error_estimate=float(err))

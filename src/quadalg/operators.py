@@ -2,11 +2,13 @@
 
 Operators are immutable composition trees of partial derivatives, coefficient
 functions (evaluated as jets at the sample point) and spin-matrix
-coefficients. Applying a tree to a polynomial germ is exact: the constant term
-of the result is the true value of (L f)(point) whenever the total derivative
-order consumed stays at or below the jet degree. Commutator identities are
-then checked, and unknown structure constants fitted, from values at random
-(point, polynomial) samples.
+coefficients. Every tree knows its differential order, and an identity is
+checked on jets whose degree is the order of the identity: the constant term
+of (L f) is then the exact value of (L f)(point) and depends on every Taylor
+coefficient of L at the point. Test germs are full-degree jets with random
+Taylor coefficients, so commutator identities are checked, and unknown
+structure constants fitted, at every derivative order they contain, from
+values at random (point, germ) samples.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularPoint
-from .jets import Jet, JetSpace, jet_seed_polynomial, jet_space, random_polynomial
-
-DEFAULT_DEGREE = 6
+from .jets import Jet, JetSpace, jet_space
 
 
 # --------------------------------------------------------------------------
@@ -83,6 +83,10 @@ class PointContext:
 # --------------------------------------------------------------------------
 
 class Operator:
+    """A tree node; order is the differential order of the tree below it."""
+
+    order = 0
+
     def apply(self, state: JetVec, ctx: PointContext) -> JetVec:
         raise NotImplementedError
 
@@ -123,6 +127,7 @@ class OpSum(Operator):
             elif not isinstance(t, OpZero):
                 flat.append(t)
         self.terms = tuple(flat)
+        self.order = max((t.order for t in self.terms), default=0)
 
     def apply(self, state, ctx):
         out = JetVec.zeros(state.space, state.spin_dim)
@@ -138,6 +143,7 @@ class OpScale(Operator):
             child = child.child
         self.factor = factor
         self.child = child
+        self.order = child.order
 
     def apply(self, state, ctx):
         inner = self.child.apply(state, ctx)
@@ -150,12 +156,15 @@ class OpCompose(Operator):
     def __init__(self, a: Operator, b: Operator):
         self.a = a
         self.b = b
+        self.order = a.order + b.order
 
     def apply(self, state, ctx):
         return self.a.apply(self.b.apply(state, ctx), ctx)
 
 
 class OpPartial(Operator):
+    order = 1
+
     def __init__(self, v: int):
         self.v = v
 
@@ -246,30 +255,32 @@ def osc8d_sampler() -> PointSampler:
     return PointSampler(n_vars=8, accept=accept)
 
 
-def random_state(rng: np.random.Generator, space: JetSpace, point, spin_dim: int,
-                 poly_degree: int = 3) -> JetVec:
-    rows = [jet_seed_polynomial(random_polynomial(rng, space.n_vars, poly_degree),
-                                point, space).coeffs
-            for _ in range(spin_dim)]
-    return JetVec(space, np.array(rows))
+def random_state(rng: np.random.Generator, space: JetSpace, spin_dim: int) -> JetVec:
+    """A germ whose Taylor coefficients up to the space degree are uniform in [-1, 1]."""
+    return JetVec(space, rng.uniform(-1.0, 1.0, (spin_dim, space.n_terms)).astype(np.complex128))
+
+
+def _order_space(n_vars: int, ops: Sequence[Operator]) -> JetSpace:
+    """Jets just deep enough for the highest-order tree of ops."""
+    return jet_space(n_vars, max([1] + [op.order for op in ops]))
 
 
 def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operator],
                         trials: int, sampler: PointSampler,
                         rng: Optional[np.random.Generator] = None,
-                        spin_dim: int = 1, degree: int = DEFAULT_DEGREE) -> float:
+                        spin_dim: int = 1) -> float:
     """Max over trials of |([op1, op2] - expected) f|(point), relative to the
     largest intermediate magnitude of the trial."""
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = rng or np.random.default_rng(0)
-    space = jet_space(sampler.n_vars, degree)
     expected = expected or OpZero()
+    space = jet_space(sampler.n_vars, max(1, op1.order + op2.order, expected.order))
     worst = 0.0
     for _ in range(trials):
         point = sampler.draw(rng)
         ctx = PointContext(space, point)
-        f = random_state(rng, space, point, spin_dim)
+        f = random_state(rng, space, spin_dim)
         t12 = op1.apply(op2.apply(f, ctx), ctx)
         t21 = op2.apply(op1.apply(f, ctx), ctx)
         te = expected.apply(f, ctx)
@@ -281,15 +292,15 @@ def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operato
 
 def operator_residual(defect: Operator, reference_ops: Sequence[Operator], trials: int,
                       sampler: PointSampler, rng: Optional[np.random.Generator] = None,
-                      spin_dim: int = 1, degree: int = DEFAULT_DEGREE) -> float:
+                      spin_dim: int = 1) -> float:
     """Max relative magnitude of a defect operator over random germs."""
     rng = rng or np.random.default_rng(0)
-    space = jet_space(sampler.n_vars, degree)
+    space = _order_space(sampler.n_vars, [defect, *reference_ops])
     worst = 0.0
     for _ in range(trials):
         point = sampler.draw(rng)
         ctx = PointContext(space, point)
-        f = random_state(rng, space, point, spin_dim)
+        f = random_state(rng, space, spin_dim)
         dv = defect.apply(f, ctx).magnitude()
         norm = max([op.apply(f, ctx).magnitude() for op in reference_ops] + [1.0])
         worst = max(worst, dv / norm)
@@ -298,20 +309,20 @@ def operator_residual(defect: Operator, reference_ops: Sequence[Operator], trial
 
 def fit_operator_coefficients(lhs: Operator, basis: Sequence[Operator], n_samples: int,
                               sampler: PointSampler, rng: Optional[np.random.Generator] = None,
-                              spin_dim: int = 1, degree: int = DEFAULT_DEGREE):
+                              spin_dim: int = 1):
     """Least-squares coefficients c with lhs = sum_k c_k basis_k, from sampled values.
 
-    Returns (coefficients, relative residual). Exact polynomial evaluation makes
-    the fit sharp: residuals at rounding level certify the operator identity.
+    Returns (coefficients, relative residual). Exact jet evaluation makes the
+    fit sharp: residuals at rounding level certify the operator identity.
     """
     rng = rng or np.random.default_rng(0)
-    space = jet_space(sampler.n_vars, degree)
+    space = _order_space(sampler.n_vars, [lhs, *basis])
     rows = []
     rhs = []
     for _ in range(n_samples):
         point = sampler.draw(rng)
         ctx = PointContext(space, point)
-        f = random_state(rng, space, point, spin_dim)
+        f = random_state(rng, space, spin_dim)
         basis_vals = [op.apply(f, ctx).values() for op in basis]
         lhs_vals = lhs.apply(f, ctx).values()
         for comp in range(spin_dim):
@@ -606,23 +617,19 @@ def _osc_block_jet(ctx: PointContext, lo: int, hi: int, key: str) -> Jet:
 
 
 def build_osc8d_operators(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,
-                          hbar: float = 1.0, hbar_normalized_rotations: bool = False
-                          ) -> Osc8DOperators:
+                          hbar: float = 1.0) -> Osc8DOperators:
     """Operator trees for the 8D singular oscillator.
 
-    The block rotations J_ij, K_ij follow the printed hbar-free convention by
-    default (hbar_normalized_rotations multiplies them by -i hbar for the
-    alternative reading). The sum of squares for the second block is built from
-    the K_ij themselves. B is returned in the block-antisymmetric form that
-    commutes with H (kinetic part split across the two 4-blocks); the literal
-    full-Laplacian transcription is kept alongside as B_literal, whose [H, B]
-    residual is a reported finding.
+    The block rotations J_ij, K_ij follow the printed hbar-free convention. The
+    sum of squares for the second block is built from the K_ij themselves. B is
+    returned in the block-antisymmetric form that commutes with H (kinetic part
+    split across the two 4-blocks); the literal full-Laplacian transcription is
+    kept alongside as B_literal, whose [H, B] residual is a reported finding.
     """
-    rot_factor = -1j * hbar if hbar_normalized_rotations else 1.0
     u = _coord_ops(8)
 
     def rot(i, j):
-        return OpScale(rot_factor, u[i] @ OpPartial(j) - u[j] @ OpPartial(i))
+        return u[i] @ OpPartial(j) - u[j] @ OpPartial(i)
 
     J = {(i, j): rot(i, j) for i in range(4) for j in range(4) if i < j}
     K = {(i, j): rot(i, j) for i in range(4, 8) for j in range(4, 8) if i < j}
@@ -681,28 +688,26 @@ class RelationSpec:
 
 
 def _fit_rows(spec: RelationSpec, n_samples: int, sampler: PointSampler,
-              rng: np.random.Generator, degree: int):
+              rng: np.random.Generator):
     """Least-squares fit of spec.lhs on the basis of its rows.
 
     Returns ({basis name: (printed, fitted)}, relative fit residual).
     """
     names, basis, printed = zip(*spec.rows)
-    fit, resid = fit_operator_coefficients(spec.lhs, basis, n_samples, sampler, rng,
-                                           degree=degree)
+    fit, resid = fit_operator_coefficients(spec.lhs, basis, n_samples, sampler, rng)
     return {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, resid
 
 
 def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
-                   rng: np.random.Generator, degree: int = DEFAULT_DEGREE):
+                   rng: np.random.Generator):
     """Residual of the printed relation, then a fit of its coefficients.
 
     Returns (printed residual, {basis name: (printed, fitted)}, fit residual).
     The fit uses 2 * len(rows) + 4 samples drawn from rng after the residual's.
     """
     rhs = OpSum([OpScale(c, op) for _, op, c in spec.rows])
-    residual = operator_residual(spec.lhs - rhs, [spec.lhs, rhs], trials, sampler, rng,
-                                 degree=degree)
-    fit, fit_residual = _fit_rows(spec, 2 * len(spec.rows) + 4, sampler, rng, degree)
+    residual = operator_residual(spec.lhs - rhs, [spec.lhs, rhs], trials, sampler, rng)
+    fit, fit_residual = _fit_rows(spec, 2 * len(spec.rows) + 4, sampler, rng)
     return residual, fit, fit_residual
 
 
@@ -725,18 +730,17 @@ class ClosureReport:
 
 
 def _closure_report(ac: RelationSpec, bc: RelationSpec, trials: int,
-                    sampler: PointSampler, seed: int, degree: int) -> ClosureReport:
+                    sampler: PointSampler, seed: int) -> ClosureReport:
     rng = np.random.default_rng(seed)
-    r_ac, fit_ac, res_ac = check_relation(ac, trials, sampler, rng, degree)
-    r_bc, fit_bc, res_bc = check_relation(bc, trials, sampler, rng, degree)
+    r_ac, fit_ac, res_ac = check_relation(ac, trials, sampler, rng)
+    r_bc, fit_bc, res_bc = check_relation(bc, trials, sampler, rng)
     return ClosureReport(residual_ac_printed=r_ac, residual_bc_printed=r_bc,
                          fit_ac=fit_ac, fit_bc=fit_bc,
                          fit_ac_residual=res_ac, fit_bc_residual=res_bc)
 
 
 def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
-                             hbar: float = 1.0, trials: int = 6, seed: int = 0,
-                             degree: int = DEFAULT_DEGREE) -> ClosureReport:
+                             hbar: float = 1.0, trials: int = 6, seed: int = 0) -> ClosureReport:
     """Closure residuals and constant fits for the generalized 5D Kepler algebra."""
     k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
     C = commutator(k.A, k.B)
@@ -751,17 +755,15 @@ def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
         ("L2H", k.L2 @ k.H, -4 * h2),
         ("H", k.H, 16 * h4 - 8 * h2 * (c1 + c2)),
         ("1", OpIdentity(), 2 * h2 * c0**2)))
-    return _closure_report(ac, bc, trials, kepler_sampler(), seed, degree)
+    return _closure_report(ac, bc, trials, kepler_sampler(), seed)
 
 
 def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
-                       hbar: float = 1.0, seed: int = 0, degree: int = 8,
-                       n_samples: int = 10) -> dict:
+                       hbar: float = 1.0, seed: int = 0, n_samples: int = 10) -> dict:
     """Fit the Casimir combination onto span{H L2, H, L2, 1}.
 
     The Casimir is built from the operator-level fitted relation constants, so
-    the outcome adjudicates the printed Casimir polynomial. Needs jet degree 8
-    (the C^2 term consumes eight derivative orders).
+    the outcome adjudicates the printed Casimir polynomial.
     """
     rng = np.random.default_rng(seed)
     k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
@@ -787,13 +789,12 @@ def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
         ("H", k.H, -8 * h2 * (c1 - c2) ** 2 + 32 * (c1 + c2) * h4 - 32 * h4 * h2),
         ("L2", k.L2, 4 * h2 * c0**2),
         ("1", OpIdentity(), 8 * h2 * (c1 + c2) * c0**2 - 4 * h4 * c0**2)))
-    coefficients, resid = _fit_rows(casimir, n_samples, kepler_sampler(), rng, degree)
+    coefficients, resid = _fit_rows(casimir, n_samples, kepler_sampler(), rng)
     return {"fit_residual": resid, "coefficients": coefficients}
 
 
 def osc8d_quadratic_closure(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,
-                            hbar: float = 1.0, trials: int = 4, seed: int = 0,
-                            degree: int = DEFAULT_DEGREE) -> ClosureReport:
+                            hbar: float = 1.0, trials: int = 4, seed: int = 0) -> ClosureReport:
     """Closure residuals and constant fits for the 8D singular-oscillator algebra."""
     o = build_osc8d_operators(omega=omega, lambda1=lambda1, lambda2=lambda2, hbar=hbar)
     C = commutator(o.A, o.B)
@@ -813,4 +814,4 @@ def osc8d_quadratic_closure(omega: float = 1.0, lambda1: float = 0.0, lambda2: f
         ("J2", o.J2, -4 * h2 * om2),
         ("K2", o.K2, -4 * h2 * om2),
         ("1", OpIdentity(), 8 * (lambda1 + lambda2 - 4 * h2) * om2)))
-    return _closure_report(ac, bc, trials, osc8d_sampler(), seed, degree)
+    return _closure_report(ac, bc, trials, osc8d_sampler(), seed)

@@ -120,6 +120,7 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "ycm", "--hbar", "inf"], "--hbar"),
     (["crosscheck", "osc8d", "--omega", "inf"], "--omega"),
     (["crosscheck", "osc8d", "--lambda1", "nan"], "--lambda1"),
+    (["crosscheck", "osc8d", "--lambda1", "-5"], "--lambda1"),
 ])
 def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     # a configuration error exits 2 and names the flag; 1 means a failed check

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,21 @@ def test_duality_scaling():
     assert scaled.eps_duality == pytest.approx(4.0 * base.eps_duality)
     assert scaled.eps_duality_oscillator_m == pytest.approx(
         4.0 * base.eps_duality_oscillator_m)
+
+
+def test_crosscheck_ycm_and_duality_check_share_the_triple(tmp_path):
+    # one path computes the closed forms and the oracle for both callers
+    from quadalg.cli import main
+
+    out = tmp_path / "t.json"
+    argv = ["crosscheck", "ycm", "--n1", "1", "--c0", "1.3", "--hbar", "0.7",
+            "--out", str(out)]
+    assert main(argv) == 0
+    (triple,) = [f["values"] for f in json.loads(out.read_text())["findings"]
+                 if f["check"] == "ode.ycm.triple"]
+    rep = hw.duality_spectrum_check(
+        cat.YCMParams(kepler=cat.Kepler5DParams(c0=1.3, hbar=0.7)), 1)
+    assert (rep.eps_parabolic, rep.eps_duality, rep.eps_oracle) == (
+        triple["parabolic"], triple["duality"], triple["oracle"])
+    # the CLI reports the beta error, the report the beta error times hbar^2
+    assert rep.oracle_error == triple["oracle_error"] * 0.7**2

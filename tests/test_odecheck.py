@@ -219,3 +219,20 @@ def test_channel_spec_validation():
         ode.ParabolicChannelSpec(s=0.0, alpha=1.0, beta=0.5)
     with pytest.raises(ValueError):
         ode.RadialOscillatorSpec(omega=-1.0)
+
+
+def test_richardson_solves_only_the_three_finest_grids(monkeypatch):
+    grids = []
+    levels = ode._radial_levels
+
+    def spy(spec, n_levels, n_grid, cutoff):
+        grids.append(n_grid)
+        return levels(spec, n_levels, n_grid, cutoff)
+
+    monkeypatch.setattr(ode, "_radial_levels", spy)
+    r = ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0, n_grid=256,
+                                         max_grid=5000)
+    assert grids == [1024, 2048, 4096]
+    assert r.grid_size == 4096
+    assert r.extrapolated == ode.radial_oscillator_eigensolve(
+        ode.RadialOscillatorSpec(), 0, n_grid=1024).extrapolated

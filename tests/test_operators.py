@@ -112,6 +112,41 @@ def test_LM_and_MM_closures(kepler_pure, sampler5):
     assert r < 1e-11
 
 
+# -- tree orders and test germs --------------------------------------------------
+
+def test_tree_order_is_the_differential_order(kepler_pure):
+    k = kepler_pure
+    assert k.H.order == 2
+    C = ops.commutator(k.A, k.B)
+    assert ops.commutator(k.A, C).order == 6
+    casimir = ops.OpSum([C @ C, k.A @ k.B @ k.B, k.H @ k.L2, ops.OpIdentity()])
+    assert casimir.order == 8
+    assert ops.OpScale(2.0, ops.OpPartial(3)).order == 1
+    assert ops.OpSum([ops.OpZero()]).order == 0
+
+
+def test_random_state_fills_every_taylor_coefficient():
+    sp = jet_space(5, 4)
+    f = ops.random_state(np.random.default_rng(0), sp, 2)
+    assert f.coeffs.shape == (2, sp.n_terms)
+    assert f.coeffs.dtype == np.complex128
+    top = f.coeffs[:, sp.term_degree == sp.degree]
+    assert np.all(top != 0) and np.abs(f.coeffs).max() <= 1.0
+
+
+def test_commutator_sees_terms_above_third_order(kepler_pure, sampler5):
+    # a planted fourth-order term breaks [H, L2]; germs seeded from cubic
+    # polynomials were blind to it
+    k = kepler_pure
+    d = [ops.OpPartial(i) for i in range(5)]
+    planted = k.H + ops.OpScale(1e-3, d[0] @ d[0] @ d[1] @ d[2])
+    assert planted.order == 4
+    r = ops.commutator_residual(planted, k.L2, None, 5, sampler5, np.random.default_rng(7))
+    assert r >= 1e-4
+    assert ops.commutator_residual(k.H, k.L2, None, 5, sampler5,
+                                   np.random.default_rng(7)) < 1e-11
+
+
 # -- conserved integrals -------------------------------------------------------
 
 def test_kepler_integrals_commute(kepler, kepler_pure, sampler5):
@@ -143,7 +178,7 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
     for _ in range(3):
         pt = sampler5.draw(rng)
         ctx = ops.PointContext(sp, pt)
-        f = ops.random_state(rng, sp, pt, 1)
+        f = ops.random_state(rng, sp, 1)
         va = k.A.apply(f, ctx).values()
         vl = k.L2_full.apply(f, ctx).values()
         vb = k.B.apply(f, ctx).values()
@@ -231,7 +266,7 @@ def test_osc8d_A_reduces_when_couplings_vanish(sampler8):
     sp = jet_space(8, 6)
     pt = sampler8.draw(rng)
     ctx = ops.PointContext(sp, pt)
-    f = ops.random_state(rng, sp, pt, 1)
+    f = ops.random_state(rng, sp, 1)
     # A with zero couplings is (-1/4) of the full-rotation quadratic form
     rot = ops.OpSum([op @ op for op in
                      [ops.OpMul(f"ci{i}", lambda c, i=i: c.coord(i)) @ ops.OpPartial(j)
