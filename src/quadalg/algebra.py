@@ -2,10 +2,11 @@
 
 Covers the gamma != 0 branch with alpha = a = delta = 0: the closed-form
 realization A(N), b(N), rho(N), the general degree-6 structure function,
-representation search via the two endpoint constraints plus a positivity
-window, explicit Fock matrices, and residual checks of the defining relations
-and the Casimir. Residual checks report; they never decide correctness by
-themselves, because several printed constants are under adjudication.
+representation search by elimination of the two endpoint constraints plus a
+positivity window, explicit Fock matrices, and residual checks of the defining
+relations and the Casimir. Residual checks report; they never decide
+correctness by themselves, because several printed constants are under
+adjudication.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DegenerateDenominator, NegativePhi, NonConvergence, NoRepresentation
+from .errors import DegenerateDenominator, NegativePhi, NotPolynomialInEnergy
 
 _REALIZATION_NORM = 2**12 * 3  # 12288, the fixed prefactor in rho(N)
 
@@ -214,12 +214,16 @@ class PhiFamily:
 
     roots_of(E) returns the six zeros in t = x + u coordinates (u-independent),
     scale_of(E) the signed leading coefficient. Catalog systems supply closed
-    forms; generic constants go through polynomial root extraction.
+    forms. Families built from structure constants also carry coefficients:
+    row k holds the t-polynomial P_k (highest power first) of
+    Phi(t; E) = sum_k E^k P_k(t), which the representation search eliminates
+    on; their roots come from polynomial root extraction.
     """
 
     roots_of: Callable[[float], np.ndarray]
     scale_of: Callable[[float], float]
     label: str = "family"
+    coefficients: Optional[np.ndarray] = None
 
     def structure_function(self, energy: float, u: float) -> StructureFunction:
         roots = np.asarray(self.roots_of(energy))
@@ -228,153 +232,242 @@ class PhiFamily:
         return StructureFunction(tuple(float(r) for r in roots), self.scale_of(energy), u=u)
 
 
+_FIT_NODES = np.arange(-3.0, 4.0)     # seven nodes fix the degree-6 polynomial in t
+_FIT_ENERGIES = np.array([-1.0, 0.0, 1.0])
+_CHECK_ENERGY = 2.0
+_ROUNDING = 1e-12     # relative size below which a coefficient is fit noise
+
+
 def phi_family_from_constants(constants_at: Callable[[float], QuadraticAlgebraConstants],
                               label: str = "general") -> PhiFamily:
-    """Family built from the general polynomial via companion-matrix roots.
+    """Coefficient family of the general polynomial for energy-dependent constants.
 
-    The degree-6 polynomial in t is reconstructed from sampled values, its
-    roots come from the companion matrix (np.roots) and get a Newton polish.
-    Complex roots are kept; the representation search filters to real ones.
+    The structure constants are polynomial in E (linear for Kepler, quadratic
+    for the oscillator), so Phi(t; E) = sum_k E^k P_k(t) with k <= 2. The
+    degree-6 polynomial in t is fitted on seven nodes at three energies, which
+    fixes P_0..P_2; P_k that vanish to rounding are dropped. The model must
+    reproduce the fit at a fourth energy to 1e-9 relative, otherwise the
+    constants are not of degree <= 2 in E and NotPolynomialInEnergy is raised.
     """
 
-    nodes = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    def fit(energy: float) -> np.ndarray:
+        vals = structure_function_general(constants_at(energy), 0.0, _FIT_NODES)
+        return np.polyfit(_FIT_NODES, vals, 6)
+
+    samples = np.array([fit(e) for e in _FIT_ENERGIES])
+    coefficients = np.linalg.solve(np.vander(_FIT_ENERGIES, increasing=True), samples)
+    while len(coefficients) > 1 and \
+            np.abs(coefficients[-1]).max() <= _ROUNDING * np.abs(samples).max():
+        coefficients = coefficients[:-1]
+    target = fit(_CHECK_ENERGY)
+    model = _CHECK_ENERGY ** np.arange(len(coefficients)) @ coefficients
+    miss = np.abs(model - target).max() / np.abs(target).max()
+    if miss > 1e-9:
+        raise NotPolynomialInEnergy(
+            f"structure constants are not of degree <= 2 in E: the degree-"
+            f"{len(coefficients) - 1} model misses Phi at E = {_CHECK_ENERGY} "
+            f"by {miss:.1e} (relative)")
+    return phi_family_from_coefficients(coefficients, label)
+
+
+def phi_family_from_coefficients(coefficients, label: str = "general") -> PhiFamily:
+    """Family of Phi(t; E) = sum_k E^k P_k(t), row k of coefficients holding P_k.
+
+    The roots at each energy come from the companion matrix (np.roots) and get
+    a Newton polish. Complex roots are kept; the representation search accepts
+    an endpoint only on a real one.
+    """
+    coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
+    powers = np.arange(len(coefficients))
 
     def poly_coeffs(energy: float) -> np.ndarray:
-        c = constants_at(energy)
-        vals = structure_function_general(c, 0.0, nodes)
-        return np.polyfit(nodes, vals, 6)
+        return energy ** powers @ coefficients
 
     def roots_of(energy: float) -> np.ndarray:
         coeffs = poly_coeffs(energy)
         roots = np.roots(coeffs)
         dp = np.polyder(coeffs)
-        for _ in range(3):  # Newton polish
+        for _ in range(3):  # Newton polish, keeping only steps that lower |Phi|
             fv = np.polyval(coeffs, roots)
             dv = np.polyval(dp, roots)
             step = np.where(dv != 0, fv / np.where(dv == 0, 1.0, dv), 0.0)
-            roots = roots - step
+            polished = roots - step
+            # at a double root Phi' is rounding noise, and a full step can
+            # throw both copies onto one wrong real value
+            roots = np.where(np.abs(np.polyval(coeffs, polished)) < np.abs(fv),
+                             polished, roots)
         order = np.argsort(roots.real + 1e-9 * np.abs(roots.imag))
         return roots[order]
 
     def scale_of(energy: float) -> float:
         return float(poly_coeffs(energy)[0])
 
-    return PhiFamily(roots_of=roots_of, scale_of=scale_of, label=label)
+    return PhiFamily(roots_of=roots_of, scale_of=scale_of, label=label,
+                     coefficients=coefficients)
 
 
-# A root counts as real when |Im| <= _REAL_TOL * (1 + |Re|). Root extraction
-# splits a double root of Phi (the default Kepler family has one at t = 1/2 for
-# every E) into two reals at some energies and into a conjugate pair at others.
-# A tight threshold lets the real-root count flicker along the energy grid,
-# which shifts the sorted indices the root pairs are keyed on: fake sign
-# changes cost Brent solves, and genuine ones are lost. On the p_max = 1, 2, 3
-# and 6 grids of eight Kepler/oscillator configurations the near-real roots
-# reached a relative |Im| of 1.9e-6 (Kepler l = 1, p_max = 2), and no
-# genuinely complex pair occurred. A pair that is complex beyond the threshold
-# never yields a candidate: StructureFunction keeps only real parts, and the
-# endpoint check rejects such a Phi.
-_REAL_TOL = 1e-5
+_ENDPOINT_TOL = 1e-10  # |Phi| at both endpoints, with unit leading coefficient
 
-
-def _real_roots(roots: np.ndarray) -> np.ndarray:
-    mask = np.abs(roots.imag) <= _REAL_TOL * (1.0 + np.abs(roots.real))
-    return np.sort(roots.real[mask])
+# Two roots closer than _ROOT_TOL * (1 + |r|) are one root, and a root with
+# |Im| <= _ROOT_TOL * (1 + |Re|) is real. Root extraction splits a double root
+# of Phi (the default Kepler family has one at t = 1/2 for every E) into two
+# reals or a near-real conjugate pair; over the bound-state energies of eight
+# Kepler/oscillator configurations the split reached a relative |Im| of
+# 1.9e-6 (Kepler l = 1), and no genuinely complex pair came that close.
+_ROOT_TOL = 1e-5
+_SECANT_STEPS = 8
 
 
 def _same(a: float, b: float) -> bool:
-    """Equal up to the spread of Brent solves of one representation (~1e-9 in E)."""
+    """Equal up to the spread of solves of one representation (~1e-9 in E)."""
     return abs(a - b) <= 1e-8 * (1.0 + max(abs(a), abs(b)))
+
+
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """np.roots after dropping leading coefficients that are fit noise."""
+    coeffs = np.asarray(coeffs)
+    big = np.nonzero(np.abs(coeffs) > _ROUNDING * np.abs(coeffs).max())[0]
+    return np.roots(coeffs[big[0]:]) if len(big) else np.empty(0)
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values)
+    return values.real[np.abs(values.imag) <= _ROOT_TOL * (1.0 + np.abs(values.real))]
+
+
+def _energy_independent_roots(coefficients: np.ndarray) -> np.ndarray:
+    """Roots t that every P_k shares, with multiplicity (complex ones included).
+
+    They are taken from the P_k of lowest degree, since a root of higher
+    multiplicity comes out of extraction split further; a double root shows
+    up as a near-real pair.
+    """
+    nonzero = [pk for pk in coefficients if np.abs(pk).max() > 0]
+
+    def on_every_pk(r):
+        return all(abs(np.polyval(pk, r)) <= 1e-9 * np.polyval(np.abs(pk), abs(r))
+                   for pk in nonzero)
+
+    lowest = min((_roots(pk) for pk in nonzero), key=len)
+    return np.array([r for r in lowest if on_every_pk(r)], dtype=complex)
+
+
+def _resultant_in_energy(a: list, b: list) -> np.ndarray:
+    """Res_E(sum_k a_k E^k, sum_k b_k E^k) for E-degree 1 or 2, as a polynomial in u.
+
+    a[k] and b[k] are polynomials in u (highest power first).
+    """
+    def cross(i, j):
+        return np.polysub(np.polymul(a[i], b[j]), np.polymul(a[j], b[i]))
+
+    if len(a) == 1:
+        return np.ones(1)  # Phi does not depend on E: no moving roots
+    if len(a) == 2:
+        return cross(1, 0)
+    return np.polysub(np.polymul(cross(2, 0), cross(2, 0)),
+                      np.polymul(cross(2, 1), cross(1, 0)))
+
+
+def _energies_at(cofactor: list, t: float) -> np.ndarray:
+    """Real E at which t is a root of the cofactor sum_k E^k Q_k."""
+    return _real(_roots([np.polyval(qk, t) for qk in cofactor[::-1]]))
 
 
 def find_representations(family: PhiFamily, p_max: int,
                          closed_form: Optional[Callable[[int], RepresentationCandidate]] = None,
-                         e_grid: Optional[np.ndarray] = None,
-                         endpoint_tol: float = 1e-10,
-                         strict: bool = False) -> list[RepresentationCandidate]:
+                         energy_window: Optional[tuple] = None
+                         ) -> list[RepresentationCandidate]:
     """All (u, E) pairs carrying a (p+1)-dimensional unitary representation, p <= p_max.
 
     With closed_form supplied (catalog systems) the candidates are evaluated
-    from the closed forms and validated. Otherwise both endpoint constraints
-    are solved by pairwise root matching: u sits on one root of the factored
-    family and u + p + 1 on another, so each ordered root pair yields a
-    one-dimensional root-finding problem in E, bracketed on e_grid and solved
-    by Brent iteration. The real roots on e_grid do not depend on p and are
-    extracted once. Survivors must have a strictly positive window.
+    from the closed forms and validated. Otherwise the family must carry
+    energy coefficients (phi_family_from_constants), and u and u + p + 1 are
+    found as zeros of Phi by elimination, for E inside energy_window:
+
+    - the E-independent roots F (shared by every P_k) are split off, leaving
+      the cofactor Q(t; E) = Phi / F;
+    - both endpoints on moving roots: u is a real zero of the resultant in E
+      of Q(u; E) and Q(u + p + 1; E), and E a real zero of Q(u; E);
+    - one endpoint on a root r of F: E solves Q = 0 at the other endpoint,
+      r + p + 1 or r - p - 1;
+    - both endpoints on F hold for every E, a continuum with no energy of its
+      own, so no candidate is built from them.
+
+    Each (u, E) is then finished on the family's own extracted roots, and
+    survivors must have a strictly positive window.
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     if closed_form is not None:
         return [closed_form(p) for p in range(p_max + 1)]
-    if e_grid is None:
-        raise NonConvergence("generic search needs an energy grid")
-    e_grid = np.asarray(e_grid, dtype=float)
-    grid_roots = [_real_roots(family.roots_of(energy)) for energy in e_grid]
+    if family.coefficients is None or energy_window is None:
+        raise ValueError("the generic search needs a coefficient family and an energy window")
+    lo, hi = energy_window
+    shared = _energy_independent_roots(family.coefficients)
+    cofactor = [np.polydiv(pk, np.poly(shared).real)[0] for pk in family.coefficients]
+    fixed = _real(shared)
     out: list[RepresentationCandidate] = []
     for p in range(p_max + 1):
-        found = _solve_representations_at_p(family, p, e_grid, grid_roots, endpoint_tol)
-        if not found and strict:
-            raise NoRepresentation(p)
+        s = p + 1.0
+        shifted = [np.poly1d(qk)(np.poly1d([1.0, s])).coeffs for qk in cofactor]
+        seeds = [(u, e) for u in _real(_roots(_resultant_in_energy(cofactor, shifted)))
+                 for e in _energies_at(cofactor, u)]
+        for r in fixed:
+            for other in (r + s, r - s):
+                if np.any(np.abs(fixed - other) <= _ROOT_TOL * (1.0 + abs(other))):
+                    continue  # both endpoints on F
+                seeds += [(min(r, other), e) for e in _energies_at(cofactor, other)]
+        found: list[RepresentationCandidate] = []
+        for u, energy in seeds:
+            if not lo <= energy <= hi:
+                continue
+            cand = _finish(family, p, u, energy)
+            if cand is None or any(_same(f.u, cand.u) and _same(f.energy, cand.energy)
+                                   for f in found):
+                continue
+            found.append(cand)
+        found.sort(key=lambda c: (c.energy, c.u))
         out.extend(found)
     return out
 
 
-def _solve_representations_at_p(family: PhiFamily, p: int, e_grid: np.ndarray,
-                                grid_roots: list[np.ndarray],
-                                endpoint_tol: float) -> list[RepresentationCandidate]:
-    gaps = {}
-    for energy, roots in zip(e_grid, grid_roots):
-        for i in range(len(roots)):
-            for j in range(len(roots)):
-                if i == j:
-                    continue
-                gaps.setdefault((i, j), []).append((energy, roots[j] - roots[i] - (p + 1)))
-    found: list[RepresentationCandidate] = []
-    for (i, j), samples in gaps.items():
-        for (e0, g0), (e1, g1) in zip(samples, samples[1:]):
-            if not (np.isfinite(g0) and np.isfinite(g1)) or g0 * g1 > 0:
-                continue
-            if max(abs(g0), abs(g1)) < 1e-8:
-                # gap identically p+1 across the bracket up to root-extraction
-                # noise (double-root artifact, e.g. m1 = m2): not an isolated
-                # solution
-                continue
+def _finish(family: PhiFamily, p: int, u: float,
+            energy: float) -> Optional[RepresentationCandidate]:
+    """Candidate at an eliminated (u, E), solved again on the extracted roots.
 
-            def gap(energy, i=i, j=j):
-                roots = _real_roots(family.roots_of(energy))
-                if max(i, j) >= len(roots):
-                    return np.nan
-                return roots[j] - roots[i] - (p + 1)
+    u snaps to the nearest root of the family at E, u + p + 1 to the nearest
+    other one, and E solves their gap roots[j] - roots[i] - (p + 1) = 0 by
+    secant steps from the seed. The seeds are real solutions, so both roots
+    are real up to extraction noise.
+    """
+    s = p + 1.0
+    roots = family.roots_of(energy)
+    i = int(np.argmin(np.abs(roots - u)))
+    j = int(np.argmin(np.abs(roots - (u + s))))
 
-            try:
-                e_star = brentq(gap, e0, e1, xtol=1e-14, rtol=1e-15)
-            except ValueError:
-                continue
-            # isolated-root check: a genuine solution leaves the gap clearly
-            # nonzero a small step away; E-independent root spacings (double
-            # roots sitting exactly p+1 apart) produce continuum artifacts
-            delta = 1e-4 * (1.0 + abs(e_star))
-            nearby = max(abs(gap(e_star - delta)), abs(gap(e_star + delta)))
-            if not np.isfinite(nearby) or nearby < 1e-7:
-                continue
-            roots = _real_roots(family.roots_of(e_star))
-            if max(i, j) >= len(roots):
-                continue
-            u = float(roots[i])
-            cand = _candidate_from_family(family, p, u, float(e_star), endpoint_tol)
-            if cand is None:
-                continue
-            if any(_same(f.u, cand.u) and _same(f.energy, cand.energy) for f in found):
-                continue
-            found.append(cand)
-    found.sort(key=lambda c: (c.energy, c.u))
-    return found
+    def gap(roots):
+        return roots[j].real - roots[i].real - s
+
+    best = (abs(gap(roots)), energy, roots)
+    e0, g0 = energy, gap(roots)
+    e1 = energy + 1e-8 * (1.0 + abs(energy))
+    for _ in range(_SECANT_STEPS):
+        roots = family.roots_of(e1)
+        g1 = gap(roots)
+        if abs(g1) < best[0]:
+            best = (abs(g1), e1, roots)
+        if g1 == 0 or g1 == g0 or abs(e1 - e0) <= 1e-15 * (1.0 + abs(e1)):
+            break
+        e0, g0, e1 = e1, g1, e1 - g1 * (e1 - e0) / (g1 - g0)
+    _, energy, roots = best
+    return _candidate_from_family(family, p, float(roots[i].real), float(energy))
 
 
-def _candidate_from_family(family: PhiFamily, p: int, u: float, energy: float,
-                           endpoint_tol: float) -> Optional[RepresentationCandidate]:
+def _candidate_from_family(family: PhiFamily, p: int, u: float,
+                           energy: float) -> Optional[RepresentationCandidate]:
     sf = family.structure_function(energy, u)
     endpoints = np.abs(sf.monic(np.array([0.0, p + 1.0])))
-    if endpoints.max() > endpoint_tol:
+    if endpoints.max() > _ENDPOINT_TOL:
         return None
     window = sf(np.arange(1, p + 1, dtype=float)) if p >= 1 else np.empty(0)
     if p >= 1 and window.min() <= 0:

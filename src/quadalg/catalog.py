@@ -254,12 +254,13 @@ def kepler5d_closed_form(p: Kepler5DParams) -> Callable[[int], RepresentationCan
     return build
 
 
-def kepler5d_energy_grid(p: Kepler5DParams, p_max: int, n: int = 600) -> np.ndarray:
-    """Bound-state energy grid bracketing every root-matching branch up to p_max."""
+def kepler5d_energy_window(p: Kepler5DParams, p_max: int) -> tuple[float, float]:
+    """Bound-state energies E = -c0^2 / (2 hbar^2 q^2) with 0.02 <= q <= p_max + 3 + m1 + m2,
+    which hold every representation of dimension up to p_max + 1."""
     m1, m2 = kepler5d_m_parameters(p)
-    q_hi = p_max + 3 + m1 + m2
-    q = np.linspace(0.02, q_hi, n)
-    return -p.c0**2 / (2 * p.hbar**2 * q**2)
+    q = np.array([0.02, p_max + 3 + m1 + m2])
+    lo, hi = -p.c0**2 / (2 * p.hbar**2 * q**2)
+    return float(lo), float(hi)
 
 
 # --------------------------------------------------------------------------
@@ -360,10 +361,11 @@ def osc8d_closed_form(p: Oscillator8DParams) -> Callable[[int], RepresentationCa
     return build
 
 
-def osc8d_energy_grid(p: Oscillator8DParams, p_max: int, n: int = 600) -> np.ndarray:
+def osc8d_energy_window(p: Oscillator8DParams, p_max: int) -> tuple[float, float]:
+    """Energies 2 omega hbar q with 0.025 <= q <= p_max + 3 + m1 + m2 (printed m)."""
     printed, _ = osc8d_m_parameters(p)
     hi = 2 * p.omega * p.hbar * (p_max + 3 + printed[0] + printed[1])
-    return np.linspace(0.05 * p.omega * p.hbar, hi, n)
+    return float(0.05 * p.omega * p.hbar), float(hi)
 
 
 # --------------------------------------------------------------------------

@@ -90,12 +90,12 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
         closed_form = cat.kepler5d_closed_form(params)
         family = cat.kepler5d_phi_family(params)
         constants = cat.kepler5d_constants(params)
-        e_grid = cat.kepler5d_energy_grid(params, p_max)
+        e_window = cat.kepler5d_energy_window(params, p_max)
     else:
         closed_form = cat.osc8d_closed_form(params)
         family = cat.osc8d_phi_family(params)
         constants = cat.osc8d_constants(params)
-        e_grid = cat.osc8d_energy_grid(params, p_max)
+        e_window = cat.osc8d_energy_window(params, p_max)
 
     for cand in alg.find_representations(family, p_max, closed_form=closed_form):
         sf = cand.sf
@@ -169,7 +169,7 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
     # the (operator-verified) structure constants
     gen = alg.phi_family_from_constants(constants.at_energy, label=f"{system}-general")
     closing = []
-    for cand in alg.find_representations(gen, p_max, e_grid=e_grid):
+    for cand in alg.find_representations(gen, p_max, energy_window=e_window):
         try:
             real = alg.oscillator_realization(constants.at_energy(cand.energy), cand.u,
                                               p=cand.p, rho_convention="sqrt")

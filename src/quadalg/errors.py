@@ -13,16 +13,8 @@ class NegativePhi(QuadalgError):
     """A structure-function value inside the representation window is negative."""
 
 
-class NoRepresentation(QuadalgError):
-    """No (u, E) pair with a positive window exists for the requested dimension."""
-
-    def __init__(self, p: int, message: str = ""):
-        self.p = p
-        super().__init__(message or f"no representation found for p={p}")
-
-
-class NonConvergence(QuadalgError):
-    """Root search failed to converge from every seed."""
+class NotPolynomialInEnergy(QuadalgError):
+    """Structure constants whose structure function is not of degree <= 2 in E."""
 
 
 class ImaginaryM(QuadalgError):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from quadalg import algebra as alg
 from quadalg import catalog as cat
-from quadalg.errors import DegenerateDenominator, NegativePhi, NoRepresentation
+from quadalg.errors import DegenerateDenominator, NegativePhi, NotPolynomialInEnergy
 
 
 def _kepler_pure():
@@ -123,8 +125,8 @@ def test_structure_function_rescale_positive_only():
 def test_find_representations_oscillator_matches_closed_form():
     # pure oscillator towers: solver output agrees with E = 2(p+2) exactly
     p = _osc_pure()
-    fam = cat.osc8d_phi_family(p)
-    sols = alg.find_representations(fam, 2, e_grid=cat.osc8d_energy_grid(p, 2))
+    fam = _general_family(cat.osc8d_constants(p))
+    sols = alg.find_representations(fam, 2, energy_window=cat.osc8d_energy_window(p, 2))
     for rp in range(3):
         expected = 2.0 * (rp + 2)
         matches = [s for s in sols if s.p == rp and abs(s.energy - expected) < 1e-9]
@@ -147,21 +149,13 @@ def test_find_representations_positivity_window():
 def test_find_representations_scale_invariance():
     # multiplying the family scale by a positive constant leaves (p, u, E) fixed
     p = _osc_pure()
-    fam = cat.osc8d_phi_family(p)
-    fam2 = alg.PhiFamily(roots_of=fam.roots_of,
-                         scale_of=lambda E: 7.5 * fam.scale_of(E), label="scaled")
-    grid = cat.osc8d_energy_grid(p, 1)
-    a = alg.find_representations(fam, 1, e_grid=grid)
-    b = alg.find_representations(fam2, 1, e_grid=grid)
+    fam = _general_family(cat.osc8d_constants(p))
+    fam2 = alg.phi_family_from_coefficients(7.5 * fam.coefficients, label="scaled")
+    window = cat.osc8d_energy_window(p, 1)
+    a = alg.find_representations(fam, 1, energy_window=window)
+    b = alg.find_representations(fam2, 1, energy_window=window)
     key = lambda s: (s.p, round(s.u, 8), round(s.energy, 8))
-    assert sorted(map(key, a)) == sorted(map(key, b))
-
-
-def test_find_representations_strict_raises():
-    fam = alg.PhiFamily(roots_of=lambda E: np.arange(6.0) * 10.0,  # gaps of 10
-                        scale_of=lambda E: 1.0)
-    with pytest.raises(NoRepresentation):
-        alg.find_representations(fam, 0, e_grid=np.linspace(-1, -0.1, 10), strict=True)
+    assert a and sorted(map(key, a)) == sorted(map(key, b))
 
 
 def test_solver_recovers_physical_kepler_tower():
@@ -171,7 +165,7 @@ def test_solver_recovers_physical_kepler_tower():
     p = _kepler_pure()
     cons = cat.kepler5d_constants(p)
     fam = alg.phi_family_from_constants(cons.at_energy)
-    sols = alg.find_representations(fam, 2, e_grid=cat.kepler5d_energy_grid(p, 2))
+    sols = alg.find_representations(fam, 2, energy_window=cat.kepler5d_energy_window(p, 2))
     for rp, expected in ((1, -1.0 / 18.0), (2, -1.0 / 32.0)):
         close = [s for s in sols if s.p == rp and abs(s.energy - expected) < 1e-9]
         assert close, f"tower energy {expected} not found at p={rp}"
@@ -195,18 +189,33 @@ def _general_family(constants):
     return alg.phi_family_from_constants(constants.at_energy)
 
 
-@pytest.mark.parametrize("params, constants, energy_grid, p_max", [
-    (_kepler_pure(), cat.kepler5d_constants, cat.kepler5d_energy_grid, 3),
-    (_osc_pure(), cat.osc8d_constants, cat.osc8d_energy_grid, 2),
-], ids=["kepler5d", "osc8d"])
-def test_real_root_count_is_constant_on_the_grid(params, constants, energy_grid, p_max):
-    # a double root split by rounding (a real pair at some E, a near-real
-    # conjugate pair at others) must count the same at every energy, or the
-    # root pairing along the grid is scrambled
-    fam = _general_family(constants(params))
-    counts = {len(alg._real_roots(fam.roots_of(energy)))
-              for energy in energy_grid(params, p_max)}
-    assert counts == {6}
+def test_coefficient_family_is_linear_for_kepler_quadratic_for_the_oscillator():
+    # P_k that vanish to rounding are dropped, and the model reproduces the
+    # direct fit of Phi at energies it was not built from
+    for constants, degree, energy in ((cat.kepler5d_constants(_kepler_pure()), 1, -0.07),
+                                      (cat.osc8d_constants(_osc_pure()), 2, 5.5)):
+        fam = _general_family(constants)
+        assert len(fam.coefficients) == degree + 1
+        nodes = np.arange(-3.0, 4.0)
+        direct = np.polyfit(
+            nodes, alg.structure_function_general(constants.at_energy(energy), 0.0, nodes), 6)
+        model = energy ** np.arange(degree + 1) @ fam.coefficients
+        assert np.abs(model - direct).max() < 1e-9 * np.abs(direct).max()
+
+
+def test_constants_cubic_in_energy_are_refused():
+    # the elimination assumes Phi is at most quadratic in E; constants that
+    # break it must stop the search before any representation is reported
+    kepler = cat.kepler5d_constants(_kepler_pure())
+
+    def cubic(energy):
+        c = kepler.at_energy(energy)
+        return alg.QuadraticAlgebraConstants(
+            gamma=c.gamma, epsilon_c=c.epsilon_c, zeta_c=c.zeta_c,
+            d_c=c.d_c + 0.5 * energy**3, z_c=c.z_c, casimir_value=c.casimir_value)
+
+    with pytest.raises(NotPolynomialInEnergy, match="degree <= 2"):
+        alg.phi_family_from_constants(cubic)
 
 
 def test_solver_finds_u_three_halves_at_every_dimension():
@@ -214,18 +223,18 @@ def test_solver_finds_u_three_halves_at_every_dimension():
     # hidden when the real-root count flickered along the grid
     p = _kepler_pure()
     fam = _general_family(cat.kepler5d_constants(p))
-    sols = alg.find_representations(fam, 3, e_grid=cat.kepler5d_energy_grid(p, 3))
+    sols = alg.find_representations(fam, 3, energy_window=cat.kepler5d_energy_window(p, 3))
     for rp in range(4):
         assert any(s.p == rp and abs(s.u - 1.5) < 1e-6
                    and abs(s.energy + 0.5 / (rp + 2) ** 2) < 1e-9 for s in sols), rp
 
 
 def test_solver_reports_each_representation_once():
-    # two Brent solves of one representation differ by ~1e-9 in E; the search
+    # two solves of one representation differ by ~1e-9 in E; the search
     # keeps one of them
     p = cat.Kepler5DParams(c1=0.25, l=3.0)
     fam = _general_family(cat.kepler5d_constants(p))
-    sols = alg.find_representations(fam, 3, e_grid=cat.kepler5d_energy_grid(p, 3))
+    sols = alg.find_representations(fam, 3, energy_window=cat.kepler5d_energy_window(p, 3))
 
     def same(x, y):
         return abs(x - y) <= 1e-8 * (1.0 + max(abs(x), abs(y)))
@@ -236,7 +245,8 @@ def test_solver_reports_each_representation_once():
                 (a.p, a.u, a.energy, b.u, b.energy)
 
 
-def test_solver_extracts_grid_roots_once():
+def test_solver_extracts_few_roots():
+    # elimination seeds every (u, E); roots are extracted only to finish them
     p = _kepler_pure()
     gen = _general_family(cat.kepler5d_constants(p))
     calls = []
@@ -245,22 +255,37 @@ def test_solver_extracts_grid_roots_once():
         calls.append(energy)
         return gen.roots_of(energy)
 
-    fam = alg.PhiFamily(roots_of=roots_of, scale_of=gen.scale_of)
-    grid = cat.kepler5d_energy_grid(p, 3)
-    alg.find_representations(fam, 3, e_grid=grid)
-    # the grid is swept once up front, then only Brent and its checks extract
-    assert calls[:len(grid)] == list(grid)
-    assert len(calls) < 5000
+    fam = dataclasses.replace(gen, roots_of=roots_of)
+    sols = alg.find_representations(fam, 3, energy_window=cat.kepler5d_energy_window(p, 3))
+    assert sols and len(calls) < 500
 
 
 def test_solver_builds_no_candidate_from_a_complex_root():
-    # 1 +- 0.5i sits exactly 1 to the right of the moving root t = E at E = 0;
-    # taking real parts of every root would close a p = 0 representation there
-    def roots_of(energy):
-        return np.array([energy, 1 + 0.5j, 1 - 0.5j, 10.0, 20.0, 30.0], dtype=complex)
+    # Phi = (t - E)(t - 1 - 0.5i)(t - 1 + 0.5i)(t - 10)(t - 20)(t - 30): the
+    # complex pair sits exactly 1 to the right of the moving root t = E at
+    # E = 0; taking real parts of every root would close a p = 0
+    # representation there
+    rest = np.real(np.poly([1 + 0.5j, 1 - 0.5j, 10.0, 20.0, 30.0]))
+    fam = alg.phi_family_from_coefficients([np.polymul([1.0, 0.0], rest),
+                                            np.concatenate([[0.0], -rest])])
+    assert alg.find_representations(fam, 0, energy_window=(-1.0, 1.0)) == []
 
-    fam = alg.PhiFamily(roots_of=roots_of, scale_of=lambda E: 1.0)
-    assert alg.find_representations(fam, 0, e_grid=np.linspace(-1.0, 1.0, 41)) == []
+
+def test_solver_emits_no_energy_for_two_energy_independent_endpoints():
+    # at c1 = 0.25, l = 3 the roots 0.618 and 2.618 of Phi do not move with E,
+    # so u = 0.618 closes p = 1 at every energy: no energy of its own
+    p = cat.Kepler5DParams(c1=0.25, l=3.0)
+    fam = _general_family(cat.kepler5d_constants(p))
+    fixed = alg._energy_independent_roots(fam.coefficients).real
+    assert np.abs(fixed - 0.618034).min() < 1e-6 and np.abs(fixed - 2.618034).min() < 1e-6
+
+    def on_fixed(t):
+        return np.abs(fixed - t).min() < 1e-6
+
+    sols = alg.find_representations(fam, 3, energy_window=cat.kepler5d_energy_window(p, 3))
+    assert sols
+    assert not [(s.p, s.u, s.energy) for s in sols
+                if on_fixed(s.u) and on_fixed(s.u + s.p + 1)]
 
 
 # -- Fock matrices -----------------------------------------------------------

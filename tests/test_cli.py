@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from quadalg.cli import main
+from quadalg import catalog as cat
+from quadalg.cli import _verify_fock_track, main
+from quadalg.report import Report
 
 
 def _run_json(tmp_path, name, argv):
@@ -214,3 +216,69 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: NoRoot: no bound state\n"
+
+
+# closing `fock.*.solver.*` names of the generic representation search, as the
+# energy-grid search reported them, less one artifact: at c1 = 0.25, l = 3 it
+# also reported p1.E-35.888543822.u+0.618034, whose endpoints 0.618 and 2.618
+# are both E-independent roots of Phi, so it closes at every energy
+_CLOSING = {
+    "kepler5d-default": ("kepler5d", {}, 3, [
+        "p0.E-0.125000000.u+1.500000", "p0.E-0.125000000.u-1.500000",
+        "p1.E-0.055555556.u+1.500000", "p1.E-0.055555556.u-2.500000",
+        "p2.E-0.031250000.u+1.500000", "p2.E-0.031250000.u-3.500000",
+        "p3.E-0.020000000.u+1.500000", "p3.E-0.020000000.u-4.500000"]),
+    "kepler5d-c1-c2-0.5": ("kepler5d", {"c1": 0.5, "c2": 0.5}, 3, [
+        "p0.E-0.066987298.u+2.232051", "p0.E-0.066987298.u-2.232051",
+        "p0.E-0.933012702.u+1.232051", "p0.E-0.933012702.u-1.232051",
+        "p1.E-0.035898385.u+2.232051", "p1.E-0.035898385.u-3.232051",
+        "p1.E-6.964101615.u+0.232051", "p2.E-0.022329099.u+2.232051",
+        "p2.E-0.022329099.u-4.232051", "p3.E-0.015217732.u+2.232051",
+        "p3.E-0.015217732.u-5.232051"]),
+    "kepler5d-hbar-0.7-c0-1.3": ("kepler5d", {"hbar": 0.7, "c0": 1.3}, 3, [
+        "p0.E-0.431122449.u+1.500000", "p0.E-0.431122449.u-1.500000",
+        "p1.E-0.191609977.u+1.500000", "p1.E-0.191609977.u-2.500000",
+        "p2.E-0.107780612.u+1.500000", "p2.E-0.107780612.u-3.500000",
+        "p3.E-0.068979592.u+1.500000", "p3.E-0.068979592.u-4.500000"]),
+    "kepler5d-c1-0.3-c2-0.2": ("kepler5d", {"c1": 0.3, "c2": 0.2}, 3, [
+        "p0.E-0.085912603.u+1.912440", "p0.E-0.085912603.u-1.912440",
+        "p0.E-0.436067501.u+0.570799", "p0.E-0.579096704.u+0.429201",
+        "p0.E-2.939327233.u+0.912440", "p1.E-0.042937810.u+1.912440",
+        "p1.E-0.042937810.u-2.912440", "p2.E-0.025681024.u+1.912440",
+        "p2.E-0.025681024.u-3.912440", "p3.E-0.017068045.u+1.912440",
+        "p3.E-0.017068045.u-4.912440"]),
+    "kepler5d-c1-0.25-l-3": ("kepler5d", {"c1": 0.25, "l": 3.0}, 3, [
+        "p0.E-0.051429028.u+2.618034", "p0.E-0.051429028.u-2.618034",
+        "p0.E-0.400000000.u+0.618034", "p0.E-0.400000000.u+1.618034",
+        "p0.E-0.400000000.u-1.618034", "p0.E-0.642785848.u+0.381966",
+        "p1.E-0.029484254.u+2.618034", "p1.E-0.029484254.u-3.618034",
+        "p2.E-0.019088143.u+2.618034", "p2.E-0.019088143.u-4.618034",
+        "p3.E-0.013358147.u+2.618034", "p3.E-0.013358147.u-5.618034"]),
+    "kepler5d-l-1": ("kepler5d", {"l": 1.0}, 3, [
+        "p0.E-0.085786438.u+1.914214", "p0.E-0.085786438.u-1.914214",
+        "p0.E-2.914213562.u+0.914214", "p1.E-0.042893219.u+1.914214",
+        "p1.E-0.042893219.u-2.914214", "p2.E-0.025660394.u+1.914214",
+        "p2.E-0.025660394.u-3.914214", "p3.E-0.017056866.u+1.914214",
+        "p3.E-0.017056866.u-4.914214"]),
+    "osc8d-default": ("osc8d", {}, 2, [
+        "p0.E+4.000000000.u+1.500000", "p0.E+4.000000000.u-1.500000",
+        "p1.E+6.000000000.u+1.500000", "p1.E+6.000000000.u-2.500000",
+        "p2.E+8.000000000.u+1.500000", "p2.E+8.000000000.u-3.500000"]),
+    "osc8d-lambda-0.5-0.3": ("osc8d", {"lambda1": 0.5, "lambda2": 0.3}, 2, [
+        "p0.E+0.679124626.u+0.839562", "p0.E+1.850697502.u+0.425349",
+        "p0.E+2.149302498.u+0.574651", "p0.E+4.679124626.u+1.839562",
+        "p0.E+4.679124626.u-1.839562", "p1.E+6.679124626.u+1.839562",
+        "p1.E+6.679124626.u-2.839562", "p2.E+8.679124626.u+1.839562",
+        "p2.E+8.679124626.u-3.839562"]),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_CLOSING))
+def test_solver_closing_sets_are_kept(config):
+    system, params, p_max, expected = _CLOSING[config]
+    build = cat.Kepler5DParams if system == "kepler5d" else cat.Oscillator8DParams
+    report = Report(command="verify", config={}, version="test")
+    _verify_fock_track(report, system, build(**params), p_max)
+    prefix = f"fock.{system}.solver."
+    assert sorted(f.check[len(prefix):] for f in report.findings
+                  if f.check.startswith(prefix)) == expected
