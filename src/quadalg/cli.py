@@ -368,12 +368,12 @@ def cmd_crosscheck(args) -> int:
                        status="finding", values={"error": str(exc)})
             return _write_report(report, args)
         report.required_check("ode.ycm.oracle-error", "extrapolated oracle error",
-                              residual=t.beta_error, tolerance=1e-6)
+                              residual=t.oracle_error, tolerance=1e-6)
         report.add("ode.ycm.triple",
                    "parabolic closed form vs duality chain vs oracle",
                    status="finding",
                    values={"parabolic": t.parabolic, "duality": t.duality,
-                           "oracle": t.oracle, "oracle_error": t.beta_error})
+                           "oracle": t.oracle, "oracle_error": t.oracle_error})
         supported = []
         if abs(t.parabolic - t.oracle) < 1e-5:
             supported.append("parabolic")
@@ -406,8 +406,10 @@ def cmd_crosscheck(args) -> int:
                                   "block reproduces the isotropic ladder",
                                   residual=worst, tolerance=1e-6)
         two_block = 2 * eigs[0].extrapolated
+        # both blocks were solved with the coupling --lambda1
         e_formula = cat.osc8d_spectrum(cat.Oscillator8DParams(
-            omega=args.omega, hbar=args.hbar), 0).energy
+            omega=args.omega, lambda1=args.lambda1, lambda2=args.lambda1,
+            hbar=args.hbar), 0).energy
         report.add("ode.osc8d.block-sum",
                    "two summed blocks vs the closed-form ground energy",
                    status="finding",
@@ -440,7 +442,7 @@ def cmd_dualize(args) -> int:
 
 def cmd_hurwitz_check(args) -> int:
     report = Report(command="hurwitz-check", config=_config_echo(args), version=__version__)
-    u = hw.Point8(tuple(float(v) for v in args.point.split(",")))
+    u = hw.Point8(_point(args.point))
     f = hw.hurwitz_forward(u, literal_x0=args.literal_x0)
     res = hw.euler_identity_residual(u, literal_x0=args.literal_x0)
     if args.literal_x0:
@@ -471,15 +473,42 @@ def _channel(text: str) -> tuple:
     return values["s1"], values["s2"]
 
 
+def _point(text: str) -> tuple:
+    """The eight coordinates of --point, which must be eight finite numbers."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:  # a part that is no number
+        values = ()
+    if len(values) != 8 or not np.isfinite(values).all():
+        raise ConfigError("point", f"--point must be eight finite numbers separated by "
+                          f"commas, as in 1,0,0,0,1,0,0,0; got {text!r}")
+    return values
+
+
+def _require_finite(args, flags) -> None:
+    for flag in flags:
+        if not np.isfinite(getattr(args, flag)):
+            raise ConfigError(flag, f"--{flag} must be finite, got {getattr(args, flag)}")
+
+
 def _check_config(args) -> None:
     """Refuse inputs that would pass a required check over nothing or fail mid-run."""
     if args.command in ("spectrum", "verify"):
         # checked before J defaults to |L - T|, so a message names the flag set
-        for flag in ("L", "T"):
-            if not np.isfinite(getattr(args, flag)):
-                raise ConfigError(flag, f"--{flag} must be finite, got {getattr(args, flag)}")
+        _require_finite(args, ("L", "T"))
+        if args.command == "verify":
+            # a required check must not pass over zero samples
+            if args.trials < 1:
+                raise ConfigError("trials", f"--trials must be at least 1, got {args.trials}")
+            if args.p < 0:
+                raise ConfigError("p", f"--p must be non-negative, got {args.p}")
+        return
+    if args.command == "hurwitz-check":
+        _point(args.point)
         return
     if args.command == "dualize":
+        # NaN and inf pass the sign checks and would reach the report
+        _require_finite(args, ("energy", "omega", "lambda1", "lambda2", "c0", "eps", "c1", "c2"))
         if args.direction == "forward" and not args.energy > 0:
             raise ConfigError("energy", f"--energy must be positive, got {args.energy}")
         if args.direction == "inverse" and not args.eps < 0:
@@ -494,9 +523,7 @@ def _check_config(args) -> None:
         # the radial oracle extrapolates over three doubled grids up to 4096
         raise ConfigError("grid", f"--grid must be at most 1024 for crosscheck osc8d, "
                           f"got {args.grid}")
-    for flag in ("c0", "hbar", "omega", "lambda1"):
-        if not np.isfinite(getattr(args, flag)):
-            raise ConfigError(flag, f"--{flag} must be finite, got {getattr(args, flag)}")
+    _require_finite(args, ("c0", "hbar", "omega", "lambda1"))
     if args.lambda1 < 0:
         # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
         raise ConfigError("lambda1", f"--lambda1 must be non-negative, got {args.lambda1}")

@@ -158,7 +158,7 @@ class YCMTriple:
     duality: float     # the chain with m_i = 2 s_i, p = n1 + n2
     unhalved: float    # the duality form without the factor 2 in the denominator
     oracle: float      # finite-difference pair solve
-    beta_error: float  # the pair solve's error estimate on beta
+    oracle_error: float  # the oracle energy's error estimate, (beta error) hbar^2 / 2
 
 
 def ycm_triple(s1: float, s2: float, c0: float, hbar: float, n1: int, n2: int,
@@ -176,7 +176,7 @@ def ycm_triple(s1: float, s2: float, c0: float, hbar: float, n1: int, n2: int,
         parabolic=-c0**2 / (2 * hbar**2 * N**2),
         duality=-c0**2 / (2 * hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2),
         unhalved=-c0**2 / (hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2),
-        oracle=eps_beta * hbar**2, beta_error=err)
+        oracle=eps_beta * hbar**2, oracle_error=err * hbar**2 / 2)
 
 
 @dataclass(frozen=True)
@@ -224,5 +224,5 @@ def duality_spectrum_check(p: YCMParams, rep_p: int,
     return DualitySpectrumReport(
         eps_parabolic=float(t.parabolic), eps_duality=float(t.duality),
         eps_duality_oscillator_m=float(dual_record.energy),
-        eps_oracle=float(t.oracle), oracle_error=float(t.beta_error * kp.hbar**2),
+        eps_oracle=float(t.oracle), oracle_error=float(t.oracle_error),
         chain_identity_residual=float(chain_res), n1=n1, n2=n2, rep_p=rep_p)

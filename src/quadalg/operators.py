@@ -2,13 +2,19 @@
 
 Operators are immutable composition trees of partial derivatives, coefficient
 functions (evaluated as jets at the sample point) and spin-matrix
-coefficients. Every tree knows its differential order, and an identity is
-checked on jets whose degree is the order of the identity: the constant term
-of (L f) is then the exact value of (L f)(point) and depends on every Taylor
+coefficients. A tree acts on a spin multiplet of jets held as a plain
+(spin_dim, n_terms) complex array; the jet space lives on the evaluation
+context. Every tree knows its differential order, and an identity is checked
+on jets whose degree is the order of the identity: the constant term of
+(L f) is then the exact value of (L f)(point) and depends on every Taylor
 coefficient of L at the point. Test germs are full-degree jets with random
-Taylor coefficients, so commutator identities are checked, and unknown
-structure constants fitted, at every derivative order they contain, from
-values at random (point, germ) samples.
+Taylor coefficients.
+
+Every check samples through one path, `_sample_values`: it draws a (point,
+germ) pair per sample, applies each tree once and keeps the constant terms.
+Commutator identities, printed relations and least-squares fits of unknown
+structure constants are reductions over those values, so they are checked at
+every derivative order they contain.
 """
 
 from __future__ import annotations
@@ -23,38 +29,8 @@ from .jets import Jet, JetSpace, jet_space
 
 
 # --------------------------------------------------------------------------
-# states and evaluation contexts
+# evaluation contexts
 # --------------------------------------------------------------------------
-
-class JetVec:
-    """A spin multiplet of jets, stored as an (spin_dim, n_terms) array."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
-        self.space = space
-        self.coeffs = coeffs
-
-    @classmethod
-    def zeros(cls, space: JetSpace, spin_dim: int) -> "JetVec":
-        return cls(space, np.zeros((spin_dim, space.n_terms), dtype=np.complex128))
-
-    @property
-    def spin_dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def values(self) -> np.ndarray:
-        return self.coeffs[:, 0].copy()
-
-    def magnitude(self) -> float:
-        return float(np.abs(self.coeffs[:, 0]).max())
-
-    def __add__(self, other: "JetVec") -> "JetVec":
-        return JetVec(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "JetVec") -> "JetVec":
-        return JetVec(self.space, self.coeffs - other.coeffs)
-
 
 class PointContext:
     """Caches coefficient-function jets at one evaluation point."""
@@ -87,7 +63,8 @@ class Operator:
 
     order = 0
 
-    def apply(self, state: JetVec, ctx: PointContext) -> JetVec:
+    def apply(self, coeffs: np.ndarray, ctx: PointContext) -> np.ndarray:
+        """The tree applied to a (spin_dim, n_terms) array of jets on ctx.space."""
         raise NotImplementedError
 
     def __add__(self, other: "Operator") -> "Operator":
@@ -109,13 +86,13 @@ class Operator:
 
 
 class OpZero(Operator):
-    def apply(self, state, ctx):
-        return JetVec.zeros(state.space, state.spin_dim)
+    def apply(self, coeffs, ctx):
+        return np.zeros(coeffs.shape, dtype=np.complex128)
 
 
 class OpIdentity(Operator):
-    def apply(self, state, ctx):
-        return JetVec(state.space, state.coeffs.copy())
+    def apply(self, coeffs, ctx):
+        return coeffs.copy()
 
 
 class OpSum(Operator):
@@ -129,10 +106,10 @@ class OpSum(Operator):
         self.terms = tuple(flat)
         self.order = max((t.order for t in self.terms), default=0)
 
-    def apply(self, state, ctx):
-        out = JetVec.zeros(state.space, state.spin_dim)
+    def apply(self, coeffs, ctx):
+        out = np.zeros(coeffs.shape, dtype=np.complex128)
         for t in self.terms:
-            out = out + t.apply(state, ctx)
+            out = out + t.apply(coeffs, ctx)
         return out
 
 
@@ -145,9 +122,8 @@ class OpScale(Operator):
         self.child = child
         self.order = child.order
 
-    def apply(self, state, ctx):
-        inner = self.child.apply(state, ctx)
-        return JetVec(inner.space, self.factor * inner.coeffs)
+    def apply(self, coeffs, ctx):
+        return self.factor * self.child.apply(coeffs, ctx)
 
 
 class OpCompose(Operator):
@@ -158,8 +134,8 @@ class OpCompose(Operator):
         self.b = b
         self.order = a.order + b.order
 
-    def apply(self, state, ctx):
-        return self.a.apply(self.b.apply(state, ctx), ctx)
+    def apply(self, coeffs, ctx):
+        return self.a.apply(self.b.apply(coeffs, ctx), ctx)
 
 
 class OpPartial(Operator):
@@ -168,11 +144,11 @@ class OpPartial(Operator):
     def __init__(self, v: int):
         self.v = v
 
-    def apply(self, state, ctx):
-        sp = state.space
-        out = np.zeros_like(state.coeffs)
-        out[:, sp.deriv_dst[self.v]] = sp.deriv_coef[self.v] * state.coeffs[:, sp.deriv_src[self.v]]
-        return JetVec(sp, out)
+    def apply(self, coeffs, ctx):
+        sp = ctx.space
+        out = np.zeros_like(coeffs)
+        out[:, sp.deriv_dst[self.v]] = sp.deriv_coef[self.v] * coeffs[:, sp.deriv_src[self.v]]
+        return out
 
 
 class OpMul(Operator):
@@ -182,13 +158,12 @@ class OpMul(Operator):
         self.key = key
         self.builder = builder
 
-    def apply(self, state, ctx):
+    def apply(self, coeffs, ctx):
         coef = ctx.coef(self.key, self.builder).coeffs
-        sp = state.space
-        out = np.empty_like(state.coeffs)
-        for row in range(state.spin_dim):
-            out[row] = sp.mul_coeffs(coef, state.coeffs[row])
-        return JetVec(sp, out)
+        out = np.empty_like(coeffs)
+        for row in range(coeffs.shape[0]):
+            out[row] = ctx.space.mul_coeffs(coef, coeffs[row])
+        return out
 
 
 class OpMat(Operator):
@@ -197,10 +172,10 @@ class OpMat(Operator):
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.complex128)
 
-    def apply(self, state, ctx):
-        if state.spin_dim != self.matrix.shape[1]:
+    def apply(self, coeffs, ctx):
+        if coeffs.shape[0] != self.matrix.shape[1]:
             raise ValueError("spin dimension mismatch")
-        return JetVec(state.space, self.matrix @ state.coeffs)
+        return self.matrix @ coeffs
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -209,13 +184,6 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 def anticommutator(a: Operator, b: Operator) -> Operator:
     return a @ b + b @ a
-
-
-def apply_operator(op: Operator, f, ctx: PointContext) -> JetVec:
-    """Apply a tree to a Jet or a JetVec; returns the same shape as a JetVec."""
-    if isinstance(f, Jet):
-        f = JetVec(f.space, f.coeffs[None, :].copy())
-    return op.apply(f, ctx)
 
 
 # --------------------------------------------------------------------------
@@ -255,14 +223,36 @@ def osc8d_sampler() -> PointSampler:
     return PointSampler(n_vars=8, accept=accept)
 
 
-def random_state(rng: np.random.Generator, space: JetSpace, spin_dim: int) -> JetVec:
-    """A germ whose Taylor coefficients up to the space degree are uniform in [-1, 1]."""
-    return JetVec(space, rng.uniform(-1.0, 1.0, (spin_dim, space.n_terms)).astype(np.complex128))
+def random_state(rng: np.random.Generator, space: JetSpace, spin_dim: int) -> np.ndarray:
+    """A (spin_dim, n_terms) germ whose Taylor coefficients up to the space
+    degree are uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, (spin_dim, space.n_terms)).astype(np.complex128)
 
 
-def _order_space(n_vars: int, ops: Sequence[Operator]) -> JetSpace:
-    """Jets just deep enough for the highest-order tree of ops."""
-    return jet_space(n_vars, max([1] + [op.order for op in ops]))
+def _sample_values(trees: Sequence[Operator], n_samples: int, sampler: PointSampler,
+                   rng: Optional[np.random.Generator], spin_dim: int) -> np.ndarray:
+    """Constant terms of every tree at n_samples random (point, germ) pairs.
+
+    Each sample draws its point, then its germ, and applies each tree once on
+    jets of the highest tree order (at least 1). Returns an
+    (n_samples, len(trees), spin_dim) complex array.
+    """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    rng = rng or np.random.default_rng(0)
+    space = jet_space(sampler.n_vars, max([1] + [op.order for op in trees]))
+    values = np.empty((n_samples, len(trees), spin_dim), dtype=np.complex128)
+    for s in range(n_samples):
+        ctx = PointContext(space, sampler.draw(rng))
+        f = random_state(rng, space, spin_dim)
+        for k, op in enumerate(trees):
+            values[s, k] = op.apply(f, ctx)[:, 0]
+    return values
+
+
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """Per sample, the largest |value| over the trees and spin rows, at least 1."""
+    return np.maximum(np.abs(values).max(axis=(1, 2)), 1.0)
 
 
 def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operator],
@@ -270,41 +260,20 @@ def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operato
                         rng: Optional[np.random.Generator] = None,
                         spin_dim: int = 1) -> float:
     """Max over trials of |([op1, op2] - expected) f|(point), relative to the
-    largest intermediate magnitude of the trial."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = rng or np.random.default_rng(0)
-    expected = expected or OpZero()
-    space = jet_space(sampler.n_vars, max(1, op1.order + op2.order, expected.order))
-    worst = 0.0
-    for _ in range(trials):
-        point = sampler.draw(rng)
-        ctx = PointContext(space, point)
-        f = random_state(rng, space, spin_dim)
-        t12 = op1.apply(op2.apply(f, ctx), ctx)
-        t21 = op2.apply(op1.apply(f, ctx), ctx)
-        te = expected.apply(f, ctx)
-        defect = np.abs(t12.values() - t21.values() - te.values()).max()
-        norm = max(t12.magnitude(), t21.magnitude(), te.magnitude(), f.magnitude(), 1.0)
-        worst = max(worst, defect / norm)
-    return worst
+    largest magnitude of the trial: op1 op2 f, op2 op1 f, expected f and f."""
+    v = _sample_values([op1 @ op2, op2 @ op1, expected or OpZero(), OpIdentity()],
+                       trials, sampler, rng, spin_dim)
+    defect = np.abs(v[:, 0] - v[:, 1] - v[:, 2]).max(axis=1)
+    return float((defect / _magnitudes(v)).max())
 
 
-def operator_residual(defect: Operator, reference_ops: Sequence[Operator], trials: int,
-                      sampler: PointSampler, rng: Optional[np.random.Generator] = None,
-                      spin_dim: int = 1) -> float:
-    """Max relative magnitude of a defect operator over random germs."""
-    rng = rng or np.random.default_rng(0)
-    space = _order_space(sampler.n_vars, [defect, *reference_ops])
-    worst = 0.0
-    for _ in range(trials):
-        point = sampler.draw(rng)
-        ctx = PointContext(space, point)
-        f = random_state(rng, space, spin_dim)
-        dv = defect.apply(f, ctx).magnitude()
-        norm = max([op.apply(f, ctx).magnitude() for op in reference_ops] + [1.0])
-        worst = max(worst, dv / norm)
-    return worst
+def operator_residual(lhs: Operator, rhs: Operator, trials: int, sampler: PointSampler,
+                      rng: Optional[np.random.Generator] = None, spin_dim: int = 1) -> float:
+    """Max over trials of |(lhs - rhs) f|(point), relative to the largest of
+    |lhs f|, |rhs f| and 1."""
+    v = _sample_values([lhs, rhs], trials, sampler, rng, spin_dim)
+    defect = np.abs(v[:, 0] - v[:, 1]).max(axis=1)
+    return float((defect / _magnitudes(v)).max())
 
 
 def fit_operator_coefficients(lhs: Operator, basis: Sequence[Operator], n_samples: int,
@@ -315,21 +284,10 @@ def fit_operator_coefficients(lhs: Operator, basis: Sequence[Operator], n_sample
     Returns (coefficients, relative residual). Exact jet evaluation makes the
     fit sharp: residuals at rounding level certify the operator identity.
     """
-    rng = rng or np.random.default_rng(0)
-    space = _order_space(sampler.n_vars, [lhs, *basis])
-    rows = []
-    rhs = []
-    for _ in range(n_samples):
-        point = sampler.draw(rng)
-        ctx = PointContext(space, point)
-        f = random_state(rng, space, spin_dim)
-        basis_vals = [op.apply(f, ctx).values() for op in basis]
-        lhs_vals = lhs.apply(f, ctx).values()
-        for comp in range(spin_dim):
-            rows.append([v[comp] for v in basis_vals])
-            rhs.append(lhs_vals[comp])
-    M = np.array(rows)
-    y = np.array(rhs)
+    v = _sample_values([lhs, *basis], n_samples, sampler, rng, spin_dim)
+    # one row per (sample, spin component)
+    M = v[:, 1:].transpose(0, 2, 1).reshape(-1, len(basis))
+    y = v[:, 0].reshape(-1)
     M2 = np.vstack([M.real, M.imag])
     y2 = np.concatenate([y.real, y.imag])
     col_scale = np.abs(M2).max(axis=0)
@@ -706,7 +664,7 @@ def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
     The fit uses 2 * len(rows) + 4 samples drawn from rng after the residual's.
     """
     rhs = OpSum([OpScale(c, op) for _, op, c in spec.rows])
-    residual = operator_residual(spec.lhs - rhs, [spec.lhs, rhs], trials, sampler, rng)
+    residual = operator_residual(spec.lhs, rhs, trials, sampler, rng)
     fit, fit_residual = _fit_rows(spec, 2 * len(spec.rows) + 4, sampler, rng)
     return residual, fit, fit_residual
 

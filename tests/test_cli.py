@@ -137,6 +137,8 @@ def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     (["spectrum", "kepler5d", "--c0", "nan"], "c0"),
     (["verify", "kepler5d", "--hbar", "nan"], "hbar"),
     (["spectrum", "ycm", "--T", "nan"], "T"),
+    (["dualize", "--omega", "nan"], "omega"),
+    (["dualize", "--direction", "inverse", "--c0", "inf", "--eps", "-0.1"], "c0"),
 ])
 def test_non_finite_parameter_is_named(capsys, argv, name):
     # NaN and inf pass every sign check, so they are refused by name first
@@ -159,6 +161,18 @@ def test_crosscheck_ycm_triple(tmp_path):
     assert by_check["ode.ycm.halving-adjudication"]["values"]["resolved"] == "factor-2 form"
     assert set(by_check["ode.ycm.supported-forms"]["values"]["supported"]) == \
         {"parabolic", "duality"}
+
+
+def test_crosscheck_osc8d_block_sum_uses_the_solved_coupling(tmp_path):
+    # both blocks carry lambda = 0.5: 2 (1 + sqrt(2)) against the printed form
+    # at lambda1 = lambda2 = 0.5, 2 (1 + 1 + (1 + 1) / 2) = 6
+    code, rep = _run_json(tmp_path, "b.json",
+                          ["crosscheck", "osc8d", "--levels", "1", "--lambda1", "0.5"])
+    assert code == 0
+    by_check = {f["check"]: f for f in rep["findings"]}
+    block_sum = by_check["ode.osc8d.block-sum"]["values"]
+    assert block_sum["oracle"] == pytest.approx(2 * (1 + 2**0.5), abs=1e-6)
+    assert block_sum["formula"] == pytest.approx(6.0)
 
 
 def test_dualize_round_trip(tmp_path):
@@ -192,10 +206,19 @@ def test_table_format_prints(capsys):
     (["verify", "kepler5d", "--T", "inf"], "--T"),
     (["dualize", "--energy", "-1"], "--energy"),
     (["dualize", "--direction", "inverse", "--eps", "0.1"], "--eps"),
+    (["verify", "kepler5d", "--trials", "0"], "--trials"),
+    (["verify", "osc8d", "--trials", "-1"], "--trials"),
+    (["verify", "ycm", "--trials", "-3"], "--trials"),
+    (["verify", "kepler5d", "--p", "-1"], "--p"),
+    (["hurwitz-check", "--point", "nan,0,0,0,1,0,0,0"], "--point"),
+    (["hurwitz-check", "--point", "1,0,0,0,1,0,0"], "--point"),
+    (["hurwitz-check", "--point", "1,0,0,0,1,0,0,x"], "--point"),
 ])
 def test_flag_is_named_before_derived_values(capsys, argv, flag):
     # J defaults to |L - T| and the duality map refuses the wrong sign: the
-    # message names the flag the user set, not the derived field
+    # message names the flag the user set, not the derived field. Zero trials
+    # would pass the operator checks over nothing, and a non-finite point
+    # would fail the norm identity as a required check.
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -155,5 +155,8 @@ def test_crosscheck_ycm_and_duality_check_share_the_triple(tmp_path):
         cat.YCMParams(kepler=cat.Kepler5DParams(c0=1.3, hbar=0.7)), 1)
     assert (rep.eps_parabolic, rep.eps_duality, rep.eps_oracle) == (
         triple["parabolic"], triple["duality"], triple["oracle"])
-    # the CLI reports the beta error, the report the beta error times hbar^2
-    assert rep.oracle_error == triple["oracle_error"] * 0.7**2
+    # both report the error of the oracle energy eps = hbar^2 beta / 2
+    from quadalg.odecheck import solve_parabolic_pair
+
+    beta_error = solve_parabolic_pair(0.0, 0.0, 2 * 1.3 / 0.7**2, 1, 0)[3]
+    assert rep.oracle_error == triple["oracle_error"] == beta_error * 0.7**2 / 2

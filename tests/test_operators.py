@@ -34,8 +34,8 @@ def test_apply_operator_hand_value():
     op = (ops.OpMul("c0", lambda c: c.coord(0)) @ ops.OpPartial(1)
           - ops.OpMul("c1", lambda c: c.coord(1)) @ ops.OpPartial(0))
     f = jet_seed_polynomial({(1, 1, 0, 0, 0): 1.0}, ctx.point, sp)
-    out = ops.apply_operator(op, f, ctx)
-    assert out.values()[0] == pytest.approx(-3.0)
+    out = op.apply(f.coeffs[None, :], ctx)
+    assert out[0, 0] == pytest.approx(-3.0)
 
 
 def test_apply_operator_second_derivative():
@@ -43,8 +43,8 @@ def test_apply_operator_second_derivative():
     pt = np.array([0.7, -1.1, 0.2, 1.4, -0.3])
     ctx = ops.PointContext(sp, pt)
     f = jet_seed_polynomial({(3, 0, 0, 0, 0): 1.0}, pt, sp)
-    out = ops.apply_operator(ops.OpPartial(0) @ ops.OpPartial(0), f, ctx)
-    assert out.values()[0] == pytest.approx(6 * pt[0])
+    out = (ops.OpPartial(0) @ ops.OpPartial(0)).apply(f.coeffs[None, :], ctx)
+    assert out[0, 0] == pytest.approx(6 * pt[0])
 
 
 def test_sampler_margins(sampler5, sampler8):
@@ -128,10 +128,10 @@ def test_tree_order_is_the_differential_order(kepler_pure):
 def test_random_state_fills_every_taylor_coefficient():
     sp = jet_space(5, 4)
     f = ops.random_state(np.random.default_rng(0), sp, 2)
-    assert f.coeffs.shape == (2, sp.n_terms)
-    assert f.coeffs.dtype == np.complex128
-    top = f.coeffs[:, sp.term_degree == sp.degree]
-    assert np.all(top != 0) and np.abs(f.coeffs).max() <= 1.0
+    assert f.shape == (2, sp.n_terms)
+    assert f.dtype == np.complex128
+    top = f[:, sp.term_degree == sp.degree]
+    assert np.all(top != 0) and np.abs(f).max() <= 1.0
 
 
 def test_commutator_sees_terms_above_third_order(kepler_pure, sampler5):
@@ -179,15 +179,54 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
         pt = sampler5.draw(rng)
         ctx = ops.PointContext(sp, pt)
         f = ops.random_state(rng, sp, 1)
-        va = k.A.apply(f, ctx).values()
-        vl = k.L2_full.apply(f, ctx).values()
-        vb = k.B.apply(f, ctx).values()
-        vm = k.M[0].apply(f, ctx).values()
+        va = k.A.apply(f, ctx)[:, 0]
+        vl = k.L2_full.apply(f, ctx)[:, 0]
+        vb = k.B.apply(f, ctx)[:, 0]
+        vm = k.M[0].apply(f, ctx)[:, 0]
         assert np.abs(va - vl).max() < 1e-12 * max(1, np.abs(va).max())
         assert np.abs(vb - vm).max() < 1e-12 * max(1, np.abs(vb).max())
 
 
 # -- quadratic closure and constant fits ----------------------------------------
+
+class _Counting(ops.Operator):
+    """A tree that counts how often it is applied."""
+
+    def __init__(self, child):
+        self.child = child
+        self.order = child.order
+        self.calls = 0
+
+    def apply(self, coeffs, ctx):
+        self.calls += 1
+        return self.child.apply(coeffs, ctx)
+
+
+def _rotation_relation(kepler_pure):
+    lhs = _Counting(kepler_pure.L[(0, 1)])
+    return ops.RelationSpec("L01", lhs, (("L01", kepler_pure.L[(0, 1)], 1.0),))
+
+
+def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5):
+    # the residual's trials, then the fit's 2 * len(rows) + 4 samples
+    spec = _rotation_relation(kepler_pure)
+    residual, fit, fit_residual = ops.check_relation(spec, 3, sampler5,
+                                                     np.random.default_rng(0))
+    assert spec.lhs.calls == 3 + 2 * len(spec.rows) + 4
+    assert residual < 1e-14 and fit_residual < 1e-14
+    assert fit["L01"][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_checks_refuse_zero_samples(kepler_pure, sampler5):
+    # a required check must not pass over nothing
+    spec = _rotation_relation(kepler_pure)
+    with pytest.raises(ValueError):
+        ops.check_relation(spec, 0, sampler5, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        ops.fit_operator_coefficients(spec.lhs, [kepler_pure.H], 0, sampler5,
+                                      np.random.default_rng(0))
+    assert spec.lhs.calls == 0
+
 
 def test_kepler_quadratic_closure_printed_relations():
     rep = ops.kepler_quadratic_closure(c0=1.0, c1=0.25, c2=0.1, trials=3, seed=0)
@@ -272,8 +311,8 @@ def test_osc8d_A_reduces_when_couplings_vanish(sampler8):
                      [ops.OpMul(f"ci{i}", lambda c, i=i: c.coord(i)) @ ops.OpPartial(j)
                       - ops.OpMul(f"cj{j}", lambda c, j=j: c.coord(j)) @ ops.OpPartial(i)
                       for i in range(8) for j in range(i + 1, 8)]])
-    va = o.A.apply(f, ctx).values()
-    vr = ops.OpScale(-0.25, rot).apply(f, ctx).values()
+    va = o.A.apply(f, ctx)[:, 0]
+    vr = ops.OpScale(-0.25, rot).apply(f, ctx)[:, 0]
     assert np.abs(va - vr).max() < 1e-11 * max(1, np.abs(va).max())
 
 
