@@ -36,7 +36,6 @@ class QuadraticAlgebraConstants:
     d_c: float
     z_c: float
     casimir_value: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.gamma == 0:
@@ -595,27 +594,30 @@ def verify_casimir(f: FockRealization, c: QuadraticAlgebraConstants) -> CasimirR
     )
 
 
+def _bc_diagonal_recurrence(rhs, g: float, u: float) -> np.ndarray:
+    """G(n) = rho(n)^2 Phi(n+1) from the diagonal of the [B,C] relation, a
+    first-order recurrence seeded by Phi(0) = 0, for the right side rhs(n)."""
+    G = np.zeros(len(rhs))
+    for n in range(len(rhs)):
+        y = n + u
+        prev = G[n - 1] if n > 0 else 0.0
+        G[n] = (rhs[n] + 2 * g * (y - 1) * prev) / (2 * g * (y + 1))
+    return G
+
+
 def relation_phi_recurrence(c: QuadraticAlgebraConstants, u: float, p: int,
                             rho_convention: str = "sqrt") -> np.ndarray:
     """Structure-function values Phi(0..p+1) forced by the [B,C] relation.
 
     Independent of any printed Phi formula: the diagonal part of the [B,C]
-    relation is a first-order recurrence in G(n) = rho(n)^2 Phi(n+1), seeded by
-    Phi(0) = 0. Dividing out rho^2 recovers Phi. Used as an oracle against the
-    factored and general printed forms.
+    relation fixes G(n) = rho(n)^2 Phi(n+1), and dividing out rho^2 recovers
+    Phi. Used as an oracle against the factored and general printed forms.
     """
     real = oscillator_realization(c, u, p=p, rho_convention=rho_convention)
-    g = c.gamma
-    G = np.zeros(p + 1)
-    for n in range(p + 1):
-        y = n + u
-        rhs = -g * real.b(n) ** 2 + c.d_c * real.A(n) + c.z_c
-        prev = G[n - 1] if n > 0 else 0.0
-        G[n] = (rhs + 2 * g * (y - 1) * prev) / (2 * g * (y + 1))
-    rho2 = real.rho(np.arange(p + 1)) ** 2
-    phi = np.zeros(p + 2)
-    phi[1:] = G / rho2
-    return phi
+    n = np.arange(p + 1)
+    G = _bc_diagonal_recurrence(-c.gamma * real.b(n) ** 2 + c.d_c * real.A(n) + c.z_c,
+                                c.gamma, u)
+    return np.concatenate([[0.0], G / real.rho(n) ** 2])
 
 
 @dataclass(frozen=True)
@@ -644,17 +646,9 @@ def fit_relation_constants(c: QuadraticAlgebraConstants, u: float,
     window_sign = np.sign(phihat[1]) if p >= 1 else -1.0
     phihat = phihat * window_sign  # window-positive, unit |leading|
 
-    def recurrence(rhs):
-        G = np.zeros(p + 1)
-        for k in range(p + 1):
-            yy = k + u
-            prev = G[k - 1] if k > 0 else 0.0
-            G[k] = (rhs[k] + 2 * g * (yy - 1) * prev) / (2 * g * (yy + 1))
-        return G
-
-    Gd = recurrence(real.A(n))
-    Gz = recurrence(np.ones(p + 1))
-    G0 = recurrence(-g * real.b(n) ** 2)
+    Gd = _bc_diagonal_recurrence(real.A(n), g, u)
+    Gz = _bc_diagonal_recurrence(np.ones(p + 1), g, u)
+    G0 = _bc_diagonal_recurrence(-g * real.b(n) ** 2, g, u)
     rho2 = real.rho(n) ** 2
     target = rho2 * phihat[1:]
     if abs(c.zeta_c) > 0 and p >= 2:

@@ -2,14 +2,18 @@
 functions, m-parameters and closed-form spectra, transcribed as printed.
 
 Every closed-form operation here is a pure evaluation of a printed formula.
-Internal inconsistencies among those formulas (they exist; several are
-adjudicated elsewhere in this package) are deliberately NOT corrected here:
-the catalog is the transcription layer, the oracles decide.
+Each quadratic algebra is written once, as PrintedAlgebra rows that the
+operator closures check and the Fock side reads at an energy. Internal
+inconsistencies among those formulas (they exist; several are adjudicated
+elsewhere in this package) are deliberately NOT corrected here: the catalog
+is the transcription layer, the oracles decide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +30,7 @@ from .algebra import (
     verify_casimir,
     verify_commutation,
 )
-from .errors import ImaginaryM
+from .errors import DegenerateDenominator, ImaginaryM, NegativePhi
 
 KEPLER_PHI_PREFACTOR = 6191456          # as printed in the pre-substitution factored form
 KEPLER_PHI_PREFACTOR_SUBST = 6291456    # as printed in the post-substitution form (= 3 * 2**21)
@@ -124,55 +128,68 @@ class SpectrumRecord:
             raise ValueError("oscillator spectra need energy > 0")
 
 
-class EnergyDependentConstants:
-    """Quadratic-algebra constants with the Hamiltonian eigenvalue left open."""
+@dataclass(frozen=True)
+class PrintedAlgebra:
+    """A quadratic algebra as printed: (name, word, printed coefficient) rows of
+    [A,C], [B,C] and the Casimir value, in printed order. A word is a tuple of
+    letters multiplied left to right, "A", "B", "{A,B}", "H" and the Casimirs
+    that labels maps to their eigenvalues; () stands for 1. The operator
+    closures check these rows, and at_energy reads them with H = E."""
 
-    def __init__(self, gamma: float, epsilon_c: float,
-                 zeta: Callable[[float], float], d: Callable[[float], float],
-                 z: Callable[[float], float], casimir: Callable[[float], float],
-                 hbar: float):
-        self.gamma = gamma
-        self.epsilon_c = epsilon_c
-        self._zeta = zeta
-        self._d = d
-        self._z = z
-        self._casimir = casimir
-        self.hbar = hbar
+    ac: tuple
+    bc: tuple
+    casimir: tuple
+    labels: dict
+
+    def split(self) -> tuple:
+        """(gamma, epsilon, zeta rows, d rows, z rows) of the deformed-oscillator
+        form: gamma is the {A,B} row and epsilon the B row of [A,C], zeta its
+        other rows; d holds the [B,C] rows ending in A, that A dropped, and z
+        the rest but B^2, whose coefficient the form fixes to -gamma."""
+        coef = {word: c for _, word, c in self.ac}
+        zeta = tuple(r for r in self.ac if r[1] not in (("{A,B}",), ("B",)))
+        d = tuple((n, w[:-1], c) for n, w, c in self.bc if w[-1:] == ("A",))
+        z = tuple(r for r in self.bc if r[1][-1:] != ("A",) and r[1] != ("B", "B"))
+        return coef[("{A,B}",)], coef[("B",)], zeta, d, z
+
+    @property
+    def gamma(self) -> float:
+        return self.split()[0]
 
     def at_energy(self, energy: float) -> QuadraticAlgebraConstants:
-        return QuadraticAlgebraConstants(
-            gamma=self.gamma, epsilon_c=self.epsilon_c,
-            zeta_c=self._zeta(energy), d_c=self._d(energy), z_c=self._z(energy),
-            casimir_value=self._casimir(energy), hbar=self.hbar)
+        values = {"H": energy, **self.labels}
 
-    __call__ = at_energy
+        def total(rows):
+            return reduce(add, (reduce(mul, (values[w] for w in word), c) for _, word, c in rows))
+
+        gamma, epsilon, zeta, d, z = self.split()
+        return QuadraticAlgebraConstants(gamma, epsilon, total(zeta), total(d), total(z),
+                                         total(self.casimir))
 
 
 # --------------------------------------------------------------------------
 # generalized 5D Kepler
 # --------------------------------------------------------------------------
 
-def kepler5d_constants(p: Kepler5DParams) -> EnergyDependentConstants:
-    """Structure constants of the generalized 5D Kepler quadratic algebra."""
+def kepler5d_constants(p: Kepler5DParams) -> PrintedAlgebra:
+    """The printed generalized 5D Kepler quadratic algebra; L2 is the so(4) Casimir."""
     h2 = p.hbar**2
     h4 = h2 * h2
-
-    def zeta(E):
-        return -4 * (p.c1 - p.c2) * h2 * p.c0
-
-    def d(E):
-        return 8 * h2 * E
-
-    def z(E):
-        return -4 * h2 * p.l * E + 16 * h4 * E - 8 * h2 * (p.c1 + p.c2) * E + 2 * h2 * p.c0**2
-
-    def casimir(E):
-        return (16 * h4 * E * p.l - 8 * h2 * (p.c1 - p.c2) ** 2 * E
-                + 32 * (p.c1 + p.c2) * h4 * E - 32 * h4 * h2 * E
-                + 4 * h2 * p.c0**2 * p.l + 8 * h2 * (p.c1 + p.c2) * p.c0**2 - 4 * h4 * p.c0**2)
-
-    return EnergyDependentConstants(gamma=2 * h2, epsilon_c=8 * h4,
-                                    zeta=zeta, d=d, z=z, casimir=casimir, hbar=p.hbar)
+    c0, c1, c2 = p.c0, p.c1, p.c2
+    return PrintedAlgebra(
+        ac=(("anti{A,B}", ("{A,B}",), 2 * h2),
+            ("B", ("B",), 8 * h4),
+            ("1", (), -4 * (c1 - c2) * h2 * c0)),
+        bc=(("B^2", ("B", "B"), -2 * h2),
+            ("HA", ("H", "A"), 8 * h2),
+            ("L2H", ("L2", "H"), -4 * h2),
+            ("H", ("H",), 16 * h4 - 8 * h2 * (c1 + c2)),
+            ("1", (), 2 * h2 * c0**2)),
+        casimir=(("HL2", ("H", "L2"), 16 * h4),
+                 ("H", ("H",), -8 * h2 * (c1 - c2) ** 2 + 32 * (c1 + c2) * h4 - 32 * h4 * h2),
+                 ("L2", ("L2",), 4 * h2 * c0**2),
+                 ("1", (), 8 * h2 * (c1 + c2) * c0**2 - 4 * h4 * c0**2)),
+        labels={"L2": p.l})
 
 
 def kepler5d_m_parameters(p: Kepler5DParams) -> tuple[float, float]:
@@ -267,29 +284,35 @@ def kepler5d_energy_window(p: Kepler5DParams, p_max: int) -> tuple[float, float]
 # 8D singular oscillator
 # --------------------------------------------------------------------------
 
-def osc8d_constants(p: Oscillator8DParams) -> EnergyDependentConstants:
-    """Structure constants of the 8D singular-oscillator quadratic algebra."""
+def osc8d_constants(p: Oscillator8DParams) -> PrintedAlgebra:
+    """The printed 8D singular-oscillator quadratic algebra; J2 and K2 are the
+    two so(4) Casimirs."""
     h2 = p.hbar**2
     om2 = p.omega**2
-    l1, l2, j, k = p.lambda1, p.lambda2, p.j, p.k
-
-    def zeta(E):
-        return (j - k) * E - 2 * (l1 - l2) * E / h2
-
-    def d(E):
-        return -16 * h2 * om2
-
-    def z(E):
-        return 2 * E * E - 4 * h2 * om2 * j - 4 * h2 * om2 * k + 8 * (l1 + l2 - 4 * h2) * om2
-
-    def casimir(E):
-        return (-2 * j * E * E - 2 * k * E * E + 4 * (l1 + l2 - h2) * om2 * E * E / h2
-                + h2 * om2 * j * j - h2 * om2 * k * k - 2 * h2 * om2 * j * k
-                - 4 * (l1 - l2 - 4 * h2) * om2 * j + 4 * (l1 - l2 + 4 * h2) * om2 * k
-                + 4 * ((l1 - l2) ** 2 - 8 * (l1 + l2) * h2 + 16 * h2 * h2) * om2 / h2)
-
-    return EnergyDependentConstants(gamma=2.0, epsilon_c=8.0,
-                                    zeta=zeta, d=d, z=z, casimir=casimir, hbar=p.hbar)
+    l1, l2 = p.lambda1, p.lambda2
+    return PrintedAlgebra(
+        ac=(("anti{A,B}", ("{A,B}",), 2.0),
+            ("B", ("B",), 8.0),
+            ("J2H", ("J2", "H"), 1.0),
+            ("K2H", ("K2", "H"), -1.0),
+            ("H", ("H",), -2 * (l1 - l2) / h2),
+            ("1", (), 0.0)),
+        bc=(("B^2", ("B", "B"), 4 * h2),
+            ("H^2", ("H", "H"), 2.0),
+            ("A", ("A",), -16 * h2 * om2),
+            ("J2", ("J2",), -4 * h2 * om2),
+            ("K2", ("K2",), -4 * h2 * om2),
+            ("1", (), 8 * (l1 + l2 - 4 * h2) * om2)),
+        casimir=(("J2H^2", ("J2", "H", "H"), -2),
+                 ("K2H^2", ("K2", "H", "H"), -2),
+                 ("H^2", ("H", "H"), 4 * (l1 + l2 - h2) * om2 / h2),
+                 ("J2^2", ("J2", "J2"), h2 * om2),
+                 ("K2^2", ("K2", "K2"), -h2 * om2),
+                 ("J2K2", ("J2", "K2"), -2 * h2 * om2),
+                 ("J2", ("J2",), -4 * (l1 - l2 - 4 * h2) * om2),
+                 ("K2", ("K2",), 4 * (l1 - l2 + 4 * h2) * om2),
+                 ("1", (), 4 * ((l1 - l2) ** 2 - 8 * (l1 + l2) * h2 + 16 * h2 * h2) * om2 / h2)),
+        labels={"J2": p.j, "K2": p.k})
 
 
 def osc8d_m_parameters(p: Oscillator8DParams) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -496,7 +519,7 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
             real = oscillator_realization(constants_at_e, u, p=rep_p,
                                           rho_convention=rho_convention)
             fock = build_fock_realization(sf, real, rep_p)
-        except Exception as exc:  # degenerate u or negative window: record as inf
+        except (DegenerateDenominator, NegativePhi):  # record as inf
             results.append(ConventionResult(name, rho_convention, u, energy,
                                             np.inf, np.inf, np.inf, np.inf, np.inf,
                                             np.nan, constants_at_e.casimir_value))
@@ -524,9 +547,7 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
     # 4: consistent (u, E), relation-fitted (d, z, scale)
     fit = fit_relation_constants(c_cons, u_cons, sf_window, rep_p, rho_convention="sqrt")
     if fit.scale > 0:
-        fitted = QuadraticAlgebraConstants(
-            gamma=c_cons.gamma, epsilon_c=c_cons.epsilon_c, zeta_c=c_cons.zeta_c,
-            d_c=fit.d, z_c=fit.z, casimir_value=c_cons.casimir_value, hbar=c_cons.hbar)
+        fitted = replace(c_cons, d_c=fit.d, z_c=fit.z)
         sf_fit = _rep_window_structure_function(rep_p, m1, m2, fit.scale)
         run("consistent-uE/relation-fitted-dz/rho-sqrt", "sqrt", u_cons, e_cons, sf_fit, fitted)
     return results

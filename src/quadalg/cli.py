@@ -524,6 +524,12 @@ def _check_config(args) -> None:
         raise ConfigError("grid", f"--grid must be at most 1024 for crosscheck osc8d, "
                           f"got {args.grid}")
     _require_finite(args, ("c0", "hbar", "omega", "lambda1"))
+    for flag in ("c0", "hbar", "omega"):
+        if not getattr(args, flag) > 0:
+            raise ConfigError(flag, f"--{flag} must be positive, got {getattr(args, flag)}")
+    for flag in ("n1", "n2"):
+        if getattr(args, flag) < 0:
+            raise ConfigError(flag, f"--{flag} must be non-negative, got {getattr(args, flag)}")
     if args.lambda1 < 0:
         # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
         raise ConfigError("lambda1", f"--lambda1 must be non-negative, got {args.lambda1}")

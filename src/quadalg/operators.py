@@ -14,16 +14,20 @@ Every check samples through one path, `_sample_values`: it draws a (point,
 germ) pair per sample, applies each tree once and keeps the constant terms.
 Commutator identities, printed relations and least-squares fits of unknown
 structure constants are reductions over those values, so they are checked at
-every derivative order they contain.
+every derivative order they contain. The printed relations are the catalog's
+rows, each word of a row composed from the system's trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from operator import matmul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import catalog as cat
 from .errors import SingularPoint
 from .jets import Jet, JetSpace, jet_space
 
@@ -687,11 +691,25 @@ class ClosureReport:
     fit_bc_residual: float
 
 
-def _closure_report(ac: RelationSpec, bc: RelationSpec, trials: int,
-                    sampler: PointSampler, seed: int) -> ClosureReport:
+def _word(o, word: tuple) -> Operator:
+    """The tree of a printed word: its letters, fields of the operators o or
+    their anticommutator {A,B}, composed left to right; () is the identity."""
+    trees = [anticommutator(o.A, o.B) if w == "{A,B}" else getattr(o, w) for w in word]
+    return reduce(matmul, trees) if trees else OpIdentity()
+
+
+def _closure_report(o, algebra: cat.PrintedAlgebra, trials: int, sampler: PointSampler,
+                    seed: int) -> ClosureReport:
+    """Check the declared [A,C] and [B,C] rows on the operators o."""
+    def spec(name, lhs, rows):
+        return RelationSpec(name, lhs, tuple((n, _word(o, w), c) for n, w, c in rows))
+
+    C = commutator(o.A, o.B)
     rng = np.random.default_rng(seed)
-    r_ac, fit_ac, res_ac = check_relation(ac, trials, sampler, rng)
-    r_bc, fit_bc, res_bc = check_relation(bc, trials, sampler, rng)
+    r_ac, fit_ac, res_ac = check_relation(spec("AC", commutator(o.A, C), algebra.ac),
+                                          trials, sampler, rng)
+    r_bc, fit_bc, res_bc = check_relation(spec("BC", commutator(o.B, C), algebra.bc),
+                                          trials, sampler, rng)
     return ClosureReport(residual_ac_printed=r_ac, residual_bc_printed=r_bc,
                          fit_ac=fit_ac, fit_bc=fit_bc,
                          fit_ac_residual=res_ac, fit_bc_residual=res_bc)
@@ -700,53 +718,35 @@ def _closure_report(ac: RelationSpec, bc: RelationSpec, trials: int,
 def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                              hbar: float = 1.0, trials: int = 6, seed: int = 0) -> ClosureReport:
     """Closure residuals and constant fits for the generalized 5D Kepler algebra."""
-    k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
-    C = commutator(k.A, k.B)
-    h2, h4 = hbar**2, hbar**4
-    ac = RelationSpec("AC", commutator(k.A, C), (
-        ("anti{A,B}", anticommutator(k.A, k.B), 2 * h2),
-        ("B", k.B, 8 * h4),
-        ("1", OpIdentity(), -4 * (c1 - c2) * h2 * c0)))
-    bc = RelationSpec("BC", commutator(k.B, C), (
-        ("B^2", k.B @ k.B, -2 * h2),
-        ("HA", k.H @ k.A, 8 * h2),
-        ("L2H", k.L2 @ k.H, -4 * h2),
-        ("H", k.H, 16 * h4 - 8 * h2 * (c1 + c2)),
-        ("1", OpIdentity(), 2 * h2 * c0**2)))
-    return _closure_report(ac, bc, trials, kepler_sampler(), seed)
+    algebra = cat.kepler5d_constants(cat.Kepler5DParams(c0=c0, c1=c1, c2=c2, hbar=hbar))
+    return _closure_report(build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar), algebra,
+                           trials, kepler_sampler(), seed)
 
 
 def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                        hbar: float = 1.0, seed: int = 0, n_samples: int = 10) -> dict:
-    """Fit the Casimir combination onto span{H L2, H, L2, 1}.
+    """Fit the Casimir combination onto the declared Casimir rows.
 
-    The Casimir is built from the operator-level fitted relation constants, so
+    The combination C^2 - gamma {A, B^2} + (gamma^2 - epsilon) B^2 - 2 zeta B
+    + d A^2 + 2 z A is built from the operator-level fitted relation rows, so
     the outcome adjudicates the printed Casimir polynomial.
     """
     rng = np.random.default_rng(seed)
     k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
     closure = kepler_quadratic_closure(c0=c0, c1=c1, c2=c2, hbar=hbar, seed=seed)
-    ac = {name: fitted for name, (_, fitted) in closure.fit_ac.items()}
-    bc = {name: fitted for name, (_, fitted) in closure.fit_bc.items()}
-    gamma = ac["anti{A,B}"]
+    printed = cat.kepler5d_constants(cat.Kepler5DParams(c0=c0, c1=c1, c2=c2, hbar=hbar))
+    fitted = replace(printed,
+                     ac=tuple((n, w, closure.fit_ac[n][1]) for n, w, _ in printed.ac),
+                     bc=tuple((n, w, closure.fit_bc[n][1]) for n, w, _ in printed.bc))
+    gamma, epsilon, zeta, d, z = fitted.split()
     C = commutator(k.A, k.B)
     B2 = k.B @ k.B
-    K_op = OpSum([
-        C @ C,
-        OpScale(-gamma, k.A @ B2 + B2 @ k.A),
-        OpScale(gamma**2 - ac["B"], B2),
-        OpScale(-2 * ac["1"], k.B),
-        OpScale(bc["HA"], k.H @ k.A @ k.A),
-        OpScale(2 * bc["L2H"], k.L2 @ k.H @ k.A),
-        OpScale(2 * bc["H"], k.H @ k.A),
-        OpScale(2 * bc["1"], k.A),
-    ])
-    h2, h4 = hbar**2, hbar**4
-    casimir = RelationSpec("casimir", K_op, (
-        ("HL2", k.H @ k.L2, 16 * h4),
-        ("H", k.H, -8 * h2 * (c1 - c2) ** 2 + 32 * (c1 + c2) * h4 - 32 * h4 * h2),
-        ("L2", k.L2, 4 * h2 * c0**2),
-        ("1", OpIdentity(), 8 * h2 * (c1 + c2) * c0**2 - 4 * h4 * c0**2)))
+    K_op = OpSum([C @ C, OpScale(-gamma, k.A @ B2 + B2 @ k.A), OpScale(gamma**2 - epsilon, B2)]
+                 + [OpScale(-2 * c, _word(k, w + ("B",))) for _, w, c in zeta]
+                 + [OpScale(c, _word(k, w + ("A", "A"))) for _, w, c in d]
+                 + [OpScale(2 * c, _word(k, w + ("A",))) for _, w, c in z])
+    casimir = RelationSpec("casimir", K_op,
+                           tuple((n, _word(k, w), c) for n, w, c in printed.casimir))
     coefficients, resid = _fit_rows(casimir, n_samples, kepler_sampler(), rng)
     return {"fit_residual": resid, "coefficients": coefficients}
 
@@ -754,22 +754,7 @@ def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
 def osc8d_quadratic_closure(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,
                             hbar: float = 1.0, trials: int = 4, seed: int = 0) -> ClosureReport:
     """Closure residuals and constant fits for the 8D singular-oscillator algebra."""
+    algebra = cat.osc8d_constants(cat.Oscillator8DParams(omega=omega, lambda1=lambda1,
+                                                         lambda2=lambda2, hbar=hbar))
     o = build_osc8d_operators(omega=omega, lambda1=lambda1, lambda2=lambda2, hbar=hbar)
-    C = commutator(o.A, o.B)
-    h2 = hbar**2
-    om2 = omega**2
-    ac = RelationSpec("AC", commutator(o.A, C), (
-        ("anti{A,B}", anticommutator(o.A, o.B), 2.0),
-        ("B", o.B, 8.0),
-        ("J2H", o.J2 @ o.H, 1.0),
-        ("K2H", o.K2 @ o.H, -1.0),
-        ("H", o.H, -2 * (lambda1 - lambda2) / h2),
-        ("1", OpIdentity(), 0.0)))
-    bc = RelationSpec("BC", commutator(o.B, C), (
-        ("B^2", o.B @ o.B, 4 * h2),
-        ("H^2", o.H @ o.H, 2.0),
-        ("A", o.A, -16 * h2 * om2),
-        ("J2", o.J2, -4 * h2 * om2),
-        ("K2", o.K2, -4 * h2 * om2),
-        ("1", OpIdentity(), 8 * (lambda1 + lambda2 - 4 * h2) * om2)))
-    return _closure_report(ac, bc, trials, osc8d_sampler(), seed)
+    return _closure_report(o, algebra, trials, osc8d_sampler(), seed)

@@ -219,3 +219,13 @@ def test_convention_scan_contains_closing_assignment(system, params):
     for r in results:
         if np.isfinite(r.jacobi):
             assert r.jacobi < 1e-10
+
+
+def test_convention_scan_lets_programming_errors_through(monkeypatch):
+    # only a degenerate u or a negative window is recorded as an inf finding
+    def broken(*args, **kwargs):
+        raise TypeError("not a convention failure")
+
+    monkeypatch.setattr(cat, "build_fock_realization", broken)
+    with pytest.raises(TypeError):
+        cat.fock_convention_scan("kepler5d", cat.Kepler5DParams(), 1)

@@ -123,6 +123,13 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "osc8d", "--omega", "inf"], "--omega"),
     (["crosscheck", "osc8d", "--lambda1", "nan"], "--lambda1"),
     (["crosscheck", "osc8d", "--lambda1", "-5"], "--lambda1"),
+    (["crosscheck", "ycm", "--hbar", "-1"], "--hbar"),
+    (["crosscheck", "ycm", "--hbar", "0"], "--hbar"),
+    (["crosscheck", "ycm", "--c0", "-1"], "--c0"),
+    (["crosscheck", "ycm", "--n1", "-1"], "--n1"),
+    (["crosscheck", "ycm", "--n2", "-1"], "--n2"),
+    (["crosscheck", "osc8d", "--omega", "-1"], "--omega"),
+    (["crosscheck", "euler", "--hbar", "0"], "--hbar"),
 ])
 def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     # a configuration error exits 2 and names the flag; 1 means a failed check

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from quadalg import catalog as cat
 from quadalg import operators as ops
 from quadalg.errors import SingularPoint
 from quadalg.jets import jet_seed_polynomial, jet_space
@@ -267,8 +270,40 @@ def test_kepler_casimir_fit_matches_printed():
         assert fitted == pytest.approx(printed, rel=1e-7, abs=1e-7), name
 
 
+def test_closure_checks_the_catalog_declaration(monkeypatch):
+    # the closure reads its rows from the catalog: one coefficient off by 1e-3
+    # fails the printed-residual gate
+    declared = cat.kepler5d_constants
+
+    def off(p):
+        algebra = declared(p)
+        ac = tuple((n, w, c + 1e-3 if n == "B" else c) for n, w, c in algebra.ac)
+        return dataclasses.replace(algebra, ac=ac)
+
+    monkeypatch.setattr(cat, "kepler5d_constants", off)
+    rep = ops.kepler_quadratic_closure(c0=1.0, c1=0.25, c2=0.1, trials=2, seed=0)
+    assert rep.residual_ac_printed > 1e-6
+    assert rep.residual_bc_printed < 1e-9
+
+
+def test_fitted_declaration_gives_the_printed_constants():
+    # the operator-fitted rows, read as the Fock side reads the printed ones
+    p = cat.Kepler5DParams(c0=1.0, c1=0.25, c2=0.1, hbar=0.7, l=2.0)
+    rep = ops.kepler_quadratic_closure(c0=p.c0, c1=p.c1, c2=p.c2, hbar=p.hbar,
+                                       trials=2, seed=1)
+    printed = cat.kepler5d_constants(p)
+    fitted = dataclasses.replace(
+        printed, ac=tuple((n, w, rep.fit_ac[n][1]) for n, w, _ in printed.ac),
+        bc=tuple((n, w, rep.fit_bc[n][1]) for n, w, _ in printed.bc))
+    for energy in (-0.05, -0.3):
+        np.testing.assert_allclose(dataclasses.astuple(fitted.at_energy(energy)),
+                                   dataclasses.astuple(printed.at_energy(energy)),
+                                   rtol=0, atol=1e-7)
+
+
 def test_osc_quadratic_closure_b2_adjudication():
-    rep = ops.osc8d_quadratic_closure(omega=1.0, lambda1=0.3, lambda2=0.1,
+    p = cat.Oscillator8DParams(omega=1.0, lambda1=0.3, lambda2=0.1)
+    rep = ops.osc8d_quadratic_closure(omega=p.omega, lambda1=p.lambda1, lambda2=p.lambda2,
                                       trials=2, seed=0)
     assert rep.residual_ac_printed < 1e-9          # printed [A,C] is exact
     assert rep.residual_bc_printed > 1e-2          # printed B^2 coefficient is not
@@ -276,6 +311,7 @@ def test_osc_quadratic_closure_b2_adjudication():
     b2_printed, b2_fitted = rep.fit_bc["B^2"]
     assert b2_printed == pytest.approx(4.0)
     assert b2_fitted == pytest.approx(-2.0, abs=1e-8)   # the -gamma the bracket demands
+    assert b2_fitted == pytest.approx(-cat.osc8d_constants(p).gamma, abs=1e-8)
     for name in ("H^2", "A", "J2", "K2", "1"):
         printed, fitted = rep.fit_bc[name]
         assert fitted == pytest.approx(printed, rel=1e-8, abs=1e-8), name
