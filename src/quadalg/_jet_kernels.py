@@ -1,8 +1,9 @@
 """Hot kernels for jet (truncated multivariate Taylor) arithmetic.
 
-The product and division kernels dominate the operator-verifier runtime. Both
-gather operand pairs through the precomputed index tables of a JetSpace and
-scatter-add them with bincount.
+The product kernel serves the coefficient functions of the operator trees
+(multiplying by a coordinate needs no product), the division kernel their
+quotients. Both gather operand pairs through the precomputed index tables of a
+JetSpace and scatter-add them with bincount.
 """
 
 from __future__ import annotations

@@ -47,31 +47,36 @@ class JetSpace:
         self.n_terms = self.exps.shape[0]
         assert self.n_terms == comb(n_vars + degree, degree)
         self.term_degree = self.exps.sum(axis=1).astype(np.int64)
-        self._pos = {tuple(int(x) for x in row): i for i, row in enumerate(self.exps)}
+        self.term_level_starts = np.searchsorted(self.term_degree, np.arange(degree + 2))
+        # exponent tuples as base-(degree + 1) integers: a key is linear in the
+        # exponents, so the key of a product term is the sum of the keys
+        self._radix = (degree + 1) ** np.arange(n_vars, dtype=np.int64)
+        self._keys = self.exps.astype(np.int64) @ self._radix
+        self._key_order = np.argsort(self._keys)
         self._build_mul_table()
         self._build_div_table()
         self._build_deriv_tables()
 
+    def _index_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Term indices of exponent keys, all of which must be terms."""
+        at = np.searchsorted(self._keys, keys, sorter=self._key_order)
+        return self._key_order[at]
+
     def index_of(self, exponents) -> int:
-        return self._pos[tuple(int(x) for x in exponents)]
+        e = np.asarray(exponents, dtype=np.int64)
+        if e.shape != (self.n_vars,) or e.min() < 0 or e.sum() > self.degree:
+            raise KeyError(tuple(exponents))
+        return int(self._index_of_keys(e @ self._radix))
 
     def _build_mul_table(self):
-        i_all, j_all, k_all = [], [], []
-        by_degree = {}
-        for idx in range(self.n_terms):
-            by_degree.setdefault(int(self.term_degree[idx]), []).append(idx)
-        for i in range(self.n_terms):
-            di = int(self.term_degree[i])
-            ei = self.exps[i]
-            for dj in range(self.degree - di + 1):
-                for j in by_degree[dj]:
-                    k = self._pos[tuple(int(x) for x in (ei + self.exps[j]))]
-                    i_all.append(i)
-                    j_all.append(j)
-                    k_all.append(k)
-        self.mul_i = np.array(i_all, dtype=np.int64)
-        self.mul_j = np.array(j_all, dtype=np.int64)
-        self.mul_k = np.array(k_all, dtype=np.int64)
+        """Every (i, j, k) with exps[i] + exps[j] = exps[k], i-major, then j
+        ascending. The order fixes the summation order of jet_mul's bincount."""
+        # terms sorted by degree: the partners j of term i are a prefix
+        n_pairs = self.term_level_starts[self.degree - self.term_degree + 1]
+        self.mul_i = np.repeat(np.arange(self.n_terms), n_pairs)
+        first = np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+        self.mul_j = np.arange(len(self.mul_i)) - first
+        self.mul_k = self._index_of_keys(self._keys[self.mul_i] + self._keys[self.mul_j])
 
     def _build_div_table(self):
         keep = self.mul_i > 0
@@ -80,25 +85,15 @@ class JetSpace:
         self.div_i, self.div_j, self.div_k = i[order], j[order], k[order]
         kd = self.term_degree[self.div_k]
         self.div_level_starts = np.searchsorted(kd, np.arange(self.degree + 2))
-        self.term_level_starts = np.searchsorted(self.term_degree, np.arange(self.degree + 2))
 
     def _build_deriv_tables(self):
-        self.deriv_dst = []
-        self.deriv_src = []
-        self.deriv_coef = []
-        for v in range(self.n_vars):
-            dst, src, coef = [], [], []
-            for idx in range(self.n_terms):
-                if int(self.term_degree[idx]) >= self.degree:
-                    continue
-                e = self.exps[idx].copy()
-                e[v] += 1
-                dst.append(idx)
-                src.append(self._pos[tuple(int(x) for x in e)])
-                coef.append(float(e[v]))
-            self.deriv_dst.append(np.array(dst, dtype=np.int64))
-            self.deriv_src.append(np.array(src, dtype=np.int64))
-            self.deriv_coef.append(np.array(coef, dtype=np.float64))
+        """d/dx_v moves coefficient src = dst + e_v to dst, times exps[src, v]."""
+        dst = np.flatnonzero(self.term_degree < self.degree)
+        self.deriv_dst = [dst] * self.n_vars
+        self.deriv_src = [self._index_of_keys(self._keys[dst] + self._radix[v])
+                          for v in range(self.n_vars)]
+        self.deriv_coef = [(self.exps[dst, v] + 1).astype(np.float64)
+                           for v in range(self.n_vars)]
 
     # -- jet constructors -------------------------------------------------
     def zero(self) -> "Jet":

@@ -1,8 +1,10 @@
 """Differential-operator verification via exact jet arithmetic.
 
-Operators are immutable composition trees of partial derivatives, coefficient
-functions (evaluated as jets at the sample point) and spin-matrix
-coefficients. A tree acts on a spin multiplet of jets held as a plain
+Operators are immutable composition trees of partial derivatives,
+coordinates, coefficient functions (evaluated as jets at the sample point) and
+spin-matrix coefficients. Multiplying by a coordinate is an index shift; only
+the other coefficient functions (1/r, r/(r+x0), 1/rho, ...) go through the jet
+product `jet_mul`. A tree acts on a spin multiplet of jets held as a plain
 (spin_dim, n_terms) complex array; the jet space lives on the evaluation
 context. Every tree knows its differential order, and an identity is checked
 on jets whose degree is the order of the identity: the constant term of
@@ -152,6 +154,24 @@ class OpPartial(Operator):
         sp = ctx.space
         out = np.zeros_like(coeffs)
         out[:, sp.deriv_dst[self.v]] = sp.deriv_coef[self.v] * coeffs[:, sp.deriv_src[self.v]]
+        return out
+
+
+class OpCoord(Operator):
+    """Multiplication by the coordinate x_v.
+
+    The jet of x_v is x_v(point) + (x - point)_v, so the product is
+    x_v(point) f plus f with the exponent of v raised by one: the derivative
+    tables read backwards, with no jet product.
+    """
+
+    def __init__(self, v: int):
+        self.v = v
+
+    def apply(self, coeffs, ctx):
+        sp = ctx.space
+        out = ctx.point[self.v] * coeffs
+        out[:, sp.deriv_src[self.v]] += coeffs[:, sp.deriv_dst[self.v]]
         return out
 
 
@@ -416,7 +436,7 @@ def _kepler_r(ctx: PointContext) -> Jet:
 
 
 def _coord_ops(n_vars: int) -> list:
-    return [OpMul(f"coord[{i}]", lambda ctx, i=i: ctx.coord(i)) for i in range(n_vars)]
+    return [OpCoord(i) for i in range(n_vars)]
 
 
 def _coulomb_parts(mom: list, L: dict, c0: float, c1: float, c2: float) -> tuple:

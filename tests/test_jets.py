@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from quadalg import _jet_kernels as kernels
 from quadalg.errors import SingularPoint
-from quadalg.jets import jet_seed_polynomial, jet_space, random_polynomial
+from quadalg.jets import JetSpace, jet_seed_polynomial, jet_space, random_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +144,27 @@ def test_integer_power(space5):
     a = _random_jet(rng, space5, degree=2)
     assert np.abs((a ** 3).coeffs - (a * a * a).coeffs).max() < 1e-11
     assert (a ** 0).value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_vars,degree", [(1, 3), (2, 4), (3, 5), (5, 6), (8, 3)])
+def test_tables_match_brute_force_enumeration(n_vars, degree):
+    # the mul table's order fixes the summation order of jet_mul, so the
+    # tables must equal the plain enumeration element for element
+    sp = JetSpace(n_vars, degree)
+    exps = sorted((e for e in itertools.product(range(degree + 1), repeat=n_vars)
+                   if sum(e) <= degree), key=lambda e: (sum(e), e))
+    assert np.array_equal(sp.exps, exps)
+    pos = {e: idx for idx, e in enumerate(exps)}
+    assert [sp.index_of(e) for e in exps] == list(range(len(exps)))
+    triples = [(i, j, pos[tuple(a + b for a, b in zip(exps[i], exps[j]))])
+               for i, j in itertools.product(range(len(exps)), repeat=2)
+               if sum(exps[i]) + sum(exps[j]) <= degree]
+    assert np.array_equal(np.stack([sp.mul_i, sp.mul_j, sp.mul_k], axis=1), triples)
+    for v in range(n_vars):
+        dst = [idx for idx, e in enumerate(exps) if sum(e) < degree]
+        up = [tuple(x + (u == v) for u, x in enumerate(exps[idx])) for idx in dst]
+        assert np.array_equal(sp.deriv_dst[v], dst)
+        assert np.array_equal(sp.deriv_src[v], [pos[e] for e in up])
+        assert np.array_equal(sp.deriv_coef[v], [float(e[v]) for e in up])
+    with pytest.raises(KeyError):
+        sp.index_of((degree + 1,) + (0,) * (n_vars - 1))

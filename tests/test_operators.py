@@ -6,7 +6,7 @@ import pytest
 from quadalg import catalog as cat
 from quadalg import operators as ops
 from quadalg.errors import SingularPoint
-from quadalg.jets import jet_seed_polynomial, jet_space
+from quadalg.jets import JetSpace, jet_seed_polynomial, jet_space
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,44 @@ def test_singular_point_unreachable_sampler():
     s = ops.PointSampler(n_vars=2, accept=lambda x: False)
     with pytest.raises(SingularPoint):
         s.draw(np.random.default_rng(0), max_tries=5)
+
+
+@pytest.mark.parametrize("n_vars,degree", [(5, d) for d in range(1, 7)]
+                         + [(8, d) for d in range(1, 5)])
+@pytest.mark.parametrize("spin_dim", [1, 3])
+def test_coord_equals_the_coordinate_jet_product(n_vars, degree, spin_dim):
+    # every coefficient, the truncated top degree included, equals the full
+    # jet product by the coordinate germ; the points have negative coordinates
+    sp = jet_space(n_vars, degree)
+    rng = np.random.default_rng(10 * n_vars + degree)
+    for _ in range(3):
+        pt = rng.uniform(-2.0, 2.0, n_vars)
+        pt[::2] = -np.abs(pt[::2])
+        f = ops.random_state(rng, sp, spin_dim)
+        for v in range(n_vars):
+            shifted = ops.OpCoord(v).apply(f, ops.PointContext(sp, pt))
+            product = ops.OpMul("x", lambda c, v=v: c.coord(v)).apply(f, ops.PointContext(sp, pt))
+            assert np.array_equal(shifted, product)
+
+
+def test_rotations_make_no_jet_product(kepler_pure, sampler5, monkeypatch):
+    calls = []
+    mul = JetSpace.mul_coeffs
+    monkeypatch.setattr(JetSpace, "mul_coeffs",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    ops.commutator_residual(kepler_pure.L[(1, 2)], kepler_pure.L[(2, 3)],
+                            ops.OpScale(-1j, kepler_pure.L[(1, 3)]), 5, sampler5,
+                            np.random.default_rng(2))
+    assert calls == []
+    # [d_v, x_w] = delta_vw: off the diagonal both orders give the same
+    # products; on it x_w f_(e_w) + f_0 is rounded once
+    for v in range(5):
+        for w in range(5):
+            r = ops.commutator_residual(ops.OpPartial(v), ops.OpCoord(w),
+                                        float(v == w) * ops.OpIdentity(), 5, sampler5,
+                                        np.random.default_rng(v + 5 * w))
+            assert r == 0.0 if v != w else r <= np.finfo(float).eps
+    assert calls == []
 
 
 # -- rotation algebra ----------------------------------------------------------
