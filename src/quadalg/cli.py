@@ -502,6 +502,9 @@ def _check_config(args) -> None:
                 raise ConfigError("trials", f"--trials must be at least 1, got {args.trials}")
             if args.p < 0:
                 raise ConfigError("p", f"--p must be non-negative, got {args.p}")
+        elif args.p_max < 0:
+            # no level would be listed: a report over nothing
+            raise ConfigError("p_max", f"--p-max must be non-negative, got {args.p_max}")
         return
     if args.command == "hurwitz-check":
         _point(args.point)

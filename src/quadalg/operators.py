@@ -4,20 +4,26 @@ Operators are immutable composition trees of partial derivatives,
 coordinates, coefficient functions (evaluated as jets at the sample point) and
 spin-matrix coefficients. Multiplying by a coordinate is an index shift; only
 the other coefficient functions (1/r, r/(r+x0), 1/rho, ...) go through the jet
-product `jet_mul`. A tree acts on a spin multiplet of jets held as a plain
-(spin_dim, n_terms) complex array; the jet space lives on the evaluation
-context. Every tree knows its differential order, and an identity is checked
-on jets whose degree is the order of the identity: the constant term of
-(L f) is then the exact value of (L f)(point) and depends on every Taylor
-coefficient of L at the point. Test germs are full-degree jets with random
-Taylor coefficients.
+product `jet_mul`. A tree acts on the spin multiplets of S samples at once,
+held as a plain (S, spin_dim, n_terms) complex array, with one `PointContext`
+per sample in a `SampleBatch`. Every tree knows its differential order, and an
+identity is checked on jets whose degree is the order of the identity: the
+constant term of (L f) is then the exact value of (L f)(point) and depends on
+every Taylor coefficient of L at the point. Test germs are full-degree jets
+with random Taylor coefficients.
+
+A node applied at degree d returns only the Taylor terms up to d, the terms
+its parent reads: the root is applied at degree 0, and the inner factor b of
+a composition a @ b at d + a.order. Terms are ordered by degree, so those are
+a prefix, and each term is computed by the same operations at every degree.
 
 Every check samples through one path, `_sample_values`: it draws a (point,
-germ) pair per sample, applies each tree once and keeps the constant terms.
-Commutator identities, printed relations and least-squares fits of unknown
-structure constants are reductions over those values, so they are checked at
-every derivative order they contain. The printed relations are the catalog's
-rows, each word of a row composed from the system's trees.
+germ) pair per sample, applies each tree once to the stacked germs and keeps
+the constant terms. Commutator identities, printed relations and
+least-squares fits of unknown structure constants are reductions over those
+values, so they are checked at every derivative order they contain. The
+printed relations are the catalog's rows, each word of a row composed from the
+system's trees.
 """
 
 from __future__ import annotations
@@ -60,6 +66,24 @@ class PointContext:
         return self._cache[key]
 
 
+class SampleBatch:
+    """The samples a tree is applied to at once: one PointContext per sample,
+    and their points as an (S, n_vars) array."""
+
+    def __init__(self, contexts: Sequence[PointContext]):
+        self.contexts = tuple(contexts)
+        self.points = np.stack([c.point for c in self.contexts])
+        self.n_vars = self.points.shape[1]
+
+
+def _tables(n_vars: int, degree: int) -> tuple:
+    """(space, n): the jet space whose tables serve a node at degree, and the
+    number of terms up to that degree. Terms are ordered by degree, so those
+    are a prefix of every deeper jet; degree 0 reads the degree-1 tables."""
+    space = jet_space(n_vars, max(degree, 1))
+    return space, int(space.term_level_starts[degree + 1])
+
+
 # --------------------------------------------------------------------------
 # operator trees
 # --------------------------------------------------------------------------
@@ -69,8 +93,14 @@ class Operator:
 
     order = 0
 
-    def apply(self, coeffs: np.ndarray, ctx: PointContext) -> np.ndarray:
-        """The tree applied to a (spin_dim, n_terms) array of jets on ctx.space."""
+    def apply(self, coeffs: np.ndarray, ctx: SampleBatch, degree: int) -> np.ndarray:
+        """The tree applied to an (S, spin_dim, n) array of jets, one per sample
+        of ctx, up to the given degree.
+
+        The input needs the terms up to degree + order; the result is a new
+        array of the terms up to degree, each equal to that term of the tree
+        applied at any higher degree.
+        """
         raise NotImplementedError
 
     def __add__(self, other: "Operator") -> "Operator":
@@ -92,13 +122,15 @@ class Operator:
 
 
 class OpZero(Operator):
-    def apply(self, coeffs, ctx):
-        return np.zeros(coeffs.shape, dtype=np.complex128)
+    def apply(self, coeffs, ctx, degree):
+        _, n = _tables(ctx.n_vars, degree)
+        return np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
 
 
 class OpIdentity(Operator):
-    def apply(self, coeffs, ctx):
-        return coeffs.copy()
+    def apply(self, coeffs, ctx, degree):
+        _, n = _tables(ctx.n_vars, degree)
+        return coeffs[..., :n].copy()
 
 
 class OpSum(Operator):
@@ -112,10 +144,11 @@ class OpSum(Operator):
         self.terms = tuple(flat)
         self.order = max((t.order for t in self.terms), default=0)
 
-    def apply(self, coeffs, ctx):
-        out = np.zeros(coeffs.shape, dtype=np.complex128)
+    def apply(self, coeffs, ctx, degree):
+        _, n = _tables(ctx.n_vars, degree)
+        out = np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
         for t in self.terms:
-            out = out + t.apply(coeffs, ctx)
+            out += t.apply(coeffs, ctx, degree)
         return out
 
 
@@ -128,20 +161,22 @@ class OpScale(Operator):
         self.child = child
         self.order = child.order
 
-    def apply(self, coeffs, ctx):
-        return self.factor * self.child.apply(coeffs, ctx)
+    def apply(self, coeffs, ctx, degree):
+        out = self.child.apply(coeffs, ctx, degree)
+        out *= self.factor
+        return out
 
 
 class OpCompose(Operator):
-    """Composition: (a @ b) f = a(b(f))."""
+    """Composition: (a @ b) f = a(b(f)); a reads b f up to degree + a.order."""
 
     def __init__(self, a: Operator, b: Operator):
         self.a = a
         self.b = b
         self.order = a.order + b.order
 
-    def apply(self, coeffs, ctx):
-        return self.a.apply(self.b.apply(coeffs, ctx), ctx)
+    def apply(self, coeffs, ctx, degree):
+        return self.a.apply(self.b.apply(coeffs, ctx, degree + self.a.order), ctx, degree)
 
 
 class OpPartial(Operator):
@@ -150,11 +185,11 @@ class OpPartial(Operator):
     def __init__(self, v: int):
         self.v = v
 
-    def apply(self, coeffs, ctx):
-        sp = ctx.space
-        out = np.zeros_like(coeffs)
-        out[:, sp.deriv_dst[self.v]] = sp.deriv_coef[self.v] * coeffs[:, sp.deriv_src[self.v]]
-        return out
+    def apply(self, coeffs, ctx, degree):
+        # the derivative tables one degree up move every term up to degree + 1
+        # onto the terms up to degree
+        sp = jet_space(ctx.n_vars, degree + 1)
+        return sp.deriv_coef[self.v] * coeffs[..., sp.deriv_src[self.v]]
 
 
 class OpCoord(Operator):
@@ -168,10 +203,11 @@ class OpCoord(Operator):
     def __init__(self, v: int):
         self.v = v
 
-    def apply(self, coeffs, ctx):
-        sp = ctx.space
-        out = ctx.point[self.v] * coeffs
-        out[:, sp.deriv_src[self.v]] += coeffs[:, sp.deriv_dst[self.v]]
+    def apply(self, coeffs, ctx, degree):
+        sp, n = _tables(ctx.n_vars, degree)
+        out = ctx.points[:, self.v, None, None] * coeffs[..., :n]
+        if degree:
+            out[..., sp.deriv_src[self.v]] += coeffs[..., sp.deriv_dst[self.v]]
         return out
 
 
@@ -182,11 +218,18 @@ class OpMul(Operator):
         self.key = key
         self.builder = builder
 
-    def apply(self, coeffs, ctx):
-        coef = ctx.coef(self.key, self.builder).coeffs
-        out = np.empty_like(coeffs)
-        for row in range(coeffs.shape[0]):
-            out[row] = ctx.space.mul_coeffs(coef, coeffs[row])
+    def apply(self, coeffs, ctx, degree):
+        sp, n = _tables(ctx.n_vars, degree)
+        f = coeffs[..., :sp.n_terms]
+        if f.shape[-1] < sp.n_terms:
+            # degree 0 reads the degree-1 tables; the zero padding reaches only
+            # product terms above the constant, which are cut off
+            f = np.pad(f, [(0, 0), (0, 0), (0, sp.n_terms - f.shape[-1])])
+        out = np.empty(coeffs.shape[:-1] + (n,), dtype=np.complex128)
+        for s, point in enumerate(ctx.contexts):
+            coef = point.coef(self.key, self.builder).coeffs[:sp.n_terms]
+            for row in range(f.shape[1]):
+                out[s, row] = sp.mul_coeffs(coef, f[s, row])[:n]
         return out
 
 
@@ -196,10 +239,16 @@ class OpMat(Operator):
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.complex128)
 
-    def apply(self, coeffs, ctx):
-        if coeffs.shape[0] != self.matrix.shape[1]:
+    def apply(self, coeffs, ctx, degree):
+        if coeffs.shape[1] != self.matrix.shape[1]:
             raise ValueError("spin dimension mismatch")
-        return self.matrix @ coeffs
+        _, n = _tables(ctx.n_vars, degree)
+        # a sum over the spin columns rounds every term the same at any jet
+        # width, which a matmul does not
+        out = self.matrix[:, 0, None] * coeffs[:, None, 0, :n]
+        for j in range(1, self.matrix.shape[1]):
+            out += self.matrix[:, j, None] * coeffs[:, None, j, :n]
+        return out
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -257,21 +306,20 @@ def _sample_values(trees: Sequence[Operator], n_samples: int, sampler: PointSamp
                    rng: Optional[np.random.Generator], spin_dim: int) -> np.ndarray:
     """Constant terms of every tree at n_samples random (point, germ) pairs.
 
-    Each sample draws its point, then its germ, and applies each tree once on
-    jets of the highest tree order (at least 1). Returns an
-    (n_samples, len(trees), spin_dim) complex array.
+    Each sample draws its point, then its germ, a jet of the highest tree
+    order (at least 1); each tree is then applied once to the stacked germs.
+    Returns an (n_samples, len(trees), spin_dim) complex array.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = rng or np.random.default_rng(0)
     space = jet_space(sampler.n_vars, max([1] + [op.order for op in trees]))
-    values = np.empty((n_samples, len(trees), spin_dim), dtype=np.complex128)
-    for s in range(n_samples):
-        ctx = PointContext(space, sampler.draw(rng))
-        f = random_state(rng, space, spin_dim)
-        for k, op in enumerate(trees):
-            values[s, k] = op.apply(f, ctx)[:, 0]
-    return values
+    contexts, germs = [], []
+    for _ in range(n_samples):
+        contexts.append(PointContext(space, sampler.draw(rng)))
+        germs.append(random_state(rng, space, spin_dim))
+    batch, f = SampleBatch(contexts), np.stack(germs)
+    return np.stack([op.apply(f, batch, 0)[..., 0] for op in trees], axis=1)
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:

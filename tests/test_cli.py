@@ -31,13 +31,6 @@ def test_spectrum_osc_rows(tmp_path):
     assert energies == pytest.approx([4.0, 6.0, 8.0])
 
 
-def test_spectrum_empty_range_exits_zero(tmp_path):
-    code, rep = _run_json(tmp_path, "e.json",
-                          ["spectrum", "kepler5d", "--p-max", "-1"])
-    assert code == 0
-    assert rep["findings"] == []
-
-
 def test_invalid_system_exits_two(capsys):
     assert main(["spectrum", "nosuch"]) == 2
     assert main(["verify", "nosuch"]) == 2
@@ -220,12 +213,15 @@ def test_table_format_prints(capsys):
     (["hurwitz-check", "--point", "nan,0,0,0,1,0,0,0"], "--point"),
     (["hurwitz-check", "--point", "1,0,0,0,1,0,0"], "--point"),
     (["hurwitz-check", "--point", "1,0,0,0,1,0,0,x"], "--point"),
+    (["spectrum", "kepler5d", "--p-max", "-1"], "--p-max"),
+    (["spectrum", "osc8d", "--p-max", "-2"], "--p-max"),
 ])
 def test_flag_is_named_before_derived_values(capsys, argv, flag):
     # J defaults to |L - T| and the duality map refuses the wrong sign: the
     # message names the flag the user set, not the derived field. Zero trials
-    # would pass the operator checks over nothing, and a non-finite point
-    # would fail the norm identity as a required check.
+    # would pass the operator checks over nothing, a negative --p-max would
+    # list no level, and a non-finite point would fail the norm identity as a
+    # required check.
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

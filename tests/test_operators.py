@@ -37,7 +37,7 @@ def test_apply_operator_hand_value():
     op = (ops.OpMul("c0", lambda c: c.coord(0)) @ ops.OpPartial(1)
           - ops.OpMul("c1", lambda c: c.coord(1)) @ ops.OpPartial(0))
     f = jet_seed_polynomial({(1, 1, 0, 0, 0): 1.0}, ctx.point, sp)
-    out = op.apply(f.coeffs[None, :], ctx)
+    out = op.apply(f.coeffs[None, None, :], ops.SampleBatch([ctx]), 0)[0]
     assert out[0, 0] == pytest.approx(-3.0)
 
 
@@ -46,8 +46,76 @@ def test_apply_operator_second_derivative():
     pt = np.array([0.7, -1.1, 0.2, 1.4, -0.3])
     ctx = ops.PointContext(sp, pt)
     f = jet_seed_polynomial({(3, 0, 0, 0, 0): 1.0}, pt, sp)
-    out = (ops.OpPartial(0) @ ops.OpPartial(0)).apply(f.coeffs[None, :], ctx)
+    out = (ops.OpPartial(0) @ ops.OpPartial(0)).apply(f.coeffs[None, None, :],
+                                                      ops.SampleBatch([ctx]), 0)[0]
     assert out[0, 0] == pytest.approx(6 * pt[0])
+
+
+# -- truncated, batched application ---------------------------------------------
+
+_TREES = {"H": lambda o: o.H, "A": lambda o: o.A, "B": lambda o: o.B,
+          "AC": lambda o: ops.commutator(o.A, ops.commutator(o.A, o.B)),
+          "BC": lambda o: ops.commutator(o.B, ops.commutator(o.A, o.B))}
+
+
+@pytest.fixture(scope="module")
+def systems():
+    """name: (operators, sampler) for the three systems, the monopole at T = 1."""
+    return {"kepler5d": (ops.build_kepler_operators(c0=1.0, c1=0.25, c2=0.1), ops.kepler_sampler()),
+            "osc8d": (ops.build_osc8d_operators(omega=1.0, lambda1=0.3, lambda2=0.1),
+                      ops.osc8d_sampler()),
+            "ycm": (ops.build_ycm_operators(c0=1.0, c1=0.25, c2=0.1, T=1.0), ops.kepler_sampler())}
+
+
+def _samples(system, tree, top, n_samples, seed):
+    """The contexts of n_samples points, stacked germs deep enough to apply
+    the tree at degree top, and the number of terms up to each degree."""
+    o, sampler = system
+    space = jet_space(sampler.n_vars, top + tree.order)
+    rng = np.random.default_rng(seed)
+    contexts, germs = [], []
+    for _ in range(n_samples):
+        contexts.append(ops.PointContext(space, sampler.draw(rng)))
+        germs.append(ops.random_state(rng, space, o.spin_dim))
+    return contexts, np.stack(germs), space.term_level_starts[1:]
+
+
+# the triple brackets of the 8-variable and spin systems stop at degree 1,
+# which keeps their jets small
+def _top(name, tree):
+    return 1 if name != "kepler5d" and tree in ("AC", "BC") else 2
+
+
+@pytest.mark.parametrize("tree", list(_TREES))
+@pytest.mark.parametrize("name", ["kepler5d", "osc8d", "ycm"])
+def test_lower_degree_is_the_prefix_of_a_higher_one(systems, name, tree):
+    # every term up to degree d is the same, bit for bit, whatever degree the
+    # tree is applied at
+    op = _TREES[tree](systems[name][0])
+    top = _top(name, tree)
+    contexts, f, n_terms = _samples(systems[name], op, top, 2, seed=len(tree))
+    batch = ops.SampleBatch(contexts)
+    full = op.apply(f, batch, top)
+    assert full.shape == f.shape[:2] + (n_terms[top],)
+    for d in range(top):
+        assert np.array_equal(op.apply(f, batch, d), full[..., :n_terms[d]]), d
+
+
+@pytest.mark.parametrize("tree", list(_TREES))
+@pytest.mark.parametrize("name", ["kepler5d", "osc8d", "ycm"])
+def test_stacked_samples_equal_each_sample_alone(systems, name, tree):
+    # each stacked sample, at degree 0 and at the highest degree the germs
+    # allow, is that sample applied alone at the highest degree, cut to the
+    # terms of the degree
+    op = _TREES[tree](systems[name][0])
+    top = _top(name, tree)
+    contexts, f, n_terms = _samples(systems[name], op, top, 3, seed=10 + len(tree))
+    batch = ops.SampleBatch(contexts)
+    stacked = {d: op.apply(f, batch, d) for d in (0, top)}
+    for s, ctx in enumerate(contexts):
+        alone = op.apply(f[s:s + 1], ops.SampleBatch([ctx]), top)[0]
+        for d, values in stacked.items():
+            assert np.array_equal(values[s], alone[..., :n_terms[d]]), (d, s)
 
 
 def test_sampler_margins(sampler5, sampler8):
@@ -79,8 +147,10 @@ def test_coord_equals_the_coordinate_jet_product(n_vars, degree, spin_dim):
         pt[::2] = -np.abs(pt[::2])
         f = ops.random_state(rng, sp, spin_dim)
         for v in range(n_vars):
-            shifted = ops.OpCoord(v).apply(f, ops.PointContext(sp, pt))
-            product = ops.OpMul("x", lambda c, v=v: c.coord(v)).apply(f, ops.PointContext(sp, pt))
+            shifted = ops.OpCoord(v).apply(
+                f[None], ops.SampleBatch([ops.PointContext(sp, pt)]), degree)[0]
+            product = ops.OpMul("x", lambda c, v=v: c.coord(v)).apply(
+                f[None], ops.SampleBatch([ops.PointContext(sp, pt)]), degree)[0]
             assert np.array_equal(shifted, product)
 
 
@@ -220,10 +290,11 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
         pt = sampler5.draw(rng)
         ctx = ops.PointContext(sp, pt)
         f = ops.random_state(rng, sp, 1)
-        va = k.A.apply(f, ctx)[:, 0]
-        vl = k.L2_full.apply(f, ctx)[:, 0]
-        vb = k.B.apply(f, ctx)[:, 0]
-        vm = k.M[0].apply(f, ctx)[:, 0]
+        batch = ops.SampleBatch([ctx])
+        va = k.A.apply(f[None], batch, 0)[0, :, 0]
+        vl = k.L2_full.apply(f[None], batch, 0)[0, :, 0]
+        vb = k.B.apply(f[None], batch, 0)[0, :, 0]
+        vm = k.M[0].apply(f[None], batch, 0)[0, :, 0]
         assert np.abs(va - vl).max() < 1e-12 * max(1, np.abs(va).max())
         assert np.abs(vb - vm).max() < 1e-12 * max(1, np.abs(vb).max())
 
@@ -231,16 +302,18 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
 # -- quadratic closure and constant fits ----------------------------------------
 
 class _Counting(ops.Operator):
-    """A tree that counts how often it is applied."""
+    """A tree that counts how often it is applied, and to how many samples."""
 
     def __init__(self, child):
         self.child = child
         self.order = child.order
         self.calls = 0
+        self.samples = []
 
-    def apply(self, coeffs, ctx):
+    def apply(self, coeffs, ctx, degree):
         self.calls += 1
-        return self.child.apply(coeffs, ctx)
+        self.samples.append(coeffs.shape[0])
+        return self.child.apply(coeffs, ctx, degree)
 
 
 def _rotation_relation(kepler_pure):
@@ -249,11 +322,12 @@ def _rotation_relation(kepler_pure):
 
 
 def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5):
-    # the residual's trials, then the fit's 2 * len(rows) + 4 samples
+    # once to the residual's trials, then once to the fit's 2 * len(rows) + 4
+    # samples
     spec = _rotation_relation(kepler_pure)
     residual, fit, fit_residual = ops.check_relation(spec, 3, sampler5,
                                                      np.random.default_rng(0))
-    assert spec.lhs.calls == 3 + 2 * len(spec.rows) + 4
+    assert spec.lhs.samples == [3, 2 * len(spec.rows) + 4]
     assert residual < 1e-14 and fit_residual < 1e-14
     assert fit["L01"][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -385,8 +459,8 @@ def test_osc8d_A_reduces_when_couplings_vanish(sampler8):
                      [ops.OpMul(f"ci{i}", lambda c, i=i: c.coord(i)) @ ops.OpPartial(j)
                       - ops.OpMul(f"cj{j}", lambda c, j=j: c.coord(j)) @ ops.OpPartial(i)
                       for i in range(8) for j in range(i + 1, 8)]])
-    va = o.A.apply(f, ctx)[:, 0]
-    vr = ops.OpScale(-0.25, rot).apply(f, ctx)[:, 0]
+    va = o.A.apply(f[None], ops.SampleBatch([ctx]), 0)[0, :, 0]
+    vr = ops.OpScale(-0.25, rot).apply(f[None], ops.SampleBatch([ctx]), 0)[0, :, 0]
     assert np.abs(va - vr).max() < 1e-11 * max(1, np.abs(va).max())
 
 
