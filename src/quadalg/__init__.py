@@ -43,7 +43,6 @@ from .hurwitz import (
     duality_spectrum_check,
     euler_identity_residual,
     hurwitz_forward,
-    map_parameters,
 )
 from .odecheck import (
     EigenResult,
@@ -86,7 +85,6 @@ __all__ = [
     "DualityMap",
     "hurwitz_forward",
     "euler_identity_residual",
-    "map_parameters",
     "duality_spectrum_check",
     "kummer",
     "ParabolicChannelSpec",

@@ -55,13 +55,12 @@ class StructureFunction:
     roots: tuple
     scale: float
     u: float = 0.0
-    degree: int = 6
 
     def __post_init__(self):
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
-        if len(self.roots) != self.degree:
-            raise ValueError("root count must match degree")
+        if len(self.roots) != 6:
+            raise ValueError("need six roots")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -74,16 +73,6 @@ class StructureFunction:
         r = np.asarray(self.roots, dtype=float)
         return np.prod(x[..., None] + self.u - r, axis=-1)
 
-    def expanded_coefficients(self) -> np.ndarray:
-        """Polynomial coefficients in x, highest power first."""
-        shifted = np.asarray(self.roots, dtype=float) - self.u
-        return self.scale * np.poly(shifted)
-
-    def rescaled(self, factor: float) -> "StructureFunction":
-        if factor <= 0:
-            raise ValueError("rescaling factor must be positive")
-        return StructureFunction(self.roots, self.scale * factor, self.u, self.degree)
-
 
 @dataclass(frozen=True)
 class RepresentationCandidate:
@@ -94,7 +83,6 @@ class RepresentationCandidate:
     energy: float
     phi_values: tuple
     sf: StructureFunction
-    source: str = "solver"
     endpoint_residual: float = 0.0
 
     def __post_init__(self):
@@ -221,7 +209,6 @@ class PhiFamily:
 
     roots_of: Callable[[float], np.ndarray]
     scale_of: Callable[[float], float]
-    label: str = "family"
     coefficients: Optional[np.ndarray] = None
 
     def structure_function(self, energy: float, u: float) -> StructureFunction:
@@ -237,8 +224,8 @@ _CHECK_ENERGY = 2.0
 _ROUNDING = 1e-12     # relative size below which a coefficient is fit noise
 
 
-def phi_family_from_constants(constants_at: Callable[[float], QuadraticAlgebraConstants],
-                              label: str = "general") -> PhiFamily:
+def phi_family_from_constants(
+        constants_at: Callable[[float], QuadraticAlgebraConstants]) -> PhiFamily:
     """Coefficient family of the general polynomial for energy-dependent constants.
 
     The structure constants are polynomial in E (linear for Kepler, quadratic
@@ -266,10 +253,10 @@ def phi_family_from_constants(constants_at: Callable[[float], QuadraticAlgebraCo
             f"structure constants are not of degree <= 2 in E: the degree-"
             f"{len(coefficients) - 1} model misses Phi at E = {_CHECK_ENERGY} "
             f"by {miss:.1e} (relative)")
-    return phi_family_from_coefficients(coefficients, label)
+    return phi_family_from_coefficients(coefficients)
 
 
-def phi_family_from_coefficients(coefficients, label: str = "general") -> PhiFamily:
+def phi_family_from_coefficients(coefficients) -> PhiFamily:
     """Family of Phi(t; E) = sum_k E^k P_k(t), row k of coefficients holding P_k.
 
     The roots at each energy come from the companion matrix (np.roots) and get
@@ -301,8 +288,7 @@ def phi_family_from_coefficients(coefficients, label: str = "general") -> PhiFam
     def scale_of(energy: float) -> float:
         return float(poly_coeffs(energy)[0])
 
-    return PhiFamily(roots_of=roots_of, scale_of=scale_of, label=label,
-                     coefficients=coefficients)
+    return PhiFamily(roots_of=roots_of, scale_of=scale_of, coefficients=coefficients)
 
 
 _ENDPOINT_TOL = 1e-10  # |Phi| at both endpoints, with unit leading coefficient
@@ -378,8 +364,10 @@ def find_representations(family: PhiFamily, p_max: int,
                          ) -> list[RepresentationCandidate]:
     """All (u, E) pairs carrying a (p+1)-dimensional unitary representation, p <= p_max.
 
-    With closed_form supplied (catalog systems) the candidates are evaluated
-    from the closed forms and validated. Otherwise the family must carry
+    With closed_form supplied (catalog systems) family is ignored, and the
+    result is closed_form(p) for p = 0..p_max as printed, with nothing
+    validated; the CLI checks their endpoints and window positivity as
+    fock.<system>.closed-form.p<p>.window. Otherwise the family must carry
     energy coefficients (phi_family_from_constants), and u and u + p + 1 are
     found as zeros of Phi by elimination, for E inside energy_window:
 
@@ -473,8 +461,7 @@ def _candidate_from_family(family: PhiFamily, p: int, u: float,
         return None
     return RepresentationCandidate(p=p, u=u, energy=energy,
                                    phi_values=tuple(float(v) for v in window),
-                                   sf=sf, source="solver",
-                                   endpoint_residual=float(endpoints.max()))
+                                   sf=sf, endpoint_residual=float(endpoints.max()))
 
 
 def build_fock_realization(sf: StructureFunction, realization: OscillatorRealization,
@@ -529,8 +516,6 @@ class CommutationReport:
     r_ac: float
     r_bc: float
     jacobi: float
-    scale_ac: float
-    scale_bc: float
 
     def max_relation_residual(self) -> float:
         return max(self.r_ac, self.r_bc)
@@ -557,8 +542,6 @@ def verify_commutation(f: FockRealization, c: QuadraticAlgebraConstants) -> Comm
         r_ac=_absmax(AC - rhs_ac) / scale_ac,
         r_bc=_absmax(BC - rhs_bc) / scale_bc,
         jacobi=_absmax(jac) / scale_j,
-        scale_ac=scale_ac,
-        scale_bc=scale_bc,
     )
 
 
@@ -569,13 +552,8 @@ class CasimirReport:
     value: float
     expected: float
     off_diagonal: float
-    diagonal_spread: float
     commutant_a: float
     commutant_b: float
-
-    @property
-    def value_residual(self) -> float:
-        return abs(self.value - self.expected) / max(abs(self.expected), 1.0)
 
 
 def verify_casimir(f: FockRealization, c: QuadraticAlgebraConstants) -> CasimirReport:
@@ -588,7 +566,6 @@ def verify_casimir(f: FockRealization, c: QuadraticAlgebraConstants) -> CasimirR
         value=float(diag.mean()),
         expected=c.casimir_value,
         off_diagonal=_absmax(K - np.diag(diag)),
-        diagonal_spread=float(np.ptp(diag)) if f.dim > 1 else 0.0,
         commutant_a=_absmax(_comm(K, f.A)),
         commutant_b=_absmax(_comm(K, f.B)),
     )
@@ -605,15 +582,15 @@ def _bc_diagonal_recurrence(rhs, g: float, u: float) -> np.ndarray:
     return G
 
 
-def relation_phi_recurrence(c: QuadraticAlgebraConstants, u: float, p: int,
-                            rho_convention: str = "sqrt") -> np.ndarray:
+def relation_phi_recurrence(c: QuadraticAlgebraConstants, u: float, p: int) -> np.ndarray:
     """Structure-function values Phi(0..p+1) forced by the [B,C] relation.
 
     Independent of any printed Phi formula: the diagonal part of the [B,C]
-    relation fixes G(n) = rho(n)^2 Phi(n+1), and dividing out rho^2 recovers
-    Phi. Used as an oracle against the factored and general printed forms.
+    relation fixes G(n) = rho(n)^2 Phi(n+1), and dividing out rho^2 (the
+    square-root reading) recovers Phi. Used as an oracle against the factored
+    and general printed forms.
     """
-    real = oscillator_realization(c, u, p=p, rho_convention=rho_convention)
+    real = oscillator_realization(c, u, p=p)
     n = np.arange(p + 1)
     G = _bc_diagonal_recurrence(-c.gamma * real.b(n) ** 2 + c.d_c * real.A(n) + c.z_c,
                                 c.gamma, u)
@@ -631,15 +608,15 @@ class RelationFit:
 
 
 def fit_relation_constants(c: QuadraticAlgebraConstants, u: float,
-                           sf: StructureFunction, p: int,
-                           rho_convention: str = "sqrt") -> RelationFit:
-    """Fit (d, z, Phi-scale) so the [B,C] diagonal closes, holding gamma, epsilon, zeta.
+                           sf: StructureFunction, p: int) -> RelationFit:
+    """Fit (d, z, Phi-scale) so the [B,C] diagonal closes, holding gamma, epsilon, zeta,
+    under the square-root reading of rho.
 
     The fit is meaningful when zeta != 0 (otherwise rescaling B leaves a gauge
     family and only the ratio z/d is determined; the scale is then pinned to
     the general-polynomial leading coefficient instead).
     """
-    real = oscillator_realization(c, u, p=p, rho_convention=rho_convention)
+    real = oscillator_realization(c, u, p=p)
     n = np.arange(p + 1)
     g = c.gamma
     phihat = sf.monic(np.arange(0, p + 2, dtype=float))

@@ -117,7 +117,6 @@ class SpectrumRecord:
     provenance: str
     m_printed: Optional[tuple] = None
     m_indicial: Optional[tuple] = None
-    notes: tuple = ()
 
     def __post_init__(self):
         if self.provenance not in ("algebraic", "ode-oracle", "duality"):
@@ -222,7 +221,7 @@ def kepler5d_phi_family(p: Kepler5DParams) -> PhiFamily:
     def scale_of(energy):
         return KEPLER_PHI_PREFACTOR * energy * p.hbar**18
 
-    return PhiFamily(roots_of=roots_of, scale_of=scale_of, label="kepler5d")
+    return PhiFamily(roots_of=roots_of, scale_of=scale_of)
 
 
 def _rep_window_structure_function(p_rep: int, m1: float, m2: float,
@@ -238,7 +237,11 @@ def _rep_window_structure_function(p_rep: int, m1: float, m2: float,
 
 
 def kepler5d_spectrum(p: Kepler5DParams, rep_p: int) -> SpectrumRecord:
-    """Printed closed-form energy, E = -c0^2 / (hbar^2 (p+1+(m1+m2)/2)^2)."""
+    """Printed closed-form energy, E = -c0^2 / (hbar^2 (p+1+(m1+m2)/2)^2).
+
+    The printed denominator lacks the factor 2 carried by the parabolic and
+    duality spectra; the ODE cross-check adjudicates it.
+    """
     if rep_p < 0:
         raise ValueError("rep_p must be nonnegative")
     m1, m2 = kepler5d_m_parameters(p)
@@ -249,8 +252,6 @@ def kepler5d_spectrum(p: Kepler5DParams, rep_p: int) -> SpectrumRecord:
         energy=float(energy),
         provenance="algebraic",
         m_printed=(m1, m2),
-        notes=("printed denominator lacks the factor 2 carried by the parabolic "
-               "and duality spectra; adjudicated by the ODE cross-check",),
     )
 
 
@@ -265,8 +266,7 @@ def kepler5d_closed_form(p: Kepler5DParams) -> Callable[[int], RepresentationCan
                                             KEPLER_PHI_PREFACTOR_SUBST * p.hbar**16 * p.c0**2)
         window = sf(np.arange(1, rep_p + 1, dtype=float)) if rep_p >= 1 else np.empty(0)
         return RepresentationCandidate(p=rep_p, u=float(u), energy=float(energy),
-                                       phi_values=tuple(float(v) for v in window),
-                                       sf=sf, source="closed-form")
+                                       phi_values=tuple(float(v) for v in window), sf=sf)
 
     return build
 
@@ -348,7 +348,7 @@ def osc8d_phi_family(p: Oscillator8DParams) -> PhiFamily:
     def scale_of(energy):
         return scale
 
-    return PhiFamily(roots_of=roots_of, scale_of=scale_of, label="osc8d")
+    return PhiFamily(roots_of=roots_of, scale_of=scale_of)
 
 
 def osc8d_spectrum(p: Oscillator8DParams, rep_p: int) -> SpectrumRecord:
@@ -378,8 +378,7 @@ def osc8d_closed_form(p: Oscillator8DParams) -> Callable[[int], RepresentationCa
         sf = _rep_window_structure_function(rep_p, m1, m2, OSC_PHI_PREFACTOR_SUBST * p.omega**2)
         window = sf(np.arange(1, rep_p + 1, dtype=float)) if rep_p >= 1 else np.empty(0)
         return RepresentationCandidate(p=rep_p, u=float(u), energy=float(energy),
-                                       phi_values=tuple(float(v) for v in window),
-                                       sf=sf, source="closed-form")
+                                       phi_values=tuple(float(v) for v in window), sf=sf)
 
     return build
 
@@ -463,14 +462,11 @@ class ConventionResult:
     """Residuals of one (rho reading, (u,E) source, constants source) assignment."""
 
     name: str
-    rho_convention: str
     u: float
     energy: float
     r_ac: float
     r_bc: float
     jacobi: float
-    casimir_off_diagonal: float
-    casimir_spread: float
     casimir_value: float
     casimir_expected: float
 
@@ -520,16 +516,13 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
                                           rho_convention=rho_convention)
             fock = build_fock_realization(sf, real, rep_p)
         except (DegenerateDenominator, NegativePhi):  # record as inf
-            results.append(ConventionResult(name, rho_convention, u, energy,
-                                            np.inf, np.inf, np.inf, np.inf, np.inf,
+            results.append(ConventionResult(name, u, energy, np.inf, np.inf, np.inf,
                                             np.nan, constants_at_e.casimir_value))
             return
         rep = verify_commutation(fock, constants_at_e)
         cas = verify_casimir(fock, constants_at_e)
         results.append(ConventionResult(
-            name=name, rho_convention=rho_convention, u=u, energy=energy,
-            r_ac=rep.r_ac, r_bc=rep.r_bc, jacobi=rep.jacobi,
-            casimir_off_diagonal=cas.off_diagonal, casimir_spread=cas.diagonal_spread,
+            name=name, u=u, energy=energy, r_ac=rep.r_ac, r_bc=rep.r_bc, jacobi=rep.jacobi,
             casimir_value=cas.value, casimir_expected=cas.expected))
 
     # 1-2: printed closed-form (u, E), printed constants, window Phi
@@ -545,7 +538,7 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
         run("consistent-uE/leading-scale-phi/rho-sqrt", "sqrt", u_cons, e_cons, sf_lead, c_cons)
 
     # 4: consistent (u, E), relation-fitted (d, z, scale)
-    fit = fit_relation_constants(c_cons, u_cons, sf_window, rep_p, rho_convention="sqrt")
+    fit = fit_relation_constants(c_cons, u_cons, sf_window, rep_p)
     if fit.scale > 0:
         fitted = replace(c_cons, d_c=fit.d, z_c=fit.z)
         sf_fit = _rep_window_structure_function(rep_p, m1, m2, fit.scale)

@@ -167,7 +167,7 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
 
     # honest representation search on the general polynomial family built from
     # the (operator-verified) structure constants
-    gen = alg.phi_family_from_constants(constants.at_energy, label=f"{system}-general")
+    gen = alg.phi_family_from_constants(constants.at_energy)
     closing = []
     for cand in alg.find_representations(gen, p_max, energy_window=e_window):
         try:
@@ -425,14 +425,13 @@ def cmd_crosscheck(args) -> int:
 def cmd_dualize(args) -> int:
     report = Report(command="dualize", config=_config_echo(args), version=__version__)
     if args.direction == "forward":
-        dm = hw.map_parameters("forward", energy=args.energy, omega=args.omega,
-                               lambda1=args.lambda1, lambda2=args.lambda2)
+        dm = hw.DualityMap.forward(args.energy, args.omega, args.lambda1, args.lambda2)
         report.add("duality.forward", "oscillator parameters to Coulomb-side",
                    status="finding",
                    values={"c0": dm.c0, "eps": dm.eps, "c1": dm.c1, "c2": dm.c2})
     else:
-        energy, omega, l1, l2 = hw.map_parameters(
-            "inverse", c0=args.c0, eps=args.eps, c1=args.c1, c2=args.c2)
+        energy, omega, l1, l2 = hw.DualityMap(c0=args.c0, eps=args.eps,
+                                              c1=args.c1, c2=args.c2).inverse()
         report.add("duality.inverse", "Coulomb-side parameters to oscillator",
                    status="finding",
                    values={"energy": energy, "omega": omega,
@@ -502,9 +501,12 @@ def _check_config(args) -> None:
                 raise ConfigError("trials", f"--trials must be at least 1, got {args.trials}")
             if args.p < 0:
                 raise ConfigError("p", f"--p must be non-negative, got {args.p}")
-        elif args.p_max < 0:
-            # no level would be listed: a report over nothing
-            raise ConfigError("p_max", f"--p-max must be non-negative, got {args.p_max}")
+        else:
+            # a negative range lists no level: a report over nothing
+            for field, flag in (("p_max", "--p-max"), ("n_max", "--n-max")):
+                if getattr(args, field) < 0:
+                    raise ConfigError(field, f"{flag} must be non-negative, "
+                                      f"got {getattr(args, field)}")
         return
     if args.command == "hurwitz-check":
         _point(args.point)

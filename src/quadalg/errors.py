@@ -25,10 +25,6 @@ class SignError(QuadalgError):
     """Parameter map applied to inputs with the wrong sign (no bound-state dual)."""
 
 
-class FiberChartSingular(QuadalgError):
-    """Fiber angles are undefined at this point (chart preconditions violated)."""
-
-
 class SingularPoint(QuadalgError):
     """A divisor jet has zero constant term; resample the evaluation point."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import odecheck
 from .catalog import YCMParams, ycm_parabolic_s_parameters, ycm_spectrum_duality
-from .errors import FiberChartSingular, SignError
+from .errors import SignError
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,17 @@ def _squared_norm(v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def hurwitz_forward(p: Point8, literal_x0: bool = False,
-                    require_chart: bool = False) -> Point5Fiber:
+def hurwitz_forward(p: Point8, literal_x0: bool = False) -> Point5Fiber:
     """Base point and fiber angles of the quadratic transformation.
 
     The fiber angles need u0^2 + u1^2 > 0 and u2^2 + u3^2 > 0; outside that
-    chart the base point is still returned, with NaN angles (or an exception
-    when require_chart is set).
+    chart the base point is still returned, with NaN angles.
     """
     u = p.array
     x = _base_map(u, literal_x0)
     a = u[0] + 1j * u[1]
     b = u[2] + 1j * u[3]
     if abs(a) == 0 or abs(b) == 0:
-        if require_chart:
-            raise FiberChartSingular("fiber angles undefined: a 2-plane radius vanishes")
         angles = (np.nan, np.nan, np.nan)
     else:
         phi_a = np.angle(a)
@@ -135,19 +131,6 @@ class DualityMap:
             raise SignError("no bound-state dual for eps >= 0")
         return (4.0 * self.c0, float(np.sqrt(-8.0 * self.eps)),
                 self.c1 / 2.0, self.c2 / 2.0)
-
-
-def map_parameters(direction: str, **kwargs):
-    """Exact parameter map; direction is 'forward' (oscillator -> Coulomb) or
-    'inverse' (Coulomb -> oscillator)."""
-    if direction == "forward":
-        return DualityMap.forward(kwargs["energy"], kwargs["omega"],
-                                  kwargs.get("lambda1", 0.0), kwargs.get("lambda2", 0.0))
-    if direction == "inverse":
-        dm = DualityMap(c0=kwargs["c0"], eps=kwargs["eps"],
-                        c1=kwargs.get("c1", 0.0), c2=kwargs.get("c2", 0.0))
-        return dm.inverse()
-    raise ValueError("direction must be 'forward' or 'inverse'")
 
 
 @dataclass(frozen=True)

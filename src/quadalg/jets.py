@@ -5,7 +5,8 @@ fixed total degree. Jets are closed under +, *, /, sqrt and partial
 differentiation, which lets differential operators act exactly on test germs:
 the constant term of the final jet is the exact value at the expansion point
 as long as the total derivative order consumed stays at or below the jet
-degree.
+degree. A degree-0 jet is the value alone: its product table holds the one
+triple (0, 0, 0), and its derivative and division tables are empty.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class JetSpace:
     """Index tables for jets in n_vars variables truncated at total degree."""
 
     def __init__(self, n_vars: int, degree: int):
-        if n_vars < 1 or degree < 1:
-            raise ValueError("need n_vars >= 1 and degree >= 1")
+        if n_vars < 1 or degree < 0:
+            raise ValueError("need n_vars >= 1 and degree >= 0")
         self.n_vars = n_vars
         self.degree = degree
         self.exps = _multi_indices(n_vars, degree)

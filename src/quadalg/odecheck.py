@@ -59,23 +59,18 @@ class ParabolicChannelSpec:
 class RadialOscillatorSpec:
     """Radial reduction of one 4-variable oscillator block."""
 
-    dim: int = 4
     angular: float = 0.0
     lam: float = 0.0
     omega: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.dim != 4:
-            raise ValueError("only the 4-variable block is supported")
         if self.omega <= 0 or self.hbar <= 0:
             raise ValueError("omega and hbar must be positive")
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    index: int
-    eigenvalue: float
     grid_size: int
     extrapolated: float
     error_estimate: float
@@ -139,15 +134,14 @@ def parabolic_eigensolve(spec: ParabolicChannelSpec, n_levels: int,
     """
     if cutoff is None:
         cutoff = 40.0 / np.sqrt(-spec.beta)
-    grid, levels, extrap, err = _richardson(
+    grid, _, extrap, err = _richardson(
         lambda n: _parabolic_levels(spec, n_levels, n, cutoff), n_grid, max_grid)
     out = []
     for idx in range(n_levels):
         if err[idx] > target:
             raise GridTooCoarse(
                 f"level {idx}: error estimate {err[idx]:.3e} above target {target:.1e}")
-        out.append(EigenResult(index=idx, eigenvalue=float(levels[-1, idx]),
-                               grid_size=grid, extrapolated=float(extrap[idx]),
+        out.append(EigenResult(grid_size=grid, extrapolated=float(extrap[idx]),
                                error_estimate=float(err[idx])))
     return out
 
@@ -253,9 +247,8 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
         # generous tail so domain truncation sits far below the h^2 error
         width = np.sqrt(spec.hbar / spec.omega)
         cutoff = width * (np.sqrt(4.0 * n + 10.0) + 6.0)
-    grid, seq, extrap, err = _richardson(
+    grid, _, extrap, err = _richardson(
         lambda g: _radial_levels(spec, n + 1, g, cutoff)[n], n_grid, max_grid)
     if err > target:
         raise GridTooCoarse(f"radial level {n}: error {err:.3e} above {target:.1e}")
-    return EigenResult(index=n, eigenvalue=float(seq[-1]), grid_size=grid,
-                       extrapolated=float(extrap), error_estimate=float(err))
+    return EigenResult(grid_size=grid, extrapolated=float(extrap), error_estimate=float(err))

@@ -16,6 +16,8 @@ A node applied at degree d returns only the Taylor terms up to d, the terms
 its parent reads: the root is applied at degree 0, and the inner factor b of
 a composition a @ b at d + a.order. Terms are ordered by degree, so those are
 a prefix, and each term is computed by the same operations at every degree.
+A node at degree d reads the tables of jet_space(n_vars, d), degree 0
+included, whose one product pair forms the value.
 
 Every check samples through one path, `_sample_values`: it draws a (point,
 germ) pair per sample, applies each tree once to the stacked germs and keeps
@@ -76,14 +78,6 @@ class SampleBatch:
         self.n_vars = self.points.shape[1]
 
 
-def _tables(n_vars: int, degree: int) -> tuple:
-    """(space, n): the jet space whose tables serve a node at degree, and the
-    number of terms up to that degree. Terms are ordered by degree, so those
-    are a prefix of every deeper jet; degree 0 reads the degree-1 tables."""
-    space = jet_space(n_vars, max(degree, 1))
-    return space, int(space.term_level_starts[degree + 1])
-
-
 # --------------------------------------------------------------------------
 # operator trees
 # --------------------------------------------------------------------------
@@ -123,14 +117,13 @@ class Operator:
 
 class OpZero(Operator):
     def apply(self, coeffs, ctx, degree):
-        _, n = _tables(ctx.n_vars, degree)
+        n = jet_space(ctx.n_vars, degree).n_terms
         return np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
 
 
 class OpIdentity(Operator):
     def apply(self, coeffs, ctx, degree):
-        _, n = _tables(ctx.n_vars, degree)
-        return coeffs[..., :n].copy()
+        return coeffs[..., :jet_space(ctx.n_vars, degree).n_terms].copy()
 
 
 class OpSum(Operator):
@@ -145,7 +138,7 @@ class OpSum(Operator):
         self.order = max((t.order for t in self.terms), default=0)
 
     def apply(self, coeffs, ctx, degree):
-        _, n = _tables(ctx.n_vars, degree)
+        n = jet_space(ctx.n_vars, degree).n_terms
         out = np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
         for t in self.terms:
             out += t.apply(coeffs, ctx, degree)
@@ -204,10 +197,9 @@ class OpCoord(Operator):
         self.v = v
 
     def apply(self, coeffs, ctx, degree):
-        sp, n = _tables(ctx.n_vars, degree)
-        out = ctx.points[:, self.v, None, None] * coeffs[..., :n]
-        if degree:
-            out[..., sp.deriv_src[self.v]] += coeffs[..., sp.deriv_dst[self.v]]
+        sp = jet_space(ctx.n_vars, degree)
+        out = ctx.points[:, self.v, None, None] * coeffs[..., :sp.n_terms]
+        out[..., sp.deriv_src[self.v]] += coeffs[..., sp.deriv_dst[self.v]]
         return out
 
 
@@ -219,17 +211,13 @@ class OpMul(Operator):
         self.builder = builder
 
     def apply(self, coeffs, ctx, degree):
-        sp, n = _tables(ctx.n_vars, degree)
+        sp = jet_space(ctx.n_vars, degree)
         f = coeffs[..., :sp.n_terms]
-        if f.shape[-1] < sp.n_terms:
-            # degree 0 reads the degree-1 tables; the zero padding reaches only
-            # product terms above the constant, which are cut off
-            f = np.pad(f, [(0, 0), (0, 0), (0, sp.n_terms - f.shape[-1])])
-        out = np.empty(coeffs.shape[:-1] + (n,), dtype=np.complex128)
+        out = np.empty(f.shape, dtype=np.complex128)
         for s, point in enumerate(ctx.contexts):
             coef = point.coef(self.key, self.builder).coeffs[:sp.n_terms]
             for row in range(f.shape[1]):
-                out[s, row] = sp.mul_coeffs(coef, f[s, row])[:n]
+                out[s, row] = sp.mul_coeffs(coef, f[s, row])
         return out
 
 
@@ -242,7 +230,7 @@ class OpMat(Operator):
     def apply(self, coeffs, ctx, degree):
         if coeffs.shape[1] != self.matrix.shape[1]:
             raise ValueError("spin dimension mismatch")
-        _, n = _tables(ctx.n_vars, degree)
+        n = jet_space(ctx.n_vars, degree).n_terms
         # a sum over the spin columns rounds every term the same at any jet
         # width, which a matmul does not
         out = self.matrix[:, 0, None] * coeffs[:, None, 0, :n]
@@ -265,15 +253,15 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
 
 @dataclass(frozen=True)
 class PointSampler:
-    """Uniform box sampler with a margin predicate keeping clear of singular loci."""
+    """Uniform sampler on the box [-2, 2]^n_vars with a margin predicate keeping
+    clear of singular loci."""
 
     n_vars: int
     accept: Callable[[np.ndarray], bool]
-    box: float = 2.0
 
     def draw(self, rng: np.random.Generator, max_tries: int = 200) -> np.ndarray:
         for _ in range(max_tries):
-            x = rng.uniform(-self.box, self.box, self.n_vars)
+            x = rng.uniform(-2.0, 2.0, self.n_vars)
             if self.accept(x):
                 return x
         raise SingularPoint("could not sample a point clear of the singular locus")
@@ -432,9 +420,8 @@ class GaugeData:
     non-Abelian quadratic term.
     """
 
-    def __init__(self, hbar: float = 1.0):
+    def __init__(self):
         self.tau = tau_matrices()
-        self.hbar = hbar
 
     def potential_jet(self, ctx: PointContext, i: int, a: int) -> Jet:
         def build(c: PointContext) -> Jet:
@@ -589,7 +576,7 @@ def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
     rather than asserted.
     """
     spin = SpinRep.make(T)
-    gauge = GaugeData(hbar=hbar)
+    gauge = GaugeData()
     Ts = spin.matrices()
     x = _coord_ops(5)
 
@@ -712,7 +699,6 @@ class RelationSpec:
     term of the right side.
     """
 
-    name: str
     lhs: Operator
     rows: tuple
 
@@ -769,14 +755,14 @@ def _word(o, word: tuple) -> Operator:
 def _closure_report(o, algebra: cat.PrintedAlgebra, trials: int, sampler: PointSampler,
                     seed: int) -> ClosureReport:
     """Check the declared [A,C] and [B,C] rows on the operators o."""
-    def spec(name, lhs, rows):
-        return RelationSpec(name, lhs, tuple((n, _word(o, w), c) for n, w, c in rows))
+    def spec(lhs, rows):
+        return RelationSpec(lhs, tuple((n, _word(o, w), c) for n, w, c in rows))
 
     C = commutator(o.A, o.B)
     rng = np.random.default_rng(seed)
-    r_ac, fit_ac, res_ac = check_relation(spec("AC", commutator(o.A, C), algebra.ac),
+    r_ac, fit_ac, res_ac = check_relation(spec(commutator(o.A, C), algebra.ac),
                                           trials, sampler, rng)
-    r_bc, fit_bc, res_bc = check_relation(spec("BC", commutator(o.B, C), algebra.bc),
+    r_bc, fit_bc, res_bc = check_relation(spec(commutator(o.B, C), algebra.bc),
                                           trials, sampler, rng)
     return ClosureReport(residual_ac_printed=r_ac, residual_bc_printed=r_bc,
                          fit_ac=fit_ac, fit_bc=fit_bc,
@@ -813,8 +799,7 @@ def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                  + [OpScale(-2 * c, _word(k, w + ("B",))) for _, w, c in zeta]
                  + [OpScale(c, _word(k, w + ("A", "A"))) for _, w, c in d]
                  + [OpScale(2 * c, _word(k, w + ("A",))) for _, w, c in z])
-    casimir = RelationSpec("casimir", K_op,
-                           tuple((n, _word(k, w), c) for n, w, c in printed.casimir))
+    casimir = RelationSpec(K_op, tuple((n, _word(k, w), c) for n, w, c in printed.casimir))
     coefficients, resid = _fit_rows(casimir, n_samples, kepler_sampler(), rng)
     return {"fit_residual": resid, "coefficients": coefficients}
 

@@ -103,7 +103,7 @@ def test_structure_function_roots_vs_expanded_polynomial():
     sf = alg.StructureFunction(roots=(0.0, 2.0, 3.5, 4.0, 7.25, 9.0), scale=-3.0, u=0.5)
     xs = np.linspace(-2, 10, 23)
     via_roots = sf(xs)
-    via_poly = np.polyval(sf.expanded_coefficients(), xs)
+    via_poly = np.polyval(sf.scale * np.poly(np.asarray(sf.roots) - sf.u), xs)
     assert np.abs(via_roots - via_poly).max() < 1e-12 * np.abs(via_roots).max()
 
 
@@ -111,13 +111,6 @@ def test_structure_function_vanishes_at_roots():
     sf = alg.StructureFunction(roots=(-1.5, 0.5, 0.5, 2.5, -2.0, 3.0), scale=2.0, u=0.0)
     for r in sf.roots:
         assert sf(float(r)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_structure_function_rescale_positive_only():
-    sf = alg.StructureFunction(roots=(0., 1., 2., 3., 4., 5.), scale=1.0)
-    with pytest.raises(ValueError):
-        sf.rescaled(-2.0)
-    assert sf.rescaled(3.0)(0.5) == pytest.approx(3.0 * sf(0.5))
 
 
 # -- representation search ---------------------------------------------------
@@ -150,7 +143,7 @@ def test_find_representations_scale_invariance():
     # multiplying the family scale by a positive constant leaves (p, u, E) fixed
     p = _osc_pure()
     fam = _general_family(cat.osc8d_constants(p))
-    fam2 = alg.phi_family_from_coefficients(7.5 * fam.coefficients, label="scaled")
+    fam2 = alg.phi_family_from_coefficients(7.5 * fam.coefficients)
     window = cat.osc8d_energy_window(p, 1)
     a = alg.find_representations(fam, 1, energy_window=window)
     b = alg.find_representations(fam2, 1, energy_window=window)
@@ -385,7 +378,9 @@ def test_casimir_report_commutant():
     real = alg.oscillator_realization(cons, cand.u, p=3, rho_convention="sqrt")
     # leading-coefficient scale pairs the window form with the realization
     lead = abs(alg.general_phi_leading_coefficient(cons))
-    fock = alg.build_fock_realization(cand.sf.rescaled(lead / abs(cand.sf.scale)), real, 3)
+    sf = alg.StructureFunction(cand.sf.roots, cand.sf.scale * (lead / abs(cand.sf.scale)),
+                               cand.sf.u)
+    fock = alg.build_fock_realization(sf, real, 3)
     cas = alg.verify_casimir(fock, cons)
     assert cas.commutant_a < 1e-9
     assert cas.commutant_b < 1e-9

@@ -215,12 +215,14 @@ def test_table_format_prints(capsys):
     (["hurwitz-check", "--point", "1,0,0,0,1,0,0,x"], "--point"),
     (["spectrum", "kepler5d", "--p-max", "-1"], "--p-max"),
     (["spectrum", "osc8d", "--p-max", "-2"], "--p-max"),
+    (["spectrum", "ycm", "--n-max", "-1", "--p-max", "0"], "--n-max"),
+    (["spectrum", "kepler5d", "--n-max", "-3"], "--n-max"),
 ])
 def test_flag_is_named_before_derived_values(capsys, argv, flag):
     # J defaults to |L - T| and the duality map refuses the wrong sign: the
     # message names the flag the user set, not the derived field. Zero trials
-    # would pass the operator checks over nothing, a negative --p-max would
-    # list no level, and a non-finite point would fail the norm identity as a
+    # would pass the operator checks over nothing, a negative --p-max or
+    # --n-max would list no level, and a non-finite point would fail the norm identity as a
     # required check.
     assert main(argv) == 2
     captured = capsys.readouterr()

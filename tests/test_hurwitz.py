@@ -5,7 +5,7 @@ import pytest
 
 from quadalg import catalog as cat
 from quadalg import hurwitz as hw
-from quadalg.errors import FiberChartSingular, SignError
+from quadalg.errors import SignError
 
 
 def test_forward_unit_vectors():
@@ -90,32 +90,28 @@ def test_fiber_chart_singular():
     f = hw.hurwitz_forward(p)
     assert np.isnan(f.angles[0])
     assert f.x == pytest.approx((1.0, 0, 0, 0, 0))  # base point still returned
-    with pytest.raises(FiberChartSingular):
-        hw.hurwitz_forward(p, require_chart=True)
 
 
 def test_parameter_map_examples():
-    dm = hw.map_parameters("forward", energy=4.0, omega=1.0)
+    dm = hw.DualityMap.forward(energy=4.0, omega=1.0, lambda1=0.0, lambda2=0.0)
     assert dm.c0 == pytest.approx(1.0)
     assert dm.eps == pytest.approx(-0.125)
-    e, om, l1, l2 = hw.map_parameters("inverse", c0=1.0, eps=-0.125)
+    e, om, l1, l2 = hw.DualityMap(c0=1.0, eps=-0.125, c1=0.0, c2=0.0).inverse()
     assert om == pytest.approx(1.0)
     assert e == pytest.approx(4.0)
 
 
 def test_parameter_map_involution():
-    dm = hw.map_parameters("forward", energy=7.3, omega=2.1, lambda1=0.4, lambda2=0.2)
+    dm = hw.DualityMap.forward(energy=7.3, omega=2.1, lambda1=0.4, lambda2=0.2)
     e, om, l1, l2 = dm.inverse()
     assert (e, om, l1, l2) == pytest.approx((7.3, 2.1, 0.4, 0.2))
 
 
 def test_parameter_map_sign_errors():
     with pytest.raises(SignError):
-        hw.map_parameters("inverse", c0=1.0, eps=0.25)
+        hw.DualityMap(c0=1.0, eps=0.25, c1=0.0, c2=0.0).inverse()
     with pytest.raises(SignError):
-        hw.map_parameters("forward", energy=-1.0, omega=1.0)
-    with pytest.raises(ValueError):
-        hw.map_parameters("sideways")
+        hw.DualityMap.forward(energy=-1.0, omega=1.0, lambda1=0.0, lambda2=0.0)
 
 
 def test_duality_spectrum_check_triple():

@@ -146,7 +146,8 @@ def test_integer_power(space5):
     assert (a ** 0).value == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("n_vars,degree", [(1, 3), (2, 4), (3, 5), (5, 6), (8, 3)])
+@pytest.mark.parametrize("n_vars,degree", [(1, 3), (2, 4), (3, 5), (5, 6), (8, 3),
+                                           (1, 0), (5, 0), (8, 0)])
 def test_tables_match_brute_force_enumeration(n_vars, degree):
     # the mul table's order fixes the summation order of jet_mul, so the
     # tables must equal the plain enumeration element for element
@@ -168,3 +169,7 @@ def test_tables_match_brute_force_enumeration(n_vars, degree):
         assert np.array_equal(sp.deriv_coef[v], [float(e[v]) for e in up])
     with pytest.raises(KeyError):
         sp.index_of((degree + 1,) + (0,) * (n_vars - 1))
+    # degree 0 is the lowest space, and a space needs a variable
+    for bad in ((n_vars, -1), (0, 1)):
+        with pytest.raises(ValueError):
+            JetSpace(*bad)

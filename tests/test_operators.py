@@ -318,7 +318,7 @@ class _Counting(ops.Operator):
 
 def _rotation_relation(kepler_pure):
     lhs = _Counting(kepler_pure.L[(0, 1)])
-    return ops.RelationSpec("L01", lhs, (("L01", kepler_pure.L[(0, 1)], 1.0),))
+    return ops.RelationSpec(lhs, (("L01", kepler_pure.L[(0, 1)], 1.0),))
 
 
 def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5):
