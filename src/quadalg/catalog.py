@@ -119,7 +119,7 @@ class SpectrumRecord:
     m_indicial: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.provenance not in ("algebraic", "ode-oracle", "duality"):
+        if self.provenance not in ("algebraic", "duality"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.system in ("kepler5d", "ycm") and not self.energy < 0:
             raise ValueError("Kepler-type bound states need energy < 0")

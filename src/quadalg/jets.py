@@ -7,6 +7,11 @@ the constant term of the final jet is the exact value at the expansion point
 as long as the total derivative order consumed stays at or below the jet
 degree. A degree-0 jet is the value alone: its product table holds the one
 triple (0, 0, 0), and its derivative and division tables are empty.
+
+A Jet's coefficients are a (..., n_terms) array: one jet, or a stack of jets
+(one per sample point, say) that every operation acts on row by row, each row
+computed exactly as it would be alone. Operands broadcast over the leading
+axes, so a constant jet of shape (n_terms,) combines with a stack.
 """
 
 from __future__ import annotations
@@ -106,26 +111,28 @@ class JetSpace:
         return Jet(self, c)
 
     def coordinate(self, v: int, point) -> "Jet":
-        """Germ of the coordinate function x_v about the given point."""
-        c = np.zeros(self.n_terms, dtype=np.complex128)
-        c[0] = point[v]
+        """Germ of the coordinate function x_v about the given point, or one
+        germ per row of an (..., n_vars) array of points."""
+        point = np.asarray(point)
+        c = np.zeros(point.shape[:-1] + (self.n_terms,), dtype=np.complex128)
+        c[..., 0] = point[..., v]
         unit = [0] * self.n_vars
         unit[v] = 1
-        c[self.index_of(unit)] = 1.0
+        c[..., self.index_of(unit)] = 1.0
         return Jet(self, c)
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return kernels.jet_mul(a, b, self.mul_i, self.mul_j, self.mul_k, self.n_terms)
 
     def div_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if b[0] == 0:
+        if np.any(b[..., 0] == 0):
             raise SingularPoint("division by a jet with zero constant term")
         return kernels.jet_div(a, b, self.div_i, self.div_j, self.div_k,
                                self.div_level_starts, self.term_level_starts, self.n_terms)
 
     def deriv_coeffs(self, a: np.ndarray, v: int) -> np.ndarray:
-        out = np.zeros(self.n_terms, dtype=np.complex128)
-        out[self.deriv_dst[v]] = self.deriv_coef[v] * a[self.deriv_src[v]]
+        out = np.zeros(a.shape[:-1] + (self.n_terms,), dtype=np.complex128)
+        out[..., self.deriv_dst[v]] = self.deriv_coef[v] * a[..., self.deriv_src[v]]
         return out
 
 
@@ -141,6 +148,7 @@ class Jet:
 
     @property
     def value(self) -> complex:
+        """The value at the expansion point of a single jet."""
         return complex(self.coeffs[0])
 
     def __add__(self, other):
@@ -190,20 +198,28 @@ class Jet:
         return Jet(self.space, self.space.deriv_coeffs(self.coeffs, v))
 
     def sqrt(self) -> "Jet":
-        """Principal square root; needs a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """Principal square root; needs a nonzero constant term.
+
+        sqrt(c0 (1 + w)) is sqrt(c0) times the binomial series in w = f/c0 - 1,
+        summed by Horner's rule. The constant term of w is set to exactly 0
+        (c0/c0 - 1 can round to 1e-16), so every term of the series up to a
+        degree d is the same, bit for bit, at any jet degree from d up.
+        """
+        c0 = self.coeffs[..., :1]
+        if np.any(c0 == 0):
             raise SingularPoint("sqrt of a jet with zero constant term")
-        w = self / c0 - 1.0
+        w = self.coeffs / c0
+        w[..., 0] = 0.0
+        w = Jet(self.space, w)
         acc = self.space.constant(_binom_half(self.space.degree))
         for k in range(self.space.degree - 1, -1, -1):
             acc = acc * w + _binom_half(k)
-        return acc * np.sqrt(complex(c0))
+        return Jet(self.space, acc.coeffs * np.sqrt(c0))
 
 
 def _shift_const(coeffs: np.ndarray, value) -> np.ndarray:
     out = coeffs.copy()
-    out[0] += complex(value)
+    out[..., 0] += complex(value)
     return out
 
 

@@ -1,16 +1,16 @@
 """Differential-operator verification via exact jet arithmetic.
 
 Operators are immutable composition trees of partial derivatives,
-coordinates, coefficient functions (evaluated as jets at the sample point) and
-spin-matrix coefficients. Multiplying by a coordinate is an index shift; only
-the other coefficient functions (1/r, r/(r+x0), 1/rho, ...) go through the jet
-product `jet_mul`. A tree acts on the spin multiplets of S samples at once,
-held as a plain (S, spin_dim, n_terms) complex array, with one `PointContext`
-per sample in a `SampleBatch`. Every tree knows its differential order, and an
-identity is checked on jets whose degree is the order of the identity: the
-constant term of (L f) is then the exact value of (L f)(point) and depends on
-every Taylor coefficient of L at the point. Test germs are full-degree jets
-with random Taylor coefficients.
+coordinates, coefficient functions (evaluated as jets at the sample points)
+and spin-matrix coefficients. Multiplying by a coordinate is an index shift;
+only the other coefficient functions (1/r, r/(r+x0), 1/rho, ...) go through
+the jet product `jet_mul`. A tree acts on the spin multiplets of S samples at
+once, held as a plain (S, spin_dim, n_terms) complex array, with one batched
+`PointContext` that holds the (S, n_vars) points. Every tree knows its
+differential order, and an identity is checked on jets whose degree is the
+order of the identity: the constant term of (L f) is then the exact value of
+(L f)(point) and depends on every Taylor coefficient of L at the point. Test
+germs are full-degree jets with random Taylor coefficients.
 
 A node applied at degree d returns only the Taylor terms up to d, the terms
 its parent reads: the root is applied at degree 0, and the inner factor b of
@@ -18,6 +18,14 @@ a composition a @ b at d + a.order. Terms are ordered by degree, so those are
 a prefix, and each term is computed by the same operations at every degree.
 A node at degree d reads the tables of jet_space(n_vars, d), degree 0
 included, whose one product pair forms the value.
+
+Coefficient functions are built per degree, too. ctx.at(d) is the context of
+the same points at degree d, and an OpMul applied at degree d reads its
+coefficient there: one (S, n_terms) stack of jets, built once per batch and
+degree, and multiplied into the whole (S, spin_dim, n_terms) array in one
+kernel call. Every coefficient at degree d is, bit for bit, the prefix of the
+one at any higher degree; the gauge field F is the one builder that must read
+a degree up for that (see `GaugeData.field_jet`).
 
 Every check samples through one path, `_sample_values`: it draws a (point,
 germ) pair per sample, applies each tree once to the stacked germs and keeps
@@ -47,35 +55,37 @@ from .jets import Jet, JetSpace, jet_space
 # --------------------------------------------------------------------------
 
 class PointContext:
-    """Caches coefficient-function jets at one evaluation point."""
+    """Coefficient-function jets at a batch of evaluation points, at one degree.
 
-    def __init__(self, space: JetSpace, point):
+    points is an (S, n_vars) array, or one (n_vars,) point; each coefficient is
+    built once for all of them, as a (..., n_terms) stack of jets of the
+    context's space. at(d) is the context of the same points at degree d. The
+    contexts of one batch share one cache per degree, and no context refers
+    to another, so the caches go as soon as the contexts do.
+    """
+
+    def __init__(self, space: JetSpace, points, _caches: Optional[dict] = None):
         self.space = space
-        self.point = np.asarray(point, dtype=float)
-        if self.point.shape != (space.n_vars,):
+        self.points = np.asarray(points, dtype=float)
+        if self.points.shape[-1:] != (space.n_vars,) or self.points.ndim > 2:
             raise ValueError("point dimension mismatch")
-        self._cache: dict = {}
+        self.n_vars = space.n_vars
+        self._caches = {} if _caches is None else _caches
+        self._cache = self._caches.setdefault(space.degree, {})
+
+    def at(self, degree: int) -> "PointContext":
+        return PointContext(jet_space(self.n_vars, degree), self.points, self._caches)
 
     def coord(self, v: int) -> Jet:
         key = ("coord", v)
         if key not in self._cache:
-            self._cache[key] = self.space.coordinate(v, self.point)
+            self._cache[key] = self.space.coordinate(v, self.points)
         return self._cache[key]
 
     def coef(self, key: str, builder: Callable[["PointContext"], Jet]) -> Jet:
         if key not in self._cache:
             self._cache[key] = builder(self)
         return self._cache[key]
-
-
-class SampleBatch:
-    """The samples a tree is applied to at once: one PointContext per sample,
-    and their points as an (S, n_vars) array."""
-
-    def __init__(self, contexts: Sequence[PointContext]):
-        self.contexts = tuple(contexts)
-        self.points = np.stack([c.point for c in self.contexts])
-        self.n_vars = self.points.shape[1]
 
 
 # --------------------------------------------------------------------------
@@ -87,8 +97,8 @@ class Operator:
 
     order = 0
 
-    def apply(self, coeffs: np.ndarray, ctx: SampleBatch, degree: int) -> np.ndarray:
-        """The tree applied to an (S, spin_dim, n) array of jets, one per sample
+    def apply(self, coeffs: np.ndarray, ctx: PointContext, degree: int) -> np.ndarray:
+        """The tree applied to an (S, spin_dim, n) array of jets, one per point
         of ctx, up to the given degree.
 
         The input needs the terms up to degree + order; the result is a new
@@ -198,13 +208,18 @@ class OpCoord(Operator):
 
     def apply(self, coeffs, ctx, degree):
         sp = jet_space(ctx.n_vars, degree)
-        out = ctx.points[:, self.v, None, None] * coeffs[..., :sp.n_terms]
+        out = ctx.points[..., self.v, None, None] * coeffs[..., :sp.n_terms]
         out[..., sp.deriv_src[self.v]] += coeffs[..., sp.deriv_dst[self.v]]
         return out
 
 
 class OpMul(Operator):
-    """Multiplication by a scalar coefficient function, evaluated as a jet."""
+    """Multiplication by a scalar coefficient function, evaluated as a jet.
+
+    Applied at degree d, the coefficient is built at degree d, once for all
+    points of the batch (at degree 1 for d = 0, where a coordinate germ needs
+    its linear term), and multiplied into every sample and spin row at once.
+    """
 
     def __init__(self, key: str, builder: Callable[[PointContext], Jet]):
         self.key = key
@@ -212,13 +227,8 @@ class OpMul(Operator):
 
     def apply(self, coeffs, ctx, degree):
         sp = jet_space(ctx.n_vars, degree)
-        f = coeffs[..., :sp.n_terms]
-        out = np.empty(f.shape, dtype=np.complex128)
-        for s, point in enumerate(ctx.contexts):
-            coef = point.coef(self.key, self.builder).coeffs[:sp.n_terms]
-            for row in range(f.shape[1]):
-                out[s, row] = sp.mul_coeffs(coef, f[s, row])
-        return out
+        coef = ctx.at(max(degree, 1)).coef(self.key, self.builder).coeffs[..., :sp.n_terms]
+        return sp.mul_coeffs(coef[..., None, :], coeffs[..., :sp.n_terms])
 
 
 class OpMat(Operator):
@@ -302,12 +312,12 @@ def _sample_values(trees: Sequence[Operator], n_samples: int, sampler: PointSamp
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = rng or np.random.default_rng(0)
     space = jet_space(sampler.n_vars, max([1] + [op.order for op in trees]))
-    contexts, germs = [], []
+    points, germs = [], []
     for _ in range(n_samples):
-        contexts.append(PointContext(space, sampler.draw(rng)))
+        points.append(sampler.draw(rng))
         germs.append(random_state(rng, space, spin_dim))
-    batch, f = SampleBatch(contexts), np.stack(germs)
-    return np.stack([op.apply(f, batch, 0)[..., 0] for op in trees], axis=1)
+    ctx, f = PointContext(space, np.stack(points)), np.stack(germs)
+    return np.stack([op.apply(f, ctx, 0)[..., 0] for op in trees], axis=1)
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
@@ -437,6 +447,14 @@ class GaugeData:
         return ctx.coef(f"gaugeA[{i},{a}]", build)
 
     def field_jet(self, ctx: PointContext, i: int, k: int, a: int) -> Jet:
+        """F_ik^a at the context's degree, exact below its top degree only.
+
+        The curl differentiates A at the same degree, and the derivative of a
+        jet has no terms of the top degree, so F's top-degree terms hold the
+        quadratic term alone. A caller that needs every term up to degree d
+        reads F at ctx.at(d + 1) and cuts it to d, as the r^2 F coefficient
+        of the rotations does.
+        """
         def build(c: PointContext) -> Jet:
             Ak = self.potential_jet(c, k, a)
             Ai = self.potential_jet(c, i, a)
@@ -589,12 +607,17 @@ def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
 
     pi = [pi_op(jv) for jv in range(5)]
 
+    def r2F(ctx, i, k, a):
+        # F one degree up, so that its terms up to this degree hold the curl
+        F = gauge.field_jet(ctx.at(ctx.space.degree + 1), i, k, a)
+        r = _kepler_r(ctx)
+        return (r * r) * Jet(ctx.space, F.coeffs[..., :ctx.space.n_terms])
+
     def L_op(i, k):
         terms = [x[i] @ pi[k], OpScale(-1.0, x[k] @ pi[i])]
         for a in range(3):
             terms.append(OpScale(-hbar, OpMat(Ts[a]) @ OpMul(
-                f"r2F[{i},{k},{a}]",
-                lambda ctx, i=i, k=k, a=a: (_kepler_r(ctx) * _kepler_r(ctx)) * gauge.field_jet(ctx, i, k, a))))
+                f"r2F[{i},{k},{a}]", lambda ctx, i=i, k=k, a=a: r2F(ctx, i, k, a))))
         return OpSum(terms)
 
     L = {(i, k): L_op(i, k) for i in range(5) for k in range(i + 1, 5)}

@@ -31,6 +31,10 @@ def test_spectrum_record_sign_invariants():
     with pytest.raises(ValueError):
         cat.SpectrumRecord(system="osc8d", quantum_numbers={}, energy=-1.0,
                            provenance="algebraic")
+    # the oracles cross-check spectra; none produces a record of its own
+    with pytest.raises(ValueError):
+        cat.SpectrumRecord(system="kepler5d", quantum_numbers={}, energy=-1.0,
+                           provenance="ode-oracle")
 
 
 # -- Kepler constants and spectra ---------------------------------------------

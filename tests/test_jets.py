@@ -5,7 +5,7 @@ import pytest
 
 from quadalg import _jet_kernels as kernels
 from quadalg.errors import SingularPoint
-from quadalg.jets import JetSpace, jet_seed_polynomial, jet_space, random_polynomial
+from quadalg.jets import Jet, JetSpace, jet_seed_polynomial, jet_space, random_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,57 @@ def test_sqrt_squares_back(space5):
     r = r2.sqrt()
     assert np.abs((r * r).coeffs - r2.coeffs).max() < 1e-12
     assert r.value == pytest.approx(np.linalg.norm(pt))
+
+
+def test_sqrt_lower_degree_is_the_prefix_of_a_higher_one():
+    # c0 = 3.7 is a value where c0 / c0 - 1 rounds to -1.1e-16; with the
+    # series variable's constant term left at that, the low terms of sqrt
+    # would depend on the jet degree
+    assert np.complex128(3.7) / np.complex128(3.7) - 1 != 0
+    top = jet_space(5, 6)
+    rng = np.random.default_rng(15)
+    f = rng.uniform(-1.0, 1.0, (6, top.n_terms)).astype(np.complex128)
+    f[:, 0] = [3.7, 0.5, 1.3, 2.9, 4.1, 7.7]
+    full = Jet(top, f).sqrt().coeffs
+    for d in range(top.degree):
+        sp = jet_space(5, d)
+        assert np.array_equal(Jet(sp, f[:, :sp.n_terms]).sqrt().coeffs, full[:, :sp.n_terms]), d
+    # and each row of the stack is that row's sqrt alone
+    for s in range(len(f)):
+        assert np.array_equal(Jet(top, f[s]).sqrt().coeffs, full[s])
+
+
+@pytest.mark.parametrize("n_vars,degree", [(5, 0), (5, 3), (5, 6), (8, 4)])
+def test_stacked_kernels_equal_each_row_alone(n_vars, degree):
+    # one coefficient per sample, multiplied into (or dividing) every spin row
+    # of an (S, spin, n) stack in one call: every value is the row's own call
+    sp = jet_space(n_vars, degree)
+    rng = np.random.default_rng(n_vars + degree)
+    f = rng.standard_normal((4, 3, sp.n_terms)) + 1j * rng.standard_normal((4, 3, sp.n_terms))
+    c = rng.standard_normal((4, 1, sp.n_terms)) + 1j * rng.standard_normal((4, 1, sp.n_terms))
+    c[..., 0] += 3.0
+    prod, quot = sp.mul_coeffs(c, f), sp.div_coeffs(f, c)
+    assert prod.shape == quot.shape == f.shape
+    for s in range(4):
+        for row in range(3):
+            assert np.array_equal(prod[s, row], sp.mul_coeffs(c[s, 0], f[s, row]))
+            assert np.array_equal(quot[s, row], sp.div_coeffs(f[s, row], c[s, 0]))
+    # a constant jet of shape (n,) broadcasts against the stack
+    one = sp.constant(1.0).coeffs
+    assert np.array_equal(sp.div_coeffs(one, c), sp.div_coeffs(np.broadcast_to(one, c.shape), c))
+
+
+def test_zero_constant_term_in_any_row_raises():
+    sp = jet_space(5, 3)
+    rng = np.random.default_rng(16)
+    b = rng.uniform(1.0, 2.0, (3, sp.n_terms)).astype(np.complex128)
+    b[1, 0] = 0.0
+    with pytest.raises(SingularPoint):
+        sp.div_coeffs(np.ones_like(b), b)
+    with pytest.raises(SingularPoint):
+        Jet(sp, b).sqrt()
+    with pytest.raises(SingularPoint):
+        1.0 / Jet(sp, b)
 
 
 def test_second_derivative_of_cubic(space5):

@@ -36,8 +36,8 @@ def test_apply_operator_hand_value():
     ctx = ops.PointContext(sp, np.array([1.0, 2.0, 1.0, 1.0, 1.0]))
     op = (ops.OpMul("c0", lambda c: c.coord(0)) @ ops.OpPartial(1)
           - ops.OpMul("c1", lambda c: c.coord(1)) @ ops.OpPartial(0))
-    f = jet_seed_polynomial({(1, 1, 0, 0, 0): 1.0}, ctx.point, sp)
-    out = op.apply(f.coeffs[None, None, :], ops.SampleBatch([ctx]), 0)[0]
+    f = jet_seed_polynomial({(1, 1, 0, 0, 0): 1.0}, ctx.points, sp)
+    out = op.apply(f.coeffs[None, None, :], ctx, 0)[0]
     assert out[0, 0] == pytest.approx(-3.0)
 
 
@@ -46,8 +46,7 @@ def test_apply_operator_second_derivative():
     pt = np.array([0.7, -1.1, 0.2, 1.4, -0.3])
     ctx = ops.PointContext(sp, pt)
     f = jet_seed_polynomial({(3, 0, 0, 0, 0): 1.0}, pt, sp)
-    out = (ops.OpPartial(0) @ ops.OpPartial(0)).apply(f.coeffs[None, None, :],
-                                                      ops.SampleBatch([ctx]), 0)[0]
+    out = (ops.OpPartial(0) @ ops.OpPartial(0)).apply(f.coeffs[None, None, :], ctx, 0)[0]
     assert out[0, 0] == pytest.approx(6 * pt[0])
 
 
@@ -68,16 +67,16 @@ def systems():
 
 
 def _samples(system, tree, top, n_samples, seed):
-    """The contexts of n_samples points, stacked germs deep enough to apply
-    the tree at degree top, and the number of terms up to each degree."""
+    """The space of germs deep enough to apply the tree at degree top,
+    n_samples points and their stacked germs."""
     o, sampler = system
     space = jet_space(sampler.n_vars, top + tree.order)
     rng = np.random.default_rng(seed)
-    contexts, germs = [], []
+    points, germs = [], []
     for _ in range(n_samples):
-        contexts.append(ops.PointContext(space, sampler.draw(rng)))
+        points.append(sampler.draw(rng))
         germs.append(ops.random_state(rng, space, o.spin_dim))
-    return contexts, np.stack(germs), space.term_level_starts[1:]
+    return space, np.stack(points), np.stack(germs)
 
 
 # the triple brackets of the 8-variable and spin systems stop at degree 1,
@@ -93,12 +92,13 @@ def test_lower_degree_is_the_prefix_of_a_higher_one(systems, name, tree):
     # tree is applied at
     op = _TREES[tree](systems[name][0])
     top = _top(name, tree)
-    contexts, f, n_terms = _samples(systems[name], op, top, 2, seed=len(tree))
-    batch = ops.SampleBatch(contexts)
-    full = op.apply(f, batch, top)
+    space, points, f = _samples(systems[name], op, top, 2, seed=len(tree))
+    n_terms = space.term_level_starts[1:]
+    ctx = ops.PointContext(space, points)
+    full = op.apply(f, ctx, top)
     assert full.shape == f.shape[:2] + (n_terms[top],)
     for d in range(top):
-        assert np.array_equal(op.apply(f, batch, d), full[..., :n_terms[d]]), d
+        assert np.array_equal(op.apply(f, ctx, d), full[..., :n_terms[d]]), d
 
 
 @pytest.mark.parametrize("tree", list(_TREES))
@@ -109,13 +109,67 @@ def test_stacked_samples_equal_each_sample_alone(systems, name, tree):
     # terms of the degree
     op = _TREES[tree](systems[name][0])
     top = _top(name, tree)
-    contexts, f, n_terms = _samples(systems[name], op, top, 3, seed=10 + len(tree))
-    batch = ops.SampleBatch(contexts)
-    stacked = {d: op.apply(f, batch, d) for d in (0, top)}
-    for s, ctx in enumerate(contexts):
-        alone = op.apply(f[s:s + 1], ops.SampleBatch([ctx]), top)[0]
+    space, points, f = _samples(systems[name], op, top, 3, seed=10 + len(tree))
+    n_terms = space.term_level_starts[1:]
+    stacked = {d: op.apply(f, ops.PointContext(space, points), d) for d in (0, top)}
+    for s in range(len(points)):
+        alone = op.apply(f[s:s + 1], ops.PointContext(space, points[s:s + 1]), top)[0]
         for d, values in stacked.items():
             assert np.array_equal(values[s], alone[..., :n_terms[d]]), (d, s)
+
+
+def _coefficients(*trees):
+    """{key: builder} of every OpMul node in the trees."""
+    found, todo = {}, list(trees)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ops.OpMul):
+            found[node.key] = node.builder
+        todo.extend(getattr(node, "terms", ()))
+        todo.extend(getattr(node, name) for name in ("child", "a", "b") if hasattr(node, name))
+    return found
+
+
+def _points(name, systems, n=3):
+    rng = np.random.default_rng(17)
+    return np.stack([systems[name][1].draw(rng) for _ in range(n)])
+
+
+@pytest.mark.parametrize("name", ["kepler5d", "osc8d", "ycm"])
+def test_coefficient_at_a_lower_degree_is_the_prefix_of_a_higher_one(systems, name):
+    # OpMul builds its coefficient at the degree it is applied at; every term
+    # must be the one the highest degree gives, bit for bit
+    o = systems[name][0]
+    coefficients = _coefficients(o.H, o.A, o.B)
+    assert len(coefficients) == {"kepler5d": 8, "osc8d": 6, "ycm": 54}[name]
+    points = _points(name, systems)
+    ctx = ops.PointContext(jet_space(points.shape[1], 4), points)
+    for d in range(1, 4):
+        low = ctx.at(d)
+        for key, build in coefficients.items():
+            got = low.coef(key, build).coeffs
+            assert got.shape == (3, low.space.n_terms), key
+            assert np.array_equal(got, ctx.coef(key, build).coeffs[..., :low.space.n_terms]), (key, d)
+
+
+def test_r2F_holds_the_curl_in_its_top_terms(systems):
+    # F_ik^a read at its own degree lacks the curl in its top-degree terms;
+    # r^2 F reads F one degree up, so at degree d it is the prefix of the
+    # one built at d + 1
+    o = systems["ycm"][0]
+    r2F = {k: b for k, b in _coefficients(o.A, o.B).items() if k.startswith("r2F")}
+    assert len(r2F) == 30
+    ctx = ops.PointContext(jet_space(5, 1), _points("ycm", systems))
+    for d in range(1, 5):
+        low, high = ctx.at(d), ctx.at(d + 1)
+        for key, build in r2F.items():
+            assert np.array_equal(low.coef(key, build).coeffs,
+                                  high.coef(key, build).coeffs[..., :low.space.n_terms]), (key, d)
+    g, n = o.gauge, low.space.n_terms
+    top = low.space.term_degree == low.space.degree
+    own, up = g.field_jet(low, 1, 2, 0).coeffs, g.field_jet(high, 1, 2, 0).coeffs[..., :n]
+    assert np.array_equal(own[..., ~top], up[..., ~top])
+    assert np.abs(own[..., top] - up[..., top]).max() > 1e-2
 
 
 def test_sampler_margins(sampler5, sampler8):
@@ -147,10 +201,9 @@ def test_coord_equals_the_coordinate_jet_product(n_vars, degree, spin_dim):
         pt[::2] = -np.abs(pt[::2])
         f = ops.random_state(rng, sp, spin_dim)
         for v in range(n_vars):
-            shifted = ops.OpCoord(v).apply(
-                f[None], ops.SampleBatch([ops.PointContext(sp, pt)]), degree)[0]
+            shifted = ops.OpCoord(v).apply(f[None], ops.PointContext(sp, pt[None]), degree)[0]
             product = ops.OpMul("x", lambda c, v=v: c.coord(v)).apply(
-                f[None], ops.SampleBatch([ops.PointContext(sp, pt)]), degree)[0]
+                f[None], ops.PointContext(sp, pt[None]), degree)[0]
             assert np.array_equal(shifted, product)
 
 
@@ -288,13 +341,12 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
     sp = jet_space(5, 6)
     for _ in range(3):
         pt = sampler5.draw(rng)
-        ctx = ops.PointContext(sp, pt)
+        ctx = ops.PointContext(sp, pt[None])
         f = ops.random_state(rng, sp, 1)
-        batch = ops.SampleBatch([ctx])
-        va = k.A.apply(f[None], batch, 0)[0, :, 0]
-        vl = k.L2_full.apply(f[None], batch, 0)[0, :, 0]
-        vb = k.B.apply(f[None], batch, 0)[0, :, 0]
-        vm = k.M[0].apply(f[None], batch, 0)[0, :, 0]
+        va = k.A.apply(f[None], ctx, 0)[0, :, 0]
+        vl = k.L2_full.apply(f[None], ctx, 0)[0, :, 0]
+        vb = k.B.apply(f[None], ctx, 0)[0, :, 0]
+        vm = k.M[0].apply(f[None], ctx, 0)[0, :, 0]
         assert np.abs(va - vl).max() < 1e-12 * max(1, np.abs(va).max())
         assert np.abs(vb - vm).max() < 1e-12 * max(1, np.abs(vb).max())
 
@@ -452,15 +504,15 @@ def test_osc8d_A_reduces_when_couplings_vanish(sampler8):
     o = ops.build_osc8d_operators(omega=1.0, lambda1=0.0, lambda2=0.0)
     sp = jet_space(8, 6)
     pt = sampler8.draw(rng)
-    ctx = ops.PointContext(sp, pt)
+    ctx = ops.PointContext(sp, pt[None])
     f = ops.random_state(rng, sp, 1)
     # A with zero couplings is (-1/4) of the full-rotation quadratic form
     rot = ops.OpSum([op @ op for op in
                      [ops.OpMul(f"ci{i}", lambda c, i=i: c.coord(i)) @ ops.OpPartial(j)
                       - ops.OpMul(f"cj{j}", lambda c, j=j: c.coord(j)) @ ops.OpPartial(i)
                       for i in range(8) for j in range(i + 1, 8)]])
-    va = o.A.apply(f[None], ops.SampleBatch([ctx]), 0)[0, :, 0]
-    vr = ops.OpScale(-0.25, rot).apply(f[None], ops.SampleBatch([ctx]), 0)[0, :, 0]
+    va = o.A.apply(f[None], ctx, 0)[0, :, 0]
+    vr = ops.OpScale(-0.25, rot).apply(f[None], ctx, 0)[0, :, 0]
     assert np.abs(va - vr).max() < 1e-11 * max(1, np.abs(va).max())
 
 
