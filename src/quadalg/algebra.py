@@ -204,18 +204,23 @@ class PhiFamily:
     forms. Families built from structure constants also carry coefficients:
     row k holds the t-polynomial P_k (highest power first) of
     Phi(t; E) = sum_k E^k P_k(t), which the representation search eliminates
-    on; their roots come from polynomial root extraction.
+    on; their roots come from polynomial root extraction, and their roots_of
+    also takes a 1-D array of energies, returning one row of roots per energy.
     """
 
-    roots_of: Callable[[float], np.ndarray]
+    roots_of: Callable
     scale_of: Callable[[float], float]
     coefficients: Optional[np.ndarray] = None
 
     def structure_function(self, energy: float, u: float) -> StructureFunction:
-        roots = np.asarray(self.roots_of(energy))
-        if np.iscomplexobj(roots):
-            roots = roots.real  # candidate roots are real up to extraction noise
-        return StructureFunction(tuple(float(r) for r in roots), self.scale_of(energy), u=u)
+        return _structure_function(self, energy, u, self.roots_of(energy))
+
+
+def _structure_function(family: PhiFamily, energy: float, u: float,
+                        roots: np.ndarray) -> StructureFunction:
+    # candidate roots are real up to extraction noise
+    return StructureFunction(tuple(float(r) for r in np.real(roots)), family.scale_of(energy),
+                             u=u)
 
 
 _FIT_NODES = np.arange(-3.0, 4.0)     # seven nodes fix the degree-6 polynomial in t
@@ -259,9 +264,11 @@ def phi_family_from_constants(
 def phi_family_from_coefficients(coefficients) -> PhiFamily:
     """Family of Phi(t; E) = sum_k E^k P_k(t), row k of coefficients holding P_k.
 
-    The roots at each energy come from the companion matrix (np.roots) and get
-    a Newton polish. Complex roots are kept; the representation search accepts
-    an endpoint only on a real one.
+    The roots at each energy come from the companion matrix and get a Newton
+    polish. roots_of(E) takes one energy, or a 1-D array of energies and then
+    returns a list with one row of roots per energy; each row is, bit for bit,
+    the roots of that energy alone. Complex roots are kept; the
+    representation search accepts an endpoint only on a real one.
     """
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
     powers = np.arange(len(coefficients))
@@ -269,26 +276,72 @@ def phi_family_from_coefficients(coefficients) -> PhiFamily:
     def poly_coeffs(energy: float) -> np.ndarray:
         return energy ** powers @ coefficients
 
-    def roots_of(energy: float) -> np.ndarray:
-        coeffs = poly_coeffs(energy)
-        roots = np.roots(coeffs)
-        dp = np.polyder(coeffs)
-        for _ in range(3):  # Newton polish, keeping only steps that lower |Phi|
-            fv = np.polyval(coeffs, roots)
-            dv = np.polyval(dp, roots)
-            step = np.where(dv != 0, fv / np.where(dv == 0, 1.0, dv), 0.0)
-            polished = roots - step
-            # at a double root Phi' is rounding noise, and a full step can
-            # throw both copies onto one wrong real value
-            roots = np.where(np.abs(np.polyval(coeffs, polished)) < np.abs(fv),
-                             polished, roots)
-        order = np.argsort(roots.real + 1e-9 * np.abs(roots.imag))
-        return roots[order]
+    def roots_of(energy):
+        rows = _polished_roots(np.array([poly_coeffs(e) for e in np.atleast_1d(energy)]))
+        return rows[0] if np.ndim(energy) == 0 else rows
 
     def scale_of(energy: float) -> float:
         return float(poly_coeffs(energy)[0])
 
     return PhiFamily(roots_of=roots_of, scale_of=scale_of, coefficients=coefficients)
+
+
+def _polished_roots(coeffs: np.ndarray) -> list:
+    """Polished, sorted roots of each row of coeffs (highest power first).
+
+    The roots of a row are np.roots of it: the eigenvalues of the companion
+    matrix of the row stripped of leading and trailing zeros, then one zero
+    per trailing zero. The companion matrices of rows stripped alike are
+    stacked into one eigvals call, whose result is complex if any of them has
+    a complex root; a row whose roots are all real is polished in real
+    arithmetic, as it would be alone.
+    """
+    n_rows, width = coeffs.shape
+    nonzero = coeffs != 0
+    # a zero row has no roots, as a constant one
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width - 1)
+    last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    out = [None] * n_rows
+    for f, l in sorted(set(zip(first.tolist(), last.tolist()))):
+        rows = np.nonzero((first == f) & (last == l))[0]
+        p = coeffs[rows, f:l + 1]
+        roots = np.zeros((len(rows), 0))
+        if l > f:
+            companion = np.zeros((len(rows), l - f, l - f))
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            companion[:, np.arange(1, l - f), np.arange(l - f - 1)] = 1.0
+            roots = np.linalg.eigvals(companion)
+        roots = np.concatenate([roots, np.zeros((len(rows), width - 1 - l), roots.dtype)],
+                               axis=1)
+        real = (roots.imag == 0).all(axis=1)
+        for part, part_roots in ((rows[real], roots[real].real), (rows[~real], roots[~real])):
+            if len(part):
+                for k, r in zip(part, _polish(coeffs[part], part_roots)):
+                    out[k] = r
+    return out
+
+
+def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Three Newton steps on each row of roots, keeping only the steps that
+    lower |Phi|, then each row sorted by real part; Phi and Phi' are
+    evaluated with np.polyval's operations."""
+    def polyval(c, x):
+        y = np.zeros_like(x)
+        for k in range(c.shape[1]):
+            y = y * x + c[:, k, None]
+        return y
+
+    dp = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
+    for _ in range(3):
+        fv = polyval(coeffs, roots)
+        dv = polyval(dp, roots)
+        step = np.where(dv != 0, fv / np.where(dv == 0, 1.0, dv), 0.0)
+        polished = roots - step
+        # at a double root Phi' is rounding noise, and a full step can
+        # throw both copies onto one wrong real value
+        roots = np.where(np.abs(polyval(coeffs, polished)) < np.abs(fv), polished, roots)
+    order = np.argsort(roots.real + 1e-9 * np.abs(roots.imag), axis=1)
+    return np.take_along_axis(roots, order, axis=1)
 
 
 _ENDPOINT_TOL = 1e-10  # |Phi| at both endpoints, with unit leading coefficient
@@ -380,8 +433,9 @@ def find_representations(family: PhiFamily, p_max: int,
     - both endpoints on F hold for every E, a continuum with no energy of its
       own, so no candidate is built from them.
 
-    Each (u, E) is then finished on the family's own extracted roots, and
-    survivors must have a strictly positive window.
+    The (u, E) of one p inside the window are then finished together on the
+    family's own extracted roots (one roots_of call per secant step for all
+    of them), and survivors must have a strictly positive window.
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
@@ -405,10 +459,7 @@ def find_representations(family: PhiFamily, p_max: int,
                     continue  # both endpoints on F
                 seeds += [(min(r, other), e) for e in _energies_at(cofactor, other)]
         found: list[RepresentationCandidate] = []
-        for u, energy in seeds:
-            if not lo <= energy <= hi:
-                continue
-            cand = _finish(family, p, u, energy)
+        for cand in _finish(family, p, [(u, e) for u, e in seeds if lo <= e <= hi]):
             if cand is None or any(_same(f.u, cand.u) and _same(f.energy, cand.energy)
                                    for f in found):
                 continue
@@ -418,41 +469,57 @@ def find_representations(family: PhiFamily, p_max: int,
     return out
 
 
-def _finish(family: PhiFamily, p: int, u: float,
-            energy: float) -> Optional[RepresentationCandidate]:
-    """Candidate at an eliminated (u, E), solved again on the extracted roots.
+def _finish(family: PhiFamily, p: int,
+            seeds: list) -> list[Optional[RepresentationCandidate]]:
+    """Candidates at the eliminated (u, E) seeds of one p, solved again on the
+    extracted roots, in seed order (None where a seed does not close).
 
-    u snaps to the nearest root of the family at E, u + p + 1 to the nearest
-    other one, and E solves their gap roots[j] - roots[i] - (p + 1) = 0 by
-    secant steps from the seed. The seeds are real solutions, so both roots
-    are real up to extraction noise.
+    Per seed, u snaps to the nearest root of the family at E, u + p + 1 to
+    the nearest other one, and E solves their gap
+    roots[j] - roots[i] - (p + 1) = 0 by secant steps from the seed, keeping
+    the energy of the smallest |gap| met. The seeds are real solutions, so
+    both roots are real up to extraction noise. All seeds step together:
+    each step extracts the roots of every seed still stepping in one
+    family.roots_of call, and a seed stops on its own when its gap vanishes,
+    stalls or its step falls below rounding.
     """
+    if not seeds:
+        return []
     s = p + 1.0
-    roots = family.roots_of(energy)
-    i = int(np.argmin(np.abs(roots - u)))
-    j = int(np.argmin(np.abs(roots - (u + s))))
+    us, energies = zip(*seeds)
+    rows = family.roots_of(np.array(energies))
+    ends = [(int(np.argmin(np.abs(roots - u))), int(np.argmin(np.abs(roots - (u + s)))))
+            for roots, u in zip(rows, us)]
 
-    def gap(roots):
+    def gap(k, roots):
+        i, j = ends[k]
         return roots[j].real - roots[i].real - s
 
-    best = (abs(gap(roots)), energy, roots)
-    e0, g0 = energy, gap(roots)
-    e1 = energy + 1e-8 * (1.0 + abs(energy))
+    best = [(abs(gap(k, roots)), e, roots) for k, (roots, e) in enumerate(zip(rows, energies))]
+    # (e0, g0, e1) of every seed still stepping
+    secant = {k: (e, gap(k, roots), e + 1e-8 * (1.0 + abs(e)))
+              for k, (roots, e) in enumerate(zip(rows, energies))}
     for _ in range(_SECANT_STEPS):
-        roots = family.roots_of(e1)
-        g1 = gap(roots)
-        if abs(g1) < best[0]:
-            best = (abs(g1), e1, roots)
-        if g1 == 0 or g1 == g0 or abs(e1 - e0) <= 1e-15 * (1.0 + abs(e1)):
+        if not secant:
             break
-        e0, g0, e1 = e1, g1, e1 - g1 * (e1 - e0) / (g1 - g0)
-    _, energy, roots = best
-    return _candidate_from_family(family, p, float(roots[i].real), float(energy))
+        stepping = list(secant)
+        rows = family.roots_of(np.array([secant[k][2] for k in stepping]))
+        for k, roots in zip(stepping, rows):
+            e0, g0, e1 = secant.pop(k)
+            g1 = gap(k, roots)
+            if abs(g1) < best[k][0]:
+                best[k] = (abs(g1), e1, roots)
+            if not (g1 == 0 or g1 == g0 or abs(e1 - e0) <= 1e-15 * (1.0 + abs(e1))):
+                secant[k] = (e1, g1, e1 - g1 * (e1 - e0) / (g1 - g0))
+    return [_candidate(family, p, float(roots[ends[k][0]].real), float(energy), roots)
+            for k, (_, energy, roots) in enumerate(best)]
 
 
-def _candidate_from_family(family: PhiFamily, p: int, u: float,
-                           energy: float) -> Optional[RepresentationCandidate]:
-    sf = family.structure_function(energy, u)
+def _candidate(family: PhiFamily, p: int, u: float, energy: float,
+               roots: np.ndarray) -> Optional[RepresentationCandidate]:
+    """The representation at (u, E) on the family's roots at E, if its
+    endpoints are zeros of Phi and its window is positive."""
+    sf = _structure_function(family, energy, u, roots)
     endpoints = np.abs(sf.monic(np.array([0.0, p + 1.0])))
     if endpoints.max() > _ENDPOINT_TOL:
         return None

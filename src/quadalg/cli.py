@@ -1,10 +1,12 @@
 """Command-line surface: spectra, verification suites, cross-checks, duality.
 
 Exit codes: 0 when every required check passes, 1 when a required check fails,
-2 for configuration errors, 3 for internal errors (a package error raised
-during the run, such as an oracle with no root or an eigenvalue estimate that
-does not converge, where no report is written). Checks of printed formulas
-against oracles carry status "finding" and never affect the exit code.
+2 for configuration errors (input refused before the run, by the flag checks
+or the system's parameter class), 3 for internal errors (a package error or a
+ValueError raised during the run, such as an oracle with no root or an
+eigenvalue estimate that does not converge, where no report is written).
+Checks of printed formulas against oracles carry status "finding" and never
+affect the exit code.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ def _osc_params(args) -> cat.Oscillator8DParams:
                                   j=args.j, k=args.k)
 
 
+def _ycm_params(args) -> cat.YCMParams:
+    return cat.YCMParams(kepler=_kepler_params(args), T=args.T, J=args.J, L=args.L)
+
+
+def _system_params(args):
+    return {"kepler5d": _kepler_params, "osc8d": _osc_params,
+            "ycm": _ycm_params}[args.system](args)
+
+
 # --------------------------------------------------------------------------
 # spectrum
 # --------------------------------------------------------------------------
@@ -61,7 +72,7 @@ def cmd_spectrum(args) -> int:
         for rp in range(args.p_max + 1):
             rows.append(cat.osc8d_spectrum(p, rp))
     elif args.system == "ycm":
-        p = cat.YCMParams(kepler=_kepler_params(args), T=args.T, J=args.J, L=args.L)
+        p = _ycm_params(args)
         for n1 in range(args.n_max + 1):
             for n2 in range(args.n_max + 1 - n1):
                 rows.append(cat.ycm_spectrum_parabolic(p, n1, n2))
@@ -278,7 +289,7 @@ def _verify_osc8d(report: Report, args) -> None:
 
 
 def _verify_ycm(report: Report, args) -> None:
-    params = cat.YCMParams(kepler=_kepler_params(args), T=args.T, J=args.J, L=args.L)
+    params = _ycm_params(args)
     kp = params.kepler
     rng = np.random.default_rng(args.seed)
     sampler = ops.kepler_sampler()
@@ -507,6 +518,10 @@ def _check_config(args) -> None:
                 if getattr(args, field) < 0:
                     raise ConfigError(field, f"{flag} must be non-negative, "
                                       f"got {getattr(args, field)}")
+        if args.J is None:
+            args.J = abs(args.L - args.T)
+        # the system's parameter class refuses its invalid values here
+        _system_params(args)
         return
     if args.command == "hurwitz-check":
         _point(args.point)
@@ -631,13 +646,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         _check_config(args)
-        if getattr(args, "J", None) is None and hasattr(args, "T"):
-            args.J = abs(args.L - args.T)
-        return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except QuadalgError as exc:
+    try:
+        return args.func(args)
+    except (QuadalgError, ValueError) as exc:
+        # the input passed every check above, so the fault is the package's
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -33,7 +33,9 @@ the constant terms. Commutator identities, printed relations and
 least-squares fits of unknown structure constants are reductions over those
 values, so they are checked at every derivative order they contain. The
 printed relations are the catalog's rows, each word of a row composed from the
-system's trees.
+system's trees. A relation is checked from one pass over its left side and its
+basis trees: the first samples give the residual of the printed rows, the
+rest the fit of their coefficients.
 """
 
 from __future__ import annotations
@@ -341,7 +343,11 @@ def operator_residual(lhs: Operator, rhs: Operator, trials: int, sampler: PointS
                       rng: Optional[np.random.Generator] = None, spin_dim: int = 1) -> float:
     """Max over trials of |(lhs - rhs) f|(point), relative to the largest of
     |lhs f|, |rhs f| and 1."""
-    v = _sample_values([lhs, rhs], trials, sampler, rng, spin_dim)
+    return _relative_defect(_sample_values([lhs, rhs], trials, sampler, rng, spin_dim))
+
+
+def _relative_defect(v: np.ndarray) -> float:
+    """Max over samples of |v[:, 0] - v[:, 1]|, relative to the sample's magnitude."""
     defect = np.abs(v[:, 0] - v[:, 1]).max(axis=1)
     return float((defect / _magnitudes(v)).max())
 
@@ -354,9 +360,16 @@ def fit_operator_coefficients(lhs: Operator, basis: Sequence[Operator], n_sample
     Returns (coefficients, relative residual). Exact jet evaluation makes the
     fit sharp: residuals at rounding level certify the operator identity.
     """
-    v = _sample_values([lhs, *basis], n_samples, sampler, rng, spin_dim)
-    # one row per (sample, spin component)
-    M = v[:, 1:].transpose(0, 2, 1).reshape(-1, len(basis))
+    return _least_squares(_sample_values([lhs, *basis], n_samples, sampler, rng, spin_dim))
+
+
+def _least_squares(v: np.ndarray):
+    """Column-scaled least-squares fit of the first tree's values v[:, 0] on
+    the others', one equation per sample, spin row and real or imaginary part.
+
+    Returns (coefficients, residual relative to the largest left-side value).
+    """
+    M = v[:, 1:].transpose(0, 2, 1).reshape(-1, v.shape[1] - 1)
     y = v[:, 0].reshape(-1)
     M2 = np.vstack([M.real, M.imag])
     y2 = np.concatenate([y.real, y.imag])
@@ -742,12 +755,22 @@ def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
     """Residual of the printed relation, then a fit of its coefficients.
 
     Returns (printed residual, {basis name: (printed, fitted)}, fit residual).
-    The fit uses 2 * len(rows) + 4 samples drawn from rng after the residual's.
+    One sample pass applies the left side and every basis tree to trials
+    samples and then to 2 * len(rows) + 4 more. The first trials give the
+    residual of lhs - sum_k c_k basis_k, the right side summed row by row, as
+    the tree sum_k c_k basis_k sums it; the others give the fit.
     """
-    rhs = OpSum([OpScale(c, op) for _, op, c in spec.rows])
-    residual = operator_residual(spec.lhs, rhs, trials, sampler, rng)
-    fit, fit_residual = _fit_rows(spec, 2 * len(spec.rows) + 4, sampler, rng)
-    return residual, fit, fit_residual
+    if trials < 1:
+        raise ValueError(f"need at least one sample, got {trials}")
+    names, basis, printed = zip(*spec.rows)
+    v = _sample_values([spec.lhs, *basis], trials + 2 * len(basis) + 4, sampler, rng, 1)
+    head = v[:trials]
+    rhs = np.zeros_like(head[:, 0])
+    for k, c in enumerate(printed, start=1):
+        rhs += head[:, k] * c
+    residual = _relative_defect(np.stack([head[:, 0], rhs], axis=1))
+    fit, fit_residual = _least_squares(v[trials:])
+    return residual, {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, fit_residual
 
 
 @dataclass(frozen=True)

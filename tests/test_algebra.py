@@ -249,8 +249,59 @@ def test_solver_extracts_few_roots():
         return gen.roots_of(energy)
 
     fam = dataclasses.replace(gen, roots_of=roots_of)
-    sols = alg.find_representations(fam, 3, energy_window=cat.kepler5d_energy_window(p, 3))
-    assert sols and len(calls) < 500
+    p_max = 3
+    sols = alg.find_representations(fam, p_max,
+                                    energy_window=cat.kepler5d_energy_window(p, p_max))
+    # per p, one batched call at the seeds and one per secant step
+    assert sols and len(calls) <= (p_max + 1) * (1 + alg._SECANT_STEPS)
+
+
+def _roots_one_at_a_time(coeffs):
+    """The roots of one polynomial as np.roots, np.polyval and np.argsort give them."""
+    roots = np.roots(coeffs)
+    dp = np.polyder(coeffs)
+    for _ in range(3):
+        fv = np.polyval(coeffs, roots)
+        dv = np.polyval(dp, roots)
+        step = np.where(dv != 0, fv / np.where(dv == 0, 1.0, dv), 0.0)
+        polished = roots - step
+        roots = np.where(np.abs(np.polyval(coeffs, polished)) < np.abs(fv), polished, roots)
+    return roots[np.argsort(roots.real + 1e-9 * np.abs(roots.imag))]
+
+
+def test_batched_roots_equal_the_roots_of_each_energy():
+    # Phi = (t^2 - E) R(t): the pair +-sqrt(E) is real for E >= 0 and complex
+    # for E < 0, and eigvals returns a real array only when every root of the
+    # stack is real
+    rest = np.poly([1.0, 2.5, -3.0, 4.0])
+    fam = alg.phi_family_from_coefficients([np.polymul([1.0, 0.0, 0.0], rest),
+                                            np.concatenate([[0.0, 0.0], -rest])])
+    energies = np.array([0.5, -0.5, 2.0, 0.0, -3.0, 1e-3])
+    rows = fam.roots_of(energies)
+    assert len(rows) == len(energies)
+    assert [np.iscomplexobj(r) for r in rows] == [False, True, False, False, True, False]
+    for energy, row in zip(energies, rows):
+        alone = fam.roots_of(energy)
+        assert np.array_equal(row, alone) and row.dtype == alone.dtype
+        assert np.array_equal(alone, _roots_one_at_a_time(energy ** np.arange(2) @
+                                                          fam.coefficients))
+
+
+def test_batched_roots_follow_np_roots_on_stripped_zeros():
+    # leading zeros drop roots, trailing zeros add zero roots, a zero
+    # polynomial has none: rows stripped alike share one eigvals call
+    rng = np.random.default_rng(3)
+    for zeros in ((), (0,), (6,), (0, 1, 6), tuple(range(7))):
+        coefficients = rng.normal(size=(3, 7))
+        coefficients[:, list(zeros)] = 0.0
+        energies = rng.normal(size=5)
+        fam = alg.phi_family_from_coefficients(coefficients)
+        for energy, row in zip(energies, fam.roots_of(energies)):
+            alone = _roots_one_at_a_time(energy ** np.arange(3) @ coefficients)
+            assert np.array_equal(row, alone) and row.dtype == alone.dtype, zeros
+    # a family that loses its leading coefficient at E = 1 only
+    fam = alg.phi_family_from_coefficients([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    assert [len(r) for r in fam.roots_of(np.array([0.0, 1.0, 2.0]))] == [2, 1, 2]
 
 
 def test_solver_builds_no_candidate_from_a_complex_root():

@@ -246,6 +246,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert captured.err == "internal error: NoRoot: no bound state\n"
 
 
+def test_value_error_inside_the_package_exits_three(capsys, monkeypatch):
+    # exit 2 is for input the checks refuse; a ValueError from a kernel on
+    # accepted input is the package's fault
+    from quadalg import _jet_kernels as kernels
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(kernels, "jet_mul", broken)
+    assert main(["verify", "kepler5d", "--p", "0", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "internal error: ValueError: operands could not be broadcast together\n"
+
+
 # closing `fock.*.solver.*` names of the generic representation search, as the
 # energy-grid search reported them, less one artifact: at c1 = 0.25, l = 3 it
 # also reported p1.E-35.888543822.u+0.618034, whose endpoints 0.618 and 2.618

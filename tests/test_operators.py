@@ -374,12 +374,12 @@ def _rotation_relation(kepler_pure):
 
 
 def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5):
-    # once to the residual's trials, then once to the fit's 2 * len(rows) + 4
-    # samples
+    # once, to the residual's trials and the fit's 2 * len(rows) + 4 samples
+    # together
     spec = _rotation_relation(kepler_pure)
     residual, fit, fit_residual = ops.check_relation(spec, 3, sampler5,
                                                      np.random.default_rng(0))
-    assert spec.lhs.samples == [3, 2 * len(spec.rows) + 4]
+    assert spec.lhs.samples == [3 + 2 * len(spec.rows) + 4]
     assert residual < 1e-14 and fit_residual < 1e-14
     assert fit["L01"][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -393,6 +393,42 @@ def test_checks_refuse_zero_samples(kepler_pure, sampler5):
         ops.fit_operator_coefficients(spec.lhs, [kepler_pure.H], 0, sampler5,
                                       np.random.default_rng(0))
     assert spec.lhs.calls == 0
+
+
+def _closure_specs(o, algebra):
+    C = ops.commutator(o.A, o.B)
+
+    def spec(lhs, rows):
+        return ops.RelationSpec(lhs, tuple((n, ops._word(o, w), c) for n, w, c in rows))
+
+    return [spec(ops.commutator(o.A, C), algebra.ac), spec(ops.commutator(o.B, C), algebra.bc)]
+
+
+@pytest.mark.parametrize("system", ["kepler5d", "osc8d"])
+def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8):
+    # one sample pass gives, bit for bit, the residual of the tree
+    # lhs - sum_k c_k basis_k on the first trials samples and the fit on the
+    # next 2 * len(rows) + 4 samples of the same stream
+    if system == "kepler5d":
+        params = cat.Kepler5DParams(c1=0.25, c2=0.1)
+        o = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2)
+        algebra, sampler, trials = cat.kepler5d_constants(params), sampler5, 3
+    else:
+        params = cat.Oscillator8DParams(lambda1=0.2, lambda2=0.1)
+        o = ops.build_osc8d_operators(lambda1=params.lambda1, lambda2=params.lambda2)
+        algebra, sampler, trials = cat.osc8d_constants(params), sampler8, 2
+    for spec in _closure_specs(o, algebra):
+        residual, fit, fit_residual = ops.check_relation(spec, trials, sampler,
+                                                         np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        rhs = ops.OpSum([ops.OpScale(c, op) for _, op, c in spec.rows])
+        expected = ops.operator_residual(spec.lhs, rhs, trials, sampler, rng)
+        coefficients, expected_fit_residual = ops.fit_operator_coefficients(
+            spec.lhs, [op for _, op, _ in spec.rows], 2 * len(spec.rows) + 4, sampler, rng)
+        assert residual == expected
+        assert fit_residual == expected_fit_residual
+        assert [fit[n] for n, _, _ in spec.rows] == \
+            [(c, float(f)) for (_, _, c), f in zip(spec.rows, coefficients)]
 
 
 def test_kepler_quadratic_closure_printed_relations():
