@@ -412,17 +412,12 @@ def _energies_at(cofactor: list, t: float) -> np.ndarray:
 
 
 def find_representations(family: PhiFamily, p_max: int,
-                         closed_form: Optional[Callable[[int], RepresentationCandidate]] = None,
-                         energy_window: Optional[tuple] = None
-                         ) -> list[RepresentationCandidate]:
+                         energy_window: tuple) -> list[RepresentationCandidate]:
     """All (u, E) pairs carrying a (p+1)-dimensional unitary representation, p <= p_max.
 
-    With closed_form supplied (catalog systems) family is ignored, and the
-    result is closed_form(p) for p = 0..p_max as printed, with nothing
-    validated; the CLI checks their endpoints and window positivity as
-    fock.<system>.closed-form.p<p>.window. Otherwise the family must carry
-    energy coefficients (phi_family_from_constants), and u and u + p + 1 are
-    found as zeros of Phi by elimination, for E inside energy_window:
+    A search only, on a family with energy coefficients
+    (phi_family_from_constants): u and u + p + 1 are found as zeros of Phi by
+    elimination, for E inside energy_window.
 
     - the E-independent roots F (shared by every P_k) are split off, leaving
       the cofactor Q(t; E) = Phi / F;
@@ -439,10 +434,8 @@ def find_representations(family: PhiFamily, p_max: int,
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    if closed_form is not None:
-        return [closed_form(p) for p in range(p_max + 1)]
-    if family.coefficients is None or energy_window is None:
-        raise ValueError("the generic search needs a coefficient family and an energy window")
+    if family.coefficients is None:
+        raise ValueError("the representation search needs a family with energy coefficients")
     lo, hi = energy_window
     shared = _energy_independent_roots(family.coefficients)
     cofactor = [np.polydiv(pk, np.poly(shared).real)[0] for pk in family.coefficients]

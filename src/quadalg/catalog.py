@@ -224,16 +224,27 @@ def kepler5d_phi_family(p: Kepler5DParams) -> PhiFamily:
     return PhiFamily(roots_of=roots_of, scale_of=scale_of)
 
 
-def _rep_window_structure_function(p_rep: int, m1: float, m2: float,
-                                   positive_scale: float) -> StructureFunction:
-    """Post-substitution factored form with zeros pinned at 0 and p+1.
+def _closed_form(spectrum: Callable[[int], SpectrumRecord], u_of: Callable[[float], float],
+                 m: tuple, positive_scale: float) -> Callable[[int], RepresentationCandidate]:
+    """Printed closed-form (u, E) per dimension, with the post-substitution
+    window form of Phi attached: zeros pinned at 0 and p+1, on the printed m.
 
-    Written with five reversed factors (root - x), so the stored signed leading
-    coefficient is the negative of the printed positive prefactor.
+    The window form is written with five reversed factors (root - x), so the
+    stored signed leading coefficient is the negative of the printed positive
+    prefactor.
     """
-    roots = (0.0, p_rep + 1.0, p_rep + 1.0 + m1, p_rep + 1.0 + m2,
-             p_rep + 1.0 + m1 + m2, 2.0 * p_rep + 2.0 + m1 + m2)
-    return StructureFunction(roots=roots, scale=-positive_scale, u=0.0)
+    m1, m2 = m
+
+    def build(rep_p: int) -> RepresentationCandidate:
+        energy = spectrum(rep_p).energy
+        roots = (0.0, rep_p + 1.0, rep_p + 1.0 + m1, rep_p + 1.0 + m2,
+                 rep_p + 1.0 + m1 + m2, 2.0 * rep_p + 2.0 + m1 + m2)
+        sf = StructureFunction(roots=roots, scale=-positive_scale)
+        window = sf(np.arange(1, rep_p + 1, dtype=float)) if rep_p >= 1 else np.empty(0)
+        return RepresentationCandidate(p=rep_p, u=float(u_of(energy)), energy=float(energy),
+                                       phi_values=tuple(float(v) for v in window), sf=sf)
+
+    return build
 
 
 def kepler5d_spectrum(p: Kepler5DParams, rep_p: int) -> SpectrumRecord:
@@ -256,19 +267,11 @@ def kepler5d_spectrum(p: Kepler5DParams, rep_p: int) -> SpectrumRecord:
 
 
 def kepler5d_closed_form(p: Kepler5DParams) -> Callable[[int], RepresentationCandidate]:
-    """Printed closed-form (u, E) per dimension, with the window-form Phi attached."""
-    m1, m2 = kepler5d_m_parameters(p)
-
-    def build(rep_p: int) -> RepresentationCandidate:
-        energy = kepler5d_spectrum(p, rep_p).energy
-        u = 0.5 + _coulomb_q(p, energy)
-        sf = _rep_window_structure_function(rep_p, m1, m2,
-                                            KEPLER_PHI_PREFACTOR_SUBST * p.hbar**16 * p.c0**2)
-        window = sf(np.arange(1, rep_p + 1, dtype=float)) if rep_p >= 1 else np.empty(0)
-        return RepresentationCandidate(p=rep_p, u=float(u), energy=float(energy),
-                                       phi_values=tuple(float(v) for v in window), sf=sf)
-
-    return build
+    """Printed closed-form (u, E) per dimension, u = 1/2 + q(E), with the
+    window-form Phi attached."""
+    return _closed_form(lambda rep_p: kepler5d_spectrum(p, rep_p),
+                        lambda energy: 0.5 + _coulomb_q(p, energy), kepler5d_m_parameters(p),
+                        KEPLER_PHI_PREFACTOR_SUBST * p.hbar**16 * p.c0**2)
 
 
 def kepler5d_energy_window(p: Kepler5DParams, p_max: int) -> tuple[float, float]:
@@ -369,18 +372,11 @@ def osc8d_spectrum(p: Oscillator8DParams, rep_p: int) -> SpectrumRecord:
 
 
 def osc8d_closed_form(p: Oscillator8DParams) -> Callable[[int], RepresentationCandidate]:
-    printed, _ = osc8d_m_parameters(p)
-    m1, m2 = printed
-
-    def build(rep_p: int) -> RepresentationCandidate:
-        energy = osc8d_spectrum(p, rep_p).energy
-        u = 0.5 - energy / (2 * p.omega * p.hbar)
-        sf = _rep_window_structure_function(rep_p, m1, m2, OSC_PHI_PREFACTOR_SUBST * p.omega**2)
-        window = sf(np.arange(1, rep_p + 1, dtype=float)) if rep_p >= 1 else np.empty(0)
-        return RepresentationCandidate(p=rep_p, u=float(u), energy=float(energy),
-                                       phi_values=tuple(float(v) for v in window), sf=sf)
-
-    return build
+    """Printed closed-form (u, E) per dimension, u = 1/2 - E / (2 omega hbar),
+    with the window-form Phi attached on the printed m parameters."""
+    return _closed_form(lambda rep_p: osc8d_spectrum(p, rep_p),
+                        lambda energy: 0.5 - energy / (2 * p.omega * p.hbar),
+                        osc8d_m_parameters(p)[0], OSC_PHI_PREFACTOR_SUBST * p.omega**2)
 
 
 def osc8d_energy_window(p: Oscillator8DParams, p_max: int) -> tuple[float, float]:
@@ -496,18 +492,13 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
     if system == "kepler5d":
         constants = kepler5d_constants(params)
         closed = kepler5d_closed_form(params)(rep_p)
-        m1, m2 = kepler5d_m_parameters(params)
-        pos_scale = KEPLER_PHI_PREFACTOR_SUBST * params.hbar**16 * params.c0**2
     elif system == "osc8d":
         constants = osc8d_constants(params)
         closed = osc8d_closed_form(params)(rep_p)
-        (m1, m2), _ = osc8d_m_parameters(params)
-        pos_scale = OSC_PHI_PREFACTOR_SUBST * params.omega**2
     else:
         raise ValueError(f"unknown system {system!r}")
 
     u_cons, e_cons = _consistent_pair(system, params, rep_p)
-    sf_window = _rep_window_structure_function(rep_p, m1, m2, pos_scale)
     results = []
 
     def run(name, rho_convention, u, energy, sf, constants_at_e):
@@ -534,13 +525,13 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
     c_cons = constants.at_energy(e_cons)
     lead = general_phi_leading_coefficient(c_cons)
     if lead < 0:
-        sf_lead = _rep_window_structure_function(rep_p, m1, m2, -lead)
-        run("consistent-uE/leading-scale-phi/rho-sqrt", "sqrt", u_cons, e_cons, sf_lead, c_cons)
+        run("consistent-uE/leading-scale-phi/rho-sqrt", "sqrt", u_cons, e_cons,
+            replace(closed.sf, scale=lead), c_cons)
 
     # 4: consistent (u, E), relation-fitted (d, z, scale)
-    fit = fit_relation_constants(c_cons, u_cons, sf_window, rep_p)
+    fit = fit_relation_constants(c_cons, u_cons, closed.sf, rep_p)
     if fit.scale > 0:
         fitted = replace(c_cons, d_c=fit.d, z_c=fit.z)
-        sf_fit = _rep_window_structure_function(rep_p, m1, m2, fit.scale)
-        run("consistent-uE/relation-fitted-dz/rho-sqrt", "sqrt", u_cons, e_cons, sf_fit, fitted)
+        run("consistent-uE/relation-fitted-dz/rho-sqrt", "sqrt", u_cons, e_cons,
+            replace(closed.sf, scale=-fit.scale), fitted)
     return results

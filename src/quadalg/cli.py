@@ -108,7 +108,7 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
         constants = cat.osc8d_constants(params)
         e_window = cat.osc8d_energy_window(params, p_max)
 
-    for cand in alg.find_representations(family, p_max, closed_form=closed_form):
+    for cand in map(closed_form, range(p_max + 1)):
         sf = cand.sf
         window = np.array(cand.phi_values)
         endpoint = float(np.abs(sf.monic(np.array([0.0, cand.p + 1.0]))).max())
@@ -203,14 +203,12 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
                    status="finding", values={"count": 0})
 
 
-def _commutator_checks(report: Report, rows, trials: int, sampler, rng,
-                       spin_dim: int = 1) -> None:
+def _commutator_checks(report: Report, rows, trials: int, sampler, rng) -> None:
     """One check per (check name, op1, op2, expected, tolerance, ref) row: the
     residual of [op1, op2] = expected, drawn from rng in row order. A row
     without a tolerance is a finding."""
     for check, op1, op2, expected, tolerance, ref in rows:
-        r = ops.commutator_residual(op1, op2, expected, trials, sampler, rng,
-                                    spin_dim=spin_dim)
+        r = ops.commutator_residual(op1, op2, expected, trials, sampler, rng)
         if tolerance is None:
             report.add(check, ref, status="finding", residual=r)
         else:
@@ -310,25 +308,26 @@ def _verify_ycm(report: Report, args) -> None:
     space = ops.jet_space(5, max(op1.order + op2.order for _, op1, op2, *_ in rows))
     gauge = y.gauge
     worst_anti, worst_imag = 0.0, 0.0
-    for _ in range(10):
-        ctx = ops.PointContext(space, sampler.draw(rng))
-        for i in range(5):
-            for a in range(3):
-                worst_imag = max(worst_imag, float(
-                    np.abs(gauge.potential_jet(ctx, i, a).coeffs.imag).max()))
-                for kk in range(i + 1, 5):
-                    fik = gauge.field_jet(ctx, i, kk, a).coeffs
-                    fki = gauge.field_jet(ctx, kk, i, a).coeffs
-                    # F_ik + F_ki vanishes identically; the rest is rounding,
-                    # measured against the field's own size
-                    scale = max(np.abs(fik).max(), np.abs(fki).max(), 1.0)
-                    worst_anti = max(worst_anti, float(np.abs(fik + fki).max() / scale))
+    # one batch of 10 points; each row is the jet of its point alone
+    ctx = ops.PointContext(space, np.stack([sampler.draw(rng) for _ in range(10)]))
+    for i in range(5):
+        for a in range(3):
+            worst_imag = max(worst_imag, float(
+                np.abs(gauge.potential_jet(ctx, i, a).coeffs.imag).max()))
+            for kk in range(i + 1, 5):
+                fik = gauge.field_jet(ctx, i, kk, a).coeffs
+                fki = gauge.field_jet(ctx, kk, i, a).coeffs
+                # F_ik + F_ki vanishes identically; the rest is rounding,
+                # measured per point against the field's own size
+                scale = np.maximum(np.abs(np.stack([fik, fki])).max(axis=(0, 2)), 1.0)
+                defect = np.abs(fik + fki).max(axis=1)
+                worst_anti = max(worst_anti, float((defect / scale).max()))
     report.required_check("jets.ycm.gauge.antisymmetry", "field strength antisymmetry",
                           residual=worst_anti, tolerance=1e-12)
     report.required_check("jets.ycm.gauge.real", "gauge potential is real",
                           residual=worst_imag, tolerance=1e-12)
     t = max(2, args.trials // 4)
-    _commutator_checks(report, rows, t, sampler, rng, spin_dim=y.spin_dim)
+    _commutator_checks(report, rows, t, sampler, rng)
     if params.T == 0:
         k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
         # both from the same seed, so equal trees give equal residuals
@@ -529,10 +528,16 @@ def _check_config(args) -> None:
     if args.command == "dualize":
         # NaN and inf pass the sign checks and would reach the report
         _require_finite(args, ("energy", "omega", "lambda1", "lambda2", "c0", "eps", "c1", "c2"))
-        if args.direction == "forward" and not args.energy > 0:
-            raise ConfigError("energy", f"--energy must be positive, got {args.energy}")
-        if args.direction == "inverse" and not args.eps < 0:
-            raise ConfigError("eps", f"--eps must be negative, got {args.eps}")
+        # then the parameter class of the side the map starts from refuses
+        # its invalid values, as it does for spectrum and verify
+        if args.direction == "forward":
+            if not args.energy > 0:
+                raise ConfigError("energy", f"--energy must be positive, got {args.energy}")
+            cat.Oscillator8DParams(omega=args.omega, lambda1=args.lambda1, lambda2=args.lambda2)
+        else:
+            if not args.eps < 0:
+                raise ConfigError("eps", f"--eps must be negative, got {args.eps}")
+            cat.Kepler5DParams(c0=args.c0, c1=args.c1, c2=args.c2)
         return
     if args.command != "crosscheck":
         return

@@ -7,10 +7,12 @@ only the other coefficient functions (1/r, r/(r+x0), 1/rho, ...) go through
 the jet product `jet_mul`. A tree acts on the spin multiplets of S samples at
 once, held as a plain (S, spin_dim, n_terms) complex array, with one batched
 `PointContext` that holds the (S, n_vars) points. Every tree knows its
-differential order, and an identity is checked on jets whose degree is the
-order of the identity: the constant term of (L f) is then the exact value of
-(L f)(point) and depends on every Taylor coefficient of L at the point. Test
-germs are full-degree jets with random Taylor coefficients.
+differential order and its spin dimension (the size of its spin matrices, 1
+without one), so a check reads both from its trees. An identity is checked on
+jets whose degree is the order of the identity: the constant term of (L f) is
+then the exact value of (L f)(point) and depends on every Taylor coefficient
+of L at the point. Test germs are full-degree jets with random Taylor
+coefficients and as many spin rows as the trees act on.
 
 A node applied at degree d returns only the Taylor terms up to d, the terms
 its parent reads: the root is applied at degree 0, and the inner factor b of
@@ -95,9 +97,11 @@ class PointContext:
 # --------------------------------------------------------------------------
 
 class Operator:
-    """A tree node; order is the differential order of the tree below it."""
+    """A tree node; order is the differential order of the tree below it and
+    spin_dim the number of spin rows it acts on."""
 
     order = 0
+    spin_dim = 1
 
     def apply(self, coeffs: np.ndarray, ctx: PointContext, degree: int) -> np.ndarray:
         """The tree applied to an (S, spin_dim, n) array of jets, one per point
@@ -148,6 +152,7 @@ class OpSum(Operator):
                 flat.append(t)
         self.terms = tuple(flat)
         self.order = max((t.order for t in self.terms), default=0)
+        self.spin_dim = max((t.spin_dim for t in self.terms), default=1)
 
     def apply(self, coeffs, ctx, degree):
         n = jet_space(ctx.n_vars, degree).n_terms
@@ -165,6 +170,7 @@ class OpScale(Operator):
         self.factor = factor
         self.child = child
         self.order = child.order
+        self.spin_dim = child.spin_dim
 
     def apply(self, coeffs, ctx, degree):
         out = self.child.apply(coeffs, ctx, degree)
@@ -179,6 +185,7 @@ class OpCompose(Operator):
         self.a = a
         self.b = b
         self.order = a.order + b.order
+        self.spin_dim = max(a.spin_dim, b.spin_dim)
 
     def apply(self, coeffs, ctx, degree):
         return self.a.apply(self.b.apply(coeffs, ctx, degree + self.a.order), ctx, degree)
@@ -238,6 +245,7 @@ class OpMat(Operator):
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.complex128)
+        self.spin_dim = self.matrix.shape[0]
 
     def apply(self, coeffs, ctx, degree):
         if coeffs.shape[1] != self.matrix.shape[1]:
@@ -303,17 +311,19 @@ def random_state(rng: np.random.Generator, space: JetSpace, spin_dim: int) -> np
 
 
 def _sample_values(trees: Sequence[Operator], n_samples: int, sampler: PointSampler,
-                   rng: Optional[np.random.Generator], spin_dim: int) -> np.ndarray:
+                   rng: Optional[np.random.Generator]) -> np.ndarray:
     """Constant terms of every tree at n_samples random (point, germ) pairs.
 
     Each sample draws its point, then its germ, a jet of the highest tree
-    order (at least 1); each tree is then applied once to the stacked germs.
-    Returns an (n_samples, len(trees), spin_dim) complex array.
+    order (at least 1) with the largest tree spin_dim rows; each tree is then
+    applied once to the stacked germs. Returns an (n_samples, len(trees),
+    spin_dim) complex array.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = rng or np.random.default_rng(0)
     space = jet_space(sampler.n_vars, max([1] + [op.order for op in trees]))
+    spin_dim = max(op.spin_dim for op in trees)
     points, germs = [], []
     for _ in range(n_samples):
         points.append(sampler.draw(rng))
@@ -329,21 +339,20 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
 
 def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operator],
                         trials: int, sampler: PointSampler,
-                        rng: Optional[np.random.Generator] = None,
-                        spin_dim: int = 1) -> float:
+                        rng: Optional[np.random.Generator] = None) -> float:
     """Max over trials of |([op1, op2] - expected) f|(point), relative to the
     largest magnitude of the trial: op1 op2 f, op2 op1 f, expected f and f."""
     v = _sample_values([op1 @ op2, op2 @ op1, expected or OpZero(), OpIdentity()],
-                       trials, sampler, rng, spin_dim)
+                       trials, sampler, rng)
     defect = np.abs(v[:, 0] - v[:, 1] - v[:, 2]).max(axis=1)
     return float((defect / _magnitudes(v)).max())
 
 
 def operator_residual(lhs: Operator, rhs: Operator, trials: int, sampler: PointSampler,
-                      rng: Optional[np.random.Generator] = None, spin_dim: int = 1) -> float:
+                      rng: Optional[np.random.Generator] = None) -> float:
     """Max over trials of |(lhs - rhs) f|(point), relative to the largest of
     |lhs f|, |rhs f| and 1."""
-    return _relative_defect(_sample_values([lhs, rhs], trials, sampler, rng, spin_dim))
+    return _relative_defect(_sample_values([lhs, rhs], trials, sampler, rng))
 
 
 def _relative_defect(v: np.ndarray) -> float:
@@ -353,14 +362,13 @@ def _relative_defect(v: np.ndarray) -> float:
 
 
 def fit_operator_coefficients(lhs: Operator, basis: Sequence[Operator], n_samples: int,
-                              sampler: PointSampler, rng: Optional[np.random.Generator] = None,
-                              spin_dim: int = 1):
+                              sampler: PointSampler, rng: Optional[np.random.Generator] = None):
     """Least-squares coefficients c with lhs = sum_k c_k basis_k, from sampled values.
 
     Returns (coefficients, relative residual). Exact jet evaluation makes the
     fit sharp: residuals at rounding level certify the operator identity.
     """
-    return _least_squares(_sample_values([lhs, *basis], n_samples, sampler, rng, spin_dim))
+    return _least_squares(_sample_values([lhs, *basis], n_samples, sampler, rng))
 
 
 def _least_squares(v: np.ndarray):
@@ -563,7 +571,6 @@ class KeplerOperators:
     L2_full: Operator
     L: dict
     M: dict
-    spin_dim: int = 1
 
 
 def build_kepler_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
@@ -593,7 +600,6 @@ class YCMOperators:
     pi: list
     spin: SpinRep
     gauge: GaugeData
-    spin_dim: int
 
 
 def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
@@ -638,8 +644,7 @@ def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
     centrifugal = OpScale(hbar**2 * spin.casimir / 2,
                           OpMul("1/r2", lambda ctx: 1.0 / (_kepler_r(ctx) * _kepler_r(ctx))))
     return YCMOperators(H=OpSum(kinetic + [centrifugal] + potential), A=A, B=B, L2=L2,
-                        L2_full=L2_full, L=L, M=M, pi=pi, spin=spin, gauge=gauge,
-                        spin_dim=spin.dim)
+                        L2_full=L2_full, L=L, M=M, pi=pi, spin=spin, gauge=gauge)
 
 
 # --------------------------------------------------------------------------
@@ -656,7 +661,6 @@ class Osc8DOperators:
     K2: Operator
     J: dict
     K: dict
-    spin_dim: int = 1
 
 
 def _osc_block_jet(ctx: PointContext, lo: int, hi: int, key: str) -> Jet:
@@ -739,17 +743,6 @@ class RelationSpec:
     rows: tuple
 
 
-def _fit_rows(spec: RelationSpec, n_samples: int, sampler: PointSampler,
-              rng: np.random.Generator):
-    """Least-squares fit of spec.lhs on the basis of its rows.
-
-    Returns ({basis name: (printed, fitted)}, relative fit residual).
-    """
-    names, basis, printed = zip(*spec.rows)
-    fit, resid = fit_operator_coefficients(spec.lhs, basis, n_samples, sampler, rng)
-    return {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, resid
-
-
 def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
                    rng: np.random.Generator):
     """Residual of the printed relation, then a fit of its coefficients.
@@ -763,7 +756,7 @@ def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
     if trials < 1:
         raise ValueError(f"need at least one sample, got {trials}")
     names, basis, printed = zip(*spec.rows)
-    v = _sample_values([spec.lhs, *basis], trials + 2 * len(basis) + 4, sampler, rng, 1)
+    v = _sample_values([spec.lhs, *basis], trials + 2 * len(basis) + 4, sampler, rng)
     head = v[:trials]
     rhs = np.zeros_like(head[:, 0])
     for k, c in enumerate(printed, start=1):
@@ -845,9 +838,11 @@ def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
                  + [OpScale(-2 * c, _word(k, w + ("B",))) for _, w, c in zeta]
                  + [OpScale(c, _word(k, w + ("A", "A"))) for _, w, c in d]
                  + [OpScale(2 * c, _word(k, w + ("A",))) for _, w, c in z])
-    casimir = RelationSpec(K_op, tuple((n, _word(k, w), c) for n, w, c in printed.casimir))
-    coefficients, resid = _fit_rows(casimir, n_samples, kepler_sampler(), rng)
-    return {"fit_residual": resid, "coefficients": coefficients}
+    names, words, values = zip(*printed.casimir)
+    fit, resid = fit_operator_coefficients(K_op, [_word(k, w) for w in words], n_samples,
+                                           kepler_sampler(), rng)
+    return {"fit_residual": resid,
+            "coefficients": {n: (p, float(f)) for n, p, f in zip(names, values, fit)}}
 
 
 def osc8d_quadratic_closure(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,

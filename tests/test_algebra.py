@@ -315,6 +315,15 @@ def test_solver_builds_no_candidate_from_a_complex_root():
     assert alg.find_representations(fam, 0, energy_window=(-1.0, 1.0)) == []
 
 
+def test_search_refuses_a_family_without_energy_coefficients():
+    # the catalog's factored family has closed-form roots but no P_k to
+    # eliminate on
+    p = cat.Kepler5DParams()
+    with pytest.raises(ValueError, match="energy coefficients"):
+        alg.find_representations(cat.kepler5d_phi_family(p), 2,
+                                 energy_window=cat.kepler5d_energy_window(p, 2))
+
+
 def test_solver_emits_no_energy_for_two_energy_independent_endpoints():
     # at c1 = 0.25, l = 3 the roots 0.618 and 2.618 of Phi do not move with E,
     # so u = 0.618 closes p = 1 at every energy: no energy of its own
@@ -412,10 +421,9 @@ def test_relation_fit_closes_for_kepler_window():
     # the printed d together with the relation-consistent z
     p = _kepler_pure()
     rp = 3
-    m1, m2 = cat.kepler5d_m_parameters(p)
     u, energy = cat._consistent_pair("kepler5d", p, rp)
     cons = cat.kepler5d_constants(p).at_energy(energy)
-    sf = cat._rep_window_structure_function(rp, m1, m2, 1.0)
+    sf = cat.kepler5d_closed_form(p)(rp).sf
     fit = alg.fit_relation_constants(cons, u, sf, rp)
     assert fit.residual < 1e-10
     assert fit.d == pytest.approx(cons.d_c, rel=1e-9)

@@ -185,6 +185,20 @@ def test_dualize_round_trip(tmp_path):
     assert vals["energy"] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--direction", "inverse", "--c0", "-1"], "c0 must be positive"),
+    (["--direction", "inverse", "--c1", "-1"], "c1 and c2 are non-negative"),
+    (["--direction", "forward", "--omega", "-1"], "omega must be positive"),
+    (["--direction", "forward", "--lambda1", "-1"], "singular strengths must be non-negative"),
+])
+def test_dualize_refuses_what_the_parameter_classes_refuse(capsys, argv, message):
+    # refused before the run, as a configuration error, and not mid-run (3)
+    assert main(["dualize", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_hurwitz_check_literal_flag(tmp_path):
     code, rep = _run_json(tmp_path, "h.json",
                           ["hurwitz-check", "--point", "1,1,1,1,0.5,0.5,0.5,0.5",

@@ -75,7 +75,7 @@ def _samples(system, tree, top, n_samples, seed):
     points, germs = [], []
     for _ in range(n_samples):
         points.append(sampler.draw(rng))
-        germs.append(ops.random_state(rng, space, o.spin_dim))
+        germs.append(ops.random_state(rng, space, o.H.spin_dim))
     return space, np.stack(points), np.stack(germs)
 
 
@@ -431,6 +431,28 @@ def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8)
             [(c, float(f)) for (_, _, c), f in zip(spec.rows, coefficients)]
 
 
+def test_trees_carry_their_spin_dimension(kepler_pure):
+    # the size of their spin matrices, through sums, scalings and compositions
+    y = ops.build_ycm_operators(c0=1.0, c1=0.0, c2=0.0, T=1.0)
+    assert ops.OpMat(np.eye(3)).spin_dim == 3
+    assert y.H.spin_dim == y.L[(1, 2)].spin_dim == y.A.spin_dim == 3
+    assert (2.0 * ops.OpPartial(0) @ ops.OpMat(np.eye(2)) + ops.OpCoord(1)).spin_dim == 2
+    # and 1 without one
+    assert kepler_pure.H.spin_dim == kepler_pure.A.spin_dim == ops.OpIdentity().spin_dim == 1
+
+
+def test_check_relation_on_monopole_trees(sampler5):
+    # the relation check samples germs with as many spin rows as its trees
+    # act on: [L12, L23] = -i L13 on the T = 1/2 doublet
+    y = ops.build_ycm_operators(c0=1.0, c1=0.0, c2=0.0, T=0.5)
+    spec = ops.RelationSpec(ops.commutator(y.L[(1, 2)], y.L[(2, 3)]),
+                            (("L13", ops.OpScale(-1j, y.L[(1, 3)]), 1.0),))
+    residual, fit, fit_residual = ops.check_relation(spec, 2, sampler5,
+                                                     np.random.default_rng(3))
+    assert residual < 1e-14 and fit_residual < 1e-14
+    assert fit["L13"] == (1.0, pytest.approx(1.0, abs=1e-12))
+
+
 def test_kepler_quadratic_closure_printed_relations():
     rep = ops.kepler_quadratic_closure(c0=1.0, c1=0.25, c2=0.1, trials=3, seed=0)
     assert rep.residual_ac_printed < 1e-9
@@ -593,27 +615,24 @@ def test_ycm_monopole_integrals(sampler5):
     rng = np.random.default_rng(11)
     y0 = ops.build_ycm_operators(c0=1.0, c1=0.0, c2=0.0, T=0.5)
     for op in (y0.L[(1, 2)], y0.L[(0, 1)], y0.M[0], y0.A, y0.B, y0.L2):
-        r = ops.commutator_residual(y0.H, op, None, 2, sampler5, rng, spin_dim=2)
+        r = ops.commutator_residual(y0.H, op, None, 2, sampler5, rng)
         assert r < 1e-10
     # generalized monopole: the corrected pair (A, B) and the so(4) content
     # stay conserved; bare M_0 and L_0i do not
     y = ops.build_ycm_operators(c0=1.0, c1=0.3, c2=0.15, T=0.5)
     for op in (y.L[(1, 2)], y.A, y.B, y.L2):
-        r = ops.commutator_residual(y.H, op, None, 2, sampler5, rng, spin_dim=2)
+        r = ops.commutator_residual(y.H, op, None, 2, sampler5, rng)
         assert r < 1e-10
-    assert ops.commutator_residual(y.H, y.M[0], None, 2, sampler5, rng,
-                                   spin_dim=2) > 1e-3
+    assert ops.commutator_residual(y.H, y.M[0], None, 2, sampler5, rng) > 1e-3
 
 
 def test_ycm_monopole_lie_closure(sampler5):
     rng = np.random.default_rng(12)
     y = ops.build_ycm_operators(c0=1.0, c1=0.0, c2=0.0, T=0.5)
     exp = ops.OpScale(-1j, y.L[(1, 3)])
-    assert ops.commutator_residual(y.L[(1, 2)], y.L[(2, 3)], exp, 2, sampler5, rng,
-                                   spin_dim=2) < 1e-11
+    assert ops.commutator_residual(y.L[(1, 2)], y.L[(2, 3)], exp, 2, sampler5, rng) < 1e-11
     exp = ops.OpScale(-2j, y.H @ y.L[(1, 2)])
-    assert ops.commutator_residual(y.M[1], y.M[2], exp, 2, sampler5, rng,
-                                   spin_dim=2) < 1e-10
+    assert ops.commutator_residual(y.M[1], y.M[2], exp, 2, sampler5, rng) < 1e-10
 
 
 def test_ycm_t0_reduces_to_kepler(sampler5):
@@ -625,7 +644,7 @@ def test_ycm_t0_reduces_to_kepler(sampler5):
         rk = ops.commutator_residual(k.H, opk, None, 3, sampler5,
                                      np.random.default_rng(13))
         ry = ops.commutator_residual(y.H, opy, None, 3, sampler5,
-                                     np.random.default_rng(13), spin_dim=1)
+                                     np.random.default_rng(13))
         assert abs(rk - ry) < 1e-13
 
 
