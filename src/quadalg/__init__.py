@@ -49,7 +49,6 @@ from .odecheck import (
     ParabolicChannelSpec,
     RadialOscillatorSpec,
     kummer,
-    parabolic_eigensolve,
     radial_oscillator_eigensolve,
     solve_parabolic_pair,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "ParabolicChannelSpec",
     "RadialOscillatorSpec",
     "EigenResult",
-    "parabolic_eigensolve",
     "solve_parabolic_pair",
     "radial_oscillator_eigensolve",
 ]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import odecheck
-from .catalog import YCMParams, ycm_parabolic_s_parameters, ycm_spectrum_duality
+from .catalog import (Kepler5DParams, Oscillator8DParams, YCMParams,
+                      ycm_parabolic_s_parameters, ycm_spectrum_duality)
 from .errors import SignError
 
 
@@ -119,16 +120,26 @@ class DualityMap:
 
     @classmethod
     def forward(cls, energy: float, omega: float, lambda1: float, lambda2: float) -> "DualityMap":
-        """Oscillator (E, omega, lambda_i) -> Coulomb-side (c0, eps, c_i)."""
+        """Oscillator (E, omega, lambda_i) -> Coulomb-side (c0, eps, c_i).
+
+        Raises SignError for E <= 0, then lets Oscillator8DParams refuse the
+        oscillator's invalid couplings (ValueError).
+        """
         if energy <= 0:
             raise SignError("oscillator energy must be positive")
+        Oscillator8DParams(omega=omega, lambda1=lambda1, lambda2=lambda2)
         return cls(c0=energy / 4.0, eps=-(omega**2) / 8.0,
                    c1=2.0 * lambda1, c2=2.0 * lambda2)
 
     def inverse(self) -> tuple[float, float, float, float]:
-        """Coulomb-side -> oscillator (E, omega, lambda1, lambda2)."""
+        """Coulomb-side -> oscillator (E, omega, lambda1, lambda2).
+
+        Raises SignError for eps >= 0, then lets Kepler5DParams refuse the
+        Coulomb side's invalid couplings (ValueError).
+        """
         if self.eps >= 0:
             raise SignError("no bound-state dual for eps >= 0")
+        Kepler5DParams(c0=self.c0, c1=self.c1, c2=self.c2)
         return (4.0 * self.c0, float(np.sqrt(-8.0 * self.eps)),
                 self.c1 / 2.0, self.c2 / 2.0)
 

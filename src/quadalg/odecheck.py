@@ -2,11 +2,14 @@
 separated parabolic channels and the 4D radial oscillator blocks.
 
 Discretizations are flux-form symmetric second-order schemes; eigenvalues come
-from LAPACK's symmetric tridiagonal solvers and are Richardson-extrapolated
-over grid halvings. The paired parabolic channels are matched through the
-grid's exact scaling with sqrt(-beta), one eigensolve per channel and grid,
-instead of a root search on beta. These spectra adjudicate the printed closed
-forms, so no printed formula is used anywhere in this module's numerics.
+from LAPACK's symmetric tridiagonal bisection and are Richardson-extrapolated
+over three doubled grids. The coarsest grid brackets its levels by index; each
+finer grid brackets them by value, between the coarser grid's levels and the
+Gershgorin bound, which skips the index search. The paired parabolic channels
+are matched through the grid's exact scaling with sqrt(-beta), one eigensolve
+per distinct channel and grid, instead of a root search on beta. These spectra
+adjudicate the printed closed forms, so no printed formula is used anywhere in
+this module's numerics.
 """
 
 from __future__ import annotations
@@ -76,13 +79,57 @@ class EigenResult:
     error_estimate: float
 
 
+# a value bracket starts this far (relative to 1 + |hint|) beyond the hint,
+# and is widened 16-fold at most _WIDENINGS - 1 times before the index form
+_HINT_MARGIN = 0.05
+_WIDENINGS = 4
+
+
+def _extreme_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
+                    hint: Optional[float]) -> np.ndarray:
+    """The k highest eigenvalues (top, descending) or k lowest (ascending) of
+    the symmetric tridiagonal matrix.
+
+    With no hint LAPACK brackets the k levels by index. A hint estimates the
+    deepest of the k levels (the coarser grid's value): the levels are then
+    bracketed by value, from just beyond the hint to the Gershgorin bound on
+    the other side. A bracket holding fewer than k eigenvalues is widened, and
+    after the last widening the index form decides, so the levels never
+    depend on the hint, only the cost does.
+    """
+    n = len(diag)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= levels <= {n} grid cells, got {k}")
+    if hint is not None:
+        radius = np.zeros(n)
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+        margin = _HINT_MARGIN * (1.0 + abs(hint))
+        for _ in range(_WIDENINGS):
+            if top:
+                bracket = (min(hint, upper) - margin, upper + margin)
+            else:
+                bracket = (lower - margin, max(hint, lower) + margin)
+            vals = eigh_tridiagonal(diag, off, select="v", select_range=bracket,
+                                    eigvals_only=True)
+            if len(vals) >= k:
+                return vals[::-1][:k] if top else vals[:k]
+            margin *= 16.0
+    first = n - k if top else 0
+    vals = eigh_tridiagonal(diag, off, select="i", select_range=(first, first + k - 1),
+                            eigvals_only=True)
+    return vals[::-1] if top else vals
+
+
 def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
-                      cutoff: float) -> np.ndarray:
+                      cutoff: float, hint: Optional[float] = None) -> np.ndarray:
     """Top eigenvalues (descending) of the discretized channel operator, times 2.
 
     Flux form of d/dx (x d/dx) on the midpoint grid x_i = (i + 1/2) h; the cell
     face at x = 0 carries zero weight, which is the natural boundary for the
-    x-weighted operator, and the cutoff end is Dirichlet.
+    x-weighted operator, and the cutoff end is Dirichlet. hint, if given, is
+    the lowest wanted level (times 2) on a coarser grid; see _extreme_levels.
     """
     h = cutoff / n_grid
     x = (np.arange(n_grid) + 0.5) * h
@@ -98,16 +145,16 @@ def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
             sx[0] = spec.s * (m + 1) / (2 * m)
     diag = diag - sx / (4 * x) + spec.alpha / 4 + (spec.beta / 4) * x
     off = faces_right[:-1] / h**2
-    lo = n_grid - n_levels
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(lo, n_grid - 1),
-                            eigvals_only=True)
-    return 2.0 * vals[::-1]
+    return 2.0 * _extreme_levels(diag, off, n_levels, True,
+                                 None if hint is None else hint / 2.0)
 
 
 def _richardson(solve, n_grid: int, max_grid: int):
     """One Richardson step over the three finest grids n_grid 2^k <= max_grid.
 
-    solve(grid) returns a value (or an array of values) with an h^2 error.
+    solve(grid, previous) returns a value (or an array of values) with an h^2
+    error; previous is what it returned on the next coarser grid, None on the
+    first, so that a finer solve can bracket its levels from the coarser ones.
     Extrapolates (4 fine - coarse) / 3 on the two finer pairs of grids and
     takes their difference as the error estimate. Returns (finest grid, values
     on the three grids, extrapolated value, error estimate).
@@ -119,61 +166,13 @@ def _richardson(solve, n_grid: int, max_grid: int):
         fine *= 2
     if fine < 4 * n_grid:
         raise ValueError("need at least three grid sizes between n_grid and max_grid")
-    values = np.array([solve(g) for g in (fine // 4, fine // 2, fine)])
+    values, previous = [], None
+    for grid in (fine // 4, fine // 2, fine):
+        previous = solve(grid, previous)
+        values.append(previous)
+    values = np.array(values)
     extrap = (4 * values[1:] - values[:-1]) / 3.0
     return fine, values, extrap[1], np.abs(extrap[1] - extrap[0])
-
-
-def parabolic_eigensolve(spec: ParabolicChannelSpec, n_levels: int,
-                         n_grid: int = 1024, cutoff: Optional[float] = None,
-                         target: float = 1e-7, max_grid: int = 4096) -> list[EigenResult]:
-    """Lowest n_levels quantized v values of the channel, Richardson-extrapolated.
-
-    The levels are solved on the three finest doubled grids from n_grid up to
-    max_grid; an error estimate above target raises GridTooCoarse.
-    """
-    if cutoff is None:
-        cutoff = 40.0 / np.sqrt(-spec.beta)
-    grid, _, extrap, err = _richardson(
-        lambda n: _parabolic_levels(spec, n_levels, n, cutoff), n_grid, max_grid)
-    out = []
-    for idx in range(n_levels):
-        if err[idx] > target:
-            raise GridTooCoarse(
-                f"level {idx}: error estimate {err[idx]:.3e} above target {target:.1e}")
-        out.append(EigenResult(grid_size=grid, extrapolated=float(extrap[idx]),
-                               error_estimate=float(err[idx])))
-    return out
-
-
-def parabolic_closed_form_residual(spec: ParabolicChannelSpec, n: int,
-                                   exponent: str = "sqrt", n_grid: int = 2048,
-                                   cutoff: Optional[float] = None) -> float:
-    """Residual of the closed-form channel solution in the discrete operator.
-
-    exponent="sqrt" uses x^(sqrt(s)/2) with Kummer parameter sqrt(s)+1 (what the
-    indicial equation forces); exponent="printed" uses x^(s/2) with parameter
-    s+1. The convention whose residual vanishes under refinement is the one the
-    oracle supports. Residual is RMS over interior cells, amplitude-normalized.
-    """
-    if cutoff is None:
-        cutoff = 40.0 / np.sqrt(-spec.beta)
-    kappa = np.sqrt(-spec.beta)
-    m = np.sqrt(abs(spec.s)) if exponent == "sqrt" else spec.s
-    h = cutoff / n_grid
-    x = (np.arange(n_grid) + 0.5) * h
-    t = kappa * x
-    f = t ** (m / 2) * np.exp(-t / 2) * kummer(n, m + 1, t)
-    v = spec.alpha / 2 - 2 * kappa * (n + (m + 1) / 2)
-    faces_left = x - 0.5 * h
-    faces_right = x + 0.5 * h
-    lhs = np.zeros_like(f)
-    lhs[1:-1] = (faces_right[1:-1] * (f[2:] - f[1:-1])
-                 - faces_left[1:-1] * (f[1:-1] - f[:-2])) / h**2
-    lhs = lhs - spec.s / (4 * x) * f + (spec.alpha / 4 + spec.beta / 4 * x) * f
-    interior = slice(8, n_grid // 2)
-    resid = lhs[interior] - (v / 2) * f[interior]
-    return float(np.sqrt(np.mean(resid**2)) / max(np.abs(f).max(), 1e-300))
 
 
 def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
@@ -186,8 +185,10 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
     discretized channel operator is exactly kappa M_s + alpha/4, where M_s is
     the operator at beta = -1, alpha = 0. So v = kappa w + alpha/2 with w the
     matching level at beta = -1, alpha = 0, and on each grid the condition has
-    the closed-form root kappa = -alpha / (w1 + w2): one eigensolve per channel
-    and grid, no search on beta. Raises NoRoot when w1 + w2 >= 0 (no bound
+    the closed-form root kappa = -alpha / (w1 + w2): no search on beta. Each
+    grid solves each distinct channel once, so equal channels (s1 == s2) share
+    one solve for max(n1, n2) + 1 levels, and the finer grids bracket their
+    levels from the coarser grid's. Raises NoRoot when w1 + w2 >= 0 (no bound
     state). Returns (beta*, v*, eps*, err_estimate, eps values per grid) with
     eps = hbar^2 beta / 2 evaluated at hbar = 1 by the caller's convention.
     """
@@ -196,19 +197,27 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
-    def unit_level(s: float, level: int, grid: int) -> float:
+    def unit_levels(s: float, n: int, grid: int, hint) -> np.ndarray:
         spec = ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
-        return float(_parabolic_levels(spec, level + 1, grid, 40.0)[level])
+        return _parabolic_levels(spec, n + 1, grid, 40.0, hint)
 
-    def beta_and_w1(grid: int) -> tuple:
-        w1 = unit_level(s1, n1, grid)
-        w = w1 + unit_level(s2, n2, grid)
+    def beta_and_levels(grid: int, previous) -> tuple:
+        # previous = (beta, w1, w2) on the coarser grid; w_i is the deepest
+        # level its channel solves for
+        if s1 == s2:
+            levels = unit_levels(s1, max(n1, n2), grid,
+                                 None if previous is None else min(previous[1:]))
+            w1, w2 = float(levels[n1]), float(levels[n2])
+        else:
+            w1 = float(unit_levels(s1, n1, grid, None if previous is None else previous[1])[n1])
+            w2 = float(unit_levels(s2, n2, grid, None if previous is None else previous[2])[n2])
+        w = w1 + w2
         if w >= 0:
             raise NoRoot(f"levels (s1={s1}, n1={n1}) and (s2={s2}, n2={n2}) at beta = -1 "
                          f"sum to {w:.6g} >= 0 on {grid} cells: v1 + v2 = 0 has no bound state")
-        return -(alpha / w) ** 2, w1
+        return -(alpha / w) ** 2, w1, w2
 
-    _, values, extrap, err = _richardson(beta_and_w1, n_grid, 4 * n_grid)
+    _, values, extrap, err = _richardson(beta_and_levels, n_grid, 4 * n_grid)
     beta_star, err = float(extrap[0]), float(err[0])
     if err > target:
         raise GridTooCoarse(f"pair solve error estimate {err:.3e} above {target:.1e}")
@@ -219,8 +228,12 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
 
 
 def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
-                   cutoff: float) -> np.ndarray:
-    """Lowest eigenvalues of the 4D radial block in flux form with weight r^3."""
+                   cutoff: float, hint: Optional[float] = None) -> np.ndarray:
+    """Lowest eigenvalues of the 4D radial block in flux form with weight r^3.
+
+    hint, if given, is the highest wanted level on a coarser grid; see
+    _extreme_levels.
+    """
     h = cutoff / n_grid
     r = (np.arange(n_grid) + 0.5) * h
     faces = np.arange(n_grid + 1) * h
@@ -232,9 +245,7 @@ def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
            + spec.omega**2 * r**2 / 2)
     diag = diag + pot
     off = -hb2 * a[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1),
-                            eigvals_only=True)
-    return vals
+    return _extreme_levels(diag, off, n_levels, False, hint)
 
 
 def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
@@ -248,7 +259,8 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
         width = np.sqrt(spec.hbar / spec.omega)
         cutoff = width * (np.sqrt(4.0 * n + 10.0) + 6.0)
     grid, _, extrap, err = _richardson(
-        lambda g: _radial_levels(spec, n + 1, g, cutoff)[n], n_grid, max_grid)
+        lambda g, previous: _radial_levels(spec, n + 1, g, cutoff, previous)[n],
+        n_grid, max_grid)
     if err > target:
         raise GridTooCoarse(f"radial level {n}: error {err:.3e} above {target:.1e}")
     return EigenResult(grid_size=grid, extrapolated=float(extrap), error_estimate=float(err))

@@ -276,6 +276,45 @@ def test_value_error_inside_the_package_exits_three(capsys, monkeypatch):
         "internal error: ValueError: operands could not be broadcast together\n"
 
 
+
+@pytest.mark.parametrize("channel, solves", [("s1=0.5,s2=0.5", 3), ("s1=0,s2=1", 6)])
+def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
+        tmp_path, monkeypatch, channel, solves):
+    # three grids; equal channels share one solve for both levels
+    from quadalg import odecheck as ode
+
+    calls = []
+    eigh = ode.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "eigh_tridiagonal", counted)
+    main(["crosscheck", "ycm", "--channel", channel, "--n1", "1",
+          "--out", str(tmp_path / "r.json")])
+    assert len(calls) == solves
+    assert sorted(set(calls)) == [1024, 2048, 4096]
+
+
+def test_the_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main() builds its parser once per process; a refused argv or --version
+    # must leave nothing behind that changes a later report
+    from quadalg import cli
+
+    argv = ["crosscheck", "ycm", "--channel", "s1=0,s2=0", "--n1", "1", "--seed", "3"]
+    cli._parser.cache_clear()
+    first = _run_json(tmp_path, "first.json", argv)
+    text = (tmp_path / "first.json").read_text(encoding="utf-8")
+    assert main(["crosscheck", "ycm", "--n1", "-1"]) == 2
+    assert main(["crosscheck", "--channel", "s1=0.5"]) == 2
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    for name in ("again.json", "third.json"):
+        assert _run_json(tmp_path, name, argv) == first
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
+    assert cli._parser.cache_info().misses == 1
+
 # closing `fock.*.solver.*` names of the generic representation search, as the
 # energy-grid search reported them, less one artifact: at c1 = 0.25, l = 3 it
 # also reported p1.E-35.888543822.u+0.618034, whose endpoints 0.618 and 2.618

@@ -114,6 +114,19 @@ def test_parameter_map_sign_errors():
         hw.DualityMap.forward(energy=-1.0, omega=1.0, lambda1=0.0, lambda2=0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: hw.DualityMap.forward(4.0, -1.0, 0.0, 0.0), "omega"),
+    (lambda: hw.DualityMap.forward(4.0, 1.0, -0.5, 0.0), "singular strengths"),
+    (lambda: hw.DualityMap(c0=-1.0, eps=-0.125, c1=0.0, c2=0.0).inverse(), "c0"),
+    (lambda: hw.DualityMap(c0=1.0, eps=-0.125, c1=0.0, c2=-2.0).inverse(), "c1 and c2"),
+])
+def test_parameter_map_refuses_what_the_parameter_classes_refuse(make, message):
+    # omega = -1 would map to the same eps as omega = 1, and c0 = -1 to a
+    # negative oscillator energy
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_duality_spectrum_check_triple():
     p = cat.YCMParams()  # s1 = s2 = 0 channel
     rep = hw.duality_spectrum_check(p, 0)

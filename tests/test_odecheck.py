@@ -7,6 +7,56 @@ from quadalg import odecheck as ode
 from quadalg.errors import GridTooCoarse, NoRoot, PochhammerZero
 
 
+# -- reference oracles ---------------------------------------------------------
+
+def parabolic_eigensolve(spec, n_levels, n_grid=1024, cutoff=None, target=1e-7,
+                         max_grid=4096):
+    """Top n_levels quantized v values of one channel, Richardson-extrapolated.
+
+    Every grid brackets its levels by index (no coarser-grid hint), and an
+    error estimate above target raises GridTooCoarse.
+    """
+    if cutoff is None:
+        cutoff = 40.0 / np.sqrt(-spec.beta)
+    grid, _, extrap, err = ode._richardson(
+        lambda n, previous: ode._parabolic_levels(spec, n_levels, n, cutoff),
+        n_grid, max_grid)
+    for idx in range(n_levels):
+        if err[idx] > target:
+            raise GridTooCoarse(
+                f"level {idx}: error estimate {err[idx]:.3e} above target {target:.1e}")
+    return [ode.EigenResult(grid_size=grid, extrapolated=float(e), error_estimate=float(r))
+            for e, r in zip(extrap, err)]
+
+
+def parabolic_closed_form_residual(spec, n, exponent="sqrt", n_grid=2048, cutoff=None):
+    """Residual of the closed-form channel solution in the discrete operator.
+
+    exponent="sqrt" uses x^(sqrt(s)/2) with Kummer parameter sqrt(s)+1 (what the
+    indicial equation forces); exponent="printed" uses x^(s/2) with parameter
+    s+1. The convention whose residual vanishes under refinement is the one the
+    oracle supports. Residual is RMS over interior cells, amplitude-normalized.
+    """
+    if cutoff is None:
+        cutoff = 40.0 / np.sqrt(-spec.beta)
+    kappa = np.sqrt(-spec.beta)
+    m = np.sqrt(abs(spec.s)) if exponent == "sqrt" else spec.s
+    h = cutoff / n_grid
+    x = (np.arange(n_grid) + 0.5) * h
+    t = kappa * x
+    f = t ** (m / 2) * np.exp(-t / 2) * ode.kummer(n, m + 1, t)
+    v = spec.alpha / 2 - 2 * kappa * (n + (m + 1) / 2)
+    faces_left = x - 0.5 * h
+    faces_right = x + 0.5 * h
+    lhs = np.zeros_like(f)
+    lhs[1:-1] = (faces_right[1:-1] * (f[2:] - f[1:-1])
+                 - faces_left[1:-1] * (f[1:-1] - f[:-2])) / h**2
+    lhs = lhs - spec.s / (4 * x) * f + (spec.alpha / 4 + spec.beta / 4 * x) * f
+    interior = slice(8, n_grid // 2)
+    resid = lhs[interior] - (v / 2) * f[interior]
+    return float(np.sqrt(np.mean(resid**2)) / max(np.abs(f).max(), 1e-300))
+
+
 # -- Kummer series -------------------------------------------------------------
 
 def test_kummer_spot_values():
@@ -98,7 +148,7 @@ def test_eigensolvers_reject_empty_grid(n_grid):
     with pytest.raises(ValueError, match="n_grid"):
         ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0, n_grid=n_grid)
     with pytest.raises(ValueError, match="n_grid"):
-        ode.parabolic_eigensolve(ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0), 1,
+        parabolic_eigensolve(ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0), 1,
                                  n_grid=n_grid)
 
 
@@ -106,7 +156,7 @@ def test_eigensolvers_reject_empty_grid(n_grid):
 
 def test_parabolic_levels_arithmetic_progression():
     spec = ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0)
-    levels = ode.parabolic_eigensolve(spec, 4)
+    levels = parabolic_eigensolve(spec, 4)
     vs = np.array([l.extrapolated for l in levels])
     # self-convergence oracle: quantized v follow an n-indexed progression
     assert np.ptp(np.diff(vs)) < 1e-6
@@ -117,8 +167,8 @@ def test_parabolic_cutoff_insensitivity():
     # doubling the domain at matched step leaves bound-state eigenvalues
     # unchanged to well below the target: exponential localization
     spec = ode.ParabolicChannelSpec(s=0.0, alpha=2.0, beta=-1.0)
-    a = ode.parabolic_eigensolve(spec, 1, cutoff=40.0, n_grid=1024)[0].extrapolated
-    b = ode.parabolic_eigensolve(spec, 1, cutoff=80.0, n_grid=2048,
+    a = parabolic_eigensolve(spec, 1, cutoff=40.0, n_grid=1024)[0].extrapolated
+    b = parabolic_eigensolve(spec, 1, cutoff=80.0, n_grid=2048,
                                  max_grid=8192)[0].extrapolated
     assert abs(a - b) < 1e-9
 
@@ -127,8 +177,8 @@ def test_parabolic_closed_form_exponent_adjudication():
     # the indicial square-root exponent is the convention the operator supports:
     # its residual decays ~h^2 under refinement, the printed exponent stalls
     spec = ode.ParabolicChannelSpec(s=4.0, alpha=2.0, beta=-1.0)
-    r_sqrt = [ode.parabolic_closed_form_residual(spec, 1, "sqrt", n) for n in (1024, 2048, 4096)]
-    r_printed = [ode.parabolic_closed_form_residual(spec, 1, "printed", n) for n in (1024, 2048, 4096)]
+    r_sqrt = [parabolic_closed_form_residual(spec, 1, "sqrt", n) for n in (1024, 2048, 4096)]
+    r_printed = [parabolic_closed_form_residual(spec, 1, "printed", n) for n in (1024, 2048, 4096)]
     assert r_sqrt[0] > r_sqrt[1] > r_sqrt[2]
     assert r_sqrt[0] / r_sqrt[2] > 8.0
     assert r_printed[2] > 1e-2
@@ -225,9 +275,9 @@ def test_richardson_solves_only_the_three_finest_grids(monkeypatch):
     grids = []
     levels = ode._radial_levels
 
-    def spy(spec, n_levels, n_grid, cutoff):
+    def spy(spec, n_levels, n_grid, cutoff, hint=None):
         grids.append(n_grid)
-        return levels(spec, n_levels, n_grid, cutoff)
+        return levels(spec, n_levels, n_grid, cutoff, hint)
 
     monkeypatch.setattr(ode, "_radial_levels", spy)
     r = ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0, n_grid=256,
@@ -236,3 +286,87 @@ def test_richardson_solves_only_the_three_finest_grids(monkeypatch):
     assert r.grid_size == 4096
     assert r.extrapolated == ode.radial_oscillator_eigensolve(
         ode.RadialOscillatorSpec(), 0, n_grid=1024).extrapolated
+
+
+# -- value-bracketed finer grids -----------------------------------------------------
+
+def _radial_cutoff(spec, n):
+    # the cutoff radial_oscillator_eigensolve uses for level n
+    return np.sqrt(spec.hbar / spec.omega) * (np.sqrt(4.0 * n + 10.0) + 6.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_bracketed_parabolic_levels_equal_the_index_form(s, k):
+    # each grid brackets its levels from the next coarser grid's, as in the
+    # Richardson sweep; the value form must find the same levels
+    spec = ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
+    for n in (1024, 2048, 4096):
+        hint = ode._parabolic_levels(spec, k, n // 2, 40.0)[-1]
+        by_value = ode._parabolic_levels(spec, k, n, 40.0, hint)
+        by_index = ode._parabolic_levels(spec, k, n, 40.0)
+        assert by_value.shape == (k,)
+        np.testing.assert_allclose(by_value, by_index, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bracketed_radial_levels_equal_the_index_form(lam, k):
+    spec = ode.RadialOscillatorSpec(lam=lam)
+    cutoff = _radial_cutoff(spec, k - 1)
+    for n in (1024, 2048, 4096):
+        hint = ode._radial_levels(spec, k, n // 2, cutoff)[-1]
+        by_value = ode._radial_levels(spec, k, n, cutoff, hint)
+        by_index = ode._radial_levels(spec, k, n, cutoff)
+        assert by_value.shape == (k,)
+        np.testing.assert_allclose(by_value, by_index, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("hint", [-1e6, -50.0, -0.2, 50.0, 1e6])
+def test_parabolic_levels_do_not_depend_on_a_wrong_hint(hint):
+    # the top two unit levels are about -1.7 and -3.7; a hint far below them
+    # brackets many levels, one above them brackets too few and is widened
+    spec = ode.ParabolicChannelSpec(s=0.5, alpha=0.0, beta=-1.0)
+    expected = ode._parabolic_levels(spec, 2, 1024, 40.0)
+    got = ode._parabolic_levels(spec, 2, 1024, 40.0, hint)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("hint", [-1e6, -50.0, 2.5, 50.0, 1e6])
+def test_radial_levels_do_not_depend_on_a_wrong_hint(hint):
+    # the lowest three levels are about 2, 4 and 6
+    spec = ode.RadialOscillatorSpec()
+    cutoff = _radial_cutoff(spec, 2)
+    expected = ode._radial_levels(spec, 3, 1024, cutoff)
+    got = ode._radial_levels(spec, 3, 1024, cutoff, hint)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("widenings, selects", [(4, ["v", "v"]), (1, ["v", "i"])])
+def test_a_bracket_holding_too_few_levels_is_widened(monkeypatch, widenings, selects):
+    # a hint between the two wanted levels brackets one of them first; the
+    # bracket is widened, and after the last widening the index form decides
+    spec = ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0)
+    expected = ode._parabolic_levels(spec, 2, 1024, 40.0)
+    found = []
+    eigh = ode.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        vals = eigh(d, e, **kwargs)
+        found.append((kwargs["select"], len(vals)))
+        return vals
+
+    monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(ode, "_WIDENINGS", widenings)
+    got = ode._parabolic_levels(spec, 2, 1024, 40.0, expected.mean())
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+    assert [select for select, _ in found] == selects
+    assert found[0][1] == 1 and found[-1][1] >= 2
+
+
+@pytest.mark.parametrize("k", [0, 65])
+def test_level_count_must_fit_the_grid(k):
+    spec = ode.RadialOscillatorSpec()
+    for hint in (None, 2.0):
+        with pytest.raises(ValueError, match="levels"):
+            ode._radial_levels(spec, k, 64, 10.0, hint)
