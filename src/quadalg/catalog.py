@@ -439,16 +439,6 @@ def ycm_spectrum_duality(p: YCMParams, rep_p: int) -> SpectrumRecord:
     )
 
 
-def duality_identity_residual(p: YCMParams, record: SpectrumRecord) -> float:
-    """Relative residual of 4 c0 = 2 sqrt(-8 eps) hbar (p+1+(m1+m2)/2)."""
-    kp = p.kepler
-    m1, m2 = record.m_printed
-    rep_p = record.quantum_numbers["p"]
-    lhs = 4 * kp.c0
-    rhs = 2 * np.sqrt(-8 * record.energy) * kp.hbar * (rep_p + 1 + (m1 + m2) / 2)
-    return abs(lhs - rhs) / abs(lhs)
-
-
 # --------------------------------------------------------------------------
 # Fock-side convention adjudication
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import functools
 import sys
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily: load it here, not in the first draw
 
 from . import __version__
 from . import algebra as alg

@@ -100,15 +100,6 @@ def euler_identity_residual(p, literal_x0: bool = False):
     return float(res) if res.ndim == 0 else res
 
 
-def bilinear_block_residual(p: Point8) -> float:
-    """Residual of sum_{i=1..4} x_i^2 = 4 (u0^2+..+u3^2)(u4^2+..+u7^2)."""
-    u = p.array
-    x = _base_map(u, literal_x0=False)
-    lhs = float(np.dot(x[1:], x[1:]))
-    rhs = 4.0 * float(np.dot(u[:4], u[:4])) * float(np.dot(u[4:], u[4:]))
-    return abs(lhs - rhs) / max(1.0, rhs)
-
-
 @dataclass(frozen=True)
 class DualityMap:
     """Parameter dictionary between the monopole system and its oscillator dual."""

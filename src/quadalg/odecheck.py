@@ -2,25 +2,135 @@
 separated parabolic channels and the 4D radial oscillator blocks.
 
 Discretizations are flux-form symmetric second-order schemes; eigenvalues come
-from LAPACK's symmetric tridiagonal bisection and are Richardson-extrapolated
-over three doubled grids. The coarsest grid brackets its levels by index; each
-finer grid brackets them by value, between the coarser grid's levels and the
-Gershgorin bound, which skips the index search. The paired parabolic channels
-are matched through the grid's exact scaling with sqrt(-beta), one eigensolve
-per distinct channel and grid, instead of a root search on beta. These spectra
-adjudicate the printed closed forms, so no printed formula is used anywhere in
-this module's numerics.
+from LAPACK's symmetric tridiagonal bisection (dstebz) and are
+Richardson-extrapolated over three doubled grids. The coarsest grid brackets
+its levels by index; each finer grid brackets them by value, between the
+coarser grid's levels and the Gershgorin bound, which skips the index search.
+The paired parabolic channels are matched through the grid's exact scaling
+with sqrt(-beta), one eigensolve per distinct channel and grid, instead of a
+root search on beta. These spectra adjudicate the printed closed forms, so no
+printed formula is used anywhere in this module's numerics.
+
+dstebz is called through ctypes in the LAPACK that numpy's own linalg
+extension is linked against (numpy's bundled OpenBLAS, with 64-bit integers),
+with the arguments scipy.linalg.eigh_tridiagonal passes, so every eigenvalue
+is bitwise scipy's and no command loads scipy. Where that library exports no
+dstebz of known integer width, scipy.linalg.lapack.dstebz is imported on the
+first solve instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, NoRoot, PochhammerZero
+
+# dstebz names whose LAPACK integers are int64 (OpenBLAS ILP64 builds)
+_DSTEBZ_SYMBOLS = ("scipy_dstebz_64_", "dstebz_64_")
+
+
+def _bind_dstebz():
+    """dstebz of the LAPACK numpy.linalg is linked against, or None.
+
+    The name is looked up through numpy's loaded linalg extension, so the
+    dynamic linker searches the libraries that extension links to.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name in _DSTEBZ_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            i = ctypes.POINTER(ctypes.c_int64)
+            f = ctypes.POINTER(ctypes.c_double)
+            a = ctypes.c_void_p
+            # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+            # ISPLIT, WORK, IWORK, INFO and the lengths of the two characters
+            fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i, f, f, i, i, f, a, a, i, i,
+                           a, a, a, a, a, i, ctypes.c_size_t, ctypes.c_size_t]
+            fn.restype = None
+            return fn
+    return None
+
+
+_DSTEBZ = _bind_dstebz()
+
+
+def _dstebz(d: np.ndarray, e: np.ndarray, by_value: bool, vl: float, vu: float,
+            il: int, iu: int) -> tuple:
+    """(m, w, info) of dstebz with ABSTOL 0 and ORDER 'E', as scipy calls it."""
+    if _DSTEBZ is None:
+        from scipy.linalg.lapack import dstebz
+
+        m, w, _, _, info = dstebz(d, e, 1 if by_value else 2, vl, vu, il, iu, 0.0, "E")
+        return int(m), w, int(info)
+    n = len(d)
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    m, nsplit, info = i64(), i64(), i64()
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
+    _DSTEBZ(b"V" if by_value else b"I", b"E", i64(n), f64(vl), f64(vu), i64(il), i64(iu),
+            f64(0.0), d.ctypes.data, e.ctypes.data, m, nsplit, w.ctypes.data,
+            iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+            info, 1, 1)
+    return m.value, w, info.value
+
+
+def eigh_tridiagonal(d, e, eigvals_only: bool = True, *, select: str,
+                     select_range) -> np.ndarray:
+    """Eigenvalues (ascending) of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: by value in (min, max] for select "v", by
+    0-based index min..max for select "i".
+
+    scipy.linalg.eigh_tridiagonal with eigvals_only=True, on the same LAPACK
+    call, with its input checks and error mapping: non-finite entries, a
+    length mismatch and an index range outside [0, len(d)) raise ValueError
+    before LAPACK runs; a negative LAPACK info raises ValueError and a
+    positive one LinAlgError. Eigenvectors are not computed.
+    """
+    if not eigvals_only:
+        raise ValueError("only eigenvalues are computed: eigvals_only must be True")
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    if d.ndim != 1 or e.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    if d.size != e.size + 1:
+        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if select not in ("v", "i"):
+        raise ValueError(f"select must be 'v' or 'i', got {select!r}")
+    sr = np.asarray(select_range)
+    if sr.ndim != 1 or sr.size != 2 or not sr[0] <= sr[1]:
+        raise ValueError("select_range must be a 2-element array-like "
+                         "in nondecreasing order")
+    vl, vu, il, iu = 0.0, 1.0, 1, 1
+    if select == "v":
+        vl, vu = float(sr[0]), float(sr[1])
+    else:
+        if sr.dtype.char.lower() not in "hilqp":
+            raise ValueError(f'when using select="i", select_range must contain '
+                             f"integers, got dtype {sr.dtype}")
+        il, iu = int(sr[0]) + 1, int(sr[1]) + 1
+        if il < 1 or iu > d.size:
+            raise ValueError("select_range out of bounds")
+    if d.size == 1:  # scipy answers a 1x1 matrix without LAPACK
+        return d.copy() if select == "i" or vl < d[0] <= vu else np.empty(0)
+    m, w, info = _dstebz(d, e, select == "v", vl, vu, il, iu)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal stebz "
+                         f"(eigh_tridiagonal)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 def kummer(n: int, b: float, x) -> float:

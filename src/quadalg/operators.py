@@ -48,6 +48,7 @@ from operator import matmul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily: load it here, not in the first draw
 
 from . import catalog as cat
 from .errors import SingularPoint

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -379,3 +382,29 @@ def test_solver_closing_sets_are_kept(config):
     prefix = f"fock.{system}.solver."
     assert sorted(f.check[len(prefix):] for f in report.findings
                   if f.check.startswith(prefix)) == expected
+
+
+def test_commands_start_without_scipy(tmp_path):
+    # numpy.random is loaded at import, not in the first pass; a verify and an
+    # ODE-oracle crosscheck then run without loading any scipy module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
+    out = str(tmp_path / "r.json")
+    script = f"""
+import json, sys
+import quadalg.cli as cli
+random_at_import = "numpy.random" in sys.modules
+codes = [cli.main(["verify", "kepler5d", "--p", "1", "--trials", "2", "--seed", "7",
+                   "--out", {out!r}]),
+         cli.main(["crosscheck", "ycm", "--channel", "s1=0,s2=0", "--n1", "0", "--n2", "0",
+                   "--out", {out!r}])]
+print(json.dumps([random_at_import, codes,
+                  sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    random_at_import, codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert random_at_import
+    assert codes == [0, 0]
+    assert scipy_modules == []

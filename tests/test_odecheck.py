@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from scipy.optimize import brentq
 from scipy.special import comb, eval_genlaguerre
 
@@ -370,3 +372,111 @@ def test_level_count_must_fit_the_grid(k):
     for hint in (None, 2.0):
         with pytest.raises(ValueError, match="levels"):
             ode._radial_levels(spec, k, 64, 10.0, hint)
+
+
+# -- tridiagonal bisection through numpy's LAPACK ------------------------------------
+
+def _sweep_solves(monkeypatch):
+    """(d, e, keywords) of the eigensolves on the oracle sweep's matrices: the
+    parabolic unit channels s in {0, 0.5, 1} and the radial blocks lambda in
+    {0, 0.5, 2} on 1024, 2048 and 4096 cells, each by index and by value."""
+    calls = []
+    eigh = ode.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        calls.append((d, e, kwargs))
+        return eigh(d, e, **kwargs)
+
+    monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
+    cases = [(ode._parabolic_levels, ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0), 2, 40.0)
+             for s in (0.0, 0.5, 1.0)]
+    for lam in (0.0, 0.5, 2.0):
+        spec = ode.RadialOscillatorSpec(lam=lam)
+        cases.append((ode._radial_levels, spec, 3, _radial_cutoff(spec, 2)))
+    for levels, spec, k, cutoff in cases:
+        for n in (1024, 2048, 4096):
+            by_index = levels(spec, k, n, cutoff)
+            levels(spec, k, n, cutoff, by_index[-1])
+    monkeypatch.setattr(ode, "eigh_tridiagonal", eigh)
+    assert sorted({kw["select"] for _, _, kw in calls}) == ["i", "v"]
+    return calls
+
+
+@pytest.mark.parametrize("binding", ["numpy lapack", "scipy fallback"])
+def test_eigenvalues_are_bitwise_scipys(monkeypatch, binding):
+    solves = _sweep_solves(monkeypatch)
+    used = []
+    dstebz = scipy.linalg.lapack.dstebz
+
+    def counted(*args):
+        used.append(args)
+        return dstebz(*args)
+
+    if binding == "numpy lapack":
+        if ode._DSTEBZ is None:
+            pytest.skip("numpy's LAPACK exports no dstebz of known integer width")
+    else:
+        monkeypatch.setattr(ode, "_DSTEBZ", None)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counted)
+    for d, e, kwargs in solves:
+        got = ode.eigh_tridiagonal(d, e, **kwargs)
+        expected = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    assert len(used) == (0 if binding == "numpy lapack" else len(solves))
+
+
+def _outcome(eigh, *args, **kwargs):
+    try:
+        return eigh(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_small_matrices_match_scipy(n):
+    # values and refusals alike, including scipy's 1x1 answer without LAPACK
+    # and LAPACK's refusal of an empty value range on larger matrices
+    rng = np.random.default_rng(n)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    for select, select_range in (("i", (0, n - 1)), ("i", (n - 1, n - 1)),
+                                 ("v", (-10.0, 10.0)), ("v", (10.0, 11.0)), ("v", (0.0, 0.0))):
+        got = _outcome(ode.eigh_tridiagonal, d, e, select=select, select_range=select_range)
+        expected = _outcome(scipy.linalg.eigh_tridiagonal, d, e, eigvals_only=True,
+                            select=select, select_range=select_range)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert np.array_equal(got, expected)
+
+
+_D, _E = np.linspace(1.0, 2.0, 8), np.full(7, 0.5)
+
+
+@pytest.mark.parametrize("d, e, select, select_range", [
+    (np.where(np.arange(8) == 3, np.nan, _D), _E, "i", (0, 1)),
+    (np.where(np.arange(8) == 7, np.inf, _D), _E, "v", (0.0, 3.0)),
+    (_D, np.where(np.arange(7) == 0, np.nan, _E), "v", (0.0, 3.0)),
+    (_D, np.where(np.arange(7) == 6, -np.inf, _E), "i", (0, 1)),
+    (_D, _E[:-1], "i", (0, 1)),
+    (_D, np.full(8, 0.5), "v", (0.0, 3.0)),
+    (_D, _E, "i", (0, 8)),
+    (_D, _E, "i", (-1, 0)),
+    (_D, _E, "i", (3, 2)),
+    (_D, _E, "v", (np.nan, 3.0)),
+    (_D.reshape(2, 4), _E, "i", (0, 1)),
+])
+def test_eigensolve_refuses_bad_input_before_lapack(monkeypatch, d, e, select, select_range):
+    def lapack(*args):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(ode, "_dstebz", lapack)
+    with pytest.raises(ValueError):
+        ode.eigh_tridiagonal(d, e, select=select, select_range=select_range)
+
+
+@pytest.mark.parametrize("info, error", [(-3, ValueError), (2, np.linalg.LinAlgError)])
+def test_lapack_info_maps_to_scipys_errors(monkeypatch, info, error):
+    monkeypatch.setattr(ode, "_dstebz", lambda *args: (0, np.empty(8), info))
+    with pytest.raises(error, match="stebz"):
+        ode.eigh_tridiagonal(_D, _E, select="i", select_range=(0, 1))
