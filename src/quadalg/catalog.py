@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from operator import add, mul
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -50,6 +50,7 @@ def _require_finite(params) -> None:
 class Kepler5DParams:
     """Generalized 5D Kepler couplings and the so(4) Casimir eigenvalue l."""
 
+    system: ClassVar[str] = "kepler5d"
     c0: float = 1.0
     c1: float = 0.0
     c2: float = 0.0
@@ -70,6 +71,7 @@ class Kepler5DParams:
 class Oscillator8DParams:
     """8D singular oscillator: frequency, singular strengths, Casimir labels j, k."""
 
+    system: ClassVar[str] = "osc8d"
     omega: float = 1.0
     lambda1: float = 0.0
     lambda2: float = 0.0
@@ -457,9 +459,25 @@ class ConventionResult:
     casimir_expected: float
 
 
-def _consistent_pair(system: str, params, rep_p: int) -> tuple[float, float]:
+def fock_side(params, p_max: int) -> tuple:
+    """(printed algebra, closed form per dimension, pre-substitution family,
+    energy window up to dimension p_max + 1) of the system params belongs to.
+
+    The catalog functions are looked up when called, so a wrapper set on this
+    module's attribute sees every call.
+    """
+    if isinstance(params, Kepler5DParams):
+        return (kepler5d_constants(params), kepler5d_closed_form(params),
+                kepler5d_phi_family(params), kepler5d_energy_window(params, p_max))
+    if isinstance(params, Oscillator8DParams):
+        return (osc8d_constants(params), osc8d_closed_form(params),
+                osc8d_phi_family(params), osc8d_energy_window(params, p_max))
+    raise ValueError(f"no quadratic algebra is declared for {type(params).__name__}")
+
+
+def _consistent_pair(params, rep_p: int) -> tuple[float, float]:
     """(u, E) solving both endpoint constraints of the factored family exactly."""
-    if system == "kepler5d":
+    if isinstance(params, Kepler5DParams):
         m1, m2 = kepler5d_m_parameters(params)
         q = rep_p + 1 + (m1 + m2) / 2
         energy = -params.c0**2 / (2 * params.hbar**2 * q * q)
@@ -470,7 +488,7 @@ def _consistent_pair(system: str, params, rep_p: int) -> tuple[float, float]:
     return 0.5 - energy / (2 * params.omega * params.hbar), energy
 
 
-def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResult]:
+def fock_convention_scan(params, rep_p: int) -> list[ConventionResult]:
     """Build Fock matrices under several convention assignments and measure residuals.
 
     Assignments combine the rho reading (printed expression vs its square root),
@@ -479,16 +497,9 @@ def fock_convention_scan(system: str, params, rep_p: int) -> list[ConventionResu
     the scale tied to the general polynomial's leading coefficient vs a
     relation-fitted (d, z, scale)). Ordering is deterministic.
     """
-    if system == "kepler5d":
-        constants = kepler5d_constants(params)
-        closed = kepler5d_closed_form(params)(rep_p)
-    elif system == "osc8d":
-        constants = osc8d_constants(params)
-        closed = osc8d_closed_form(params)(rep_p)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-
-    u_cons, e_cons = _consistent_pair(system, params, rep_p)
+    constants, closed_form, _, _ = fock_side(params, rep_p)
+    closed = closed_form(rep_p)
+    u_cons, e_cons = _consistent_pair(params, rep_p)
     results = []
 
     def run(name, rho_convention, u, energy, sf, constants_at_e):

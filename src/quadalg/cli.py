@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every required check passes, 1 when a required check fails,
 2 for configuration errors (input refused before the run, by the flag checks
-or the system's parameter class), 3 for internal errors (a package error or a
-ValueError raised during the run, such as an oracle with no root or an
-eigenvalue estimate that does not converge, where no report is written).
+or the system's parameter class), 3 for internal errors (a package error, a
+ValueError or an ArithmeticError raised during the run, such as an oracle with
+no root, an eigenvalue estimate that does not converge or a float overflow,
+where no report is written).
 Checks of printed formulas against oracles carry status "finding" and never
 affect the exit code.
 """
@@ -12,6 +13,7 @@ affect the exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -39,23 +41,19 @@ def _write_report(report: Report, args) -> int:
     return report.exit_code
 
 
-def _kepler_params(args) -> cat.Kepler5DParams:
-    return cat.Kepler5DParams(c0=args.c0, c1=args.c1, c2=args.c2, hbar=args.hbar, l=args.l)
-
-
-def _osc_params(args) -> cat.Oscillator8DParams:
-    return cat.Oscillator8DParams(omega=args.omega, lambda1=args.lambda1,
-                                  lambda2=args.lambda2, hbar=args.hbar,
-                                  j=args.j, k=args.k)
-
-
-def _ycm_params(args) -> cat.YCMParams:
-    return cat.YCMParams(kepler=_kepler_params(args), T=args.T, J=args.J, L=args.L)
+def _params(cls, args, **given):
+    """cls built from the flags named after its fields and then given; a
+    field with neither keeps its default."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if hasattr(args, f.name)}
+    return cls(**{**flags, **given})
 
 
 def _system_params(args):
-    return {"kepler5d": _kepler_params, "osc8d": _osc_params,
-            "ycm": _ycm_params}[args.system](args)
+    if args.system == "ycm":
+        return _params(cat.YCMParams, args, kepler=_params(cat.Kepler5DParams, args))
+    cls = {c.system: c for c in (cat.Kepler5DParams, cat.Oscillator8DParams)}[args.system]
+    return _params(cls, args)
 
 
 # --------------------------------------------------------------------------
@@ -65,21 +63,16 @@ def _system_params(args):
 def cmd_spectrum(args) -> int:
     report = Report(command="spectrum", config=_config_echo(args), version=__version__)
     rows = []
-    if args.system == "kepler5d":
-        p = _kepler_params(args)
-        for rp in range(args.p_max + 1):
-            rows.append(cat.kepler5d_spectrum(p, rp))
-    elif args.system == "osc8d":
-        p = _osc_params(args)
-        for rp in range(args.p_max + 1):
-            rows.append(cat.osc8d_spectrum(p, rp))
-    elif args.system == "ycm":
-        p = _ycm_params(args)
+    p = _system_params(args)
+    if args.system == "ycm":
         for n1 in range(args.n_max + 1):
             for n2 in range(args.n_max + 1 - n1):
                 rows.append(cat.ycm_spectrum_parabolic(p, n1, n2))
-        for rp in range(args.p_max + 1):
-            rows.append(cat.ycm_spectrum_duality(p, rp))
+        spectrum = cat.ycm_spectrum_duality
+    else:
+        spectrum = {"kepler5d": cat.kepler5d_spectrum, "osc8d": cat.osc8d_spectrum}[p.system]
+    for rp in range(args.p_max + 1):
+        rows.append(spectrum(p, rp))
     for rec in rows:
         qn = "_".join(f"{k}{v:g}" if isinstance(v, (int, float)) else f"{k}{v}"
                       for k, v in sorted(rec.quantum_numbers.items()))
@@ -97,18 +90,10 @@ def cmd_spectrum(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
+def _verify_fock_track(report: Report, params, p_max: int) -> None:
     """Closed-form representation invariants plus the convention scan."""
-    if system == "kepler5d":
-        closed_form = cat.kepler5d_closed_form(params)
-        family = cat.kepler5d_phi_family(params)
-        constants = cat.kepler5d_constants(params)
-        e_window = cat.kepler5d_energy_window(params, p_max)
-    else:
-        closed_form = cat.osc8d_closed_form(params)
-        family = cat.osc8d_phi_family(params)
-        constants = cat.osc8d_constants(params)
-        e_window = cat.osc8d_energy_window(params, p_max)
+    system = params.system
+    constants, closed_form, family, e_window = cat.fock_side(params, p_max)
 
     for cand in map(closed_form, range(p_max + 1)):
         sf = cand.sf
@@ -154,7 +139,7 @@ def _verify_fock_track(report: Report, system: str, params, p_max: int) -> None:
 
     # convention scan at the largest requested dimension
     best = np.inf
-    for res in cat.fock_convention_scan(system, params, max(p_max, 1)):
+    for res in cat.fock_convention_scan(params, max(p_max, 1)):
         rel = max(res.r_ac, res.r_bc)
         best = min(best, rel)
         report.add(f"fock.{system}.convention.{res.name}",
@@ -233,7 +218,7 @@ _COMMUTES_H = "integral commutes with the Hamiltonian"
 
 
 def _verify_kepler(report: Report, args) -> None:
-    params = _kepler_params(args)
+    params = _system_params(args)
     k = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2,
                                    hbar=params.hbar)
     integrals = [("HA", k.A), ("HB", k.B), ("HL2", k.L2), ("HL12", k.L[(1, 2)]),
@@ -254,11 +239,11 @@ def _verify_kepler(report: Report, args) -> None:
     report.required_check("jets.kepler5d.closure.BC",
                           "printed [B,C] relation as an operator identity",
                           residual=closure.residual_bc_printed, tolerance=1e-9)
-    _verify_fock_track(report, "kepler5d", params, args.p)
+    _verify_fock_track(report, params, args.p)
 
 
 def _verify_osc8d(report: Report, args) -> None:
-    params = _osc_params(args)
+    params = _system_params(args)
     o = ops.build_osc8d_operators(omega=params.omega, lambda1=params.lambda1,
                                   lambda2=params.lambda2, hbar=params.hbar)
     t = max(2, args.trials // 2)
@@ -285,11 +270,11 @@ def _verify_osc8d(report: Report, args) -> None:
                           "[B,C] with the fitted B^2 coefficient (-gamma)",
                           residual=closure.fit_bc_residual, tolerance=1e-9,
                           values={"b2_printed": b2_printed, "b2_fitted": b2_fitted})
-    _verify_fock_track(report, "osc8d", params, args.p)
+    _verify_fock_track(report, params, args.p)
 
 
 def _verify_ycm(report: Report, args) -> None:
-    params = _ycm_params(args)
+    params = _system_params(args)
     kp = params.kepler
     rng = np.random.default_rng(args.seed)
     sampler = ops.kepler_sampler()
@@ -419,9 +404,8 @@ def cmd_crosscheck(args) -> int:
                                   residual=worst, tolerance=1e-6)
         two_block = 2 * eigs[0].extrapolated
         # both blocks were solved with the coupling --lambda1
-        e_formula = cat.osc8d_spectrum(cat.Oscillator8DParams(
-            omega=args.omega, lambda1=args.lambda1, lambda2=args.lambda1,
-            hbar=args.hbar), 0).energy
+        e_formula = cat.osc8d_spectrum(
+            _params(cat.Oscillator8DParams, args, lambda2=args.lambda1), 0).energy
         report.add("ode.osc8d.block-sum",
                    "two summed blocks vs the closed-form ground energy",
                    status="finding",
@@ -479,7 +463,7 @@ def _channel(text: str) -> tuple:
     except ValueError:  # a part without exactly one "=", or a value that is no number
         values = {}
     if len(parts) != 2 or set(values) != {"s1", "s2"} or not np.isfinite([*values.values()]).all():
-        raise ConfigError("channel", "--channel must set exactly s1 and s2 to finite numbers, "
+        raise ConfigError("--channel must set exactly s1 and s2 to finite numbers, "
                           f"as in s1=0,s2=0.5; got {text!r}")
     return values["s1"], values["s2"]
 
@@ -491,7 +475,7 @@ def _point(text: str) -> tuple:
     except ValueError:  # a part that is no number
         values = ()
     if len(values) != 8 or not np.isfinite(values).all():
-        raise ConfigError("point", f"--point must be eight finite numbers separated by "
+        raise ConfigError(f"--point must be eight finite numbers separated by "
                           f"commas, as in 1,0,0,0,1,0,0,0; got {text!r}")
     return values
 
@@ -499,7 +483,7 @@ def _point(text: str) -> tuple:
 def _require_finite(args, flags) -> None:
     for flag in flags:
         if not np.isfinite(getattr(args, flag)):
-            raise ConfigError(flag, f"--{flag} must be finite, got {getattr(args, flag)}")
+            raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
 
 
 def _check_config(args) -> None:
@@ -510,14 +494,14 @@ def _check_config(args) -> None:
         if args.command == "verify":
             # a required check must not pass over zero samples
             if args.trials < 1:
-                raise ConfigError("trials", f"--trials must be at least 1, got {args.trials}")
+                raise ConfigError(f"--trials must be at least 1, got {args.trials}")
             if args.p < 0:
-                raise ConfigError("p", f"--p must be non-negative, got {args.p}")
+                raise ConfigError(f"--p must be non-negative, got {args.p}")
         else:
             # a negative range lists no level: a report over nothing
             for field, flag in (("p_max", "--p-max"), ("n_max", "--n-max")):
                 if getattr(args, field) < 0:
-                    raise ConfigError(field, f"{flag} must be non-negative, "
+                    raise ConfigError(f"{flag} must be non-negative, "
                                       f"got {getattr(args, field)}")
         if args.J is None:
             args.J = abs(args.L - args.T)
@@ -534,32 +518,32 @@ def _check_config(args) -> None:
         # its invalid values, as it does for spectrum and verify
         if args.direction == "forward":
             if not args.energy > 0:
-                raise ConfigError("energy", f"--energy must be positive, got {args.energy}")
-            cat.Oscillator8DParams(omega=args.omega, lambda1=args.lambda1, lambda2=args.lambda2)
+                raise ConfigError(f"--energy must be positive, got {args.energy}")
+            _params(cat.Oscillator8DParams, args)
         else:
             if not args.eps < 0:
-                raise ConfigError("eps", f"--eps must be negative, got {args.eps}")
-            cat.Kepler5DParams(c0=args.c0, c1=args.c1, c2=args.c2)
+                raise ConfigError(f"--eps must be negative, got {args.eps}")
+            _params(cat.Kepler5DParams, args)
         return
     if args.command != "crosscheck":
         return
     for flag in ("samples", "levels", "grid"):
         if getattr(args, flag) < 1:
-            raise ConfigError(flag, f"--{flag} must be at least 1, got {getattr(args, flag)}")
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if args.target == "osc8d" and args.grid > 1024:
         # the radial oracle extrapolates over three doubled grids up to 4096
-        raise ConfigError("grid", f"--grid must be at most 1024 for crosscheck osc8d, "
+        raise ConfigError(f"--grid must be at most 1024 for crosscheck osc8d, "
                           f"got {args.grid}")
     _require_finite(args, ("c0", "hbar", "omega", "lambda1"))
     for flag in ("c0", "hbar", "omega"):
         if not getattr(args, flag) > 0:
-            raise ConfigError(flag, f"--{flag} must be positive, got {getattr(args, flag)}")
+            raise ConfigError(f"--{flag} must be positive, got {getattr(args, flag)}")
     for flag in ("n1", "n2"):
         if getattr(args, flag) < 0:
-            raise ConfigError(flag, f"--{flag} must be non-negative, got {getattr(args, flag)}")
+            raise ConfigError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
     if args.lambda1 < 0:
         # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
-        raise ConfigError("lambda1", f"--lambda1 must be non-negative, got {args.lambda1}")
+        raise ConfigError(f"--lambda1 must be non-negative, got {args.lambda1}")
     _channel(args.channel)
 
 
@@ -662,7 +646,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (QuadalgError, ValueError) as exc:
+    except (QuadalgError, ValueError, ArithmeticError) as exc:
         # the input passed every check above, so the fault is the package's
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -42,8 +42,4 @@ class NoRoot(QuadalgError):
 
 
 class ConfigError(QuadalgError):
-    """Invalid CLI configuration; carries the offending field name."""
-
-    def __init__(self, field: str, message: str = ""):
-        self.field = field
-        super().__init__(message or f"invalid configuration field: {field}")
+    """Invalid CLI configuration; the message names the offending flag."""

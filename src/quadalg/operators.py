@@ -35,14 +35,15 @@ the constant terms. Commutator identities, printed relations and
 least-squares fits of unknown structure constants are reductions over those
 values, so they are checked at every derivative order they contain. The
 printed relations are the catalog's rows, each word of a row composed from the
-system's trees. A relation is checked from one pass over its left side and its
-basis trees: the first samples give the residual of the printed rows, the
-rest the fit of their coefficients.
+system's trees; the Casimir relation of any algebra is built from its split
+[A,C] and [B,C] constants (`casimir_relation`). A relation is checked from one
+pass over its left side and its basis trees: the first samples give the
+residual of the printed rows, the rest the fit of their coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
 from typing import Callable, Optional, Sequence
@@ -792,17 +793,37 @@ def _word(o, word: tuple) -> Operator:
     return reduce(matmul, trees) if trees else OpIdentity()
 
 
+def _relation(o, lhs: Operator, rows: tuple) -> RelationSpec:
+    """lhs against printed (name, word, coefficient) rows, each word built from o."""
+    return RelationSpec(lhs, tuple((n, _word(o, w), c) for n, w, c in rows))
+
+
+def casimir_relation(o, algebra: cat.PrintedAlgebra) -> RelationSpec:
+    """The Casimir of the algebra on the operators o, against its Casimir rows.
+
+    The left side C^2 - gamma {A, B^2} + (gamma^2 - epsilon) B^2 - 2 zeta B
+    + d A^2 + 2 z A takes its constants from algebra.split(); with the
+    operator-fitted [A,C] and [B,C] rows, a fit of this relation adjudicates
+    the printed Casimir polynomial.
+    """
+    gamma, epsilon, zeta, d, z = algebra.split()
+    C = commutator(o.A, o.B)
+    B2 = o.B @ o.B
+    lhs = OpSum([C @ C, OpScale(-gamma, o.A @ B2 + B2 @ o.A), OpScale(gamma**2 - epsilon, B2)]
+                + [OpScale(-2 * c, _word(o, w + ("B",))) for _, w, c in zeta]
+                + [OpScale(c, _word(o, w + ("A", "A"))) for _, w, c in d]
+                + [OpScale(2 * c, _word(o, w + ("A",))) for _, w, c in z])
+    return _relation(o, lhs, algebra.casimir)
+
+
 def _closure_report(o, algebra: cat.PrintedAlgebra, trials: int, sampler: PointSampler,
                     seed: int) -> ClosureReport:
     """Check the declared [A,C] and [B,C] rows on the operators o."""
-    def spec(lhs, rows):
-        return RelationSpec(lhs, tuple((n, _word(o, w), c) for n, w, c in rows))
-
     C = commutator(o.A, o.B)
     rng = np.random.default_rng(seed)
-    r_ac, fit_ac, res_ac = check_relation(spec(commutator(o.A, C), algebra.ac),
+    r_ac, fit_ac, res_ac = check_relation(_relation(o, commutator(o.A, C), algebra.ac),
                                           trials, sampler, rng)
-    r_bc, fit_bc, res_bc = check_relation(spec(commutator(o.B, C), algebra.bc),
+    r_bc, fit_bc, res_bc = check_relation(_relation(o, commutator(o.B, C), algebra.bc),
                                           trials, sampler, rng)
     return ClosureReport(residual_ac_printed=r_ac, residual_bc_printed=r_bc,
                          fit_ac=fit_ac, fit_bc=fit_bc,
@@ -815,35 +836,6 @@ def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
     algebra = cat.kepler5d_constants(cat.Kepler5DParams(c0=c0, c1=c1, c2=c2, hbar=hbar))
     return _closure_report(build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar), algebra,
                            trials, kepler_sampler(), seed)
-
-
-def kepler_casimir_fit(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
-                       hbar: float = 1.0, seed: int = 0, n_samples: int = 10) -> dict:
-    """Fit the Casimir combination onto the declared Casimir rows.
-
-    The combination C^2 - gamma {A, B^2} + (gamma^2 - epsilon) B^2 - 2 zeta B
-    + d A^2 + 2 z A is built from the operator-level fitted relation rows, so
-    the outcome adjudicates the printed Casimir polynomial.
-    """
-    rng = np.random.default_rng(seed)
-    k = build_kepler_operators(c0=c0, c1=c1, c2=c2, hbar=hbar)
-    closure = kepler_quadratic_closure(c0=c0, c1=c1, c2=c2, hbar=hbar, seed=seed)
-    printed = cat.kepler5d_constants(cat.Kepler5DParams(c0=c0, c1=c1, c2=c2, hbar=hbar))
-    fitted = replace(printed,
-                     ac=tuple((n, w, closure.fit_ac[n][1]) for n, w, _ in printed.ac),
-                     bc=tuple((n, w, closure.fit_bc[n][1]) for n, w, _ in printed.bc))
-    gamma, epsilon, zeta, d, z = fitted.split()
-    C = commutator(k.A, k.B)
-    B2 = k.B @ k.B
-    K_op = OpSum([C @ C, OpScale(-gamma, k.A @ B2 + B2 @ k.A), OpScale(gamma**2 - epsilon, B2)]
-                 + [OpScale(-2 * c, _word(k, w + ("B",))) for _, w, c in zeta]
-                 + [OpScale(c, _word(k, w + ("A", "A"))) for _, w, c in d]
-                 + [OpScale(2 * c, _word(k, w + ("A",))) for _, w, c in z])
-    names, words, values = zip(*printed.casimir)
-    fit, resid = fit_operator_coefficients(K_op, [_word(k, w) for w in words], n_samples,
-                                           kepler_sampler(), rng)
-    return {"fit_residual": resid,
-            "coefficients": {n: (p, float(f)) for n, p, f in zip(names, values, fit)}}
 
 
 def osc8d_quadratic_closure(omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,

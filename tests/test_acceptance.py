@@ -109,7 +109,7 @@ def test_criterion_3_matrix_closure_and_conventions():
                                alg.verify_commutation(
                                    fock, constants.at_energy(cand.energy)).jacobi)
     for params in _kepler_grid():
-        results = cat.fock_convention_scan("kepler5d", params, 3)
+        results = cat.fock_convention_scan(params, 3)
         for r in results:
             if np.isfinite(r.jacobi):
                 worst_jacobi = max(worst_jacobi, r.jacobi)
@@ -119,7 +119,7 @@ def test_criterion_3_matrix_closure_and_conventions():
         printed_summary.append(min(max(r.r_ac, r.r_bc) for r in printed))
     for params in (cat.Oscillator8DParams(),
                    cat.Oscillator8DParams(lambda1=0.25, lambda2=0.25)):
-        results = cat.fock_convention_scan("osc8d", params, 3)
+        results = cat.fock_convention_scan(params, 3)
         for r in results:
             if np.isfinite(r.jacobi):
                 worst_jacobi = max(worst_jacobi, r.jacobi)

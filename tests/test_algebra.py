@@ -421,7 +421,7 @@ def test_relation_fit_closes_for_kepler_window():
     # the printed d together with the relation-consistent z
     p = _kepler_pure()
     rp = 3
-    u, energy = cat._consistent_pair("kepler5d", p, rp)
+    u, energy = cat._consistent_pair(p, rp)
     cons = cat.kepler5d_constants(p).at_energy(energy)
     sf = cat.kepler5d_closed_form(p)(rp).sf
     fit = alg.fit_relation_constants(cons, u, sf, rp)

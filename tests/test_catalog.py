@@ -228,7 +228,7 @@ def test_closed_form_evaluations_are_pure():
     ("osc8d", cat.Oscillator8DParams(omega=1.3, hbar=0.7)),
 ])
 def test_convention_scan_contains_closing_assignment(system, params):
-    results = cat.fock_convention_scan(system, params, 3)
+    results = cat.fock_convention_scan(params, 3)
     assert len(results) >= 3
     best = min(max(r.r_ac, r.r_bc) for r in results)
     assert best < 1e-9
@@ -244,4 +244,4 @@ def test_convention_scan_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr(cat, "build_fock_realization", broken)
     with pytest.raises(TypeError):
-        cat.fock_convention_scan("kepler5d", cat.Kepler5DParams(), 1)
+        cat.fock_convention_scan(cat.Kepler5DParams(), 1)

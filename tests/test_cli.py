@@ -279,6 +279,43 @@ def test_value_error_inside_the_package_exits_three(capsys, monkeypatch):
         "internal error: ValueError: operands could not be broadcast together\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["spectrum", "kepler5d", "--hbar", "1e-200"], "ZeroDivisionError: float division by zero"),
+    (["spectrum", "kepler5d", "--c0", "1e200"], "OverflowError: "),
+    (["verify", "kepler5d", "--c0", "1e200"], "OverflowError: "),
+])
+def test_arithmetic_error_inside_the_package_exits_three(capsys, argv, error):
+    # the flags pass every check; hbar^2 then underflows to 0, or c0^2
+    # overflows, inside a printed formula: an internal error, not exit 1
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {error}")
+    assert "Traceback" not in captured.err
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracing.py wraps package functions by name and records a
+    # missing one as absent, which leaves that layer unmeasured
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    if not os.path.isfile(os.path.join(bench, "tracing.py")):
+        pytest.skip("no perfbench/ beside tests/")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
+    script = f"""
+import json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import quadalg.cli
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+print(json.dumps(tracer.absent))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 
 @pytest.mark.parametrize("channel, solves", [("s1=0.5,s2=0.5", 3), ("s1=0,s2=1", 6)])
 def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
@@ -378,7 +415,7 @@ def test_solver_closing_sets_are_kept(config):
     system, params, p_max, expected = _CLOSING[config]
     build = cat.Kepler5DParams if system == "kepler5d" else cat.Oscillator8DParams
     report = Report(command="verify", config={}, version="test")
-    _verify_fock_track(report, system, build(**params), p_max)
+    _verify_fock_track(report, build(**params), p_max)
     prefix = f"fock.{system}.solver."
     assert sorted(f.check[len(prefix):] for f in report.findings
                   if f.check.startswith(prefix)) == expected

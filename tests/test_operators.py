@@ -485,11 +485,39 @@ def test_osc_closure_b2_coefficient_is_hbar_independent():
         assert fitted == pytest.approx(printed, rel=1e-7, abs=1e-8), name
 
 
+def _fitted_algebra(algebra, closure):
+    """The printed algebra with its [A,C] and [B,C] rows replaced by the fits."""
+    return dataclasses.replace(
+        algebra, ac=tuple((n, w, closure.fit_ac[n][1]) for n, w, _ in algebra.ac),
+        bc=tuple((n, w, closure.fit_bc[n][1]) for n, w, _ in algebra.bc))
+
+
 def test_kepler_casimir_fit_matches_printed():
-    fit = ops.kepler_casimir_fit(c0=1.0, c1=0.25, c2=0.1, seed=0, n_samples=8)
-    assert fit["fit_residual"] < 1e-9
-    for name, (printed, fitted) in fit["coefficients"].items():
+    algebra = _fitted_algebra(
+        cat.kepler5d_constants(cat.Kepler5DParams(c0=1.0, c1=0.25, c2=0.1)),
+        ops.kepler_quadratic_closure(c0=1.0, c1=0.25, c2=0.1, seed=0))
+    k = ops.build_kepler_operators(c0=1.0, c1=0.25, c2=0.1)
+    _, fit, fit_residual = ops.check_relation(ops.casimir_relation(k, algebra), 2,
+                                              ops.kepler_sampler(), np.random.default_rng(0))
+    assert fit_residual < 1e-9
+    for name, (printed, fitted) in fit.items():
         assert fitted == pytest.approx(printed, rel=1e-7, abs=1e-7), name
+
+
+def test_osc8d_casimir_relation_closes_with_one_printed_sign_off():
+    # the Casimir tree closes on the declared rows; the printed K2^2 row,
+    # -hbar^2 omega^2, is fitted as +hbar^2 omega^2 (a finding: the catalog
+    # row stays as printed), and it alone carries the printed residual
+    algebra = _fitted_algebra(cat.osc8d_constants(cat.Oscillator8DParams()),
+                              ops.osc8d_quadratic_closure(seed=0))
+    o = ops.build_osc8d_operators()
+    residual, fit, fit_residual = ops.check_relation(
+        ops.casimir_relation(o, algebra), 2, ops.osc8d_sampler(), np.random.default_rng(0))
+    assert fit_residual < 1e-9
+    assert fit.pop("K2^2") == (-1.0, pytest.approx(1.0, abs=1e-7))
+    for name, (printed, fitted) in fit.items():
+        assert fitted == pytest.approx(printed, rel=1e-7, abs=1e-7), name
+    assert residual > 1e-3
 
 
 def test_closure_checks_the_catalog_declaration(monkeypatch):
