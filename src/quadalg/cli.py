@@ -530,9 +530,9 @@ def _check_config(args) -> None:
     for flag in ("samples", "levels", "grid"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    if args.target == "osc8d" and args.grid > 1024:
-        # the radial oracle extrapolates over three doubled grids up to 4096
-        raise ConfigError(f"--grid must be at most 1024 for crosscheck osc8d, "
+    if args.target in ("osc8d", "ycm") and args.grid > 1024:
+        # both oracles extrapolate over three doubled grids up to 4096
+        raise ConfigError(f"--grid must be at most 1024 for crosscheck {args.target}, "
                           f"got {args.grid}")
     _require_finite(args, ("c0", "hbar", "omega", "lambda1"))
     for flag in ("c0", "hbar", "omega"):
@@ -541,6 +541,12 @@ def _check_config(args) -> None:
     for flag in ("n1", "n2"):
         if getattr(args, flag) < 0:
             raise ConfigError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
+    if args.target == "ycm":
+        # level n is the (n + 1)-th of the coarsest grid's --grid levels
+        flag = "n1" if args.n1 >= args.n2 else "n2"
+        if getattr(args, flag) >= args.grid:
+            raise ConfigError(f"--{flag} must be less than --grid ({args.grid}), "
+                              f"got {getattr(args, flag)}")
     if args.lambda1 < 0:
         # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
         raise ConfigError(f"--lambda1 must be non-negative, got {args.lambda1}")

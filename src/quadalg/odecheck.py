@@ -7,9 +7,15 @@ Richardson-extrapolated over three doubled grids. The coarsest grid brackets
 its levels by index; each finer grid brackets them by value, between the
 coarser grid's levels and the Gershgorin bound, which skips the index search.
 The paired parabolic channels are matched through the grid's exact scaling
-with sqrt(-beta), one eigensolve per distinct channel and grid, instead of a
-root search on beta. These spectra adjudicate the printed closed forms, so no
-printed formula is used anywhere in this module's numerics.
+with sqrt(-beta) instead of a root search on beta: each channel needs only its
+levels at beta = -1, alpha = 0 on the three grids, its unit-channel ladder.
+A process keeps every ladder it solves (_unit_ladder) under the exact key
+(s, level count, coarsest grid), so commands run in one process solve each
+distinct ladder once, while a single command gains nothing. The key holds the
+exact level count because the coarser grid's deepest level brackets the finer
+grids' bisections, so no result depends on what was solved before. Nothing
+else in this module is kept across calls. These spectra adjudicate the printed
+closed forms, so no printed formula is used anywhere in this module's numerics.
 
 dstebz is called through ctypes in the LAPACK that numpy's own linalg
 extension is linked against (numpy's bundled OpenBLAS, with 64-bit integers),
@@ -22,6 +28,7 @@ first solve instead.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -246,7 +253,7 @@ def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
     faces_left = x - 0.5 * h
     faces_right = x + 0.5 * h
     diag = -(faces_left + faces_right) / h**2
-    sx = np.full(n_grid, spec.s)
+    sx = np.full(n_grid, spec.s, dtype=float)  # an integer s keeps its boundary weight
     if spec.s != 0.0:
         # indicial boundary weight: cell-average of s/(4x) against the x^(sqrt(s))
         # profile instead of the midpoint value, refining the singular cell
@@ -285,6 +292,26 @@ def _richardson(solve, n_grid: int, max_grid: int):
     return fine, values, extrap[1], np.abs(extrap[1] - extrap[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_ladder(s: float, n: int, n_grid: int) -> tuple:
+    """Top n + 1 levels (descending, times 2) of the unit channel, beta = -1
+    and alpha = 0, with the cutoff 40, on n_grid, 2 n_grid and 4 n_grid cells.
+
+    The coarsest grid finds its levels by index and each finer grid brackets
+    them by value from the coarser grid's level n. Kept per process under the
+    exact (s, n, n_grid): the bracket sets the bisection's last bits, so a
+    ladder of more levels is never read for fewer, and no value depends on
+    what was solved before. Plain floats, so no LAPACK output buffer is kept.
+    """
+    spec = ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
+    ladder, hint = [], None
+    for grid in (n_grid, 2 * n_grid, 4 * n_grid):
+        levels = tuple(float(v) for v in _parabolic_levels(spec, n + 1, grid, 40.0, hint))
+        ladder.append(levels)
+        hint = levels[n]
+    return tuple(ladder)
+
+
 def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
                          n_grid: int = 1024, target: float = 1e-7):
     """Bound-state energy from the paired channels, by the grid's scaling law.
@@ -295,32 +322,28 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
     discretized channel operator is exactly kappa M_s + alpha/4, where M_s is
     the operator at beta = -1, alpha = 0. So v = kappa w + alpha/2 with w the
     matching level at beta = -1, alpha = 0, and on each grid the condition has
-    the closed-form root kappa = -alpha / (w1 + w2): no search on beta. Each
-    grid solves each distinct channel once, so equal channels (s1 == s2) share
-    one solve for max(n1, n2) + 1 levels, and the finer grids bracket their
-    levels from the coarser grid's. Raises NoRoot when w1 + w2 >= 0 (no bound
-    state). Returns (beta*, v*, eps*, err_estimate, eps values per grid) with
-    eps = hbar^2 beta / 2 evaluated at hbar = 1 by the caller's convention.
+    the closed-form root kappa = -alpha / (w1 + w2): no search on beta. The
+    levels w come from _unit_ladder, one per distinct channel, so equal
+    channels (s1 == s2) share one ladder of max(n1, n2) + 1 levels. Raises
+    NoRoot when w1 + w2 >= 0 (no bound state). Returns (beta*, v*, eps*,
+    err_estimate, eps values per grid) with eps = hbar^2 beta / 2 evaluated at
+    hbar = 1 by the caller's convention.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("n1 and n2 must be nonnegative")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
+    if s1 == s2:
+        ladder1 = ladder2 = _unit_ladder(s1, max(n1, n2), n_grid)
+    else:
+        ladder1, ladder2 = _unit_ladder(s1, n1, n_grid), _unit_ladder(s2, n2, n_grid)
+    rungs = iter(zip(ladder1, ladder2))
 
-    def unit_levels(s: float, n: int, grid: int, hint) -> np.ndarray:
-        spec = ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
-        return _parabolic_levels(spec, n + 1, grid, 40.0, hint)
-
-    def beta_and_levels(grid: int, previous) -> tuple:
-        # previous = (beta, w1, w2) on the coarser grid; w_i is the deepest
-        # level its channel solves for
-        if s1 == s2:
-            levels = unit_levels(s1, max(n1, n2), grid,
-                                 None if previous is None else min(previous[1:]))
-            w1, w2 = float(levels[n1]), float(levels[n2])
-        else:
-            w1 = float(unit_levels(s1, n1, grid, None if previous is None else previous[1])[n1])
-            w2 = float(unit_levels(s2, n2, grid, None if previous is None else previous[2])[n2])
+    def beta_and_levels(grid: int, _previous) -> tuple:
+        levels1, levels2 = next(rungs)
+        w1, w2 = levels1[n1], levels2[n2]
         w = w1 + w2
         if w >= 0:
             raise NoRoot(f"levels (s1={s1}, n1={n1}) and (s2={s2}, n2={n2}) at beta = -1 "

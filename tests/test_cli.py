@@ -126,6 +126,8 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "ycm", "--n2", "-1"], "--n2"),
     (["crosscheck", "osc8d", "--omega", "-1"], "--omega"),
     (["crosscheck", "euler", "--hbar", "0"], "--hbar"),
+    (["crosscheck", "ycm", "--grid", "4096"], "--grid"),
+    (["crosscheck", "ycm", "--n1", "2000"], "--n1"),
 ])
 def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     # a configuration error exits 2 and names the flag; 1 means a failed check
@@ -323,6 +325,7 @@ def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
     # three grids; equal channels share one solve for both levels
     from quadalg import odecheck as ode
 
+    ode._unit_ladder.cache_clear()
     calls = []
     eigh = ode.eigh_tridiagonal
 
@@ -335,6 +338,54 @@ def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
           "--out", str(tmp_path / "r.json")])
     assert len(calls) == solves
     assert sorted(set(calls)) == [1024, 2048, 4096]
+
+
+def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, monkeypatch):
+    # a process keeps each unit-channel ladder, so a repeated command reads them
+    from quadalg import odecheck as ode
+
+    argv = ["crosscheck", "ycm", "--channel", "s1=0,s2=0.5", "--n1", "1",
+            "--out", str(tmp_path / "r.json")]
+    ode._unit_ladder.cache_clear()
+    assert main(argv) == 0
+    calls = []
+    eigh = ode.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "eigh_tridiagonal", counted)
+    assert main(argv) == 0
+    assert calls == []
+
+
+# the crosscheck ycm commands of the benchmark's oracle sweep
+_YCM_SWEEP = [["crosscheck", "ycm", "--channel", f"s1={a},s2={b}", "--n1", str(n1),
+               "--n2", str(n2), "--seed", "7"]
+              for a in ("0", "0.5", "1") for b in ("0", "0.5", "1")
+              for n1, n2 in ((0, 0), (1, 0), (0, 1))]
+
+
+def test_crosscheck_ycm_reports_do_not_depend_on_the_ladders_kept(capsys):
+    # each report from an empty ladder cache equals, byte for byte, its report
+    # after every other command of the sweep has run in the same process
+    from quadalg import odecheck as ode
+
+    def run(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    cold = []
+    for argv in _YCM_SWEEP:
+        ode._unit_ladder.cache_clear()
+        cold.append(run(argv))
+    assert all(code == 0 for code, _, _ in cold)
+    ode._unit_ladder.cache_clear()
+    for i, argv in enumerate(_YCM_SWEEP):
+        for other in _YCM_SWEEP[:i] + _YCM_SWEEP[i + 1:]:
+            run(other)
+        assert run(argv) == cold[i]
 
 
 def test_the_reused_parser_carries_nothing_between_calls(tmp_path, capsys):

@@ -152,6 +152,8 @@ def test_eigensolvers_reject_empty_grid(n_grid):
     with pytest.raises(ValueError, match="n_grid"):
         parabolic_eigensolve(ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0), 1,
                                  n_grid=n_grid)
+    with pytest.raises(ValueError, match="n_grid"):
+        ode.solve_parabolic_pair(0.0, 0.0, 2.0, 0, 0, n_grid=n_grid)
 
 
 # -- parabolic channel oracle ------------------------------------------------------
@@ -264,6 +266,14 @@ def test_pair_solver_input_validation():
         ode.solve_parabolic_pair(0.0, 0.0, -1.0, 0, 0)
     with pytest.raises(ValueError):
         ode.solve_parabolic_pair(0.0, 0.0, 2.0, -1, 0)
+
+
+def test_an_integer_s_is_the_float_channel():
+    # an integer s must not truncate the singular cell's boundary weight; the
+    # kept ladders are keyed by value, where 2 == 2.0
+    levels = [ode._parabolic_levels(ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0),
+                                    2, 256, 40.0) for s in (2, 2.0)]
+    assert np.array_equal(levels[0], levels[1])
 
 
 def test_channel_spec_validation():
