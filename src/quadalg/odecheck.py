@@ -14,8 +14,11 @@ A process keeps every ladder it solves (_unit_ladder) under the exact key
 distinct ladder once, while a single command gains nothing. The key holds the
 exact level count because the coarser grid's deepest level brackets the finer
 grids' bisections, so no result depends on what was solved before. Nothing
-else in this module is kept across calls. These spectra adjudicate the printed
-closed forms, so no printed formula is used anywhere in this module's numerics.
+else in this module is kept across calls. A radial block's levels 0..n come
+from one sweep, one eigensolve per grid with the cutoff of level n, so a
+command that reports n + 1 levels solves each grid once. These spectra
+adjudicate the printed closed forms, so no printed formula is used anywhere in
+this module's numerics.
 
 dstebz is called through ctypes in the LAPACK that numpy's own linalg
 extension is linked against (numpy's bundled OpenBLAS, with 64-bit integers),
@@ -383,8 +386,16 @@ def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
 
 def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
                                  n_grid: int = 1024, cutoff: Optional[float] = None,
-                                 target: float = 1e-6, max_grid: int = 4096) -> EigenResult:
-    """n-th eigenvalue of the radial block, Richardson-extrapolated."""
+                                 target: float = 1e-6, max_grid: int = 4096) -> tuple:
+    """Levels 0..n of the radial block, Richardson-extrapolated, as a tuple of
+    EigenResults indexed by level.
+
+    One sweep solves all n + 1 levels on each grid, with the cutoff of level
+    n, and each finer grid brackets them from the coarser grid's level n. So
+    element [n] is bitwise a sweep that keeps level n alone, while a lower
+    level k carries level n's cutoff, not its own. Raises GridTooCoarse
+    naming the lowest level whose error estimate misses target.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if cutoff is None:
@@ -392,8 +403,11 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
         width = np.sqrt(spec.hbar / spec.omega)
         cutoff = width * (np.sqrt(4.0 * n + 10.0) + 6.0)
     grid, _, extrap, err = _richardson(
-        lambda g, previous: _radial_levels(spec, n + 1, g, cutoff, previous)[n],
+        lambda g, previous: _radial_levels(spec, n + 1, g, cutoff,
+                                           None if previous is None else previous[-1]),
         n_grid, max_grid)
-    if err > target:
-        raise GridTooCoarse(f"radial level {n}: error {err:.3e} above {target:.1e}")
-    return EigenResult(grid_size=grid, extrapolated=float(extrap), error_estimate=float(err))
+    for k, e in enumerate(err):
+        if e > target:
+            raise GridTooCoarse(f"radial level {k}: error {e:.3e} above {target:.1e}")
+    return tuple(EigenResult(grid_size=grid, extrapolated=float(x), error_estimate=float(e))
+                 for x, e in zip(extrap, err))

@@ -218,7 +218,7 @@ def test_criterion_5_spectrum_triple_check():
 
 def test_criterion_6_radial_oracle():
     spec = ode.RadialOscillatorSpec()
-    ladder = [ode.radial_oscillator_eigensolve(spec, n).extrapolated for n in range(3)]
+    ladder = [ode.radial_oscillator_eigensolve(spec, n)[n].extrapolated for n in range(3)]
     worst = max(abs(v - t) for v, t in zip(ladder, (2.0, 4.0, 6.0)))
     block_sum = 2 * ladder[0]
     formula = cat.osc8d_spectrum(cat.Oscillator8DParams(), 0).energy

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from quadalg import catalog as cat
+from quadalg import hurwitz as hw
 from quadalg.cli import _verify_fock_track, main
 from quadalg.report import Report
 
@@ -91,6 +93,33 @@ def test_crosscheck_euler(tmp_path):
     assert finding["residual"] < 1e-12
 
 
+@pytest.mark.parametrize("samples", [2049, 5000])
+@pytest.mark.parametrize("literal", [False, True])
+def test_crosscheck_euler_blocks_report_the_single_stack(tmp_path, samples, literal):
+    # the sweep draws and checks its points in blocks of rows; the report is
+    # the one the whole (samples, 8) stack gives
+    code, rep = _run_json(tmp_path, "e.json",
+                          ["crosscheck", "euler", "--samples", str(samples), "--seed", "3"]
+                          + (["--literal-x0"] if literal else []))
+    assert code == 0
+    u = np.random.default_rng(3).uniform(-2.0, 2.0, (samples, 8))
+    rel = hw.euler_identity_residual(u, literal_x0=literal)
+    expected = Report(command="crosscheck", config={}, version="")
+    if literal:
+        norm4 = np.einsum("ij,ij->i", u, u) ** 2
+        exceed = int(np.count_nonzero(rel * np.maximum(1.0, norm4) > 0.1))
+        expected.add("hurwitz.euler.literal-x0",
+                     "printed first component fails the norm identity",
+                     status="finding", residual=float(rel.max()),
+                     values={"fraction_above_0.1": exceed / samples, "samples": samples})
+    else:
+        expected.required_check("hurwitz.euler.adopted-x0",
+                                "norm identity with the completed first component",
+                                residual=float(rel.max()), tolerance=1e-12,
+                                values={"samples": samples})
+    assert rep["findings"] == expected.as_dict()["findings"]
+
+
 def test_crosscheck_euler_literal_is_finding(tmp_path):
     code, rep = _run_json(tmp_path, "cl.json",
                           ["crosscheck", "euler", "--samples", "200", "--seed", "1",
@@ -114,6 +143,7 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "osc8d", "--grid", "0"], "--grid"),
     (["crosscheck", "ycm", "--grid", "0"], "--grid"),
     (["crosscheck", "osc8d", "--grid", "4096"], "--grid"),
+    (["crosscheck", "osc8d", "--levels", "65", "--grid", "64"], "--levels"),
     (["crosscheck", "ycm", "--c0", "nan"], "--c0"),
     (["crosscheck", "ycm", "--hbar", "inf"], "--hbar"),
     (["crosscheck", "osc8d", "--omega", "inf"], "--omega"),
@@ -178,6 +208,35 @@ def test_crosscheck_osc8d_block_sum_uses_the_solved_coupling(tmp_path):
     block_sum = by_check["ode.osc8d.block-sum"]["values"]
     assert block_sum["oracle"] == pytest.approx(2 * (1 + 2**0.5), abs=1e-6)
     assert block_sum["formula"] == pytest.approx(6.0)
+
+
+def test_crosscheck_osc8d_solves_all_levels_once_per_grid(tmp_path, monkeypatch):
+    # one sweep serves every reported level: one eigensolve on each grid
+    from quadalg import odecheck as ode
+
+    calls = []
+    eigh = ode.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "eigh_tridiagonal", counted)
+    assert main(["crosscheck", "osc8d", "--levels", "3",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [1024, 2048, 4096]
+
+
+def test_crosscheck_osc8d_accuracy_limit_is_a_finding(tmp_path, capsys):
+    # level 15's error estimate (about 1.1e-6) misses the oracle's 1e-6 target:
+    # reported like the pair oracle's, not as an internal error
+    code, rep = _run_json(tmp_path, "l.json", ["crosscheck", "osc8d", "--levels", "16"])
+    assert code == 0
+    (finding,) = rep["findings"]
+    assert finding["check"] == "ode.osc8d.block-solve"
+    assert finding["status"] == "finding"
+    assert finding["values"]["error"].startswith("radial level 15: error 1.1")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_dualize_round_trip(tmp_path):

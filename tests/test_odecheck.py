@@ -106,13 +106,13 @@ def test_kummer_rejects_negative_n():
 
 def test_radial_isotropic_ladder():
     spec = ode.RadialOscillatorSpec()
-    values = [ode.radial_oscillator_eigensolve(spec, n).extrapolated for n in range(3)]
+    values = [ode.radial_oscillator_eigensolve(spec, n)[n].extrapolated for n in range(3)]
     assert values == pytest.approx([2.0, 4.0, 6.0], abs=1e-6)
 
 
 def test_radial_spacing_is_two_omega_hbar():
     spec = ode.RadialOscillatorSpec(omega=1.5, hbar=1.0)
-    vals = [ode.radial_oscillator_eigensolve(spec, n).extrapolated for n in range(3)]
+    vals = [ode.radial_oscillator_eigensolve(spec, n)[n].extrapolated for n in range(3)]
     assert np.diff(vals) == pytest.approx([3.0, 3.0], abs=1e-6)
 
 
@@ -123,7 +123,7 @@ def test_radial_singular_block_matches_indicial_formula():
     m = np.sqrt(1 + 2 * lam)
     spec = ode.RadialOscillatorSpec(lam=lam)
     for n in range(2):
-        got = ode.radial_oscillator_eigensolve(spec, n, target=1e-5).extrapolated
+        got = ode.radial_oscillator_eigensolve(spec, n, target=1e-5)[n].extrapolated
         assert got == pytest.approx(2.0 * (n + (1 + m) / 2), abs=2e-5)
 
 
@@ -132,7 +132,7 @@ def test_radial_error_estimate_decreases_with_refinement():
     errs = []
     for base in (256, 512, 1024):
         r = ode.radial_oscillator_eigensolve(spec, 0, n_grid=base, max_grid=4 * base,
-                                             target=1.0)
+                                             target=1.0)[0]
         errs.append(r.error_estimate)
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[2] > 4.0
@@ -293,11 +293,11 @@ def test_richardson_solves_only_the_three_finest_grids(monkeypatch):
 
     monkeypatch.setattr(ode, "_radial_levels", spy)
     r = ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0, n_grid=256,
-                                         max_grid=5000)
+                                         max_grid=5000)[0]
     assert grids == [1024, 2048, 4096]
     assert r.grid_size == 4096
     assert r.extrapolated == ode.radial_oscillator_eigensolve(
-        ode.RadialOscillatorSpec(), 0, n_grid=1024).extrapolated
+        ode.RadialOscillatorSpec(), 0, n_grid=1024)[0].extrapolated
 
 
 # -- value-bracketed finer grids -----------------------------------------------------
@@ -382,6 +382,42 @@ def test_level_count_must_fit_the_grid(k):
     for hint in (None, 2.0):
         with pytest.raises(ValueError, match="levels"):
             ode._radial_levels(spec, k, 64, 10.0, hint)
+
+
+# -- one sweep for every level -------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+def test_radial_sweep_top_level_is_the_single_level_solve(lam):
+    # level n of the sweep is bitwise a sweep that keeps only level n: the same
+    # matrices at level n's cutoff, each finer grid bracketed from level n
+    spec = ode.RadialOscillatorSpec(lam=lam)
+    n = 2
+    cutoff = _radial_cutoff(spec, n)
+    grid, _, extrap, err = ode._richardson(
+        lambda g, previous: ode._radial_levels(spec, n + 1, g, cutoff, previous)[n],
+        1024, 4096)
+    levels = ode.radial_oscillator_eigensolve(spec, n)
+    assert len(levels) == n + 1
+    assert levels[n] == ode.EigenResult(grid_size=grid, extrapolated=float(extrap),
+                                        error_estimate=float(err))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+def test_radial_sweep_lower_levels_agree_with_their_own_cutoff(lam):
+    # a lower level carries the top level's larger cutoff, which moves it by
+    # far less than the oracle's 1e-6 target
+    spec = ode.RadialOscillatorSpec(lam=lam)
+    levels = ode.radial_oscillator_eigensolve(spec, 2)
+    for k in range(2):
+        own = ode.radial_oscillator_eigensolve(spec, k)[k]
+        assert levels[k].grid_size == own.grid_size
+        assert abs(levels[k].extrapolated - own.extrapolated) <= 1e-9
+
+
+def test_radial_sweep_names_the_lowest_level_that_misses_the_target():
+    # the error estimates of levels 0, 1 and 2 are about 3e-11, 5e-10 and 2e-9
+    with pytest.raises(GridTooCoarse, match="radial level 1:"):
+        ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 2, target=1e-10)
 
 
 # -- tridiagonal bisection through numpy's LAPACK ------------------------------------
