@@ -143,7 +143,6 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "osc8d", "--grid", "0"], "--grid"),
     (["crosscheck", "ycm", "--grid", "0"], "--grid"),
     (["crosscheck", "osc8d", "--grid", "4096"], "--grid"),
-    (["crosscheck", "osc8d", "--levels", "65", "--grid", "64"], "--levels"),
     (["crosscheck", "ycm", "--c0", "nan"], "--c0"),
     (["crosscheck", "ycm", "--hbar", "inf"], "--hbar"),
     (["crosscheck", "osc8d", "--omega", "inf"], "--omega"),
@@ -158,6 +157,7 @@ def test_crosscheck_euler_literal_is_finding(tmp_path):
     (["crosscheck", "euler", "--hbar", "0"], "--hbar"),
     (["crosscheck", "ycm", "--grid", "4096"], "--grid"),
     (["crosscheck", "ycm", "--n1", "2000"], "--n1"),
+    (["crosscheck", "osc8d", "--levels", "65", "--grid", "64"], "--levels"),
 ])
 def test_crosscheck_rejects_bad_input_at_parse_time(capsys, argv, flag):
     # a configuration error exits 2 and names the flag; 1 means a failed check
