@@ -219,6 +219,9 @@ _COMMUTES_H = "integral commutes with the Hamiltonian"
 
 def _verify_kepler(report: Report, args) -> None:
     params = _system_params(args)
+    # the printed constants overflow before the operator values do: evaluate
+    # them first, so such input stops before any check runs on inf or NaN
+    cat.kepler5d_constants(params)
     k = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2,
                                    hbar=params.hbar)
     integrals = [("HA", k.A), ("HB", k.B), ("HL2", k.L2), ("HL12", k.L[(1, 2)]),

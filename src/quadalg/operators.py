@@ -8,7 +8,10 @@ the jet product `jet_mul`. A tree acts on the spin multiplets of S samples at
 once, held as a plain (S, spin_dim, n_terms) complex array, with one batched
 `PointContext` that holds the (S, n_vars) points. Every tree knows its
 differential order and its spin dimension (the size of its spin matrices, 1
-without one), so a check reads both from its trees. An identity is checked on
+without one), so a check reads both from its trees. A sum drops its
+exactly-zero terms (a zero factor, an all-zero spin matrix) when it is built,
+and keeps the order and spin rows of every term it was given, so a vanished
+coupling costs nothing and changes no germ or draw. An identity is checked on
 jets whose degree is the order of the identity: the constant term of (L f) is
 then the exact value of (L f)(point) and depends on every Taylor coefficient
 of L at the point. Test germs are full-degree jets with random Taylor
@@ -100,10 +103,12 @@ class PointContext:
 
 class Operator:
     """A tree node; order is the differential order of the tree below it and
-    spin_dim the number of spin rows it acts on."""
+    spin_dim the number of spin rows it acts on. is_zero marks a tree that is
+    exactly zero, which a sum drops."""
 
     order = 0
     spin_dim = 1
+    is_zero = False
 
     def apply(self, coeffs: np.ndarray, ctx: PointContext, degree: int) -> np.ndarray:
         """The tree applied to an (S, spin_dim, n) array of jets, one per point
@@ -134,6 +139,8 @@ class Operator:
 
 
 class OpZero(Operator):
+    is_zero = True
+
     def apply(self, coeffs, ctx, degree):
         n = jet_space(ctx.n_vars, degree).n_terms
         return np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
@@ -145,16 +152,20 @@ class OpIdentity(Operator):
 
 
 class OpSum(Operator):
+    """A sum of trees; exactly-zero terms are dropped, but order and spin_dim
+    are taken over every term given."""
+
     def __init__(self, terms: Sequence[Operator]):
         flat = []
         for t in terms:
             if isinstance(t, OpSum):
                 flat.extend(t.terms)
-            elif not isinstance(t, OpZero):
+            elif not t.is_zero:
                 flat.append(t)
         self.terms = tuple(flat)
-        self.order = max((t.order for t in self.terms), default=0)
-        self.spin_dim = max((t.spin_dim for t in self.terms), default=1)
+        self.order = max((t.order for t in terms), default=0)
+        self.spin_dim = max((t.spin_dim for t in terms), default=1)
+        self.is_zero = not flat
 
     def apply(self, coeffs, ctx, degree):
         n = jet_space(ctx.n_vars, degree).n_terms
@@ -173,6 +184,7 @@ class OpScale(Operator):
         self.child = child
         self.order = child.order
         self.spin_dim = child.spin_dim
+        self.is_zero = factor == 0 or child.is_zero
 
     def apply(self, coeffs, ctx, degree):
         out = self.child.apply(coeffs, ctx, degree)
@@ -188,6 +200,7 @@ class OpCompose(Operator):
         self.b = b
         self.order = a.order + b.order
         self.spin_dim = max(a.spin_dim, b.spin_dim)
+        self.is_zero = a.is_zero or b.is_zero
 
     def apply(self, coeffs, ctx, degree):
         return self.a.apply(self.b.apply(coeffs, ctx, degree + self.a.order), ctx, degree)
@@ -248,6 +261,7 @@ class OpMat(Operator):
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.complex128)
         self.spin_dim = self.matrix.shape[0]
+        self.is_zero = not self.matrix.any()
 
     def apply(self, coeffs, ctx, degree):
         if coeffs.shape[1] != self.matrix.shape[1]:

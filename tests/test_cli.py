@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from quadalg import catalog as cat
 from quadalg import hurwitz as hw
+from quadalg import operators as ops
 from quadalg.cli import _verify_fock_track, main
 from quadalg.report import Report
 
@@ -347,12 +349,36 @@ def test_value_error_inside_the_package_exits_three(capsys, monkeypatch):
 ])
 def test_arithmetic_error_inside_the_package_exits_three(capsys, argv, error):
     # the flags pass every check; hbar^2 then underflows to 0, or c0^2
-    # overflows, inside a printed formula: an internal error, not exit 1
-    assert main(argv) == 3
+    # overflows, inside a printed formula: an internal error, not exit 1.
+    # verify evaluates the printed constants before any operator check, so no
+    # check runs on inf or NaN values and stderr holds the one error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"internal error: {error}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err
+
+
+# the coefficient keys of the c1 and c2 terms of H, A and B
+_COUPLING_KEYS = {"1/(r(r+x0))", "1/(r(r-x0))", "r/(r+x0)", "r/(r-x0)",
+                  "(r-x0)/(r(r+x0))", "(r+x0)/(r(r-x0))"}
+
+
+@pytest.mark.parametrize("couplings, requested", [([], set()),
+                                                  (["--c1", "0.25", "--c2", "0.1"], _COUPLING_KEYS)])
+def test_vanishing_couplings_build_no_coefficient(tmp_path, monkeypatch, couplings, requested):
+    keys = set()
+    coef = ops.PointContext.coef
+    monkeypatch.setattr(ops.PointContext, "coef",
+                        lambda self, key, builder: keys.add(key) or coef(self, key, builder))
+    argv = ["verify", "kepler5d", "--p", "1", "--trials", "2", *couplings]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert keys & _COUPLING_KEYS == requested
+    assert "1/r" in keys
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

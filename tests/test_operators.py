@@ -289,6 +289,114 @@ def test_tree_order_is_the_differential_order(kepler_pure):
     assert ops.OpSum([ops.OpZero()]).order == 0
 
 
+# -- exactly-zero terms -----------------------------------------------------------
+
+def _refused(ctx):
+    raise AssertionError("the coefficient of a dropped term was built")
+
+
+_ZERO_TERMS = {
+    "scale": lambda: ops.OpScale(0.0, ops.OpMul("refused", _refused)
+                                 @ ops.OpPartial(0) @ ops.OpPartial(1) @ ops.OpPartial(2)),
+    "zero-matrix": lambda: (ops.OpMat(np.zeros((3, 3))) @ ops.OpMul("refused", _refused)
+                            @ ops.OpPartial(0) @ ops.OpPartial(0)),
+}
+
+
+@pytest.mark.parametrize("zero", list(_ZERO_TERMS))
+def test_sum_drops_an_exactly_zero_term(zero, sampler5):
+    term = _ZERO_TERMS[zero]()
+    base = [ops.OpCoord(0) @ ops.OpPartial(1),
+            0.5 * ops.OpMul("x1^2", lambda c: c.coord(1) * c.coord(1))]
+    kept = ops.OpSum(base)
+    folded = ops.OpSum(base[:1] + [term] + base[1:])
+    assert term.is_zero and not kept.is_zero
+    assert folded.terms == kept.terms
+    # the order and spin rows are still those of every term given
+    assert (folded.order, folded.spin_dim) == (term.order, term.spin_dim)
+    assert (folded.order, folded.spin_dim) != (kept.order, kept.spin_dim)
+    rng = np.random.default_rng(3)
+    space = jet_space(5, 2 + folded.order)
+    points = np.stack([sampler5.draw(rng) for _ in range(2)])
+    f = np.stack([ops.random_state(rng, space, folded.spin_dim) for _ in range(2)])
+    ctx = ops.PointContext(space, points)
+    for d in range(3):
+        assert np.array_equal(folded.apply(f, ctx, d), kept.apply(f, ctx, d)), d
+
+
+def test_is_zero_marks_exactly_zero_trees():
+    x = ops.OpPartial(0)
+    zero_mat = ops.OpMat(np.zeros((2, 2)))
+    assert ops.OpZero().is_zero and zero_mat.is_zero
+    assert (0.0 * x).is_zero and (-1.0 * (0.0 * x)).is_zero and (2.0 * zero_mat).is_zero
+    assert (x @ zero_mat).is_zero and (zero_mat @ x).is_zero
+    assert ops.OpSum([0.0 * x, zero_mat, ops.OpZero()]).is_zero
+    assert ops.OpSum([]).is_zero and (2.0 * ops.OpSum([0.0 * x])).is_zero
+    # a flag set at construction, not a symbolic simplification
+    assert not any(t.is_zero for t in (x, ops.OpMat(np.eye(2)), ops.OpCoord(1),
+                                       1e-300 * x, x + 0.0 * x, x - x))
+
+
+def _named_trees(o):
+    """name: tree for every operator field of a system's operators."""
+    for field in dataclasses.fields(o):
+        value = getattr(o, field.name)
+        if isinstance(value, ops.Operator):
+            yield field.name, value
+        elif isinstance(value, dict):
+            yield from ((f"{field.name}{key}", t) for key, t in value.items())
+        elif isinstance(value, list):
+            yield from ((f"{field.name}[{i}]", t) for i, t in enumerate(value))
+
+
+_COUPLED = {
+    "kepler5d": (lambda: ops.build_kepler_operators(c1=0.0, c2=0.0),
+                 lambda: ops.build_kepler_operators(c1=0.25, c2=0.1)),
+    "osc8d": (lambda: ops.build_osc8d_operators(lambda1=0.0, lambda2=0.0),
+              lambda: ops.build_osc8d_operators(lambda1=0.5, lambda2=0.3)),
+    "ycm": (lambda: ops.build_ycm_operators(T=0.0),
+            lambda: ops.build_ycm_operators(T=0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUPLED))
+def test_vanishing_couplings_keep_every_tree_shape(name):
+    # the terms a zero coupling drops still set the order, so germs and draws
+    # do not depend on the couplings
+    zero, coupled = (dict(_named_trees(build())) for build in _COUPLED[name])
+    assert zero.keys() == coupled.keys() and len(zero) > 5
+    assert {n: t.order for n, t in zero.items()} == {n: t.order for n, t in coupled.items()}
+    if name == "ycm":
+        # T sets the monopole's spin rows
+        assert {t.spin_dim for t in zero.values()} == {1}
+        assert {t.spin_dim for t in coupled.values()} == {2}
+    else:
+        assert {n: t.spin_dim for n, t in zero.items()} == \
+            {n: t.spin_dim for n, t in coupled.items()}
+
+
+def _reaches_spin_matrix(op) -> bool:
+    seen, todo = set(), [op]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, ops.OpMat):
+            return True
+        todo.extend(getattr(node, "terms", ()))
+        todo.extend(getattr(node, name) for name in ("child", "a", "b") if hasattr(node, name))
+    return False
+
+
+def test_t0_monopole_trees_reach_no_spin_matrix():
+    # at T = 0 every spin matrix is zero, and the gauge terms drop out of the sums
+    y0 = ops.build_ycm_operators(c1=0.2, T=0.0)
+    assert not any(_reaches_spin_matrix(t) for t in (y0.H, y0.A, y0.B))
+    y = ops.build_ycm_operators(c1=0.2, T=0.5)
+    assert all(_reaches_spin_matrix(t) for t in (y.H, y.A, y.B))
+
+
 def test_random_state_fills_every_taylor_coefficient():
     sp = jet_space(5, 4)
     f = ops.random_state(np.random.default_rng(0), sp, 2)
