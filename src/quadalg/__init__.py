@@ -40,7 +40,6 @@ from .hurwitz import (
     DualityMap,
     Point5Fiber,
     Point8,
-    duality_spectrum_check,
     euler_identity_residual,
     hurwitz_forward,
 )
@@ -48,7 +47,6 @@ from .odecheck import (
     EigenResult,
     ParabolicChannelSpec,
     RadialOscillatorSpec,
-    kummer,
     radial_oscillator_eigensolve,
     solve_parabolic_pair,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "DualityMap",
     "hurwitz_forward",
     "euler_identity_residual",
-    "duality_spectrum_check",
-    "kummer",
     "ParabolicChannelSpec",
     "RadialOscillatorSpec",
     "EigenResult",

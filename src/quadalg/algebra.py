@@ -642,21 +642,6 @@ def _bc_diagonal_recurrence(rhs, g: float, u: float) -> np.ndarray:
     return G
 
 
-def relation_phi_recurrence(c: QuadraticAlgebraConstants, u: float, p: int) -> np.ndarray:
-    """Structure-function values Phi(0..p+1) forced by the [B,C] relation.
-
-    Independent of any printed Phi formula: the diagonal part of the [B,C]
-    relation fixes G(n) = rho(n)^2 Phi(n+1), and dividing out rho^2 (the
-    square-root reading) recovers Phi. Used as an oracle against the factored
-    and general printed forms.
-    """
-    real = oscillator_realization(c, u, p=p)
-    n = np.arange(p + 1)
-    G = _bc_diagonal_recurrence(-c.gamma * real.b(n) ** 2 + c.d_c * real.A(n) + c.z_c,
-                                c.gamma, u)
-    return np.concatenate([[0.0], G / real.rho(n) ** 2])
-
-
 @dataclass(frozen=True)
 class RelationFit:
     """Least-squares (d, z, scale) that close the [B,C] relation for a given window."""

@@ -190,12 +190,10 @@ def _verify_fock_track(report: Report, params, p_max: int) -> None:
                    status="finding", values={"count": 0})
 
 
-def _commutator_checks(report: Report, rows, trials: int, sampler, rng) -> None:
-    """One check per (check name, op1, op2, expected, tolerance, ref) row: the
-    residual of [op1, op2] = expected, drawn from rng in row order. A row
-    without a tolerance is a finding."""
-    for check, op1, op2, expected, tolerance, ref in rows:
-        r = ops.commutator_residual(op1, op2, expected, trials, sampler, rng)
+def _report_rows(report: Report, rows, residuals) -> None:
+    """One check per (check name, sides, tolerance, ref) row and its residual.
+    A row without a tolerance is a finding."""
+    for (check, _, tolerance, ref), r in zip(rows, residuals):
         if tolerance is None:
             report.add(check, ref, status="finding", residual=r)
         else:
@@ -221,23 +219,27 @@ def _verify_kepler(report: Report, args) -> None:
     params = _system_params(args)
     # the printed constants overflow before the operator values do: evaluate
     # them first, so such input stops before any check runs on inf or NaN
-    cat.kepler5d_constants(params)
+    algebra = cat.kepler5d_constants(params)
     k = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2,
                                    hbar=params.hbar)
     integrals = [("HA", k.A), ("HB", k.B), ("HL2", k.L2), ("HL12", k.L[(1, 2)]),
                  ("HL34", k.L[(3, 4)])]
     if params.c1 == 0 and params.c2 == 0:
         integrals.append(("HL01", k.L[(0, 1)]))
-    rows = [(f"jets.kepler5d.commute.{name}", k.H, op, None, 1e-10, _COMMUTES_H)
+    rows = [(f"jets.kepler5d.commute.{name}", ops.commutator_sides(k.H, op), 1e-10, _COMMUTES_H)
             for name, op in integrals]
-    rows.append(("jets.kepler5d.so5.L12L23", k.L[(1, 2)], k.L[(2, 3)],
-                 ops.OpScale(-1j * params.hbar, k.L[(1, 3)]), 1e-11,
-                 "rotation algebra closure"))
-    _commutator_checks(report, rows, args.trials, ops.kepler_sampler(),
-                       np.random.default_rng(args.seed))
-    closure = ops.kepler_quadratic_closure(c0=params.c0, c1=params.c1, c2=params.c2,
-                                           hbar=params.hbar, trials=max(3, args.trials // 4),
-                                           seed=args.seed)
+    rows.append(("jets.kepler5d.so5.L12L23",
+                 ops.commutator_sides(k.L[(1, 2)], k.L[(2, 3)],
+                                      {(k.L[(1, 3)],): -1j * params.hbar}),
+                 1e-11, "rotation algebra closure"))
+    relations = ops.closure_relations(k, algebra)
+    # as many samples as the largest check drew when each drew its own
+    n = max([args.trials] + [ops.relation_samples(spec, max(3, args.trials // 4))
+                             for spec in relations])
+    residuals, (ac, bc), _ = ops.check_suite([sides for _, sides, _, _ in rows], relations, n,
+                                             ops.kepler_sampler(), np.random.default_rng(args.seed))
+    _report_rows(report, rows, residuals)
+    closure = ops.ClosureReport.of(ac, bc)
     _closure_checks(report, "kepler5d", closure)
     report.required_check("jets.kepler5d.closure.BC",
                           "printed [B,C] relation as an operator identity",
@@ -251,19 +253,21 @@ def _verify_osc8d(report: Report, args) -> None:
                                   lambda2=params.lambda2, hbar=params.hbar)
     t = max(2, args.trials // 2)
     block = "integral commutes with the block Casimir"
-    rows = ([(f"jets.osc8d.commute.{name}", o.H, op, None, 1e-10, _COMMUTES_H)
+    rows = ([(f"jets.osc8d.commute.{name}", ops.commutator_sides(o.H, op), 1e-10, _COMMUTES_H)
              for name, op in (("HA", o.A), ("HB", o.B), ("HJ2", o.J2), ("HK2", o.K2),
                               ("HJ01", o.J[(0, 1)]), ("HK45", o.K[(4, 5)]))]
-            + [(f"jets.osc8d.commute.{name}", a, b, None, 1e-10, block)
+            + [(f"jets.osc8d.commute.{name}", ops.commutator_sides(a, b), 1e-10, block)
                for name, a, b in (("AJ2", o.A, o.J2), ("AK2", o.A, o.K2),
                                   ("BJ2", o.B, o.J2), ("BK2", o.B, o.K2))]
-            + [("jets.osc8d.commute.HB-literal", o.H, o.B_literal, None, None,
+            + [("jets.osc8d.commute.HB-literal", ops.commutator_sides(o.H, o.B_literal), None,
                 "literal full-Laplacian reading of the second integral")])
-    _commutator_checks(report, rows, t, ops.osc8d_sampler(),
-                       np.random.default_rng(args.seed))
-    closure = ops.osc8d_quadratic_closure(omega=params.omega, lambda1=params.lambda1,
-                                          lambda2=params.lambda2, hbar=params.hbar,
-                                          trials=max(2, t // 2), seed=args.seed)
+    relations = ops.closure_relations(o, cat.osc8d_constants(params))
+    # as many samples as the largest check drew when each drew its own
+    n = max([t] + [ops.relation_samples(spec, max(2, t // 2)) for spec in relations])
+    residuals, (ac, bc), _ = ops.check_suite([sides for _, sides, _, _ in rows], relations, n,
+                                             ops.osc8d_sampler(), np.random.default_rng(args.seed))
+    _report_rows(report, rows, residuals)
+    closure = ops.ClosureReport.of(ac, bc)
     _closure_checks(report, "osc8d", closure)
     report.add("jets.osc8d.closure.BC-printed",
                "printed [B,C] relation (B^2 coefficient under adjudication)",
@@ -279,8 +283,9 @@ def _verify_osc8d(report: Report, args) -> None:
 def _verify_ycm(report: Report, args) -> None:
     params = _system_params(args)
     kp = params.kepler
-    rng = np.random.default_rng(args.seed)
-    sampler = ops.kepler_sampler()
+    # as in _verify_kepler: input that overflows the printed constants stops
+    # before any check runs on inf or NaN
+    cat.kepler5d_constants(kp)
     y = ops.build_ycm_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar, T=params.T)
     spin = y.spin
     comm = spin.T1 @ spin.T2 - spin.T2 @ spin.T1 - 1j * spin.T3
@@ -290,16 +295,24 @@ def _verify_ycm(report: Report, args) -> None:
                           residual=float(np.abs(comm).max()), tolerance=1e-14)
     report.required_check("jets.ycm.spin.casimir", "su(2) Casimir is T(T+1)",
                           residual=float(np.abs(cas).max()), tolerance=1e-14)
-    rows = [(f"jets.ycm.commute.{name}", y.H, op, None, None,
+    integrals = (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
+                 ("HA", y.A), ("HB", y.B), ("HL2", y.L2))
+    rows = [(f"jets.ycm.commute.{name}", ops.commutator_sides(y.H, op), None,
              "claimed integral of the monopole system (reported residual)")
-            for name, op in (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
-                             ("HA", y.A), ("HB", y.B), ("HL2", y.L2))]
-    # the gauge jets are checked as deep as the suite's highest-order commutator
-    space = ops.jet_space(5, max(op1.order + op2.order for _, op1, op2, *_ in rows))
+            for name, op in integrals]
+    checks = [sides for _, sides, _, _ in rows]
+    if params.T == 0:
+        # the plain system's [H, A] on the same batch: equal trees give equal
+        # residuals
+        k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
+        checks.append(ops.commutator_sides(k.H, k.A))
+    # one batch for the gauge jets (10 points, as many as they ever took) and
+    # the rows; the gauge jets are checked at the batch degree, that of the
+    # highest-order commutator
+    residuals, _, ctx = ops.check_suite(checks, (), max(10, args.trials // 4),
+                                        ops.kepler_sampler(), np.random.default_rng(args.seed))
     gauge = y.gauge
     worst_anti, worst_imag = 0.0, 0.0
-    # one batch of 10 points; each row is the jet of its point alone
-    ctx = ops.PointContext(space, np.stack([sampler.draw(rng) for _ in range(10)]))
     for i in range(5):
         for a in range(3):
             worst_imag = max(worst_imag, float(
@@ -316,16 +329,12 @@ def _verify_ycm(report: Report, args) -> None:
                           residual=worst_anti, tolerance=1e-12)
     report.required_check("jets.ycm.gauge.real", "gauge potential is real",
                           residual=worst_imag, tolerance=1e-12)
-    t = max(2, args.trials // 4)
-    _commutator_checks(report, rows, t, sampler, rng)
+    _report_rows(report, rows, residuals[:len(rows)])
     if params.T == 0:
-        k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
-        # both from the same seed, so equal trees give equal residuals
-        ra, rb = (ops.commutator_residual(H, A, None, t, sampler, np.random.default_rng(args.seed))
-                  for H, A in ((y.H, y.A), (k.H, k.A)))
+        ha = [name for name, _ in integrals].index("HA")
         report.required_check("jets.ycm.t0-reduction",
                               "T = 0 monopole trees reproduce the plain system",
-                              residual=abs(ra - rb), tolerance=1e-12)
+                              residual=abs(residuals[ha] - residuals[-1]), tolerance=1e-12)
 
 
 def cmd_verify(args) -> int:

@@ -29,10 +29,6 @@ class SingularPoint(QuadalgError):
     """A divisor jet has zero constant term; resample the evaluation point."""
 
 
-class PochhammerZero(QuadalgError):
-    """A Pochhammer denominator term vanishes before the series terminates."""
-
-
 class GridTooCoarse(QuadalgError):
     """Eigenvalue error estimate stays above target at the largest allowed grid."""
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import odecheck
-from .catalog import (Kepler5DParams, Oscillator8DParams, YCMParams,
-                      ycm_parabolic_s_parameters, ycm_spectrum_duality)
+from .catalog import Kepler5DParams, Oscillator8DParams
 from .errors import SignError
 
 
@@ -164,50 +163,3 @@ def ycm_triple(s1: float, s2: float, c0: float, hbar: float, n1: int, n2: int,
         oracle=eps_beta * hbar**2, oracle_error=err * hbar**2 / 2)
 
 
-@dataclass(frozen=True)
-class DualitySpectrumReport:
-    """Three-way spectrum comparison for one monopole channel.
-
-    eps_duality carries the duality-chain value under the channel
-    identification m_i = 2 s_i, p = n1 + n2, which matches the parabolic form
-    by construction; eps_duality_oscillator_m is the same chain evaluated with
-    the oscillator-side printed m parameters (a different tower, kept as a
-    reported comparison).
-    """
-
-    eps_parabolic: float     # closed form in parabolic quantum numbers
-    eps_duality: float       # chain value under the channel identification
-    eps_duality_oscillator_m: float
-    eps_oracle: float        # finite-difference pair solve
-    oracle_error: float
-    chain_identity_residual: float
-    n1: int
-    n2: int
-    rep_p: int
-
-
-def duality_spectrum_check(p: YCMParams, rep_p: int,
-                           oracle_grid: int = 1024) -> DualitySpectrumReport:
-    """Compare the parabolic closed form, the duality chain, and the ODE oracle.
-
-    The chain 4 c0 = 2 sqrt(-8 eps) hbar (p + 1 + (m1+m2)/2) is evaluated both
-    under the channel identification (m_i = 2 s_i, p = n1 + n2) and with the
-    oscillator-side m parameters at lambda_i = c_i / 2; the oracle solves the
-    actual separated pair for the printed channel parameters (n1 = p, n2 = 0).
-    """
-    kp = p.kepler
-    n1, n2 = rep_p, 0
-    s1, s2 = ycm_parabolic_s_parameters(p)
-    t = ycm_triple(s1, s2, kp.c0, kp.hbar, n1, n2, n_grid=oracle_grid)
-
-    # channel identification: the chain reproduces the parabolic form
-    lhs = 4 * kp.c0
-    rhs = 2 * np.sqrt(-8 * t.duality) * kp.hbar * (rep_p + 1 + (2 * s1 + 2 * s2) / 2)
-    chain_res = abs(lhs - rhs) / abs(lhs)
-
-    dual_record = ycm_spectrum_duality(p, rep_p)
-    return DualitySpectrumReport(
-        eps_parabolic=float(t.parabolic), eps_duality=float(t.duality),
-        eps_duality_oscillator_m=float(dual_record.energy),
-        eps_oracle=float(t.oracle), oracle_error=float(t.oracle_error),
-        chain_identity_residual=float(chain_res), n1=n1, n2=n2, rep_p=rep_p)

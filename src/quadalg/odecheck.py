@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoRoot, PochhammerZero
+from .errors import GridTooCoarse, NoRoot
 
 # dstebz names whose LAPACK integers are int64 (OpenBLAS ILP64 builds)
 _DSTEBZ_SYMBOLS = ("scipy_dstebz_64_", "dstebz_64_")
@@ -141,28 +141,6 @@ def eigh_tridiagonal(d, e, eigvals_only: bool = True, *, select: str,
         raise np.linalg.LinAlgError(
             f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})")
     return w[:m]
-
-
-def kummer(n: int, b: float, x) -> float:
-    """Terminating confluent hypergeometric series F(-n, b, x).
-
-    Sum over k = 0..n of (-n)_k / (b)_k x^k / k!; raises if a Pochhammer
-    denominator vanishes before the series terminates.
-    """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(n):
-        denom = b + k
-        if denom == 0:
-            raise PochhammerZero(f"(b)_k vanishes at k={k + 1} for b={b}")
-        term = term * ((-n + k) / denom) * x / (k + 1)
-        total = total + term
-    if total.ndim == 0:
-        return float(total)
-    return total
 
 
 @dataclass(frozen=True)

@@ -32,23 +32,30 @@ kernel call. Every coefficient at degree d is, bit for bit, the prefix of the
 one at any higher degree; the gauge field F is the one builder that must read
 a degree up for that (see `GaugeData.field_jet`).
 
-Every check samples through one path, `_sample_values`: it draws a (point,
-germ) pair per sample, applies each tree once to the stacked germs and keeps
-the constant terms. Commutator identities, printed relations and
-least-squares fits of unknown structure constants are reductions over those
-values, so they are checked at every derivative order they contain. The
-printed relations are the catalog's rows, each word of a row composed from the
-system's trees; the Casimir relation of any algebra is built from its split
-[A,C] and [B,C] constants (`casimir_relation`). A relation is checked from one
-pass over its left side and its basis trees: the first samples give the
-residual of the printed rows, the rest the fit of their coefficients.
+Every check samples through one path, `sample_words`. What it evaluates is
+a linear combination of words over the system's integrals, a dict
+{(X1, ..., Xk): c} that stands for the sum of c X1 X2 ... Xk f, the empty word
+being f itself: a commutator row is its sides HX, -XH (and minus the expected
+combination), a printed relation its left side (AAB - 2ABA + BAA for
+[A,[A,B]]) and one combination per basis row, {A,B} being AB + BA. One batch
+draws a point and then a germ per sample; the germs are jets of the highest
+word order, with as many spin rows as the letters act on. Each distinct
+suffix of the words is applied once, at the highest degree any word reads it
+at, to the suffix one letter shorter; a word that reads it at a lower degree
+takes the prefix, which by the rule above is bit for bit what an apply at that
+degree gives. Commutator residuals, printed-relation residuals and
+least-squares fits of unknown structure constants are reductions over the
+constant terms, so they are checked at every derivative order they contain.
+`check_suite` puts every row and relation of a `verify` suite on one batch, so
+a word such as AB and a coefficient such as 1/r that several checks share are
+computed once. The printed relations are the catalog's rows; the Casimir
+relation of any algebra is built from its split [A,C] and [B,C] constants
+(`casimir_relation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import matmul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -279,10 +286,6 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
 
 
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    return a @ b + b @ a
-
-
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
@@ -326,70 +329,139 @@ def random_state(rng: np.random.Generator, space: JetSpace, spin_dim: int) -> np
     return rng.uniform(-1.0, 1.0, (spin_dim, space.n_terms)).astype(np.complex128)
 
 
-def _sample_values(trees: Sequence[Operator], n_samples: int, sampler: PointSampler,
-                   rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Constant terms of every tree at n_samples random (point, germ) pairs.
+# --------------------------------------------------------------------------
+# words
+# --------------------------------------------------------------------------
 
-    Each sample draws its point, then its germ, a jet of the highest tree
-    order (at least 1) with the largest tree spin_dim rows; each tree is then
-    applied once to the stacked germs. Returns an (n_samples, len(trees),
-    spin_dim) complex array.
-    """
+def letter(op: Operator) -> dict:
+    """The combination of the one-letter word op."""
+    return {(op,): 1.0}
+
+
+def combine(*terms) -> dict:
+    """The sum of (coefficient, combination) terms, equal words merged."""
+    out: dict = {}
+    for c, combo in terms:
+        for word, cw in combo.items():
+            out[word] = out.get(word, 0.0) + c * cw
+    return out
+
+
+def product(*factors) -> dict:
+    """The combinations multiplied left to right, words concatenated."""
+    out = {(): 1.0}
+    for factor in factors:
+        out = combine(*((c, {w + v: cv for v, cv in factor.items()}) for w, c in out.items()))
+    return out
+
+
+def bracket(a: dict, b: dict) -> dict:
+    """The commutator ab - ba of two combinations."""
+    return combine((1.0, product(a, b)), (-1.0, product(b, a)))
+
+
+def commutator_sides(a: Operator, b: Operator, expected: Optional[dict] = None) -> tuple:
+    """The sides ab, -ba and -expected of [a, b] = expected, as combinations."""
+    sides = ({(a, b): 1.0}, {(b, a): -1.0})
+    return sides + ((combine((-1.0, expected)),) if expected else ())
+
+
+def _draw(n_samples: int, sampler: PointSampler, degree: int, spin_dim: int,
+          rng: Optional[np.random.Generator]):
+    """n_samples (point, germ) pairs, each point drawn before its germ: the
+    PointContext of the points at the germ degree and the stacked germs."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = rng or np.random.default_rng(0)
-    space = jet_space(sampler.n_vars, max([1] + [op.order for op in trees]))
-    spin_dim = max(op.spin_dim for op in trees)
+    space = jet_space(sampler.n_vars, max(degree, 1))
     points, germs = [], []
     for _ in range(n_samples):
         points.append(sampler.draw(rng))
         germs.append(random_state(rng, space, spin_dim))
-    ctx, f = PointContext(space, np.stack(points)), np.stack(germs)
-    return np.stack([op.apply(f, ctx, 0)[..., 0] for op in trees], axis=1)
+    return PointContext(space, np.stack(points)), np.stack(germs)
 
 
-def _magnitudes(values: np.ndarray) -> np.ndarray:
-    """Per sample, the largest |value| over the trees and spin rows, at least 1."""
-    return np.maximum(np.abs(values).max(axis=(1, 2)), 1.0)
+def _word_values(combos: Sequence[dict], ctx: PointContext, f: np.ndarray) -> np.ndarray:
+    """Constant terms of every combination applied to the germs f.
+
+    Each distinct suffix of the words is applied once, at the highest degree
+    any word reads it at (the order of the letters before it), to the suffix
+    one letter shorter; a word at a lower degree reads a prefix, which is the
+    value an apply at that degree gives, bit for bit. A word with a zero
+    coefficient or an exactly-zero letter is not applied. Returns an
+    (S, len(combos), spin_dim) complex array.
+    """
+    live = [{w: c for w, c in combo.items() if c != 0 and not any(x.is_zero for x in w)}
+            for combo in combos]
+    need: dict = {}
+    for combo in live:
+        for word in combo:
+            degree = 0
+            for j, x in enumerate(word):
+                need[word[j:]] = max(need.get(word[j:], 0), degree)
+                degree += x.order
+    values = {(): f}
+    for suffix in sorted(need, key=len):
+        values[suffix] = suffix[0].apply(values[suffix[1:]], ctx, need[suffix])
+    out = np.zeros((f.shape[0], len(combos), f.shape[1]), dtype=np.complex128)
+    for k, combo in enumerate(live):
+        for word, c in combo.items():
+            out[:, k] += c * values[word][..., 0]
+    return out
+
+
+def sample_words(combos: Sequence[dict], n_samples: int, sampler: PointSampler,
+                 rng: Optional[np.random.Generator]):
+    """Constant terms of every combination at one batch of n_samples random
+    (point, germ) pairs, and the batch's PointContext.
+
+    The germs are jets of the highest word order (at least 1), zero words
+    included, with as many spin rows as the letters act on.
+    """
+    words = [w for combo in combos for w in combo]
+    degree = max([sum(x.order for x in w) for w in words], default=0)
+    spin_dim = max([x.spin_dim for w in words for x in w], default=1)
+    ctx, f = _draw(n_samples, sampler, degree, spin_dim, rng)
+    return _word_values(combos, ctx, f), ctx
+
+
+def _relative_defect(v: np.ndarray) -> float:
+    """Max over samples of |sum of v's sides|, relative to the sample's
+    magnitude: the largest |side| over the spin rows, at least 1."""
+    defect = np.abs(v.sum(axis=1)).max(axis=1)
+    return float((defect / np.maximum(np.abs(v).max(axis=(1, 2)), 1.0)).max())
 
 
 def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operator],
                         trials: int, sampler: PointSampler,
                         rng: Optional[np.random.Generator] = None) -> float:
     """Max over trials of |([op1, op2] - expected) f|(point), relative to the
-    largest magnitude of the trial: op1 op2 f, op2 op1 f, expected f and f."""
-    v = _sample_values([op1 @ op2, op2 @ op1, expected or OpZero(), OpIdentity()],
-                       trials, sampler, rng)
-    defect = np.abs(v[:, 0] - v[:, 1] - v[:, 2]).max(axis=1)
-    return float((defect / _magnitudes(v)).max())
+    largest magnitude of the trial: op1 op2 f, op2 op1 f, expected f and 1."""
+    sides = commutator_sides(op1, op2, None if expected is None else letter(expected))
+    return check_suite([sides], (), trials, sampler, rng)[0][0]
 
 
-def operator_residual(lhs: Operator, rhs: Operator, trials: int, sampler: PointSampler,
+def operator_residual(lhs: dict, rhs: dict, trials: int, sampler: PointSampler,
                       rng: Optional[np.random.Generator] = None) -> float:
-    """Max over trials of |(lhs - rhs) f|(point), relative to the largest of
-    |lhs f|, |rhs f| and 1."""
-    return _relative_defect(_sample_values([lhs, rhs], trials, sampler, rng))
+    """Max over trials of |(lhs - rhs) f|(point) for two combinations,
+    relative to the largest of |lhs f|, |rhs f| and 1."""
+    return check_suite([(lhs, combine((-1.0, rhs)))], (), trials, sampler, rng)[0][0]
 
 
-def _relative_defect(v: np.ndarray) -> float:
-    """Max over samples of |v[:, 0] - v[:, 1]|, relative to the sample's magnitude."""
-    defect = np.abs(v[:, 0] - v[:, 1]).max(axis=1)
-    return float((defect / _magnitudes(v)).max())
-
-
-def fit_operator_coefficients(lhs: Operator, basis: Sequence[Operator], n_samples: int,
+def fit_operator_coefficients(lhs: dict, basis: Sequence[dict], n_samples: int,
                               sampler: PointSampler, rng: Optional[np.random.Generator] = None):
     """Least-squares coefficients c with lhs = sum_k c_k basis_k, from sampled values.
 
     Returns (coefficients, relative residual). Exact jet evaluation makes the
     fit sharp: residuals at rounding level certify the operator identity.
     """
-    return _least_squares(_sample_values([lhs, *basis], n_samples, sampler, rng))
+    return _least_squares(sample_words([lhs, *basis], n_samples, sampler, rng)[0])
 
 
 def _least_squares(v: np.ndarray):
-    """Column-scaled least-squares fit of the first tree's values v[:, 0] on
-    the others', one equation per sample, spin row and real or imaginary part.
+    """Column-scaled least-squares fit of the first combination's values
+    v[:, 0] on the others', one equation per sample, spin row and real or
+    imaginary part.
 
     Returns (coefficients, residual relative to the largest left-side value).
     """
@@ -751,35 +823,71 @@ def build_osc8d_operators(omega: float = 1.0, lambda1: float = 0.0, lambda2: flo
 class RelationSpec:
     """A printed relation lhs = sum_k c_k basis_k, as data.
 
-    rows holds one (basis name, basis operator, printed coefficient c_k) per
-    term of the right side.
+    lhs is a combination of words; rows holds one (basis name, basis
+    combination, printed coefficient c_k) per term of the right side.
     """
 
-    lhs: Operator
+    lhs: dict
     rows: tuple
+
+
+def relation_samples(spec: RelationSpec, trials: int) -> int:
+    """The samples a relation check draws: trials, and 2 * len(rows) + 4 more,
+    so that its fit stays overdetermined at any trials."""
+    return trials + 2 * len(spec.rows) + 4
+
+
+def _relation_result(spec: RelationSpec, v: np.ndarray):
+    """(printed residual, {basis name: (printed, fitted)}, fit residual) from
+    the values v of the left side and the basis combinations on one batch.
+
+    The residual is that of lhs - sum_k c_k basis_k, the right side summed row
+    by row; both it and the fit use every sample.
+    """
+    names, _, printed = zip(*spec.rows)
+    rhs = np.zeros_like(v[:, 0])
+    for k, c in enumerate(printed, start=1):
+        rhs += v[:, k] * c
+    residual = _relative_defect(np.stack([v[:, 0], -rhs], axis=1))
+    fit, fit_residual = _least_squares(v)
+    return residual, {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, fit_residual
+
+
+def check_suite(checks: Sequence[Sequence[dict]], relations: Sequence[RelationSpec],
+                n_samples: int, sampler: PointSampler, rng: Optional[np.random.Generator]):
+    """Every check and relation of a suite on one batch of n_samples.
+
+    A check is a sequence of combinations, its sides, whose sum vanishes; its
+    residual is the largest |sum of the sides| relative to the sample's
+    largest |side| (at least 1). A relation gives its check_relation result.
+    Every word of every side, left side and basis goes through one
+    sample_words call, so a shared suffix is applied once. Returns (check
+    residuals, relation results, the batch's PointContext).
+    """
+    combos = [c for sides in checks for c in sides]
+    combos += [c for spec in relations for c in (spec.lhs, *(b for _, b, _ in spec.rows))]
+    v, ctx = sample_words(combos, n_samples, sampler, rng)
+    residuals, at = [], 0
+    for sides in checks:
+        residuals.append(_relative_defect(v[:, at:at + len(sides)]))
+        at += len(sides)
+    results = []
+    for spec in relations:
+        results.append(_relation_result(spec, v[:, at:at + 1 + len(spec.rows)]))
+        at += 1 + len(spec.rows)
+    return residuals, results, ctx
 
 
 def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
                    rng: np.random.Generator):
     """Residual of the printed relation, then a fit of its coefficients.
 
-    Returns (printed residual, {basis name: (printed, fitted)}, fit residual).
-    One sample pass applies the left side and every basis tree to trials
-    samples and then to 2 * len(rows) + 4 more. The first trials give the
-    residual of lhs - sum_k c_k basis_k, the right side summed row by row, as
-    the tree sum_k c_k basis_k sums it; the others give the fit.
+    Returns (printed residual, {basis name: (printed, fitted)}, fit residual),
+    both over one batch of relation_samples(spec, trials) samples.
     """
     if trials < 1:
         raise ValueError(f"need at least one sample, got {trials}")
-    names, basis, printed = zip(*spec.rows)
-    v = _sample_values([spec.lhs, *basis], trials + 2 * len(basis) + 4, sampler, rng)
-    head = v[:trials]
-    rhs = np.zeros_like(head[:, 0])
-    for k, c in enumerate(printed, start=1):
-        rhs += head[:, k] * c
-    residual = _relative_defect(np.stack([head[:, 0], rhs], axis=1))
-    fit, fit_residual = _least_squares(v[trials:])
-    return residual, {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, fit_residual
+    return check_suite((), [spec], relation_samples(spec, trials), sampler, rng)[1][0]
 
 
 @dataclass(frozen=True)
@@ -799,17 +907,31 @@ class ClosureReport:
     fit_ac_residual: float
     fit_bc_residual: float
 
-
-def _word(o, word: tuple) -> Operator:
-    """The tree of a printed word: its letters, fields of the operators o or
-    their anticommutator {A,B}, composed left to right; () is the identity."""
-    trees = [anticommutator(o.A, o.B) if w == "{A,B}" else getattr(o, w) for w in word]
-    return reduce(matmul, trees) if trees else OpIdentity()
+    @classmethod
+    def of(cls, ac: tuple, bc: tuple) -> "ClosureReport":
+        """From the check_relation results of [A,C] and [B,C]."""
+        return cls(ac[0], bc[0], ac[1], bc[1], ac[2], bc[2])
 
 
-def _relation(o, lhs: Operator, rows: tuple) -> RelationSpec:
+def _words(o, word: tuple) -> dict:
+    """The combination of a printed word: its letters, fields of the operators
+    o, multiplied left to right, {A,B} as AB + BA; () is the identity."""
+    A, B = letter(o.A), letter(o.B)
+    return product(*(combine((1.0, product(A, B)), (1.0, product(B, A))) if w == "{A,B}"
+                     else letter(getattr(o, w)) for w in word))
+
+
+def _relation(o, lhs: dict, rows: tuple) -> RelationSpec:
     """lhs against printed (name, word, coefficient) rows, each word built from o."""
-    return RelationSpec(lhs, tuple((n, _word(o, w), c) for n, w, c in rows))
+    return RelationSpec(lhs, tuple((n, _words(o, w), c) for n, w, c in rows))
+
+
+def closure_relations(o, algebra: cat.PrintedAlgebra) -> tuple:
+    """The printed [A,C] and [B,C] relations on the operators o, their left
+    sides AAB - 2ABA + BAA and 2BAB - BBA - ABB."""
+    A, B = letter(o.A), letter(o.B)
+    C = bracket(A, B)
+    return (_relation(o, bracket(A, C), algebra.ac), _relation(o, bracket(B, C), algebra.bc))
 
 
 def casimir_relation(o, algebra: cat.PrintedAlgebra) -> RelationSpec:
@@ -821,27 +943,25 @@ def casimir_relation(o, algebra: cat.PrintedAlgebra) -> RelationSpec:
     the printed Casimir polynomial.
     """
     gamma, epsilon, zeta, d, z = algebra.split()
-    C = commutator(o.A, o.B)
-    B2 = o.B @ o.B
-    lhs = OpSum([C @ C, OpScale(-gamma, o.A @ B2 + B2 @ o.A), OpScale(gamma**2 - epsilon, B2)]
-                + [OpScale(-2 * c, _word(o, w + ("B",))) for _, w, c in zeta]
-                + [OpScale(c, _word(o, w + ("A", "A"))) for _, w, c in d]
-                + [OpScale(2 * c, _word(o, w + ("A",))) for _, w, c in z])
+    A, B = letter(o.A), letter(o.B)
+    C = bracket(A, B)
+    B2 = product(B, B)
+    lhs = combine((1.0, product(C, C)), (-gamma, product(A, B2)), (-gamma, product(B2, A)),
+                  (gamma**2 - epsilon, B2),
+                  *((-2 * c, _words(o, w + ("B",))) for _, w, c in zeta),
+                  *((c, _words(o, w + ("A", "A"))) for _, w, c in d),
+                  *((2 * c, _words(o, w + ("A",))) for _, w, c in z))
     return _relation(o, lhs, algebra.casimir)
 
 
 def _closure_report(o, algebra: cat.PrintedAlgebra, trials: int, sampler: PointSampler,
                     seed: int) -> ClosureReport:
-    """Check the declared [A,C] and [B,C] rows on the operators o."""
-    C = commutator(o.A, o.B)
-    rng = np.random.default_rng(seed)
-    r_ac, fit_ac, res_ac = check_relation(_relation(o, commutator(o.A, C), algebra.ac),
-                                          trials, sampler, rng)
-    r_bc, fit_bc, res_bc = check_relation(_relation(o, commutator(o.B, C), algebra.bc),
-                                          trials, sampler, rng)
-    return ClosureReport(residual_ac_printed=r_ac, residual_bc_printed=r_bc,
-                         fit_ac=fit_ac, fit_bc=fit_bc,
-                         fit_ac_residual=res_ac, fit_bc_residual=res_bc)
+    """Check the declared [A,C] and [B,C] rows on the operators o, both on one
+    batch as large as the larger relation check would draw."""
+    relations = closure_relations(o, algebra)
+    n = max(relation_samples(spec, trials) for spec in relations)
+    return ClosureReport.of(*check_suite((), relations, n, sampler,
+                                         np.random.default_rng(seed))[1])
 
 
 def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,

