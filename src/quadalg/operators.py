@@ -46,6 +46,9 @@ takes the prefix, which by the rule above is bit for bit what an apply at that
 degree gives. Commutator residuals, printed-relation residuals and
 least-squares fits of unknown structure constants are reductions over the
 constant terms, so they are checked at every derivative order they contain.
+A residual is relative to the largest term it sums, |c X1 ... Xk f| at the
+sample (at least 1), since the rounding of a sum of words grows with its
+words, not with the sum.
 `check_suite` puts every row and relation of a `verify` suite on one batch, so
 a word such as AB and a coefficient such as 1/r that several checks share are
 computed once. The printed relations are the catalog's rows; the Casimir
@@ -151,11 +154,6 @@ class OpZero(Operator):
     def apply(self, coeffs, ctx, degree):
         n = jet_space(ctx.n_vars, degree).n_terms
         return np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
-
-
-class OpIdentity(Operator):
-    def apply(self, coeffs, ctx, degree):
-        return coeffs[..., :jet_space(ctx.n_vars, degree).n_terms].copy()
 
 
 class OpSum(Operator):
@@ -282,10 +280,6 @@ class OpMat(Operator):
         return out
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
-
-
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
@@ -388,8 +382,10 @@ def _word_values(combos: Sequence[dict], ctx: PointContext, f: np.ndarray) -> np
     any word reads it at (the order of the letters before it), to the suffix
     one letter shorter; a word at a lower degree reads a prefix, which is the
     value an apply at that degree gives, bit for bit. A word with a zero
-    coefficient or an exactly-zero letter is not applied. Returns an
-    (S, len(combos), spin_dim) complex array.
+    coefficient or an exactly-zero letter is not applied. Returns the
+    (S, len(combos), spin_dim) complex values and the (S, len(combos)) sizes:
+    per sample, the largest |coefficient x word value| of a combination's
+    words over the spin rows, the scale its rounding grows with.
     """
     live = [{w: c for w, c in combo.items() if c != 0 and not any(x.is_zero for x in w)}
             for combo in combos]
@@ -404,16 +400,20 @@ def _word_values(combos: Sequence[dict], ctx: PointContext, f: np.ndarray) -> np
     for suffix in sorted(need, key=len):
         values[suffix] = suffix[0].apply(values[suffix[1:]], ctx, need[suffix])
     out = np.zeros((f.shape[0], len(combos), f.shape[1]), dtype=np.complex128)
+    size = np.zeros(out.shape[:2])
     for k, combo in enumerate(live):
         for word, c in combo.items():
-            out[:, k] += c * values[word][..., 0]
-    return out
+            term = c * values[word][..., 0]
+            out[:, k] += term
+            size[:, k] = np.maximum(size[:, k], np.abs(term).max(axis=1))
+    return out, size
 
 
 def sample_words(combos: Sequence[dict], n_samples: int, sampler: PointSampler,
                  rng: Optional[np.random.Generator]):
     """Constant terms of every combination at one batch of n_samples random
-    (point, germ) pairs, and the batch's PointContext.
+    (point, germ) pairs, their sizes (see `_word_values`) and the batch's
+    PointContext.
 
     The germs are jets of the highest word order (at least 1), zero words
     included, with as many spin rows as the letters act on.
@@ -422,14 +422,16 @@ def sample_words(combos: Sequence[dict], n_samples: int, sampler: PointSampler,
     degree = max([sum(x.order for x in w) for w in words], default=0)
     spin_dim = max([x.spin_dim for w in words for x in w], default=1)
     ctx, f = _draw(n_samples, sampler, degree, spin_dim, rng)
-    return _word_values(combos, ctx, f), ctx
+    return (*_word_values(combos, ctx, f), ctx)
 
 
-def _relative_defect(v: np.ndarray) -> float:
-    """Max over samples of |sum of v's sides|, relative to the sample's
-    magnitude: the largest |side| over the spin rows, at least 1."""
+def _relative_defect(v: np.ndarray, size: np.ndarray) -> float:
+    """Max over samples of |sum of v's sides| (the largest over the spin
+    rows), relative to the sample's largest term: the largest of the sides'
+    sizes, at least 1. A side of one word, as a commutator side is, has the
+    size |side|."""
     defect = np.abs(v.sum(axis=1)).max(axis=1)
-    return float((defect / np.maximum(np.abs(v).max(axis=(1, 2)), 1.0)).max())
+    return float((defect / np.maximum(size.max(axis=1), 1.0)).max())
 
 
 def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operator],
@@ -444,7 +446,7 @@ def commutator_residual(op1: Operator, op2: Operator, expected: Optional[Operato
 def operator_residual(lhs: dict, rhs: dict, trials: int, sampler: PointSampler,
                       rng: Optional[np.random.Generator] = None) -> float:
     """Max over trials of |(lhs - rhs) f|(point) for two combinations,
-    relative to the largest of |lhs f|, |rhs f| and 1."""
+    relative to the largest |coefficient x word value| of either and 1."""
     return check_suite([(lhs, combine((-1.0, rhs)))], (), trials, sampler, rng)[0][0]
 
 
@@ -837,18 +839,24 @@ def relation_samples(spec: RelationSpec, trials: int) -> int:
     return trials + 2 * len(spec.rows) + 4
 
 
-def _relation_result(spec: RelationSpec, v: np.ndarray):
+def _relation_result(spec: RelationSpec, v: np.ndarray, size: np.ndarray):
     """(printed residual, {basis name: (printed, fitted)}, fit residual) from
-    the values v of the left side and the basis combinations on one batch.
+    the values v and sizes of the left side and the basis combinations on one
+    batch.
 
     The residual is that of lhs - sum_k c_k basis_k, the right side summed row
-    by row; both it and the fit use every sample.
+    by row, relative to the largest term: a word of the left side, or of a
+    row times its c_k. The left side's words (AAB for [A,[A,B]]) outgrow the
+    bracket they sum to, and their rounding with them. Both the residual and
+    the fit use every sample.
     """
     names, _, printed = zip(*spec.rows)
-    rhs = np.zeros_like(v[:, 0])
+    rhs, rhs_size = np.zeros_like(v[:, 0]), np.zeros_like(size[:, 0])
     for k, c in enumerate(printed, start=1):
         rhs += v[:, k] * c
-    residual = _relative_defect(np.stack([v[:, 0], -rhs], axis=1))
+        rhs_size = np.maximum(rhs_size, abs(c) * size[:, k])
+    residual = _relative_defect(np.stack([v[:, 0], -rhs], axis=1),
+                                np.stack([size[:, 0], rhs_size], axis=1))
     fit, fit_residual = _least_squares(v)
     return residual, {n: (p, float(f)) for n, p, f in zip(names, printed, fit)}, fit_residual
 
@@ -859,21 +867,23 @@ def check_suite(checks: Sequence[Sequence[dict]], relations: Sequence[RelationSp
 
     A check is a sequence of combinations, its sides, whose sum vanishes; its
     residual is the largest |sum of the sides| relative to the sample's
-    largest |side| (at least 1). A relation gives its check_relation result.
+    largest |coefficient x word value| over the sides (at least 1). A relation
+    gives its check_relation result.
     Every word of every side, left side and basis goes through one
     sample_words call, so a shared suffix is applied once. Returns (check
     residuals, relation results, the batch's PointContext).
     """
     combos = [c for sides in checks for c in sides]
     combos += [c for spec in relations for c in (spec.lhs, *(b for _, b, _ in spec.rows))]
-    v, ctx = sample_words(combos, n_samples, sampler, rng)
+    v, size, ctx = sample_words(combos, n_samples, sampler, rng)
     residuals, at = [], 0
     for sides in checks:
-        residuals.append(_relative_defect(v[:, at:at + len(sides)]))
+        residuals.append(_relative_defect(v[:, at:at + len(sides)], size[:, at:at + len(sides)]))
         at += len(sides)
     results = []
     for spec in relations:
-        results.append(_relation_result(spec, v[:, at:at + 1 + len(spec.rows)]))
+        span = slice(at, at + 1 + len(spec.rows))
+        results.append(_relation_result(spec, v[:, span], size[:, span]))
         at += 1 + len(spec.rows)
     return residuals, results, ctx
 

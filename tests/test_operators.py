@@ -9,6 +9,18 @@ from quadalg.errors import SingularPoint
 from quadalg.jets import JetSpace, jet_seed_polynomial, jet_space
 
 
+class OpIdentity(ops.Operator):
+    """The identity tree, a reference for hand-built identities."""
+
+    def apply(self, coeffs, ctx, degree):
+        return coeffs[..., :jet_space(ctx.n_vars, degree).n_terms].copy()
+
+
+def commutator(a, b):
+    """The tree a b - b a."""
+    return a @ b - b @ a
+
+
 @pytest.fixture(scope="module")
 def kepler():
     return ops.build_kepler_operators(c0=1.0, c1=0.25, c2=0.25)
@@ -53,8 +65,8 @@ def test_apply_operator_second_derivative():
 # -- truncated, batched application ---------------------------------------------
 
 _TREES = {"H": lambda o: o.H, "A": lambda o: o.A, "B": lambda o: o.B,
-          "AC": lambda o: ops.commutator(o.A, ops.commutator(o.A, o.B)),
-          "BC": lambda o: ops.commutator(o.B, ops.commutator(o.A, o.B))}
+          "AC": lambda o: commutator(o.A, commutator(o.A, o.B)),
+          "BC": lambda o: commutator(o.B, commutator(o.A, o.B))}
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +233,7 @@ def test_rotations_make_no_jet_product(kepler_pure, sampler5, monkeypatch):
     for v in range(5):
         for w in range(5):
             r = ops.commutator_residual(ops.OpPartial(v), ops.OpCoord(w),
-                                        float(v == w) * ops.OpIdentity(), 5, sampler5,
+                                        float(v == w) * OpIdentity(), 5, sampler5,
                                         np.random.default_rng(v + 5 * w))
             assert r == 0.0 if v != w else r <= np.finfo(float).eps
     assert calls == []
@@ -281,9 +293,9 @@ def test_LM_and_MM_closures(kepler_pure, sampler5):
 def test_tree_order_is_the_differential_order(kepler_pure):
     k = kepler_pure
     assert k.H.order == 2
-    C = ops.commutator(k.A, k.B)
-    assert ops.commutator(k.A, C).order == 6
-    casimir = ops.OpSum([C @ C, k.A @ k.B @ k.B, k.H @ k.L2, ops.OpIdentity()])
+    C = commutator(k.A, k.B)
+    assert commutator(k.A, C).order == 6
+    casimir = ops.OpSum([C @ C, k.A @ k.B @ k.B, k.H @ k.L2, OpIdentity()])
     assert casimir.order == 8
     assert ops.OpScale(2.0, ops.OpPartial(3)).order == 1
     assert ops.OpSum([ops.OpZero()]).order == 0
@@ -510,8 +522,9 @@ def test_each_suffix_is_applied_once_at_the_highest_degree_it_is_read(kepler_pur
             for j in range(len(word)):
                 degree = sum(x.order for x in word[:j])
                 read[word[j:]] = max(read.get(word[j:], 0), degree)
-    v, ctx = ops.sample_words(combos, 3, sampler5, np.random.default_rng(1))
-    assert v.shape == (3, len(combos), 1) and ctx.space.degree == 6
+    v, size, ctx = ops.sample_words(combos, 3, sampler5, np.random.default_rng(1))
+    assert v.shape == (3, len(combos), 1) and size.shape == (3, len(combos))
+    assert ctx.space.degree == 6
     for x in (H, A, B):
         suffixes = [s for s in read if s[0] is x]
         assert x.calls == len(suffixes) == {H: 3, A: 7, B: 7}[x]
@@ -531,7 +544,7 @@ def test_a_word_is_its_tree_bit_for_bit_on_the_same_batch(kepler, sampler5):
     trees = [k.H @ k.A, k.A @ k.A @ k.B, k.B @ k.B @ k.A, k.A @ k.B, k.B]
     words = [{(k.H, k.A): 1.0}, {(k.A, k.A, k.B): 1.0}, {(k.B, k.B, k.A): 1.0},
              {(k.A, k.B): 1.0}, {(k.B,): 1.0}]
-    v = ops._word_values(combos + words + [ops.letter(t) for t in trees], ctx, f)
+    v, _ = ops._word_values(combos + words + [ops.letter(t) for t in trees], ctx, f)
     for i, tree in enumerate(trees):
         expected = tree.apply(f, ctx, 0)[..., 0]
         assert np.array_equal(v[:, len(combos) + i], expected), i
@@ -541,10 +554,10 @@ def test_a_word_is_its_tree_bit_for_bit_on_the_same_batch(kepler, sampler5):
 def test_zero_words_are_not_applied_but_set_the_germ(kepler_pure, sampler5):
     H, A = _Counting(kepler_pure.H), _Counting(kepler_pure.A)
     zero = ops.OpScale(0.0, ops.OpPartial(0) @ ops.OpPartial(1) @ ops.OpPartial(2))
-    v, ctx = ops.sample_words([{(H, A): 1.0, (A, A, A): 0.0}, {(zero, H): 1.0}], 2, sampler5,
-                              np.random.default_rng(0))
+    v, size, ctx = ops.sample_words([{(H, A): 1.0, (A, A, A): 0.0}, {(zero, H): 1.0}], 2,
+                                    sampler5, np.random.default_rng(0))
     assert ctx.space.degree == 6 and (H.calls, A.calls) == (1, 1)
-    assert not v[:, 1].any()
+    assert not v[:, 1].any() and not size[:, 1].any()
 
 
 def _rotation_relation(kepler_pure):
@@ -579,8 +592,9 @@ def test_checks_refuse_zero_samples(kepler_pure, sampler5):
 
 @pytest.mark.parametrize("system", ["kepler5d", "osc8d"])
 def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8):
-    # one batch of trials + 2 * len(rows) + 4 samples gives the residual of
-    # lhs - sum_k c_k basis_k and, bit for bit, the fit of the same batch
+    # one batch of trials + 2 * len(rows) + 4 samples gives, bit for bit, the
+    # residual of lhs - sum_k c_k basis_k over every sample of it, relative to
+    # the largest term, and the fit of the same batch
     if system == "kepler5d":
         params = cat.Kepler5DParams(c1=0.25, c2=0.1)
         o = ops.build_kepler_operators(c0=params.c0, c1=params.c1, c2=params.c2)
@@ -599,10 +613,28 @@ def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8)
         assert fit_residual == expected_fit_residual
         assert [fit[n] for n, _, _ in spec.rows] == \
             [(c, float(f)) for (_, _, c), f in zip(spec.rows, coefficients)]
-        # the merged right side rounds differently from the row-by-row sum
-        rhs = ops.combine(*((c, b) for _, b, c in spec.rows))
-        expected = ops.operator_residual(spec.lhs, rhs, n, sampler, np.random.default_rng(5))
-        assert residual == pytest.approx(expected, rel=1e-6, abs=1e-12)
+        v, size, _ = ops.sample_words([spec.lhs, *(b for _, b, _ in spec.rows)], n, sampler,
+                                      np.random.default_rng(5))
+        rhs, terms = np.zeros_like(v[:, 0]), [size[:, 0]]
+        for k, (_, _, c) in enumerate(spec.rows, start=1):
+            rhs += v[:, k] * c
+            terms.append(abs(c) * size[:, k])
+        scale = np.maximum(np.max(terms, axis=0), 1.0)
+        assert residual == float((np.abs(v[:, 0] - rhs).max(axis=1) / scale).max())
+        # the largest term is a word of the left side, or of a row times its c_k
+        assert (size[:, 0] >= np.abs(v[:, 0]).max(axis=1)).all()
+
+
+def test_relation_residual_reads_every_sample_against_its_largest_term():
+    # lhs = 2 X - 0.5 Y holds on the first samples; the last is off by 0.25,
+    # against its largest term |2| * 4 (not the lhs's 3, nor Y's 10 alone)
+    spec = ops.RelationSpec({}, (("X", {}, 2.0), ("Y", {}, -0.5)))
+    x, y = np.array([1.0, 3.0, -2.0, 1.0]), np.array([2.0, 1.0, 4.0, 2.0])
+    v = np.stack([2 * x - 0.5 * y + np.array([0.0, 0.0, 0.0, 0.25]), x, y], axis=1)
+    size = np.array([[1.0, 1.0, 1.0], [5.5, 3.0, 1.0], [6.0, 2.0, 4.0], [3.0, 4.0, 10.0]])
+    residual, fit, _ = ops._relation_result(spec, v[..., None].astype(np.complex128), size)
+    assert residual == 0.25 / 8
+    assert set(fit) == {"X", "Y"}
 
 
 def test_trees_carry_their_spin_dimension(kepler_pure):
@@ -612,7 +644,7 @@ def test_trees_carry_their_spin_dimension(kepler_pure):
     assert y.H.spin_dim == y.L[(1, 2)].spin_dim == y.A.spin_dim == 3
     assert (2.0 * ops.OpPartial(0) @ ops.OpMat(np.eye(2)) + ops.OpCoord(1)).spin_dim == 2
     # and 1 without one
-    assert kepler_pure.H.spin_dim == kepler_pure.A.spin_dim == ops.OpIdentity().spin_dim == 1
+    assert kepler_pure.H.spin_dim == kepler_pure.A.spin_dim == OpIdentity().spin_dim == 1
 
 
 def test_check_relation_on_monopole_trees(sampler5):
@@ -854,6 +886,6 @@ def test_identity_operator_trivial_closure(sampler5, kepler_pure):
     # degenerate check: with the identity in place of a generator the bracket
     # vanishes identically
     rng = np.random.default_rng(14)
-    r = ops.commutator_residual(ops.OpIdentity(), kepler_pure.H, None, 2,
+    r = ops.commutator_residual(OpIdentity(), kepler_pure.H, None, 2,
                                 sampler5, rng)
     assert r == 0.0
