@@ -4,7 +4,14 @@ Exit codes: 0 when every required check passes, 1 when a required check fails,
 2 for configuration errors (input refused before the run, by the flag checks
 or the system's parameter class), 3 for internal errors (a package error, a
 ValueError or an ArithmeticError raised during the run, such as an oracle with
-no root or a float overflow, where no report is written).
+no root or a float overflow, a numpy overflow included, where no report is
+written).
+Each numeric flag declares its domain where it is added to the parser: every
+float is finite, and some flags are positive, non-negative or at least 1. The
+domain is checked as the flag is parsed, the same for every system and target;
+_check_config then checks the rules that join flags or depend on the mode. A
+negative value written with an exponent, or -inf, is given as --flag=value:
+argparse reads "--c0 -1e-200" as --c0 without a value.
 Checks of printed formulas against oracles carry status "finding" and never
 affect the exit code; so does an oracle whose error estimate misses its
 target on the finest grid.
@@ -15,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 import numpy as np
@@ -505,81 +513,43 @@ def _point(text: str) -> tuple:
     return values
 
 
-def _require_finite(args, flags) -> None:
-    for flag in flags:
-        if not np.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
-
-
 def _check_config(args) -> None:
-    """Refuse inputs that would pass a required check over nothing or fail mid-run."""
+    """Refuse what joins flags or depends on the mode: a flag's own domain is
+    checked as argparse parses it (_add_number)."""
     if args.command in ("spectrum", "verify"):
-        # checked before J defaults to |L - T|, so a message names the flag set
-        _require_finite(args, ("L", "T"))
-        if args.command == "verify":
-            # a required check must not pass over zero samples
-            if args.trials < 1:
-                raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-            if args.p < 0:
-                raise ConfigError(f"--p must be non-negative, got {args.p}")
-        else:
-            # a negative range lists no level: a report over nothing
-            for field, flag in (("p_max", "--p-max"), ("n_max", "--n-max")):
-                if getattr(args, field) < 0:
-                    raise ConfigError(f"{flag} must be non-negative, "
-                                      f"got {getattr(args, field)}")
         if args.J is None:
             args.J = abs(args.L - args.T)
         # the system's parameter class refuses its invalid values here
         _system_params(args)
-        return
-    if args.command == "hurwitz-check":
+    elif args.command == "hurwitz-check":
         _point(args.point)
-        return
-    if args.command == "dualize":
-        # NaN and inf pass the sign checks and would reach the report
-        _require_finite(args, ("energy", "omega", "lambda1", "lambda2", "c0", "eps", "c1", "c2"))
-        # then the parameter class of the side the map starts from refuses
-        # its invalid values, as it does for spectrum and verify
+    elif args.command == "dualize":
+        # the parameter class of the side the map starts from refuses its
+        # invalid values, as it does for spectrum and verify
         if args.direction == "forward":
-            if not args.energy > 0:
+            if args.energy <= 0:
                 raise ConfigError(f"--energy must be positive, got {args.energy}")
             _params(cat.Oscillator8DParams, args)
         else:
-            if not args.eps < 0:
+            if args.eps >= 0:
                 raise ConfigError(f"--eps must be negative, got {args.eps}")
             _params(cat.Kepler5DParams, args)
-        return
-    if args.command != "crosscheck":
-        return
-    for flag in ("samples", "levels", "grid"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    if args.target in ("osc8d", "ycm") and args.grid > 1024:
-        # both oracles extrapolate over three doubled grids up to 4096
-        raise ConfigError(f"--grid must be at most 1024 for crosscheck {args.target}, "
-                          f"got {args.grid}")
-    _require_finite(args, ("c0", "hbar", "omega", "lambda1"))
-    for flag in ("c0", "hbar", "omega"):
-        if not getattr(args, flag) > 0:
-            raise ConfigError(f"--{flag} must be positive, got {getattr(args, flag)}")
-    for flag in ("n1", "n2"):
-        if getattr(args, flag) < 0:
-            raise ConfigError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
-    if args.target == "osc8d" and args.levels > args.grid:
-        # the radial oracle solves --levels levels on the coarsest grid
-        raise ConfigError(f"--levels must be at most --grid ({args.grid}), "
-                          f"got {args.levels}")
-    if args.target == "ycm":
-        # level n is the (n + 1)-th of the coarsest grid's --grid levels
-        flag = "n1" if args.n1 >= args.n2 else "n2"
-        if getattr(args, flag) >= args.grid:
-            raise ConfigError(f"--{flag} must be less than --grid ({args.grid}), "
-                              f"got {getattr(args, flag)}")
-    if args.lambda1 < 0:
-        # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
-        raise ConfigError(f"--lambda1 must be non-negative, got {args.lambda1}")
-    _channel(args.channel)
+    elif args.command == "crosscheck":
+        if args.target in ("osc8d", "ycm") and args.grid > 1024:
+            # both oracles extrapolate over three doubled grids up to 4096
+            raise ConfigError(f"--grid must be at most 1024 for crosscheck {args.target}, "
+                              f"got {args.grid}")
+        if args.target == "osc8d" and args.levels > args.grid:
+            # the radial oracle solves --levels levels on the coarsest grid
+            raise ConfigError(f"--levels must be at most --grid ({args.grid}), "
+                              f"got {args.levels}")
+        if args.target == "ycm":
+            # level n is the (n + 1)-th of the coarsest grid's --grid levels
+            flag = "n1" if args.n1 >= args.n2 else "n2"
+            if getattr(args, flag) >= args.grid:
+                raise ConfigError(f"--{flag} must be less than --grid ({args.grid}), "
+                                  f"got {getattr(args, flag)}")
+        _channel(args.channel)
 
 
 def _config_echo(args) -> dict:
@@ -589,8 +559,30 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+# the domains a numeric flag can declare, by the phrase its refusal prints
+_DOMAINS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
+            "at least 1": lambda v: v >= 1}
+
+
+def _add_number(p: argparse.ArgumentParser, flag: str, kind, default,
+                domain: str | None = None, **kwargs) -> None:
+    """Add a flag of type kind (float or int). As argparse parses the flag, a
+    float that is not finite, or a value outside domain (a key of _DOMAINS),
+    raises a ConfigError that names the flag, whatever the system or target."""
+    def convert(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        if domain is not None and not _DOMAINS[domain](value):
+            raise ConfigError(f"{flag} must be {domain}, got {value}")
+        return value
+    # argparse names the type in its own messages: "invalid float value: 'x'"
+    convert.__name__ = kind.__name__
+    p.add_argument(flag, type=convert, default=default, **kwargs)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    _add_number(p, "--seed", int, 0)
     p.add_argument("--format", choices=("table", "json"), default="json")
     p.add_argument("--out", default=None)
 
@@ -601,10 +593,9 @@ def _add_system_params(p: argparse.ArgumentParser) -> None:
     for name, default in (("c0", 1.0), ("c1", 0.0), ("c2", 0.0), ("l", 0.0), ("hbar", 1.0),
                           ("omega", 1.0), ("lambda1", 0.0), ("lambda2", 0.0), ("j", 0.0),
                           ("k", 0.0), ("T", 0.0)):
-        p.add_argument(f"--{name}", type=float, default=default)
-    p.add_argument("--J", type=float, default=None,
-                   help="defaults to |L - T|, the smallest coupled value")
-    p.add_argument("--L", type=float, default=0.0)
+        _add_number(p, f"--{name}", float, default)
+    _add_number(p, "--J", float, None, help="defaults to |L - T|, the smallest coupled value")
+    _add_number(p, "--L", float, 0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,44 +606,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="closed-form spectra")
     _add_system_params(sp)
-    sp.add_argument("--p-max", dest="p_max", type=int, default=3)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=2)
+    # a negative range lists no level: a report over nothing
+    _add_number(sp, "--p-max", int, 3, "non-negative")
+    _add_number(sp, "--n-max", int, 2, "non-negative")
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     vp = sub.add_parser("verify", help="full invariant suite for one system")
     _add_system_params(vp)
-    vp.add_argument("--p", type=int, default=3)
-    vp.add_argument("--trials", type=int, default=20)
+    _add_number(vp, "--p", int, 3, "non-negative")
+    # a required check must not pass over zero samples
+    _add_number(vp, "--trials", int, 20, "at least 1")
     _add_common(vp)
     vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("crosscheck", help="oracle comparisons")
     cp.add_argument("target", choices=("euler", "ycm", "osc8d"))
-    cp.add_argument("--samples", type=int, default=1000)
+    _add_number(cp, "--samples", int, 1000, "at least 1")
     cp.add_argument("--literal-x0", dest="literal_x0", action="store_true")
     cp.add_argument("--channel", default="s1=0,s2=0")
-    cp.add_argument("--n1", type=int, default=0)
-    cp.add_argument("--n2", type=int, default=0)
-    cp.add_argument("--c0", type=float, default=1.0)
-    cp.add_argument("--hbar", type=float, default=1.0)
-    cp.add_argument("--omega", type=float, default=1.0)
-    cp.add_argument("--lambda1", type=float, default=0.0)
-    cp.add_argument("--levels", type=int, default=3)
-    cp.add_argument("--grid", type=int, default=1024)
+    _add_number(cp, "--n1", int, 0, "non-negative")
+    _add_number(cp, "--n2", int, 0, "non-negative")
+    _add_number(cp, "--c0", float, 1.0, "positive")
+    _add_number(cp, "--hbar", float, 1.0, "positive")
+    _add_number(cp, "--omega", float, 1.0, "positive")
+    # the radial oracle's m = sqrt(1 + 2 lambda) is real only for lambda >= 0
+    _add_number(cp, "--lambda1", float, 0.0, "non-negative")
+    _add_number(cp, "--levels", int, 3, "at least 1")
+    _add_number(cp, "--grid", int, 1024, "at least 1")
     _add_common(cp)
     cp.set_defaults(func=cmd_crosscheck)
 
     dp = sub.add_parser("dualize", help="parameter duality map")
     dp.add_argument("--direction", choices=("forward", "inverse"), default="forward")
-    dp.add_argument("--energy", type=float, default=4.0)
-    dp.add_argument("--omega", type=float, default=1.0)
-    dp.add_argument("--lambda1", type=float, default=0.0)
-    dp.add_argument("--lambda2", type=float, default=0.0)
-    dp.add_argument("--c0", type=float, default=1.0)
-    dp.add_argument("--eps", type=float, default=-0.125)
-    dp.add_argument("--c1", type=float, default=0.0)
-    dp.add_argument("--c2", type=float, default=0.0)
+    for name, default in (("energy", 4.0), ("omega", 1.0), ("lambda1", 0.0), ("lambda2", 0.0),
+                          ("c0", 1.0), ("eps", -0.125), ("c1", 0.0), ("c2", 0.0)):
+        _add_number(dp, f"--{name}", float, default)
     _add_common(dp)
     dp.set_defaults(func=cmd_dualize)
 
@@ -671,16 +660,19 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     try:
+        # a flag outside its domain raises ConfigError while argparse parses it
         args = _parser().parse_args(argv)
+        _check_config(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    try:
-        _check_config(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # a numpy overflow, division by zero or invalid operation raises
+        # FloatingPointError, an ArithmeticError, instead of a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (QuadalgError, ValueError, ArithmeticError) as exc:
         # the input passed every check above, so the fault is the package's
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

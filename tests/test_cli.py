@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -363,6 +364,115 @@ def test_arithmetic_error_inside_the_package_exits_three(capsys, argv, error):
     assert captured.err.startswith(f"internal error: {error}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+
+_CONFIG = "configuration error: "
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["crosscheck", "osc8d", "--omega=inf"], _CONFIG + "--omega must be finite, got inf"),
+    (["spectrum", "kepler5d", "--c0=nan"], _CONFIG + "--c0 must be finite, got nan"),
+    (["crosscheck", "ycm", "--hbar=0"], _CONFIG + "--hbar must be positive, got 0.0"),
+    (["crosscheck", "ycm", "--n1=-1"], _CONFIG + "--n1 must be non-negative, got -1"),
+    (["verify", "kepler5d", "--trials=0"], _CONFIG + "--trials must be at least 1, got 0"),
+    (["crosscheck", "ycm", "--grid=2048"],
+     _CONFIG + "--grid must be at most 1024 for crosscheck ycm, got 2048"),
+    (["crosscheck", "osc8d", "--grid=64", "--levels=65"],
+     _CONFIG + "--levels must be at most --grid (64), got 65"),
+    (["crosscheck", "ycm", "--grid=64", "--n2=64"],
+     _CONFIG + "--n2 must be less than --grid (64), got 64"),
+    (["dualize", "--energy=0"], _CONFIG + "--energy must be positive, got 0.0"),
+    (["dualize", "--direction", "inverse", "--eps=0"], _CONFIG + "--eps must be negative, got 0.0"),
+    (["crosscheck", "ycm", "--channel", "s1=0"], _CONFIG + "--channel must set exactly s1 and "
+     "s2 to finite numbers, as in s1=0,s2=0.5; got 's1=0'"),
+    (["hurwitz-check", "--point", "1,0"], _CONFIG + "--point must be eight finite numbers "
+     "separated by commas, as in 1,0,0,0,1,0,0,0; got '1,0'"),
+    (["verify", "ycm", "--T", "0.3"], _CONFIG + "T must be a non-negative half-integer"),
+    # argparse names a flag's type by its callable, which the domain check
+    # keeps; its message follows its usage lines
+    (["crosscheck", "ycm", "--c0", "x"],
+     "quadalg crosscheck: error: argument --c0: invalid float value: 'x'"),
+    (["crosscheck", "ycm", "--n1", "1.5"],
+     "quadalg crosscheck: error: argument --n1: invalid int value: '1.5'"),
+])
+def test_refusal_texts(capsys, argv, line):
+    # one case per refusal rule: a flag's domain, a rule joining flags, a
+    # flag's own syntax, a parameter class and argparse's type conversion
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if line.startswith(_CONFIG):
+        assert err == line + "\n"
+    else:
+        assert err.startswith("usage: quadalg ") and err.splitlines()[-1] == line
+
+
+# each numeric flag takes these values, given as --flag=value: argparse reads
+# "--c0 -1e-200" and "--c0 -inf" as a flag without its value
+_EXTREMES = {"float": ("0", "-1", "nan", "inf", "-inf", "1e200", "1e-200", "-1e-200"),
+             "int": ("-1", "0", "1")}
+# one command per system, target and direction, sized to run fast where the
+# sweep leaves their flags alone
+_SWEPT = ([["spectrum", s] for s in ("kepler5d", "osc8d", "ycm")]
+          + [["verify", s, "--p", "0", "--trials", "1"] for s in ("kepler5d", "osc8d", "ycm")]
+          + [["crosscheck", t, "--grid", "64", "--levels", "1"] for t in ("euler", "ycm", "osc8d")]
+          + [["dualize", "--direction", d] for d in ("forward", "inverse")]
+          + [["hurwitz-check"], ["hurwitz-check", "--literal-x0"]])
+
+
+def _flags(cls):
+    return {f"--{f.name}" for f in dataclasses.fields(cls)}
+
+
+# the flags each system's parameter class reads
+_READS = {"kepler5d": _flags(cat.Kepler5DParams), "osc8d": _flags(cat.Oscillator8DParams),
+          "ycm": _flags(cat.Kepler5DParams) | _flags(cat.YCMParams)}
+
+
+def _swept_values(base, flag, kind):
+    """The extremes of a flag of type kind (its name) in the command base."""
+    values = _EXTREMES[kind]
+    if base[0] != "verify" or kind != "float":
+        return values
+    if flag not in _READS[base[1]]:
+        # a finite value of a flag the system ignores runs the default suite again
+        return ("nan", "inf", "-inf")
+    # a large half-integer T builds dense (2T + 1)-square spin matrices
+    return tuple(v for v in values if (flag, v) != ("--T", "1e200"))
+
+
+def _extreme_argvs(base):
+    """base with each numeric flag of its subcommand set in turn to each extreme."""
+    from quadalg import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for action in sub.choices[base[0]]._actions:
+        kind = getattr(action.type, "__name__", None)
+        if kind in _EXTREMES:
+            (flag,) = action.option_strings
+            for value in _swept_values(base, flag, kind):
+                yield base + [f"{flag}={value}"]
+    if base[0] == "hurwitz-check":
+        for value in ("1e200", "nan"):
+            yield base + [f"--point={value},0,0,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("base", _SWEPT, ids=" ".join)
+def test_extreme_flag_values_exit_as_documented(capsys, tmp_path, base):
+    # an exit code of the CLI docstring; nothing on stderr beside a report,
+    # one line for a refusal or an internal error, and no numpy warning
+    wrong = []
+    for argv in _extreme_argvs(base):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        one_line = err.endswith("\n") and err.count("\n") == 1 and \
+            err.startswith(("configuration error: ", "internal error: "))
+        if caught or code not in (0, 1, 2, 3) or (not one_line if code >= 2 else err):
+            wrong.append((argv, code, err, [str(w.message) for w in caught]))
+    assert wrong == []
 
 
 # the coefficient keys of the c1 and c2 terms of H, A and B
