@@ -428,9 +428,9 @@ def find_representations(family: PhiFamily, p_max: int,
     - both endpoints on F hold for every E, a continuum with no energy of its
       own, so no candidate is built from them.
 
-    The (u, E) of one p inside the window are then finished together on the
-    family's own extracted roots (one roots_of call per secant step for all
-    of them), and survivors must have a strictly positive window.
+    The (u, E) of every p inside the window are then finished together on
+    the family's own extracted roots (one roots_of call per secant step for
+    all of them), and survivors must have a strictly positive window.
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
@@ -440,53 +440,51 @@ def find_representations(family: PhiFamily, p_max: int,
     shared = _energy_independent_roots(family.coefficients)
     cofactor = [np.polydiv(pk, np.poly(shared).real)[0] for pk in family.coefficients]
     fixed = _real(shared)
-    out: list[RepresentationCandidate] = []
+    seeds = []
     for p in range(p_max + 1):
         s = p + 1.0
         shifted = [np.poly1d(qk)(np.poly1d([1.0, s])).coeffs for qk in cofactor]
-        seeds = [(u, e) for u in _real(_roots(_resultant_in_energy(cofactor, shifted)))
+        pairs = [(u, e) for u in _real(_roots(_resultant_in_energy(cofactor, shifted)))
                  for e in _energies_at(cofactor, u)]
         for r in fixed:
             for other in (r + s, r - s):
                 if np.any(np.abs(fixed - other) <= _ROOT_TOL * (1.0 + abs(other))):
                     continue  # both endpoints on F
-                seeds += [(min(r, other), e) for e in _energies_at(cofactor, other)]
-        found: list[RepresentationCandidate] = []
-        for cand in _finish(family, p, [(u, e) for u, e in seeds if lo <= e <= hi]):
-            if cand is None or any(_same(f.u, cand.u) and _same(f.energy, cand.energy)
-                                   for f in found):
-                continue
-            found.append(cand)
-        found.sort(key=lambda c: (c.energy, c.u))
-        out.extend(found)
-    return out
+                pairs += [(min(r, other), e) for e in _energies_at(cofactor, other)]
+        seeds += [(p, u, e) for u, e in pairs if lo <= e <= hi]
+    found: dict[int, list[RepresentationCandidate]] = {p: [] for p in range(p_max + 1)}
+    for cand in _finish(family, seeds):
+        if cand is None or any(_same(f.u, cand.u) and _same(f.energy, cand.energy)
+                               for f in found[cand.p]):
+            continue
+        found[cand.p].append(cand)
+    return [c for p in found for c in sorted(found[p], key=lambda c: (c.energy, c.u))]
 
 
-def _finish(family: PhiFamily, p: int,
-            seeds: list) -> list[Optional[RepresentationCandidate]]:
-    """Candidates at the eliminated (u, E) seeds of one p, solved again on the
+def _finish(family: PhiFamily, seeds: list) -> list[Optional[RepresentationCandidate]]:
+    """Candidates at the eliminated (p, u, E) seeds, solved again on the
     extracted roots, in seed order (None where a seed does not close).
 
     Per seed, u snaps to the nearest root of the family at E, u + p + 1 to
     the nearest other one, and E solves their gap
     roots[j] - roots[i] - (p + 1) = 0 by secant steps from the seed, keeping
     the energy of the smallest |gap| met. The seeds are real solutions, so
-    both roots are real up to extraction noise. All seeds step together:
-    each step extracts the roots of every seed still stepping in one
-    family.roots_of call, and a seed stops on its own when its gap vanishes,
-    stalls or its step falls below rounding.
+    both roots are real up to extraction noise. All seeds, of every p, step
+    together: each step extracts the roots of every seed still stepping in
+    one family.roots_of call, and a seed stops on its own when its gap
+    vanishes, stalls or its step falls below rounding.
     """
     if not seeds:
         return []
-    s = p + 1.0
-    us, energies = zip(*seeds)
+    ps, us, energies = zip(*seeds)
+    spans = [p + 1.0 for p in ps]
     rows = family.roots_of(np.array(energies))
     ends = [(int(np.argmin(np.abs(roots - u))), int(np.argmin(np.abs(roots - (u + s)))))
-            for roots, u in zip(rows, us)]
+            for roots, s, u in zip(rows, spans, us)]
 
     def gap(k, roots):
         i, j = ends[k]
-        return roots[j].real - roots[i].real - s
+        return roots[j].real - roots[i].real - spans[k]
 
     best = [(abs(gap(k, roots)), e, roots) for k, (roots, e) in enumerate(zip(rows, energies))]
     # (e0, g0, e1) of every seed still stepping
@@ -504,7 +502,7 @@ def _finish(family: PhiFamily, p: int,
                 best[k] = (abs(g1), e1, roots)
             if not (g1 == 0 or g1 == g0 or abs(e1 - e0) <= 1e-15 * (1.0 + abs(e1))):
                 secant[k] = (e1, g1, e1 - g1 * (e1 - e0) / (g1 - g0))
-    return [_candidate(family, p, float(roots[ends[k][0]].real), float(energy), roots)
+    return [_candidate(family, ps[k], float(roots[ends[k][0]].real), float(energy), roots)
             for k, (_, energy, roots) in enumerate(best)]
 
 
@@ -629,6 +627,16 @@ def verify_casimir(f: FockRealization, c: QuadraticAlgebraConstants) -> CasimirR
         commutant_a=_absmax(_comm(K, f.A)),
         commutant_b=_absmax(_comm(K, f.B)),
     )
+
+
+def check_fock(c: QuadraticAlgebraConstants, sf: StructureFunction, u: float, p: int,
+               rho_convention: str = "sqrt") -> tuple:
+    """(Fock matrices, relation residuals, Casimir diagnostics) of the
+    (p+1)-dimensional realization of sf at u under the constants c; raises
+    DegenerateDenominator or NegativePhi where it has no such matrices."""
+    real = oscillator_realization(c, u, p=p, rho_convention=rho_convention)
+    fock = build_fock_realization(sf, real, p)
+    return fock, verify_commutation(fock, c), verify_casimir(fock, c)
 
 
 def _bc_diagonal_recurrence(rhs, g: float, u: float) -> np.ndarray:

@@ -23,14 +23,11 @@ from .algebra import (
     QuadraticAlgebraConstants,
     RepresentationCandidate,
     StructureFunction,
-    build_fock_realization,
+    check_fock,
     fit_relation_constants,
     general_phi_leading_coefficient,
-    oscillator_realization,
-    verify_casimir,
-    verify_commutation,
 )
-from .errors import DegenerateDenominator, ImaginaryM, NegativePhi
+from .errors import DegenerateDenominator, NegativePhi
 
 KEPLER_PHI_PREFACTOR = 6191456          # as printed in the pre-substitution factored form
 KEPLER_PHI_PREFACTOR_SUBST = 6291456    # as printed in the post-substitution form (= 3 * 2**21)
@@ -65,6 +62,8 @@ class Kepler5DParams:
             raise ValueError("c1 and c2 are non-negative")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+        if self.l < 0:
+            raise ValueError("Casimir label l is non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,8 @@ class YCMParams:
         _require_finite(self)
         if self.T < 0 or round(2 * self.T) != 2 * self.T:
             raise ValueError("T must be a non-negative half-integer")
+        if self.L < 0:
+            raise ValueError("Casimir label L is non-negative")
         if not (abs(self.L - self.T) <= self.J <= self.L + self.T + 1e-12):
             raise ValueError("J must satisfy |L - T| <= J <= L + T")
 
@@ -194,14 +195,10 @@ def kepler5d_constants(p: Kepler5DParams) -> PrintedAlgebra:
 
 
 def kepler5d_m_parameters(p: Kepler5DParams) -> tuple[float, float]:
-    """Positive-branch m parameters, hbar^2 m_i^2 = 16 c_i + 4 l + 4 hbar^2."""
-    out = []
-    for c in (p.c1, p.c2):
-        radicand = 16 * c + 4 * p.l + 4 * p.hbar**2
-        if radicand < 0:
-            raise ImaginaryM(f"negative radicand for m: {radicand}")
-        out.append(float(np.sqrt(radicand) / p.hbar))
-    return out[0], out[1]
+    """Positive-branch m parameters, hbar^2 m_i^2 = 16 c_i + 4 l + 4 hbar^2,
+    real because Kepler5DParams refuses a negative c_i or l."""
+    m1, m2 = (float(np.sqrt(16 * c + 4 * p.l + 4 * p.hbar**2) / p.hbar) for c in (p.c1, p.c2))
+    return m1, m2
 
 
 def _coulomb_q(p: Kepler5DParams, energy: float) -> float:
@@ -502,17 +499,13 @@ def fock_convention_scan(params, rep_p: int) -> list[ConventionResult]:
     u_cons, e_cons = _consistent_pair(params, rep_p)
     results = []
 
-    def run(name, rho_convention, u, energy, sf, constants_at_e):
+    def run(name, rho_convention, u, energy, sf, c):
         try:
-            real = oscillator_realization(constants_at_e, u, p=rep_p,
-                                          rho_convention=rho_convention)
-            fock = build_fock_realization(sf, real, rep_p)
+            _, rep, cas = check_fock(c, sf, u, rep_p, rho_convention)
         except (DegenerateDenominator, NegativePhi):  # record as inf
             results.append(ConventionResult(name, u, energy, np.inf, np.inf, np.inf,
-                                            np.nan, constants_at_e.casimir_value))
+                                            np.nan, c.casimir_value))
             return
-        rep = verify_commutation(fock, constants_at_e)
-        cas = verify_casimir(fock, constants_at_e)
         results.append(ConventionResult(
             name=name, u=u, energy=energy, r_ac=rep.r_ac, r_bc=rep.r_bc, jacobi=rep.jacobi,
             casimir_value=cas.value, casimir_expected=cas.expected))

@@ -5,9 +5,11 @@ Exit codes: 0 when every required check passes, 1 when a required check fails,
 or the system's parameter class), 3 for internal errors (a package error, a
 ValueError or an ArithmeticError raised during the run, such as an oracle with
 no root or a float overflow, a numpy overflow included, where no report is
-written).
+written). A report printed to a pipe whose reader has closed it, as head
+does, ends quietly with the report's own exit code.
 Each numeric flag declares its domain where it is added to the parser: every
-float is finite, and some flags are positive, non-negative or at least 1. The
+float is finite, and some flags are positive, non-negative or at least 1, as
+--seed is non-negative for every command. The
 domain is checked as the flag is parsed, the same for every system and target;
 _check_config then checks the rules that join flags or depend on the mode. A
 negative value written with an exponent, or -inf, is given as --flag=value:
@@ -20,10 +22,14 @@ target on the finest grid.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import math
+import os
 import sys
+import types
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily: load it here, not in the first draw
@@ -45,7 +51,15 @@ def _write_report(report: Report, args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe (as head does): stdout goes to
+            # devnull, so that the flush at exit raises nothing more
+            with contextlib.suppress(AttributeError, OSError):
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
     return report.exit_code
 
 
@@ -98,132 +112,124 @@ def cmd_spectrum(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
+def _write_row(report: Report, check: str, tolerance, claim: str, residual, values=None) -> None:
+    """A required check, or a finding where the tolerance is None."""
+    if tolerance is None:
+        report.add(check, claim, status="finding", residual=residual, values=values)
+    else:
+        report.required_check(check, claim, residual=residual, tolerance=tolerance, values=values)
+
+
 def _verify_fock_track(report: Report, params, p_max: int) -> None:
     """Closed-form representation invariants plus the convention scan."""
     system = params.system
     constants, closed_form, family, e_window = cat.fock_side(params, p_max)
 
     for cand in map(closed_form, range(p_max + 1)):
-        sf = cand.sf
+        check = f"fock.{system}.closed-form.p{cand.p}"
+        uE = {"u": cand.u, "energy": cand.energy}
+        ends = np.array([0.0, cand.p + 1.0])
         window = np.array(cand.phi_values)
-        endpoint = float(np.abs(sf.monic(np.array([0.0, cand.p + 1.0]))).max())
-        report.required_check(
-            f"fock.{system}.closed-form.p{cand.p}.window",
-            "representation window: endpoint zeros and positivity",
-            residual=endpoint + (0.0 if cand.p == 0 or window.min() > 0 else 1.0),
-            tolerance=1e-10,
-            values={"u": cand.u, "energy": cand.energy})
+        endpoint = float(np.abs(cand.sf.monic(ends)).max())
+        _write_row(report, f"{check}.window", 1e-10,
+                   "representation window: endpoint zeros and positivity",
+                   endpoint + (0.0 if cand.p == 0 or window.min() > 0 else 1.0), uE)
         # literal endpoint residual of the pre-substitution family at the
         # printed closed-form pair: documents their mutual inconsistency
         fam_sf = family.structure_function(cand.energy, cand.u)
-        fam_res = float(np.abs(fam_sf.monic(np.array([0.0, cand.p + 1.0]))).max())
-        report.add(f"fock.{system}.closed-form.p{cand.p}.family-endpoint",
+        _write_row(report, f"{check}.family-endpoint", None,
                    "printed (u, E) against the pre-substitution factored roots",
-                   status="finding", residual=fam_res,
-                   values={"u": cand.u, "energy": cand.energy})
+                   float(np.abs(fam_sf.monic(ends)).max()), uE)
         try:
-            real = alg.oscillator_realization(constants.at_energy(cand.energy), cand.u,
-                                              p=cand.p, rho_convention="sqrt")
-            fock = alg.build_fock_realization(sf, real, cand.p)
+            fock, rep, _ = alg.check_fock(constants.at_energy(cand.energy), cand.sf, cand.u, cand.p)
         except (DegenerateDenominator, NegativePhi) as exc:
-            report.add(f"fock.{system}.closed-form.p{cand.p}.build",
-                       "Fock build at the printed closed-form pair",
+            report.add(f"{check}.build", "Fock build at the printed closed-form pair",
                        status="finding", values={"error": str(exc)})
             continue
         inv = alg.fock_invariant_residuals(fock)
-        report.required_check(f"fock.{system}.closed-form.p{cand.p}.shift",
-                              "shift structure [N,b+]=b+, [N,b]=-b",
-                              residual=inv["shift"], tolerance=1e-12)
-        report.required_check(f"fock.{system}.closed-form.p{cand.p}.ladder",
-                              "bb+ = Phi(N+1), b+b = Phi(N)",
-                              residual=inv["ladder"], tolerance=1e-12)
-        rep = alg.verify_commutation(fock, constants.at_energy(cand.energy))
-        report.required_check(f"fock.{system}.closed-form.p{cand.p}.jacobi",
-                              "Jacobi identity on (A, B, C)",
-                              residual=rep.jacobi, tolerance=1e-10)
-        report.add(f"fock.{system}.closed-form.p{cand.p}.relations",
-                   "printed relations at the printed closed-form pair",
-                   status="finding", residual=rep.max_relation_residual())
+        for suffix, tolerance, claim, residual in (
+                ("shift", 1e-12, "shift structure [N,b+]=b+, [N,b]=-b", inv["shift"]),
+                ("ladder", 1e-12, "bb+ = Phi(N+1), b+b = Phi(N)", inv["ladder"]),
+                ("jacobi", 1e-10, "Jacobi identity on (A, B, C)", rep.jacobi),
+                ("relations", None, "printed relations at the printed closed-form pair",
+                 rep.max_relation_residual())):
+            _write_row(report, f"{check}.{suffix}", tolerance, claim, residual)
 
     # convention scan at the largest requested dimension
     best = np.inf
     for res in cat.fock_convention_scan(params, max(p_max, 1)):
         rel = max(res.r_ac, res.r_bc)
         best = min(best, rel)
-        report.add(f"fock.{system}.convention.{res.name}",
-                   "relation residuals under one convention assignment",
-                   status="finding", residual=rel,
-                   values={"jacobi": res.jacobi, "casimir": res.casimir_value,
-                           "casimir_expected": res.casimir_expected,
-                           "u": res.u, "energy": res.energy})
+        _write_row(report, f"fock.{system}.convention.{res.name}", None,
+                   "relation residuals under one convention assignment", rel,
+                   {"jacobi": res.jacobi, "casimir": res.casimir_value,
+                    "casimir_expected": res.casimir_expected, "u": res.u, "energy": res.energy})
         if np.isfinite(res.jacobi):
-            report.required_check(f"fock.{system}.convention.{res.name}.jacobi",
-                                  "Jacobi identity on (A, B, C)",
-                                  residual=res.jacobi, tolerance=1e-10)
-    if best < 1e-9:
-        report.add(f"fock.{system}.convention.best",
-                   "at least one convention assignment closes the relations",
-                   status="pass", residual=best, tolerance=1e-9)
-    else:
-        # no assignment closes at these parameters: an inconsistency of the
-        # printed formulas, documented with the measured residuals
-        report.add(f"fock.{system}.convention.best",
-                   "no convention assignment closes the relations here",
-                   status="finding", residual=best, tolerance=1e-9)
+            _write_row(report, f"fock.{system}.convention.{res.name}.jacobi", 1e-10,
+                       "Jacobi identity on (A, B, C)", res.jacobi)
+    # where no assignment closes, the printed formulas are inconsistent at
+    # these parameters: a finding, documented with the measured residuals
+    closes = best < 1e-9
+    report.add(f"fock.{system}.convention.best",
+               "at least one convention assignment closes the relations" if closes
+               else "no convention assignment closes the relations here",
+               status="pass" if closes else "finding", residual=best, tolerance=1e-9)
 
     # honest representation search on the general polynomial family built from
     # the (operator-verified) structure constants
     gen = alg.phi_family_from_constants(constants.at_energy)
-    closing = []
+    closing = 0
     for cand in alg.find_representations(gen, p_max, energy_window=e_window):
         try:
-            real = alg.oscillator_realization(constants.at_energy(cand.energy), cand.u,
-                                              p=cand.p, rho_convention="sqrt")
-            fock = alg.build_fock_realization(cand.sf, real, cand.p)
+            _, rep, cas = alg.check_fock(constants.at_energy(cand.energy), cand.sf, cand.u,
+                                         cand.p)
         except (DegenerateDenominator, NegativePhi):
             continue
-        rep = alg.verify_commutation(fock, constants.at_energy(cand.energy))
-        cas = alg.verify_casimir(fock, constants.at_energy(cand.energy))
         if rep.max_relation_residual() < 1e-9 and \
                 abs(cas.value - cas.expected) < 1e-7 * max(1.0, abs(cas.expected)):
-            closing.append(cand)
-    for cand in closing:
-        report.add(f"fock.{system}.solver.p{cand.p}.E{cand.energy:+.9f}.u{cand.u:+.6f}",
-                   "unitary representation of the verified algebra (full closure)",
-                   status="finding",
-                   values={"u": cand.u, "energy": cand.energy})
+            closing += 1
+            report.add(f"fock.{system}.solver.p{cand.p}.E{cand.energy:+.9f}.u{cand.u:+.6f}",
+                       "unitary representation of the verified algebra (full closure)",
+                       status="finding", values={"u": cand.u, "energy": cand.energy})
     if not closing:
         report.add(f"fock.{system}.solver.no-closing-representation",
                    "no candidate on this family closed the relations and Casimir",
                    status="finding", values={"count": 0})
 
 
-def _report_rows(report: Report, rows, residuals) -> None:
-    """One check per (check name, sides, tolerance, ref) row and its residual.
-    A row without a tolerance is a finding."""
-    for (check, _, tolerance, ref), r in zip(rows, residuals):
-        if tolerance is None:
-            report.add(check, ref, status="finding", residual=r)
-        else:
-            report.required_check(check, ref, residual=r, tolerance=tolerance)
+@dataclasses.dataclass(frozen=True)
+class _Suite:
+    """A system's verify suite, declared: rows, each (check name, measure,
+    tolerance, claim) for _write_row, measured with the unreported checks
+    and the relations on one batch of n_samples points of sampler, then the
+    Fock side of the parameters fock, if given. A measure is the sides of a
+    check, or a function of the batch (residuals of the checks, relations:
+    check_relation results by name, ctx) giving residual or (residual, values).
+    """
+
+    rows: list
+    relations: dict
+    sampler: ops.PointSampler
+    n_samples: int
+    fock: object = None
+    unreported: tuple = ()
 
 
-def _closure_checks(report: Report, system: str, closure) -> None:
-    """The [A,C] relation and the fitted constants; [B,C] is reported per system."""
-    report.required_check(f"jets.{system}.closure.AC",
-                          "printed [A,C] relation as an operator identity",
-                          residual=closure.residual_ac_printed, tolerance=1e-9)
-    report.add(f"jets.{system}.closure.fit",
-               "fitted structure constants (printed vs fitted per basis term)",
-               status="finding",
-               residual=max(closure.fit_ac_residual, closure.fit_bc_residual),
-               values={"AC": closure.fit_ac, "BC": closure.fit_bc})
+def _closure_rows(system: str) -> list:
+    """The [A,C] relation and the fits of every relation; [B,C] is declared
+    per system."""
+    return [(f"jets.{system}.closure.AC", lambda b: b.relations["AC"][0], 1e-9,
+             "printed [A,C] relation as an operator identity"),
+            (f"jets.{system}.closure.fit",
+             lambda b: (max(r[2] for r in b.relations.values()),
+                        {name: r[1] for name, r in b.relations.items()}),
+             None, "fitted structure constants (printed vs fitted per basis term)")]
 
 
 _COMMUTES_H = "integral commutes with the Hamiltonian"
 
 
-def _verify_kepler(report: Report, args) -> None:
+def _kepler5d_suite(args) -> _Suite:
     params = _system_params(args)
     # the printed constants overflow before the operator values do: evaluate
     # them first, so such input stops before any check runs on inf or NaN
@@ -236,30 +242,23 @@ def _verify_kepler(report: Report, args) -> None:
         integrals.append(("HL01", k.L[(0, 1)]))
     rows = [(f"jets.kepler5d.commute.{name}", ops.commutator_sides(k.H, op), 1e-10, _COMMUTES_H)
             for name, op in integrals]
-    rows.append(("jets.kepler5d.so5.L12L23",
-                 ops.commutator_sides(k.L[(1, 2)], k.L[(2, 3)],
-                                      {(k.L[(1, 3)],): -1j * params.hbar}),
-                 1e-11, "rotation algebra closure"))
-    relations = ops.closure_relations(k, algebra)
+    rows += [("jets.kepler5d.so5.L12L23",
+              ops.commutator_sides(k.L[(1, 2)], k.L[(2, 3)], {(k.L[(1, 3)],): -1j * params.hbar}),
+              1e-11, "rotation algebra closure"),
+             *_closure_rows("kepler5d"),
+             ("jets.kepler5d.closure.BC", lambda b: b.relations["BC"][0], 1e-9,
+              "printed [B,C] relation as an operator identity")]
+    relations = dict(zip(("AC", "BC"), ops.closure_relations(k, algebra)))
     # as many samples as the largest check drew when each drew its own
     n = max([args.trials] + [ops.relation_samples(spec, max(3, args.trials // 4))
-                             for spec in relations])
-    residuals, (ac, bc), _ = ops.check_suite([sides for _, sides, _, _ in rows], relations, n,
-                                             ops.kepler_sampler(), np.random.default_rng(args.seed))
-    _report_rows(report, rows, residuals)
-    closure = ops.ClosureReport.of(ac, bc)
-    _closure_checks(report, "kepler5d", closure)
-    report.required_check("jets.kepler5d.closure.BC",
-                          "printed [B,C] relation as an operator identity",
-                          residual=closure.residual_bc_printed, tolerance=1e-9)
-    _verify_fock_track(report, params, args.p)
+                             for spec in relations.values()])
+    return _Suite(rows, relations, ops.kepler_sampler(), n, fock=params)
 
 
-def _verify_osc8d(report: Report, args) -> None:
+def _osc8d_suite(args) -> _Suite:
     params = _system_params(args)
     o = ops.build_osc8d_operators(omega=params.omega, lambda1=params.lambda1,
                                   lambda2=params.lambda2, hbar=params.hbar)
-    t = max(2, args.trials // 2)
     block = "integral commutes with the block Casimir"
     rows = ([(f"jets.osc8d.commute.{name}", ops.commutator_sides(o.H, op), 1e-10, _COMMUTES_H)
              for name, op in (("HA", o.A), ("HB", o.B), ("HJ2", o.J2), ("HK2", o.K2),
@@ -268,87 +267,86 @@ def _verify_osc8d(report: Report, args) -> None:
                for name, a, b in (("AJ2", o.A, o.J2), ("AK2", o.A, o.K2),
                                   ("BJ2", o.B, o.J2), ("BK2", o.B, o.K2))]
             + [("jets.osc8d.commute.HB-literal", ops.commutator_sides(o.H, o.B_literal), None,
-                "literal full-Laplacian reading of the second integral")])
-    relations = ops.closure_relations(o, cat.osc8d_constants(params))
+                "literal full-Laplacian reading of the second integral"),
+               *_closure_rows("osc8d"),
+               ("jets.osc8d.closure.BC-printed", lambda b: b.relations["BC"][0], None,
+                "printed [B,C] relation (B^2 coefficient under adjudication)"),
+               ("jets.osc8d.closure.BC-fitted-b2",
+                lambda b: (b.relations["BC"][2], dict(zip(("b2_printed", "b2_fitted"),
+                                                          b.relations["BC"][1]["B^2"]))),
+                1e-9, "[B,C] with the fitted B^2 coefficient (-gamma)")])
+    relations = dict(zip(("AC", "BC"), ops.closure_relations(o, cat.osc8d_constants(params))))
     # as many samples as the largest check drew when each drew its own
-    n = max([t] + [ops.relation_samples(spec, max(2, t // 2)) for spec in relations])
-    residuals, (ac, bc), _ = ops.check_suite([sides for _, sides, _, _ in rows], relations, n,
-                                             ops.osc8d_sampler(), np.random.default_rng(args.seed))
-    _report_rows(report, rows, residuals)
-    closure = ops.ClosureReport.of(ac, bc)
-    _closure_checks(report, "osc8d", closure)
-    report.add("jets.osc8d.closure.BC-printed",
-               "printed [B,C] relation (B^2 coefficient under adjudication)",
-               status="finding", residual=closure.residual_bc_printed)
-    b2_printed, b2_fitted = closure.fit_bc["B^2"]
-    report.required_check("jets.osc8d.closure.BC-fitted-b2",
-                          "[B,C] with the fitted B^2 coefficient (-gamma)",
-                          residual=closure.fit_bc_residual, tolerance=1e-9,
-                          values={"b2_printed": b2_printed, "b2_fitted": b2_fitted})
-    _verify_fock_track(report, params, args.p)
+    t = max(2, args.trials // 2)
+    n = max([t] + [ops.relation_samples(spec, max(2, t // 2)) for spec in relations.values()])
+    return _Suite(rows, relations, ops.osc8d_sampler(), n, fock=params)
 
 
-def _verify_ycm(report: Report, args) -> None:
+def _gauge_antisymmetry(gauge: ops.GaugeData, ctx: ops.PointContext) -> float:
+    """The largest F_ik + F_ki, which vanishes identically; the rest is
+    rounding, measured per point against the field's own size."""
+    worst = 0.0
+    for (i, k), a in itertools.product(itertools.combinations(range(5), 2), range(3)):
+        fik, fki = gauge.field_jet(ctx, i, k, a).coeffs, gauge.field_jet(ctx, k, i, a).coeffs
+        scale = np.maximum(np.abs(np.stack([fik, fki])).max(axis=(0, 2)), 1.0)
+        worst = max(worst, float((np.abs(fik + fki).max(axis=1) / scale).max()))
+    return worst
+
+
+def _ycm_suite(args) -> _Suite:
     params = _system_params(args)
     kp = params.kepler
-    # as in _verify_kepler: input that overflows the printed constants stops
+    # as for kepler5d: input that overflows the printed constants stops
     # before any check runs on inf or NaN
     cat.kepler5d_constants(kp)
     y = ops.build_ycm_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar, T=params.T)
-    spin = y.spin
-    comm = spin.T1 @ spin.T2 - spin.T2 @ spin.T1 - 1j * spin.T3
-    cas = (spin.T1 @ spin.T1 + spin.T2 @ spin.T2 + spin.T3 @ spin.T3
-           - spin.casimir * np.eye(spin.dim))
-    report.required_check("jets.ycm.spin.commutation", "su(2) generator commutation",
-                          residual=float(np.abs(comm).max()), tolerance=1e-14)
-    report.required_check("jets.ycm.spin.casimir", "su(2) Casimir is T(T+1)",
-                          residual=float(np.abs(cas).max()), tolerance=1e-14)
-    integrals = (("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]), ("HM0", y.M[0]),
-                 ("HA", y.A), ("HB", y.B), ("HL2", y.L2))
+    t1, t2, t3 = y.spin.T1, y.spin.T2, y.spin.T3
+    comm = float(np.abs(t1 @ t2 - t2 @ t1 - 1j * t3).max())
+    cas = float(np.abs(t1 @ t1 + t2 @ t2 + t3 @ t3 - y.spin.casimir * np.eye(y.spin.dim)).max())
     rows = [(f"jets.ycm.commute.{name}", ops.commutator_sides(y.H, op), None,
              "claimed integral of the monopole system (reported residual)")
-            for name, op in integrals]
-    checks = [sides for _, sides, _, _ in rows]
-    if params.T == 0:
-        # the plain system's [H, A] on the same batch: equal trees give equal
-        # residuals
-        k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
-        checks.append(ops.commutator_sides(k.H, k.A))
-    # one batch for the gauge jets (10 points, as many as they ever took) and
-    # the rows; the gauge jets are checked at the batch degree, that of the
+            for name, op in (("HA", y.A), ("HL12", y.L[(1, 2)]), ("HL01", y.L[(0, 1)]),
+                             ("HM0", y.M[0]), ("HB", y.B), ("HL2", y.L2))]
+    # the gauge jets are checked at the batch degree, that of the
     # highest-order commutator
-    residuals, _, ctx = ops.check_suite(checks, (), max(10, args.trials // 4),
-                                        ops.kepler_sampler(), np.random.default_rng(args.seed))
-    gauge = y.gauge
-    worst_anti, worst_imag = 0.0, 0.0
-    for i in range(5):
-        for a in range(3):
-            worst_imag = max(worst_imag, float(
-                np.abs(gauge.potential_jet(ctx, i, a).coeffs.imag).max()))
-            for kk in range(i + 1, 5):
-                fik = gauge.field_jet(ctx, i, kk, a).coeffs
-                fki = gauge.field_jet(ctx, kk, i, a).coeffs
-                # F_ik + F_ki vanishes identically; the rest is rounding,
-                # measured per point against the field's own size
-                scale = np.maximum(np.abs(np.stack([fik, fki])).max(axis=(0, 2)), 1.0)
-                defect = np.abs(fik + fki).max(axis=1)
-                worst_anti = max(worst_anti, float((defect / scale).max()))
-    report.required_check("jets.ycm.gauge.antisymmetry", "field strength antisymmetry",
-                          residual=worst_anti, tolerance=1e-12)
-    report.required_check("jets.ycm.gauge.real", "gauge potential is real",
-                          residual=worst_imag, tolerance=1e-12)
-    _report_rows(report, rows, residuals[:len(rows)])
+    rows += [("jets.ycm.spin.commutation", lambda b: comm, 1e-14, "su(2) generator commutation"),
+             ("jets.ycm.spin.casimir", lambda b: cas, 1e-14, "su(2) Casimir is T(T+1)"),
+             ("jets.ycm.gauge.antisymmetry", lambda b: _gauge_antisymmetry(y.gauge, b.ctx),
+              1e-12, "field strength antisymmetry"),
+             ("jets.ycm.gauge.real",
+              lambda b: max(float(np.abs(y.gauge.potential_jet(b.ctx, i, a).coeffs.imag).max())
+                            for i in range(5) for a in range(3)),
+              1e-12, "gauge potential is real")]
+    plain = ()
     if params.T == 0:
-        ha = [name for name, _ in integrals].index("HA")
-        report.required_check("jets.ycm.t0-reduction",
-                              "T = 0 monopole trees reproduce the plain system",
-                              residual=abs(residuals[ha] - residuals[-1]), tolerance=1e-12)
+        # the plain system's [H, A] on the same batch as the monopole's, the
+        # first row: equal trees give equal residuals
+        k = ops.build_kepler_operators(c0=kp.c0, c1=kp.c1, c2=kp.c2, hbar=kp.hbar)
+        plain = (ops.commutator_sides(k.H, k.A),)
+        rows.append(("jets.ycm.t0-reduction", lambda b: abs(b.residuals[0] - b.residuals[-1]),
+                     1e-12, "T = 0 monopole trees reproduce the plain system"))
+    # one batch for the gauge jets (10 points, as many as they ever took) and
+    # the rows
+    return _Suite(rows, {}, ops.kepler_sampler(), max(10, args.trials // 4), unreported=plain)
 
 
 def cmd_verify(args) -> int:
     report = Report(command="verify", config=_config_echo(args), version=__version__)
-    verify = {"kepler5d": _verify_kepler, "osc8d": _verify_osc8d, "ycm": _verify_ycm}
-    verify[args.system](report, args)
+    suite = {"kepler5d": _kepler5d_suite, "osc8d": _osc8d_suite,
+             "ycm": _ycm_suite}[args.system](args)
+    checks = [measure for _, measure, _, _ in suite.rows if not callable(measure)]
+    residuals, results, ctx = ops.check_suite([*checks, *suite.unreported],
+                                              list(suite.relations.values()), suite.n_samples,
+                                              suite.sampler, np.random.default_rng(args.seed))
+    batch = types.SimpleNamespace(residuals=residuals, ctx=ctx,
+                                  relations=dict(zip(suite.relations, results)))
+    measured = iter(residuals)
+    for check, measure, tolerance, claim in suite.rows:
+        residual = measure(batch) if callable(measure) else next(measured)
+        _write_row(report, check, tolerance, claim,
+                   *(residual if isinstance(residual, tuple) else (residual,)))
+    if suite.fock is not None:
+        _verify_fock_track(report, suite.fock, args.p)
     return _write_report(report, args)
 
 
@@ -582,7 +580,7 @@ def _add_number(p: argparse.ArgumentParser, flag: str, kind, default,
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    _add_number(p, "--seed", int, 0)
+    _add_number(p, "--seed", int, 0, "non-negative")
     p.add_argument("--format", choices=("table", "json"), default="json")
     p.add_argument("--out", default=None)
 

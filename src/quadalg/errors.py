@@ -17,10 +17,6 @@ class NotPolynomialInEnergy(QuadalgError):
     """Structure constants whose structure function is not of degree <= 2 in E."""
 
 
-class ImaginaryM(QuadalgError):
-    """Radicand of an m-parameter is negative (unphysical channel)."""
-
-
 class SignError(QuadalgError):
     """Parameter map applied to inputs with the wrong sign (no bound-state dual)."""
 

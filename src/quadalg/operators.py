@@ -917,11 +917,6 @@ class ClosureReport:
     fit_ac_residual: float
     fit_bc_residual: float
 
-    @classmethod
-    def of(cls, ac: tuple, bc: tuple) -> "ClosureReport":
-        """From the check_relation results of [A,C] and [B,C]."""
-        return cls(ac[0], bc[0], ac[1], bc[1], ac[2], bc[2])
-
 
 def _words(o, word: tuple) -> dict:
     """The combination of a printed word: its letters, fields of the operators
@@ -970,8 +965,8 @@ def _closure_report(o, algebra: cat.PrintedAlgebra, trials: int, sampler: PointS
     batch as large as the larger relation check would draw."""
     relations = closure_relations(o, algebra)
     n = max(relation_samples(spec, trials) for spec in relations)
-    return ClosureReport.of(*check_suite((), relations, n, sampler,
-                                         np.random.default_rng(seed))[1])
+    ac, bc = check_suite((), relations, n, sampler, np.random.default_rng(seed))[1]
+    return ClosureReport(ac[0], bc[0], ac[1], bc[1], ac[2], bc[2])
 
 
 def kepler_quadratic_closure(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,

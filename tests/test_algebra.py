@@ -273,6 +273,42 @@ def test_solver_extracts_few_roots():
     assert sols and len(calls) <= (p_max + 1) * (1 + alg._SECANT_STEPS)
 
 
+_SEARCHED = [
+    (cat.kepler5d_constants, cat.kepler5d_energy_window, _kepler_pure()),
+    (cat.kepler5d_constants, cat.kepler5d_energy_window,
+     cat.Kepler5DParams(c1=0.25, c2=0.1, l=1.0)),
+    (cat.osc8d_constants, cat.osc8d_energy_window, cat.Oscillator8DParams(lambda1=0.5,
+                                                                          lambda2=0.3)),
+]
+
+
+@pytest.mark.parametrize("constants, window, params", _SEARCHED)
+def test_search_of_every_p_equals_the_search_up_to_each_p(constants, window, params):
+    # the seeds of every p are finished together; each p's candidates are,
+    # bit for bit, those of a search that stops at that p
+    gen = _general_family(constants(params))
+    every = alg.find_representations(gen, 3, energy_window=window(params, 3))
+    assert every
+    for k in range(3):
+        alone = alg.find_representations(gen, k, energy_window=window(params, 3))
+        assert [c for c in every if c.p <= k] == alone
+
+
+@pytest.mark.parametrize("constants, window, params", _SEARCHED)
+def test_search_extracts_roots_once_per_secant_step(constants, window, params):
+    # one batched call at the seeds of every p, then one per secant step
+    gen = _general_family(constants(params))
+    calls = []
+
+    def roots_of(energy):
+        calls.append(energy)
+        return gen.roots_of(energy)
+
+    fam = dataclasses.replace(gen, roots_of=roots_of)
+    assert alg.find_representations(fam, 3, energy_window=window(params, 3))
+    assert len(calls) <= 1 + alg._SECANT_STEPS
+
+
 def _roots_one_at_a_time(coeffs):
     """The roots of one polynomial as np.roots, np.polyval and np.argsort give them."""
     roots = np.roots(coeffs)

@@ -395,6 +395,18 @@ _CONFIG = "configuration error: "
      "quadalg crosscheck: error: argument --c0: invalid float value: 'x'"),
     (["crosscheck", "ycm", "--n1", "1.5"],
      "quadalg crosscheck: error: argument --n1: invalid int value: '1.5'"),
+    # a negative seed or Casimir label, which no run can use
+    (["verify", "kepler5d", "--p", "0", "--trials", "1", "--seed=-1"],
+     _CONFIG + "--seed must be non-negative, got -1"),
+    (["verify", "osc8d", "--p", "0", "--trials", "1", "--seed=-1"],
+     _CONFIG + "--seed must be non-negative, got -1"),
+    (["verify", "ycm", "--p", "0", "--trials", "1", "--seed=-1"],
+     _CONFIG + "--seed must be non-negative, got -1"),
+    (["crosscheck", "euler", "--grid", "64", "--levels", "1", "--seed=-1"],
+     _CONFIG + "--seed must be non-negative, got -1"),
+    (["verify", "kepler5d", "--p", "0", "--trials", "1", "--l=-1"],
+     _CONFIG + "Casimir label l is non-negative"),
+    (["spectrum", "ycm", "--L=-1e-200"], _CONFIG + "Casimir label L is non-negative"),
 ])
 def test_refusal_texts(capsys, argv, line):
     # one case per refusal rule: a flag's domain, a rule joining flags, a
@@ -406,6 +418,37 @@ def test_refusal_texts(capsys, argv, line):
         assert err == line + "\n"
     else:
         assert err.startswith("usage: quadalg ") and err.splitlines()[-1] == line
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_pipe_ends_with_the_reports_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["verify", "kepler5d", "--p", "0", "--trials", "2", "--seed", "7"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_ends_the_process_quietly():
+    # the reader closes its end before the report is written: the write
+    # fails, and so would the flush at exit without stdout pointed at devnull
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "quadalg.cli", "hurwitz-check"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 # each numeric flag takes these values, given as --flag=value: argparse reads
