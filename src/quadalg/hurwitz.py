@@ -42,9 +42,10 @@ class Point5Fiber:
         return np.asarray(self.x, dtype=float)
 
 
-def _base_map(u: np.ndarray, literal_x0: bool) -> np.ndarray:
-    """Base point of one point u (shape (8,)) or of each row of an (N, 8) stack."""
-    u = [u[..., j] for j in range(8)]
+def _base_map(u: np.ndarray, literal_x0: bool) -> tuple:
+    """Components x0..x4 of the base point of one point u (shape (8,)) or of
+    each column of an (8, N) stack."""
+    u = [u[j, ...] for j in range(8)]  # 0-d arrays for one point, not scalars
     x1 = 2 * (u[0] * u[4] - u[1] * u[5] - u[2] * u[6] - u[3] * u[7])
     x2 = 2 * (u[0] * u[5] + u[1] * u[4] - u[2] * u[7] + u[3] * u[6])
     x3 = 2 * (u[0] * u[6] + u[1] * u[7] + u[2] * u[4] - u[3] * u[5])
@@ -54,13 +55,16 @@ def _base_map(u: np.ndarray, literal_x0: bool) -> np.ndarray:
     else:
         x0 = (u[0] ** 2 + u[1] ** 2 + u[2] ** 2 + u[3] ** 2
               - u[4] ** 2 - u[5] ** 2 - u[6] ** 2 - u[7] ** 2)
-    return np.stack([x0, x1, x2, x3, x4], axis=-1)
+    return x0, x1, x2, x3, x4
 
 
-def _squared_norm(v: np.ndarray) -> np.ndarray:
-    """Sum of squares over the last axis, as one BLAS dot per row, so that a
-    row of a stack gets the bits np.dot gives the single point."""
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+def _squared_norm(v) -> np.ndarray:
+    """Sum of squares of the components v[0], v[1], ..., added in that order,
+    so that a column of a stack gets the bits of the single point."""
+    total = v[0] * v[0]
+    for row in v[1:]:
+        total = total + row * row
+    return total
 
 
 def hurwitz_forward(p: Point8, literal_x0: bool = False) -> Point5Fiber:
@@ -94,9 +98,11 @@ def euler_identity_residual(p, literal_x0: bool = False):
     u = p.array if isinstance(p, Point8) else np.asarray(p, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != 8:
         raise ValueError(f"need one point or an (N, 8) array, got shape {u.shape}")
-    norm4 = _squared_norm(u) ** 2
-    res = np.abs(_squared_norm(_base_map(u, literal_x0)) - norm4) / np.maximum(1.0, norm4)
-    return float(res) if res.ndim == 0 else res
+    # one contiguous row per component; one point is a stack of one
+    cols = np.ascontiguousarray(u.reshape(-1, 8).T)
+    norm4 = _squared_norm(cols) ** 2
+    res = np.abs(_squared_norm(_base_map(cols, literal_x0)) - norm4) / np.maximum(1.0, norm4)
+    return float(res[0]) if u.ndim == 1 else res
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,36 @@
 """Independent spectral oracle: finite-difference eigenproblems for the
 separated parabolic channels and the 4D radial oscillator blocks.
 
-Discretizations are flux-form symmetric second-order schemes; eigenvalues come
-from LAPACK's symmetric tridiagonal bisection (dstebz) and are
-Richardson-extrapolated over three doubled grids. The coarsest grid brackets
-its levels by index; each finer grid brackets them by value, between the
-coarser grid's levels and the Gershgorin bound, which skips the index search.
+Discretizations are flux-form symmetric second-order schemes, and eigenvalues
+are Richardson-extrapolated over three doubled grids. The coarsest grid finds
+its levels by LAPACK's symmetric tridiagonal bisection (dstebz) by index. Each
+finer grid refines every level by Rayleigh-quotient iteration from the same
+level on the next coarser grid (one tridiagonal solve, dgtsv, per step) and
+certifies it by two Sturm counts (dlarrc): a window of a few ulps of the
+matrix norm around the level must hold exactly one eigenvalue, at the wanted
+index. Where any level fails, the index-form bisection decides that grid, so
+the levels never depend on the coarser grid's, only the cost does.
 The paired parabolic channels are matched through the grid's exact scaling
 with sqrt(-beta) instead of a root search on beta: each channel needs only its
 levels at beta = -1, alpha = 0 on the three grids, its unit-channel ladder.
 A process keeps every ladder it solves (_unit_ladder) under the exact key
 (s, level count, coarsest grid), so commands run in one process solve each
 distinct ladder once, while a single command gains nothing. The key holds the
-exact level count because the coarser grid's deepest level brackets the finer
-grids' bisections, so no result depends on what was solved before. Nothing
-else in this module is kept across calls. A radial block's levels 0..n come
-from one sweep, one eigensolve per grid with the cutoff of level n, so a
-command that reports n + 1 levels solves each grid once. These spectra
-adjudicate the printed closed forms, so no printed formula is used anywhere in
-this module's numerics.
+exact level count because the coarsest grid's index range sets the last bits
+of its levels, and each finer level starts from them, so no result depends on
+what was solved before. Nothing else in this module is kept across calls. A
+radial block's levels 0..n come from one sweep with the cutoff of level n,
+one eigensolve per grid, so a command that reports n + 1 levels solves each
+grid once. These spectra adjudicate the printed closed forms, so no printed
+formula is used anywhere in this module's numerics.
 
-dstebz is called through ctypes in the LAPACK that numpy's own linalg
-extension is linked against (numpy's bundled OpenBLAS, with 64-bit integers),
-with the arguments scipy.linalg.eigh_tridiagonal passes, so every eigenvalue
-is bitwise scipy's and no command loads scipy. Where that library exports no
-dstebz of known integer width, scipy.linalg.lapack.dstebz is imported on the
-first solve instead.
+The LAPACK routines are called through ctypes in the LAPACK that numpy's own
+linalg extension is linked against (numpy's bundled OpenBLAS, with 64-bit
+integers), so no command loads scipy. dstebz gets the arguments
+scipy.linalg.eigh_tridiagonal passes, so every coarsest-grid eigenvalue is
+bitwise scipy's; where that library exports no dstebz of known integer width,
+scipy.linalg.lapack.dstebz is imported on the first solve instead. Where it
+exports no dgtsv or dlarrc, every grid is solved by index.
 """
 
 from __future__ import annotations
@@ -33,44 +38,54 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import GridTooCoarse, NoRoot
 
-# dstebz names whose LAPACK integers are int64 (OpenBLAS ILP64 builds)
-_DSTEBZ_SYMBOLS = ("scipy_dstebz_64_", "dstebz_64_")
 
+def _linalg_library():
+    """numpy.linalg's extension module opened as a shared library, or None.
 
-def _bind_dstebz():
-    """dstebz of the LAPACK numpy.linalg is linked against, or None.
-
-    The name is looked up through numpy's loaded linalg extension, so the
-    dynamic linker searches the libraries that extension links to.
+    Names are looked up through it, so the dynamic linker searches the
+    libraries that extension links to.
     """
     try:
         from numpy.linalg import _umath_linalg
 
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError, AttributeError):
         return None
-    for name in _DSTEBZ_SYMBOLS:
-        fn = getattr(lib, name, None)
+
+
+_LAPACK = _linalg_library()
+
+
+def _bind(routine: str, argtypes: list):
+    """routine of numpy's LAPACK with int64 integers (OpenBLAS ILP64 names), or None."""
+    if _LAPACK is None:
+        return None
+    for name in (f"scipy_{routine}_64_", f"{routine}_64_"):
+        fn = getattr(_LAPACK, name, None)
         if fn is not None:
-            i = ctypes.POINTER(ctypes.c_int64)
-            f = ctypes.POINTER(ctypes.c_double)
-            a = ctypes.c_void_p
-            # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
-            # ISPLIT, WORK, IWORK, INFO and the lengths of the two characters
-            fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i, f, f, i, i, f, a, a, i, i,
-                           a, a, a, a, a, i, ctypes.c_size_t, ctypes.c_size_t]
+            fn.argtypes = argtypes
             fn.restype = None
             return fn
     return None
 
 
-_DSTEBZ = _bind_dstebz()
+_I = ctypes.POINTER(ctypes.c_int64)
+_F = ctypes.POINTER(ctypes.c_double)
+_A, _C, _LEN = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+# RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT,
+# WORK, IWORK, INFO and the lengths of the two characters
+_DSTEBZ = _bind("dstebz", [_C, _C, _I, _F, _F, _I, _I, _F, _A, _A, _I, _I,
+                           _A, _A, _A, _A, _A, _I, _LEN, _LEN])
+# N, NRHS, DL, D, DU, B, LDB, INFO
+_DGTSV = _bind("dgtsv", [_I, _I, _A, _A, _A, _A, _I, _I])
+# JOBT, N, VL, VU, D, E, PIVMIN, EIGCNT, LCNT, RCNT, INFO and the length of JOBT
+_DLARRC = _bind("dlarrc", [_C, _I, _F, _F, _A, _A, _F, _I, _I, _I, _I, _LEN])
 
 
 def _dstebz(d: np.ndarray, e: np.ndarray, by_value: bool, vl: float, vu: float,
@@ -177,43 +192,98 @@ class EigenResult:
     error_estimate: float
 
 
-# a value bracket starts this far (relative to 1 + |hint|) beyond the hint,
-# and is widened 16-fold at most _WIDENINGS - 1 times before the index form
-_HINT_MARGIN = 0.05
-_WIDENINGS = 4
+# Rayleigh-quotient steps a level may take before the index form decides,
+# and the half-width of its certification window in ulps of the matrix norm
+_RQI_STEPS = 4
+_WINDOW_ULPS = 64
+
+
+def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float,
+                   rhs: np.ndarray) -> Optional[np.ndarray]:
+    """y with (T - shift) y = rhs, by LAPACK dgtsv (LU with partial
+    pivoting); None when a pivot is exactly zero."""
+    n = len(diag)
+    i64 = ctypes.c_int64
+    lower, upper, d, y, info = off.copy(), off.copy(), diag - shift, rhs.copy(), i64()
+    _DGTSV(i64(n), i64(1), lower.ctypes.data, d.ctypes.data, upper.ctypes.data,
+           y.ctypes.data, i64(n), info)
+    return y if info.value == 0 else None
+
+
+def _sturm_counts(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> tuple:
+    """The numbers of eigenvalues at or below lo and at or below hi, by the
+    Sturm counts of LAPACK dlarrc."""
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    count, below_lo, below_hi, info = i64(), i64(), i64(), i64()
+    _DLARRC(b"T", i64(len(diag)), f64(lo), f64(hi), diag.ctypes.data, off.ctypes.data,
+            f64(0.0), count, below_lo, below_hi, info, 1)
+    return below_lo.value, below_hi.value
+
+
+def _certified_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
+                      hint: Sequence[float]) -> Optional[np.ndarray]:
+    """The k highest (top, descending) or k lowest (ascending) eigenvalues by
+    Rayleigh-quotient iteration, each certified by Sturm counts; None if any
+    level fails.
+
+    Level j starts at the shift hint[j]. A step solves (T - shift) y = x,
+    moves the shift to the Rayleigh quotient of y, shift + (x.y)/(y.y), and
+    takes x = y/|y|; the level is the shift once a step moves it by less than
+    delta, _WINDOW_ULPS ulps of the Gershgorin norm. It is certified when
+    (level - delta, level + delta] holds exactly one eigenvalue and the counts
+    put it at index j from the top (top) or from the bottom. A zero pivot, a
+    non-finite step, a shift still moving after _RQI_STEPS steps, wrong counts
+    or a missing LAPACK routine fail it.
+    """
+    if _DGTSV is None or _DLARRC is None:
+        return None
+    n = len(diag)
+    diag, off = np.ascontiguousarray(diag, float), np.ascontiguousarray(off, float)
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    delta = _WINDOW_ULPS * np.finfo(float).eps * float(np.max(np.abs(diag) + radius))
+    levels = np.empty(k)
+    for j in range(k):
+        shift, x = float(hint[j]), np.full(n, 1.0 / np.sqrt(n))
+        for _ in range(_RQI_STEPS):
+            y = _shifted_solve(diag, off, shift, x)
+            if y is None:
+                return None
+            yy = float(y @ y)
+            if not 0.0 < yy < np.inf:
+                return None
+            step = float(x @ y) / yy
+            shift, x = shift + step, y / np.sqrt(yy)
+            if abs(step) < delta:
+                break
+        else:
+            return None
+        index = n - 1 - j if top else j
+        if _sturm_counts(diag, off, shift - delta, shift + delta) != (index, index + 1):
+            return None
+        levels[j] = shift
+    return levels
 
 
 def _extreme_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
-                    hint: Optional[float]) -> np.ndarray:
+                    hint: Optional[Sequence[float]] = None) -> np.ndarray:
     """The k highest eigenvalues (top, descending) or k lowest (ascending) of
     the symmetric tridiagonal matrix.
 
-    With no hint LAPACK brackets the k levels by index. A hint estimates the
-    deepest of the k levels (the coarser grid's value): the levels are then
-    bracketed by value, from just beyond the hint to the Gershgorin bound on
-    the other side. A bracket holding fewer than k eigenvalues is widened, and
-    after the last widening the index form decides, so the levels never
-    depend on the hint, only the cost does.
+    With no hint LAPACK bisects the k levels by index. A hint holds the k
+    levels on a coarser grid, in the same order: each level is then refined
+    from its own and certified (_certified_levels), and where any level fails
+    the index form decides, so the levels never depend on the hint, only the
+    cost does.
     """
     n = len(diag)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= levels <= {n} grid cells, got {k}")
     if hint is not None:
-        radius = np.zeros(n)
-        radius[:-1] += np.abs(off)
-        radius[1:] += np.abs(off)
-        lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
-        margin = _HINT_MARGIN * (1.0 + abs(hint))
-        for _ in range(_WIDENINGS):
-            if top:
-                bracket = (min(hint, upper) - margin, upper + margin)
-            else:
-                bracket = (lower - margin, max(hint, lower) + margin)
-            vals = eigh_tridiagonal(diag, off, select="v", select_range=bracket,
-                                    eigvals_only=True)
-            if len(vals) >= k:
-                return vals[::-1][:k] if top else vals[:k]
-            margin *= 16.0
+        levels = _certified_levels(diag, off, k, top, hint)
+        if levels is not None:
+            return levels
     first = n - k if top else 0
     vals = eigh_tridiagonal(diag, off, select="i", select_range=(first, first + k - 1),
                             eigvals_only=True)
@@ -221,13 +291,14 @@ def _extreme_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
 
 
 def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
-                      cutoff: float, hint: Optional[float] = None) -> np.ndarray:
+                      cutoff: float, hint: Optional[Sequence[float]] = None) -> np.ndarray:
     """Top eigenvalues (descending) of the discretized channel operator, times 2.
 
     Flux form of d/dx (x d/dx) on the midpoint grid x_i = (i + 1/2) h; the cell
     face at x = 0 carries zero weight, which is the natural boundary for the
-    x-weighted operator, and the cutoff end is Dirichlet. hint, if given, is
-    the lowest wanted level (times 2) on a coarser grid; see _extreme_levels.
+    x-weighted operator, and the cutoff end is Dirichlet. hint, if given,
+    holds the wanted levels (descending, times 2) on a coarser grid; see
+    _extreme_levels.
     """
     h = cutoff / n_grid
     x = (np.arange(n_grid) + 0.5) * h
@@ -244,7 +315,7 @@ def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
     diag = diag - sx / (4 * x) + spec.alpha / 4 + (spec.beta / 4) * x
     off = faces_right[:-1] / h**2
     return 2.0 * _extreme_levels(diag, off, n_levels, True,
-                                 None if hint is None else hint / 2.0)
+                                 None if hint is None else np.asarray(hint) / 2.0)
 
 
 def _richardson(solve, n_grid: int, max_grid: int):
@@ -252,7 +323,7 @@ def _richardson(solve, n_grid: int, max_grid: int):
 
     solve(grid, previous) returns a value (or an array of values) with an h^2
     error; previous is what it returned on the next coarser grid, None on the
-    first, so that a finer solve can bracket its levels from the coarser ones.
+    first, so that a finer solve can refine its levels from the coarser ones.
     Extrapolates (4 fine - coarse) / 3 on the two finer pairs of grids and
     takes their difference as the error estimate. Returns (finest grid, values
     on the three grids, extrapolated value, error estimate).
@@ -278,9 +349,10 @@ def _unit_ladder(s: float, n: int, n_grid: int) -> tuple:
     """Top n + 1 levels (descending, times 2) of the unit channel, beta = -1
     and alpha = 0, with the cutoff 40, on n_grid, 2 n_grid and 4 n_grid cells.
 
-    The coarsest grid finds its levels by index and each finer grid brackets
-    them by value from the coarser grid's level n. Kept per process under the
-    exact (s, n, n_grid): the bracket sets the bisection's last bits, so a
+    The coarsest grid finds its levels by index and each finer grid refines
+    every level from the same level on the coarser grid. Kept per process
+    under the exact (s, n, n_grid): the coarsest grid's index range sets the
+    last bits of its levels, and the finer levels start from them, so a
     ladder of more levels is never read for fewer, and no value depends on
     what was solved before. Plain floats, so no LAPACK output buffer is kept.
     """
@@ -289,7 +361,7 @@ def _unit_ladder(s: float, n: int, n_grid: int) -> tuple:
     for grid in (n_grid, 2 * n_grid, 4 * n_grid):
         levels = tuple(float(v) for v in _parabolic_levels(spec, n + 1, grid, 40.0, hint))
         ladder.append(levels)
-        hint = levels[n]
+        hint = levels
     return tuple(ladder)
 
 
@@ -342,10 +414,10 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
 
 
 def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
-                   cutoff: float, hint: Optional[float] = None) -> np.ndarray:
+                   cutoff: float, hint: Optional[Sequence[float]] = None) -> np.ndarray:
     """Lowest eigenvalues of the 4D radial block in flux form with weight r^3.
 
-    hint, if given, is the highest wanted level on a coarser grid; see
+    hint, if given, holds the wanted levels (ascending) on a coarser grid; see
     _extreme_levels.
     """
     h = cutoff / n_grid
@@ -369,10 +441,10 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
     EigenResults indexed by level.
 
     One sweep solves all n + 1 levels on each grid, with the cutoff of level
-    n, and each finer grid brackets them from the coarser grid's level n. So
-    element [n] is bitwise a sweep that keeps level n alone, while a lower
-    level k carries level n's cutoff, not its own. Raises GridTooCoarse
-    naming the lowest level whose error estimate misses target.
+    n: the coarsest grid by index, and each finer grid refines every level
+    from the same level on the coarser grid. So a lower level k carries level
+    n's cutoff, not its own. Raises GridTooCoarse naming the lowest level
+    whose error estimate misses target.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -381,9 +453,7 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
         width = np.sqrt(spec.hbar / spec.omega)
         cutoff = width * (np.sqrt(4.0 * n + 10.0) + 6.0)
     grid, _, extrap, err = _richardson(
-        lambda g, previous: _radial_levels(spec, n + 1, g, cutoff,
-                                           None if previous is None else previous[-1]),
-        n_grid, max_grid)
+        lambda g, previous: _radial_levels(spec, n + 1, g, cutoff, previous), n_grid, max_grid)
     for k, e in enumerate(err):
         if e > target:
             raise GridTooCoarse(f"radial level {k}: error {e:.3e} above {target:.1e}")

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -214,21 +215,35 @@ def test_crosscheck_osc8d_block_sum_uses_the_solved_coupling(tmp_path):
     assert block_sum["formula"] == pytest.approx(6.0)
 
 
-def test_crosscheck_osc8d_solves_all_levels_once_per_grid(tmp_path, monkeypatch):
-    # one sweep serves every reported level: one eigensolve on each grid
+def _count_solves(monkeypatch):
+    """Grid sizes of the oracle's eigensolves from here on: every solve, and
+    those made by index (LAPACK bisection) rather than certified refinement."""
     from quadalg import odecheck as ode
 
-    calls = []
-    eigh = ode.eigh_tridiagonal
+    solves, by_index = [], []
+    extreme, eigh = ode._extreme_levels, ode.eigh_tridiagonal
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return eigh(*args, **kwargs)
+    def counted(diag, off, k, top, hint=None):
+        solves.append(len(diag))
+        return extreme(diag, off, k, top, hint)
 
-    monkeypatch.setattr(ode, "eigh_tridiagonal", counted)
+    def counted_index(d, e, **kwargs):
+        by_index.append(len(d))
+        return eigh(d, e, **kwargs)
+
+    monkeypatch.setattr(ode, "_extreme_levels", counted)
+    monkeypatch.setattr(ode, "eigh_tridiagonal", counted_index)
+    return solves, by_index
+
+
+def test_crosscheck_osc8d_solves_all_levels_once_per_grid(tmp_path, monkeypatch):
+    # one sweep serves every reported level: one eigensolve on each grid, by
+    # index on the coarsest and certified on the finer ones
+    solves, by_index = _count_solves(monkeypatch)
     assert main(["crosscheck", "osc8d", "--levels", "3",
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == [1024, 2048, 4096]
+    assert solves == [1024, 2048, 4096]
+    assert by_index == [1024]
 
 
 def test_crosscheck_osc8d_accuracy_limit_is_a_finding(tmp_path, capsys):
@@ -536,17 +551,19 @@ def test_vanishing_couplings_build_no_coefficient(tmp_path, monkeypatch, couplin
     assert "1/r" in keys
 
 
+# the benchmark's directory beside tests/, which a checkout may lack
+_BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
 def test_every_name_the_benchmark_tracer_wraps_exists():
     # perfbench/tracing.py wraps package functions by name and records a
     # missing one as absent, which leaves that layer unmeasured
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-    if not os.path.isfile(os.path.join(bench, "tracing.py")):
+    if not os.path.isfile(os.path.join(_BENCH, "tracing.py")):
         pytest.skip("no perfbench/ beside tests/")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
     script = f"""
 import json, sys
-sys.path[:0] = [{src!r}, {bench!r}]
+sys.path[:0] = [{src!r}, {_BENCH!r}]
 import quadalg.cli
 import tracing
 tracer = tracing.Tracer()
@@ -558,26 +575,48 @@ print(json.dumps(tracer.absent))
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+def _bench_module(name):
+    # perfbench/<name>.py, read without putting perfbench/ on the import path
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  os.path.join(_BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_oracle_sweep_keeps_its_reference_verdicts(capsys):
+    # every command of the benchmark's oracle-sweep workload at seed 7, judged
+    # against the recorded verdicts as the benchmark judges it, so an oracle
+    # change that flips a sweep verdict fails here and not only there
+    if not all(os.path.isfile(os.path.join(_BENCH, f"{name}.py"))
+               for name in ("workloads", "verdicts")):
+        pytest.skip("no perfbench/ beside tests/")
+    workloads, verdicts = _bench_module("workloads"), _bench_module("verdicts")
+    reference = verdicts.load_reference()
+    failed = {}
+    for key, argv in workloads.commands("oracle-sweep", 7):
+        code = main(argv)
+        reasons = verdicts.failures(reference[key], code, capsys.readouterr().out)
+        if reasons:
+            failed[key] = reasons
+    assert failed == {}
+
+
 
 @pytest.mark.parametrize("channel, solves", [("s1=0.5,s2=0.5", 3), ("s1=0,s2=1", 6)])
 def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
         tmp_path, monkeypatch, channel, solves):
-    # three grids; equal channels share one solve for both levels
+    # three grids; equal channels share one solve for both levels; only the
+    # coarsest grid is solved by index
     from quadalg import odecheck as ode
 
     ode._unit_ladder.cache_clear()
-    calls = []
-    eigh = ode.eigh_tridiagonal
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(ode, "eigh_tridiagonal", counted)
+    calls, by_index = _count_solves(monkeypatch)
     main(["crosscheck", "ycm", "--channel", channel, "--n1", "1",
           "--out", str(tmp_path / "r.json")])
     assert len(calls) == solves
     assert sorted(set(calls)) == [1024, 2048, 4096]
+    assert by_index == [1024] * (solves // 3)
 
 
 def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, monkeypatch):
@@ -588,14 +627,7 @@ def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, monkeypatch):
             "--out", str(tmp_path / "r.json")]
     ode._unit_ladder.cache_clear()
     assert main(argv) == 0
-    calls = []
-    eigh = ode.eigh_tridiagonal
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(ode, "eigh_tridiagonal", counted)
+    calls, _ = _count_solves(monkeypatch)
     assert main(argv) == 0
     assert calls == []
 

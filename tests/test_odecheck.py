@@ -326,47 +326,80 @@ def test_richardson_solves_only_the_three_finest_grids(monkeypatch):
         ode.RadialOscillatorSpec(), 0, n_grid=1024)[0].extrapolated
 
 
-# -- value-bracketed finer grids -----------------------------------------------------
+# -- certified finer grids -------------------------------------------------------------
 
 def _radial_cutoff(spec, n):
     # the cutoff radial_oscillator_eigensolve uses for level n
     return np.sqrt(spec.hbar / spec.omega) * (np.sqrt(4.0 * n + 10.0) + 6.0)
 
 
+def _matrix(monkeypatch, levels, spec, n_grid, cutoff):
+    # the (diag, off, top) that levels() hands to the eigensolver
+    seen = []
+    extreme = ode._extreme_levels
+
+    def spy(diag, off, k, top, hint=None):
+        seen.append((diag, off, top))
+        return extreme(diag, off, k, top, hint)
+
+    monkeypatch.setattr(ode, "_extreme_levels", spy)
+    levels(spec, 1, n_grid, cutoff)
+    monkeypatch.setattr(ode, "_extreme_levels", extreme)
+    return seen[0]
+
+
+def _index_solves(monkeypatch):
+    # the select of every eigh_tridiagonal call from here on
+    selects = []
+    eigh = ode.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        selects.append(kwargs["select"])
+        return eigh(d, e, **kwargs)
+
+    monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
+    return selects
+
+
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("k", [1, 2])
-def test_bracketed_parabolic_levels_equal_the_index_form(s, k):
-    # each grid brackets its levels from the next coarser grid's, as in the
-    # Richardson sweep; the value form must find the same levels
+def test_bracketed_parabolic_levels_equal_the_index_form(monkeypatch, s, k):
+    # each finer grid refines its levels from the next coarser grid's, as in
+    # the Richardson sweep: every level is certified, and the certified levels
+    # are the index form's
     spec = ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
-    for n in (1024, 2048, 4096):
-        hint = ode._parabolic_levels(spec, k, n // 2, 40.0)[-1]
-        by_value = ode._parabolic_levels(spec, k, n, 40.0, hint)
-        by_index = ode._parabolic_levels(spec, k, n, 40.0)
-        assert by_value.shape == (k,)
-        np.testing.assert_allclose(by_value, by_index, rtol=0, atol=1e-9)
+    for n in (2048, 4096):
+        hint = ode._parabolic_levels(spec, k, n // 2, 40.0)
+        diag, off, top = _matrix(monkeypatch, ode._parabolic_levels, spec, n, 40.0)
+        certified = ode._certified_levels(diag, off, k, top, hint / 2)
+        assert certified is not None and certified.shape == (k,)
+        np.testing.assert_allclose(2 * certified, ode._parabolic_levels(spec, k, n, 40.0),
+                                   rtol=0, atol=1e-9)
+        assert np.array_equal(ode._parabolic_levels(spec, k, n, 40.0, hint), 2 * certified)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_bracketed_radial_levels_equal_the_index_form(lam, k):
+def test_bracketed_radial_levels_equal_the_index_form(monkeypatch, lam, k):
     spec = ode.RadialOscillatorSpec(lam=lam)
     cutoff = _radial_cutoff(spec, k - 1)
-    for n in (1024, 2048, 4096):
-        hint = ode._radial_levels(spec, k, n // 2, cutoff)[-1]
-        by_value = ode._radial_levels(spec, k, n, cutoff, hint)
-        by_index = ode._radial_levels(spec, k, n, cutoff)
-        assert by_value.shape == (k,)
-        np.testing.assert_allclose(by_value, by_index, rtol=0, atol=1e-9)
+    for n in (2048, 4096):
+        hint = ode._radial_levels(spec, k, n // 2, cutoff)
+        diag, off, top = _matrix(monkeypatch, ode._radial_levels, spec, n, cutoff)
+        certified = ode._certified_levels(diag, off, k, top, hint)
+        assert certified is not None and certified.shape == (k,)
+        np.testing.assert_allclose(certified, ode._radial_levels(spec, k, n, cutoff),
+                                   rtol=0, atol=1e-9)
+        assert np.array_equal(ode._radial_levels(spec, k, n, cutoff, hint), certified)
 
 
 @pytest.mark.parametrize("hint", [-1e6, -50.0, -0.2, 50.0, 1e6])
 def test_parabolic_levels_do_not_depend_on_a_wrong_hint(hint):
-    # the top two unit levels are about -1.7 and -3.7; a hint far below them
-    # brackets many levels, one above them brackets too few and is widened
+    # the top two unit levels are about -1.7 and -3.7; both start from a value
+    # far from them or between them
     spec = ode.ParabolicChannelSpec(s=0.5, alpha=0.0, beta=-1.0)
     expected = ode._parabolic_levels(spec, 2, 1024, 40.0)
-    got = ode._parabolic_levels(spec, 2, 1024, 40.0, hint)
+    got = ode._parabolic_levels(spec, 2, 1024, 40.0, (hint, hint))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
@@ -376,36 +409,77 @@ def test_radial_levels_do_not_depend_on_a_wrong_hint(hint):
     spec = ode.RadialOscillatorSpec()
     cutoff = _radial_cutoff(spec, 2)
     expected = ode._radial_levels(spec, 3, 1024, cutoff)
-    got = ode._radial_levels(spec, 3, 1024, cutoff, hint)
+    got = ode._radial_levels(spec, 3, 1024, cutoff, (hint,) * 3)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("widenings, selects", [(4, ["v", "v"]), (1, ["v", "i"])])
-def test_a_bracket_holding_too_few_levels_is_widened(monkeypatch, widenings, selects):
-    # a hint between the two wanted levels brackets one of them first; the
-    # bracket is widened, and after the last widening the index form decides
+@pytest.mark.parametrize("misled", [0, 1])
+def test_a_hint_nearer_the_neighbouring_level_falls_back_to_the_index_form(monkeypatch,
+                                                                           misled):
+    # one level starts nearer the other wanted level, so the iteration finds
+    # that one, the Sturm counts place it at the other's index, and the index
+    # form decides the grid
     spec = ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0)
-    expected = ode._parabolic_levels(spec, 2, 1024, 40.0)
-    found = []
-    eigh = ode.eigh_tridiagonal
+    expected = ode._parabolic_levels(spec, 2, 2048, 40.0)
+    hint = ode._parabolic_levels(spec, 2, 1024, 40.0)
+    hint[misled] = hint[1 - misled] + 0.1 * (hint[misled] - hint[1 - misled])
+    selects = _index_solves(monkeypatch)
+    got = ode._parabolic_levels(spec, 2, 2048, 40.0, hint)
+    assert np.array_equal(got, expected)
+    assert selects == ["i"]
 
-    def spy(d, e, **kwargs):
-        vals = eigh(d, e, **kwargs)
-        found.append((kwargs["select"], len(vals)))
-        return vals
 
-    monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
-    monkeypatch.setattr(ode, "_WIDENINGS", widenings)
-    got = ode._parabolic_levels(spec, 2, 1024, 40.0, expected.mean())
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
-    assert [select for select, _ in found] == selects
-    assert found[0][1] == 1 and found[-1][1] >= 2
+@pytest.mark.parametrize("plant", [lambda lo, hi: (lo + 1, hi + 1), lambda lo, hi: (lo - 1, hi)],
+                         ids=["wrong-index", "two-in-the-window"])
+def test_a_planted_count_mismatch_falls_back_to_the_index_form(monkeypatch, plant):
+    spec = ode.RadialOscillatorSpec()
+    cutoff = _radial_cutoff(spec, 2)
+    hint = ode._radial_levels(spec, 3, 1024, cutoff)
+    expected = ode._radial_levels(spec, 3, 2048, cutoff)
+    selects = _index_solves(monkeypatch)
+    certified = ode._radial_levels(spec, 3, 2048, cutoff, hint)
+    assert selects == []
+    np.testing.assert_allclose(certified, expected, rtol=0, atol=1e-9)
+    counts = ode._sturm_counts
+    monkeypatch.setattr(ode, "_sturm_counts", lambda *args: plant(*counts(*args)))
+    assert np.array_equal(ode._radial_levels(spec, 3, 2048, cutoff, hint), expected)
+    assert selects == ["i"]
+
+
+@pytest.mark.parametrize("routine", ["_DGTSV", "_DLARRC"])
+def test_without_the_refinement_routines_every_grid_is_solved_by_index(monkeypatch,
+                                                                       routine):
+    spec = ode.ParabolicChannelSpec(s=0.5, alpha=0.0, beta=-1.0)
+    hint = ode._parabolic_levels(spec, 2, 1024, 40.0)
+    expected = ode._parabolic_levels(spec, 2, 2048, 40.0)
+    monkeypatch.setattr(ode, routine, None)
+    selects = _index_solves(monkeypatch)
+    assert np.array_equal(ode._parabolic_levels(spec, 2, 2048, 40.0, hint), expected)
+    assert selects == ["i"]
+
+
+def test_a_shift_at_an_eigenvalue_does_not_crash(monkeypatch):
+    # the grid's own levels as the hint: the first solve is as near singular
+    # as a shift gets, and the levels are still certified
+    spec = ode.RadialOscillatorSpec(lam=0.5)
+    cutoff = _radial_cutoff(spec, 2)
+    expected = ode._radial_levels(spec, 3, 2048, cutoff)
+    np.testing.assert_allclose(ode._radial_levels(spec, 3, 2048, cutoff, expected),
+                               expected, rtol=0, atol=1e-9)
+    # 0 is an eigenvalue of this matrix in exact arithmetic, and the LU of
+    # the matrix shifted by 0 meets a zero pivot: the index form decides
+    d, e = np.zeros(3), np.ones(2)
+    assert ode._shifted_solve(d, e, 0.0, np.ones(3)) is None
+    expected = ode.eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
+    selects = _index_solves(monkeypatch)
+    assert np.array_equal(ode._extreme_levels(d, e, 2, False, (-np.sqrt(2.0), 0.0)), expected)
+    assert selects == ["i"]
 
 
 @pytest.mark.parametrize("k", [0, 65])
 def test_level_count_must_fit_the_grid(k):
     spec = ode.RadialOscillatorSpec()
-    for hint in (None, 2.0):
+    for hint in (None, (2.0,) * k):
         with pytest.raises(ValueError, match="levels"):
             ode._radial_levels(spec, k, 64, 10.0, hint)
 
@@ -414,18 +488,22 @@ def test_level_count_must_fit_the_grid(k):
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 def test_radial_sweep_top_level_is_the_single_level_solve(lam):
-    # level n of the sweep is bitwise a sweep that keeps only level n: the same
-    # matrices at level n's cutoff, each finer grid bracketed from level n
+    # level n of the sweep is bitwise the sweep's matrices at level n's cutoff,
+    # each finer grid refined from the coarser grid's levels; and it is a
+    # solve of level n alone, by index on every grid, up to bisection noise
     spec = ode.RadialOscillatorSpec(lam=lam)
     n = 2
     cutoff = _radial_cutoff(spec, n)
     grid, _, extrap, err = ode._richardson(
-        lambda g, previous: ode._radial_levels(spec, n + 1, g, cutoff, previous)[n],
-        1024, 4096)
+        lambda g, previous: ode._radial_levels(spec, n + 1, g, cutoff, previous), 1024, 4096)
     levels = ode.radial_oscillator_eigensolve(spec, n)
     assert len(levels) == n + 1
-    assert levels[n] == ode.EigenResult(grid_size=grid, extrapolated=float(extrap),
-                                        error_estimate=float(err))
+    assert levels[n] == ode.EigenResult(grid_size=grid, extrapolated=float(extrap[n]),
+                                        error_estimate=float(err[n]))
+    _, _, alone, alone_err = ode._richardson(
+        lambda g, _previous: ode._radial_levels(spec, n + 1, g, cutoff)[n], 1024, 4096)
+    assert abs(levels[n].extrapolated - alone) <= 1e-9
+    assert abs(levels[n].error_estimate - alone_err) <= 1e-9
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
@@ -449,15 +527,19 @@ def test_radial_sweep_names_the_lowest_level_that_misses_the_target():
 # -- tridiagonal bisection through numpy's LAPACK ------------------------------------
 
 def _sweep_solves(monkeypatch):
-    """(d, e, keywords) of the eigensolves on the oracle sweep's matrices: the
+    """(d, e, keywords) of eigensolves on the oracle sweep's matrices: the
     parabolic unit channels s in {0, 0.5, 1} and the radial blocks lambda in
-    {0, 0.5, 2} on 1024, 2048 and 4096 cells, each by index and by value."""
+    {0, 0.5, 2} on 1024, 2048 and 4096 cells, each by index and by value
+    around the levels found."""
     calls = []
     eigh = ode.eigh_tridiagonal
 
     def spy(d, e, **kwargs):
+        vals = eigh(d, e, **kwargs)
         calls.append((d, e, kwargs))
-        return eigh(d, e, **kwargs)
+        calls.append((d, e, {"select": "v", "eigvals_only": True,
+                             "select_range": (vals.min() - 0.5, vals.max() + 0.5)}))
+        return vals
 
     monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
     cases = [(ode._parabolic_levels, ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0), 2, 40.0)
@@ -467,8 +549,7 @@ def _sweep_solves(monkeypatch):
         cases.append((ode._radial_levels, spec, 3, _radial_cutoff(spec, 2)))
     for levels, spec, k, cutoff in cases:
         for n in (1024, 2048, 4096):
-            by_index = levels(spec, k, n, cutoff)
-            levels(spec, k, n, cutoff, by_index[-1])
+            levels(spec, k, n, cutoff)
     monkeypatch.setattr(ode, "eigh_tridiagonal", eigh)
     assert sorted({kw["select"] for _, _, kw in calls}) == ["i", "v"]
     return calls
