@@ -26,6 +26,7 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import locale  # noqa: F401  argparse loads it lazily: load it here, not in the first message
 import math
 import os
 import sys

@@ -54,14 +54,40 @@ class JetSpace:
         assert self.n_terms == comb(n_vars + degree, degree)
         self.term_degree = self.exps.sum(axis=1).astype(np.int64)
         self.term_level_starts = np.searchsorted(self.term_degree, np.arange(degree + 2))
-        # exponent tuples as base-(degree + 1) integers: a key is linear in the
-        # exponents, so the key of a product term is the sum of the keys
-        self._radix = (degree + 1) ** np.arange(n_vars, dtype=np.int64)
-        self._keys = self.exps.astype(np.int64) @ self._radix
-        self._key_order = np.argsort(self._keys)
+        self._build_keys()
         self._build_mul_table()
         self._build_div_table()
         self._build_deriv_tables()
+
+    def cut(self, degree: int) -> "JetSpace":
+        """The space of the same variables at a lower degree, its tables cut
+        from these rather than built: terms are ordered by degree, so each
+        table is a prefix of this one's, except the product table, which
+        keeps its triples with k below the lower n_terms, in their order (so
+        every product sums its pairs in the order a built space would)."""
+        out = object.__new__(JetSpace)
+        n = comb(self.n_vars + degree, degree)
+        out.n_vars, out.degree, out.n_terms = self.n_vars, degree, n
+        out.exps, out.term_degree = self.exps[:n], self.term_degree[:n]
+        out.term_level_starts = self.term_level_starts[:degree + 2]
+        out._build_keys()
+        keep = self.mul_k < n
+        out.mul_i, out.mul_j, out.mul_k = self.mul_i[keep], self.mul_j[keep], self.mul_k[keep]
+        m = self.div_level_starts[degree + 1]
+        out.div_i, out.div_j, out.div_k = self.div_i[:m], self.div_j[:m], self.div_k[:m]
+        out.div_level_starts = self.div_level_starts[:degree + 2]
+        below = self.term_level_starts[degree]  # the terms of degree below the lower one
+        out.deriv_dst = [self.deriv_dst[0][:below]] * self.n_vars
+        out.deriv_src = [src[:below] for src in self.deriv_src]
+        out.deriv_coef = [coef[:below] for coef in self.deriv_coef]
+        return out
+
+    def _build_keys(self):
+        """Exponent tuples as base-(degree + 1) integers: a key is linear in
+        the exponents, so the key of a product term is the sum of the keys."""
+        self._radix = (self.degree + 1) ** np.arange(self.n_vars, dtype=np.int64)
+        self._keys = self.exps.astype(np.int64) @ self._radix
+        self._key_order = np.argsort(self._keys)
 
     def _index_of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Term indices of exponent keys, all of which must be terms."""
@@ -136,9 +162,20 @@ class JetSpace:
         return out
 
 
-@lru_cache(maxsize=None)
+_spaces: dict = {}
+
+
 def jet_space(n_vars: int, degree: int) -> JetSpace:
-    return JetSpace(n_vars, degree)
+    """The JetSpace of n_vars and degree, kept per process: cut from the
+    lowest kept space of the same variables and a higher degree
+    (JetSpace.cut), built where there is none."""
+    space = _spaces.get((n_vars, degree))
+    if space is None:
+        higher = [d for n, d in _spaces if n == n_vars and d > degree >= 0]
+        space = (_spaces[n_vars, min(higher)].cut(degree) if higher
+                 else JetSpace(n_vars, degree))
+        _spaces[n_vars, degree] = space
+    return space
 
 
 @dataclass(frozen=True)

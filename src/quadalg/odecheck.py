@@ -2,35 +2,33 @@
 separated parabolic channels and the 4D radial oscillator blocks.
 
 Discretizations are flux-form symmetric second-order schemes, and eigenvalues
-are Richardson-extrapolated over three doubled grids. The coarsest grid finds
-its levels by LAPACK's symmetric tridiagonal bisection (dstebz) by index. Each
-finer grid refines every level by Rayleigh-quotient iteration from the same
-level on the next coarser grid (one tridiagonal solve, dgtsv, per step) and
-certifies it by two Sturm counts (dlarrc): a window of a few ulps of the
-matrix norm around the level must hold exactly one eigenvalue, at the wanted
-index. Where any level fails, the index-form bisection decides that grid, so
-the levels never depend on the coarser grid's, only the cost does.
-The paired parabolic channels are matched through the grid's exact scaling
-with sqrt(-beta) instead of a root search on beta: each channel needs only its
-levels at beta = -1, alpha = 0 on the three grids, its unit-channel ladder.
-A process keeps every ladder it solves (_unit_ladder) under the exact key
-(s, level count, coarsest grid), so commands run in one process solve each
-distinct ladder once, while a single command gains nothing. The key holds the
-exact level count because the coarsest grid's index range sets the last bits
-of its levels, and each finer level starts from them, so no result depends on
-what was solved before. Nothing else in this module is kept across calls. A
-radial block's levels 0..n come from one sweep with the cutoff of level n,
-one eigensolve per grid, so a command that reports n + 1 levels solves each
-grid once. These spectra adjudicate the printed closed forms, so no printed
-formula is used anywhere in this module's numerics.
+are Richardson-extrapolated over three doubled grids, all solved in one sweep
+(_sweep). A pilot grid of 1/_PILOT_RATIO of the coarsest grid's cells finds
+the wanted levels by LAPACK's symmetric tridiagonal bisection (dstebz) by
+index. Each Richardson grid refines every level by Rayleigh-quotient
+iteration from the same level on the next coarser grid (one tridiagonal
+solve, dgtsv, per step) and certifies it by two Sturm counts (dlarrc): a
+window of a few ulps of the matrix norm around the level must hold exactly
+one eigenvalue, at the wanted index. Where any level fails, or the pilot has
+too few cells for the wanted levels, the index form decides that grid, so a
+coarser grid's levels set the cost and the last bits, never which eigenvalue
+a level is. The paired parabolic channels are matched through the grid's
+exact scaling with sqrt(-beta) instead of a root search on beta: each channel
+needs only its level at beta = -1, alpha = 0 on the three grids. A process
+keeps every such level it solves (_unit_level) under (s, level, coarsest
+grid); each is swept alone, from its own pilot, so it does not depend on the
+other levels a command asks for or on what was solved before. Nothing else
+in this module is kept across calls. A radial block's levels 0..n come from
+one sweep with the cutoff of level n. These spectra adjudicate the printed
+closed forms, so no printed formula is used in this module's numerics.
 
 The LAPACK routines are called through ctypes in the LAPACK that numpy's own
 linalg extension is linked against (numpy's bundled OpenBLAS, with 64-bit
 integers), so no command loads scipy. dstebz gets the arguments
-scipy.linalg.eigh_tridiagonal passes, so every coarsest-grid eigenvalue is
-bitwise scipy's; where that library exports no dstebz of known integer width,
-scipy.linalg.lapack.dstebz is imported on the first solve instead. Where it
-exports no dgtsv or dlarrc, every grid is solved by index.
+scipy.linalg.eigh_tridiagonal passes for an index range, so every pilot
+eigenvalue is bitwise scipy's; where that library exports no dstebz of known
+integer width, scipy.linalg.lapack.dstebz is imported on the first solve
+instead. Where it exports no dgtsv or dlarrc, every grid is solved by index.
 """
 
 from __future__ import annotations
@@ -88,40 +86,37 @@ _DGTSV = _bind("dgtsv", [_I, _I, _A, _A, _A, _A, _I, _I])
 _DLARRC = _bind("dlarrc", [_C, _I, _F, _F, _A, _A, _F, _I, _I, _I, _I, _LEN])
 
 
-def _dstebz(d: np.ndarray, e: np.ndarray, by_value: bool, vl: float, vu: float,
-            il: int, iu: int) -> tuple:
-    """(m, w, info) of dstebz with ABSTOL 0 and ORDER 'E', as scipy calls it."""
+
+
+def _dstebz(d: np.ndarray, e: np.ndarray, il: int, iu: int) -> tuple:
+    """(m, w, info) of dstebz for the 1-based indices il..iu with ABSTOL 0 and
+    ORDER 'E', as scipy calls it."""
     if _DSTEBZ is None:
         from scipy.linalg.lapack import dstebz
 
-        m, w, _, _, info = dstebz(d, e, 1 if by_value else 2, vl, vu, il, iu, 0.0, "E")
+        m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "E")
         return int(m), w, int(info)
     n = len(d)
     i64, f64 = ctypes.c_int64, ctypes.c_double
     m, nsplit, info = i64(), i64(), i64()
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
-    _DSTEBZ(b"V" if by_value else b"I", b"E", i64(n), f64(vl), f64(vu), i64(il), i64(iu),
-            f64(0.0), d.ctypes.data, e.ctypes.data, m, nsplit, w.ctypes.data,
-            iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-            info, 1, 1)
+    _DSTEBZ(b"I", b"E", i64(n), f64(0.0), f64(1.0), i64(il), i64(iu), f64(0.0),
+            d.ctypes.data, e.ctypes.data, m, nsplit, w.ctypes.data, iblock.ctypes.data,
+            isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, info, 1, 1)
     return m.value, w, info.value
 
 
-def eigh_tridiagonal(d, e, eigvals_only: bool = True, *, select: str,
-                     select_range) -> np.ndarray:
+def eigh_tridiagonal(d, e, *, select: str, select_range) -> np.ndarray:
     """Eigenvalues (ascending) of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e: by value in (min, max] for select "v", by
-    0-based index min..max for select "i".
+    diagonal d and off-diagonal e, by 0-based index min..max of select_range.
 
-    scipy.linalg.eigh_tridiagonal with eigvals_only=True, on the same LAPACK
-    call, with its input checks and error mapping: non-finite entries, a
-    length mismatch and an index range outside [0, len(d)) raise ValueError
-    before LAPACK runs; a negative LAPACK info raises ValueError and a
-    positive one LinAlgError. Eigenvectors are not computed.
+    scipy.linalg.eigh_tridiagonal with eigvals_only=True and select="i", the
+    one form computed, on the same LAPACK call, with its input checks and
+    error mapping: non-finite entries, a length mismatch and an index range
+    outside [0, len(d)) raise ValueError before LAPACK runs; a negative LAPACK
+    info raises ValueError and a positive one LinAlgError.
     """
-    if not eigvals_only:
-        raise ValueError("only eigenvalues are computed: eigvals_only must be True")
     d = np.ascontiguousarray(d, dtype=np.float64)
     e = np.ascontiguousarray(e, dtype=np.float64)
     if d.ndim != 1 or e.ndim != 1:
@@ -130,25 +125,21 @@ def eigh_tridiagonal(d, e, eigvals_only: bool = True, *, select: str,
         raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if select not in ("v", "i"):
-        raise ValueError(f"select must be 'v' or 'i', got {select!r}")
+    if select != "i":
+        raise ValueError(f"only the index form is computed: select must be 'i', got {select!r}")
     sr = np.asarray(select_range)
     if sr.ndim != 1 or sr.size != 2 or not sr[0] <= sr[1]:
         raise ValueError("select_range must be a 2-element array-like "
                          "in nondecreasing order")
-    vl, vu, il, iu = 0.0, 1.0, 1, 1
-    if select == "v":
-        vl, vu = float(sr[0]), float(sr[1])
-    else:
-        if sr.dtype.char.lower() not in "hilqp":
-            raise ValueError(f'when using select="i", select_range must contain '
-                             f"integers, got dtype {sr.dtype}")
-        il, iu = int(sr[0]) + 1, int(sr[1]) + 1
-        if il < 1 or iu > d.size:
-            raise ValueError("select_range out of bounds")
+    if sr.dtype.char.lower() not in "hilqp":
+        raise ValueError(f'when using select="i", select_range must contain '
+                         f"integers, got dtype {sr.dtype}")
+    il, iu = int(sr[0]) + 1, int(sr[1]) + 1
+    if il < 1 or iu > d.size:
+        raise ValueError("select_range out of bounds")
     if d.size == 1:  # scipy answers a 1x1 matrix without LAPACK
-        return d.copy() if select == "i" or vl < d[0] <= vu else np.empty(0)
-    m, w, info = _dstebz(d, e, select == "v", vl, vu, il, iu)
+        return d.copy()
+    m, w, info = _dstebz(d, e, il, iu)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal stebz "
                          f"(eigh_tridiagonal)")
@@ -192,21 +183,21 @@ class EigenResult:
     error_estimate: float
 
 
-# Rayleigh-quotient steps a level may take before the index form decides,
-# and the half-width of its certification window in ulps of the matrix norm
+# Rayleigh-quotient steps before the index form decides, the half-width of the
+# certification window in ulps of the matrix norm, and coarsest cells per pilot cell
 _RQI_STEPS = 4
 _WINDOW_ULPS = 64
+_PILOT_RATIO = 8
 
 
 def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float,
                    rhs: np.ndarray) -> Optional[np.ndarray]:
     """y with (T - shift) y = rhs, by LAPACK dgtsv (LU with partial
     pivoting); None when a pivot is exactly zero."""
-    n = len(diag)
     i64 = ctypes.c_int64
     lower, upper, d, y, info = off.copy(), off.copy(), diag - shift, rhs.copy(), i64()
-    _DGTSV(i64(n), i64(1), lower.ctypes.data, d.ctypes.data, upper.ctypes.data,
-           y.ctypes.data, i64(n), info)
+    _DGTSV(i64(len(diag)), i64(1), lower.ctypes.data, d.ctypes.data, upper.ctypes.data,
+           y.ctypes.data, i64(len(diag)), info)
     return y if info.value == 0 else None
 
 
@@ -220,16 +211,15 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> tu
     return below_lo.value, below_hi.value
 
 
-def _certified_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
+def _certified_levels(diag: np.ndarray, off: np.ndarray, levels: range, top: bool,
                       hint: Sequence[float]) -> Optional[np.ndarray]:
-    """The k highest (top, descending) or k lowest (ascending) eigenvalues by
-    Rayleigh-quotient iteration, each certified by Sturm counts; None if any
-    level fails.
+    """The levels (see _extreme_levels) by Rayleigh-quotient iteration, each
+    certified by Sturm counts; None if any level fails.
 
-    Level j starts at the shift hint[j]. A step solves (T - shift) y = x,
-    moves the shift to the Rayleigh quotient of y, shift + (x.y)/(y.y), and
+    The i-th level starts at the shift hint[i]. A step solves (T - shift) y =
+    x, moves the shift to the Rayleigh quotient of y, shift + (x.y)/(y.y), and
     takes x = y/|y|; the level is the shift once a step moves it by less than
-    delta, _WINDOW_ULPS ulps of the Gershgorin norm. It is certified when
+    delta, _WINDOW_ULPS ulps of the Gershgorin norm. Level j is certified when
     (level - delta, level + delta] holds exactly one eigenvalue and the counts
     put it at index j from the top (top) or from the bottom. A zero pivot, a
     non-finite step, a shift still moving after _RQI_STEPS steps, wrong counts
@@ -243,9 +233,9 @@ def _certified_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     delta = _WINDOW_ULPS * np.finfo(float).eps * float(np.max(np.abs(diag) + radius))
-    levels = np.empty(k)
-    for j in range(k):
-        shift, x = float(hint[j]), np.full(n, 1.0 / np.sqrt(n))
+    found = np.empty(len(levels))
+    for i, j in enumerate(levels):
+        shift, x = float(hint[i]), np.full(n, 1.0 / np.sqrt(n))
         for _ in range(_RQI_STEPS):
             y = _shifted_solve(diag, off, shift, x)
             if y is None:
@@ -262,43 +252,73 @@ def _certified_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
         index = n - 1 - j if top else j
         if _sturm_counts(diag, off, shift - delta, shift + delta) != (index, index + 1):
             return None
-        levels[j] = shift
-    return levels
+        found[i] = shift
+    return found
 
 
-def _extreme_levels(diag: np.ndarray, off: np.ndarray, k: int, top: bool,
+def _extreme_levels(diag: np.ndarray, off: np.ndarray, levels: range, top: bool,
                     hint: Optional[Sequence[float]] = None) -> np.ndarray:
-    """The k highest eigenvalues (top, descending) or k lowest (ascending) of
-    the symmetric tridiagonal matrix.
+    """Eigenvalues of the symmetric tridiagonal matrix counted from the top
+    (top, descending) or the bottom (ascending), level 0 the extreme one.
 
-    With no hint LAPACK bisects the k levels by index. A hint holds the k
-    levels on a coarser grid, in the same order: each level is then refined
-    from its own and certified (_certified_levels), and where any level fails
-    the index form decides, so the levels never depend on the hint, only the
-    cost does.
+    With no hint LAPACK bisects the levels by index. A hint holds the same
+    levels on a coarser grid: each level is then refined from its own and
+    certified (_certified_levels), and where any level fails the index form
+    decides.
     """
     n = len(diag)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= levels <= {n} grid cells, got {k}")
+    if not 0 <= levels.start < levels.stop <= n:
+        raise ValueError(f"need 1 <= levels <= {n} grid cells, got {levels.stop}")
     if hint is not None:
-        levels = _certified_levels(diag, off, k, top, hint)
-        if levels is not None:
-            return levels
-    first = n - k if top else 0
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(first, first + k - 1),
-                            eigvals_only=True)
+        found = _certified_levels(diag, off, levels, top, hint)
+        if found is not None:
+            return found
+    index = range(n - levels.stop, n - levels.start) if top else levels
+    vals = eigh_tridiagonal(diag, off, select="i", select_range=(index[0], index[-1]))
     return vals[::-1] if top else vals
 
 
-def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
-                      cutoff: float, hint: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Top eigenvalues (descending) of the discretized channel operator, times 2.
+def _sweep(matrix, levels: range, top: bool, n_grid: int, max_grid: int) -> tuple:
+    """The levels (see _extreme_levels) on the three finest grids n_grid 2^k
+    <= max_grid: (finest grid, an array with one row per grid, coarsest first).
+
+    matrix(cells) is the (diag, off) of the operator on that many cells. The
+    pilot grid, the coarsest grid's cells // _PILOT_RATIO, bisects the levels
+    by index, and each grid refines them from the next coarser grid's. A pilot
+    with too few cells for the levels is skipped: the coarsest grid is then
+    bisected itself.
+    """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
+    fine = n_grid
+    while 2 * fine <= max_grid:
+        fine *= 2
+    if fine < 4 * n_grid:
+        raise ValueError("need at least three grid sizes between n_grid and max_grid")
+    pilot = fine // (4 * _PILOT_RATIO)
+    hint = _extreme_levels(*matrix(pilot), levels, top) if pilot >= levels.stop else None
+    rows = []
+    for grid in (fine // 4, fine // 2, fine):
+        hint = _extreme_levels(*matrix(grid), levels, top, hint)
+        rows.append(hint)
+    return fine, np.array(rows)
+
+
+def _richardson(values) -> tuple:
+    """(extrapolated, error estimate) of values (or arrays of values) with an
+    h^2 error on three doubled grids, coarsest first: (4 fine - coarse) / 3 on
+    the finer pair of grids, and its distance to that on the coarser pair."""
+    values = np.asarray(values, dtype=float)
+    extrap = (4 * values[1:] - values[:-1]) / 3.0
+    return extrap[1], np.abs(extrap[1] - extrap[0])
+
+
+def _parabolic_matrix(spec: ParabolicChannelSpec, n_grid: int, cutoff: float) -> tuple:
+    """(diag, off) of the discretized channel operator.
 
     Flux form of d/dx (x d/dx) on the midpoint grid x_i = (i + 1/2) h; the cell
     face at x = 0 carries zero weight, which is the natural boundary for the
-    x-weighted operator, and the cutoff end is Dirichlet. hint, if given,
-    holds the wanted levels (descending, times 2) on a coarser grid; see
-    _extreme_levels.
+    x-weighted operator, and the cutoff end is Dirichlet.
     """
     h = cutoff / n_grid
     x = (np.arange(n_grid) + 0.5) * h
@@ -313,56 +333,23 @@ def _parabolic_levels(spec: ParabolicChannelSpec, n_levels: int, n_grid: int,
         if m > 0:
             sx[0] = spec.s * (m + 1) / (2 * m)
     diag = diag - sx / (4 * x) + spec.alpha / 4 + (spec.beta / 4) * x
-    off = faces_right[:-1] / h**2
-    return 2.0 * _extreme_levels(diag, off, n_levels, True,
-                                 None if hint is None else np.asarray(hint) / 2.0)
-
-
-def _richardson(solve, n_grid: int, max_grid: int):
-    """One Richardson step over the three finest grids n_grid 2^k <= max_grid.
-
-    solve(grid, previous) returns a value (or an array of values) with an h^2
-    error; previous is what it returned on the next coarser grid, None on the
-    first, so that a finer solve can refine its levels from the coarser ones.
-    Extrapolates (4 fine - coarse) / 3 on the two finer pairs of grids and
-    takes their difference as the error estimate. Returns (finest grid, values
-    on the three grids, extrapolated value, error estimate).
-    """
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
-    fine = n_grid
-    while 2 * fine <= max_grid:
-        fine *= 2
-    if fine < 4 * n_grid:
-        raise ValueError("need at least three grid sizes between n_grid and max_grid")
-    values, previous = [], None
-    for grid in (fine // 4, fine // 2, fine):
-        previous = solve(grid, previous)
-        values.append(previous)
-    values = np.array(values)
-    extrap = (4 * values[1:] - values[:-1]) / 3.0
-    return fine, values, extrap[1], np.abs(extrap[1] - extrap[0])
+    return diag, faces_right[:-1] / h**2
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_ladder(s: float, n: int, n_grid: int) -> tuple:
-    """Top n + 1 levels (descending, times 2) of the unit channel, beta = -1
-    and alpha = 0, with the cutoff 40, on n_grid, 2 n_grid and 4 n_grid cells.
+def _unit_level(s: float, n: int, n_grid: int) -> tuple:
+    """Level n from the top (times 2) of the unit channel, beta = -1 and
+    alpha = 0, with the cutoff 40, on n_grid, 2 n_grid and 4 n_grid cells.
 
-    The coarsest grid finds its levels by index and each finer grid refines
-    every level from the same level on the coarser grid. Kept per process
-    under the exact (s, n, n_grid): the coarsest grid's index range sets the
-    last bits of its levels, and the finer levels start from them, so a
-    ladder of more levels is never read for fewer, and no value depends on
-    what was solved before. Plain floats, so no LAPACK output buffer is kept.
+    Kept per process under (s, n, n_grid). The level is swept alone, from its
+    own pilot, so it is the same whichever other levels a command asks for
+    and whatever was solved before. Plain floats, so no LAPACK output buffer
+    is kept.
     """
     spec = ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
-    ladder, hint = [], None
-    for grid in (n_grid, 2 * n_grid, 4 * n_grid):
-        levels = tuple(float(v) for v in _parabolic_levels(spec, n + 1, grid, 40.0, hint))
-        ladder.append(levels)
-        hint = levels
-    return tuple(ladder)
+    _, rows = _sweep(lambda cells: _parabolic_matrix(spec, cells, 40.0), range(n, n + 1),
+                     True, n_grid, 4 * n_grid)
+    return tuple(2.0 * float(v) for v in rows[:, 0])
 
 
 def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
@@ -374,52 +361,33 @@ def solve_parabolic_pair(s1: float, s2: float, alpha: float, n1: int, n2: int,
     sqrt(-beta), the grid in y = kappa x is the same for every beta, and the
     discretized channel operator is exactly kappa M_s + alpha/4, where M_s is
     the operator at beta = -1, alpha = 0. So v = kappa w + alpha/2 with w the
-    matching level at beta = -1, alpha = 0, and on each grid the condition has
-    the closed-form root kappa = -alpha / (w1 + w2): no search on beta. The
-    levels w come from _unit_ladder, one per distinct channel, so equal
-    channels (s1 == s2) share one ladder of max(n1, n2) + 1 levels. Raises
+    matching level at beta = -1, alpha = 0 (_unit_level), and on each grid
+    the condition has the closed-form root kappa = -alpha / (w1 + w2). Raises
     NoRoot when w1 + w2 >= 0 (no bound state). Returns (beta*, v*, eps*,
-    err_estimate, eps values per grid) with eps = hbar^2 beta / 2 evaluated at
-    hbar = 1 by the caller's convention.
+    err_estimate, eps values per grid) with eps = hbar^2 beta / 2 at hbar = 1.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("n1 and n2 must be nonnegative")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
-    if s1 == s2:
-        ladder1 = ladder2 = _unit_ladder(s1, max(n1, n2), n_grid)
-    else:
-        ladder1, ladder2 = _unit_ladder(s1, n1, n_grid), _unit_ladder(s2, n2, n_grid)
-    rungs = iter(zip(ladder1, ladder2))
-
-    def beta_and_levels(grid: int, _previous) -> tuple:
-        levels1, levels2 = next(rungs)
-        w1, w2 = levels1[n1], levels2[n2]
+    ladder1, ladder2 = _unit_level(s1, n1, n_grid), _unit_level(s2, n2, n_grid)
+    betas = []
+    for grid, w1, w2 in zip((n_grid, 2 * n_grid, 4 * n_grid), ladder1, ladder2):
         w = w1 + w2
         if w >= 0:
             raise NoRoot(f"levels (s1={s1}, n1={n1}) and (s2={s2}, n2={n2}) at beta = -1 "
                          f"sum to {w:.6g} >= 0 on {grid} cells: v1 + v2 = 0 has no bound state")
-        return -(alpha / w) ** 2, w1, w2
-
-    _, values, extrap, err = _richardson(beta_and_levels, n_grid, 4 * n_grid)
-    beta_star, err = float(extrap[0]), float(err[0])
+        betas.append(-(alpha / w) ** 2)
+    beta_star, err = (float(v) for v in _richardson(betas))
     if err > target:
         raise GridTooCoarse(f"pair solve error estimate {err:.3e} above {target:.1e}")
     # channel 1 level at beta* on the finest grid, by the same scaling law
-    v_star = float(np.sqrt(-beta_star)) * float(values[-1, 1]) + alpha / 2
-    eps = beta_star / 2.0
-    return beta_star, v_star, eps, err, [float(b) / 2.0 for b in values[:, 0]]
+    v_star = float(np.sqrt(-beta_star)) * ladder1[-1] + alpha / 2
+    return beta_star, v_star, beta_star / 2.0, err, [b / 2.0 for b in betas]
 
 
-def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
-                   cutoff: float, hint: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Lowest eigenvalues of the 4D radial block in flux form with weight r^3.
-
-    hint, if given, holds the wanted levels (ascending) on a coarser grid; see
-    _extreme_levels.
-    """
+def _radial_matrix(spec: RadialOscillatorSpec, n_grid: int, cutoff: float) -> tuple:
+    """(diag, off) of the 4D radial block in flux form with weight r^3."""
     h = cutoff / n_grid
     r = (np.arange(n_grid) + 0.5) * h
     faces = np.arange(n_grid + 1) * h
@@ -429,9 +397,7 @@ def _radial_levels(spec: RadialOscillatorSpec, n_levels: int, n_grid: int,
     diag = hb2 * (a[:-1] + a[1:]) / (h**2 * w)
     pot = (spec.angular * spec.hbar**2 / (2 * r**2) + spec.lam / r**2
            + spec.omega**2 * r**2 / 2)
-    diag = diag + pot
-    off = -hb2 * a[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
-    return _extreme_levels(diag, off, n_levels, False, hint)
+    return diag + pot, -hb2 * a[1:-1] / (h**2 * np.sqrt(w[:-1] * w[1:]))
 
 
 def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
@@ -441,19 +407,17 @@ def radial_oscillator_eigensolve(spec: RadialOscillatorSpec, n: int,
     EigenResults indexed by level.
 
     One sweep solves all n + 1 levels on each grid, with the cutoff of level
-    n: the coarsest grid by index, and each finer grid refines every level
-    from the same level on the coarser grid. So a lower level k carries level
-    n's cutoff, not its own. Raises GridTooCoarse naming the lowest level
-    whose error estimate misses target.
+    n, so a lower level k carries level n's cutoff, not its own. Raises
+    GridTooCoarse naming the lowest level whose error estimate misses target.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if cutoff is None:
         # generous tail so domain truncation sits far below the h^2 error
-        width = np.sqrt(spec.hbar / spec.omega)
-        cutoff = width * (np.sqrt(4.0 * n + 10.0) + 6.0)
-    grid, _, extrap, err = _richardson(
-        lambda g, previous: _radial_levels(spec, n + 1, g, cutoff, previous), n_grid, max_grid)
+        cutoff = np.sqrt(spec.hbar / spec.omega) * (np.sqrt(4.0 * n + 10.0) + 6.0)
+    grid, rows = _sweep(lambda cells: _radial_matrix(spec, cells, cutoff), range(n + 1),
+                        False, n_grid, max_grid)
+    extrap, err = _richardson(rows)
     for k, e in enumerate(err):
         if e > target:
             raise GridTooCoarse(f"radial level {k}: error {e:.3e} above {target:.1e}")

@@ -5,10 +5,11 @@ coordinates, coefficient functions (evaluated as jets at the sample points)
 and spin-matrix coefficients. Multiplying by a coordinate is an index shift;
 only the other coefficient functions (1/r, r/(r+x0), 1/rho, ...) go through
 the jet product `jet_mul`. A tree acts on the spin multiplets of S samples at
-once, held as a plain (S, spin_dim, n_terms) complex array, with one batched
-`PointContext` that holds the (S, n_vars) points. Every tree knows its
-differential order and its spin dimension (the size of its spin matrices, 1
-without one), so a check reads both from its trees. A sum drops its
+once, held as a plain (S, spin_dim, n_terms) complex array, or a stack of
+such inputs on axes after the sample axis, with one batched `PointContext`
+that holds the (S, n_vars) points. Every tree knows its differential order
+and its spin dimension (the size of its spin matrices, 1 without one), so a
+check reads both from its trees. A sum drops its
 exactly-zero terms (a zero factor, an all-zero spin matrix) when it is built,
 and keeps the order and spin rows of every term it was given, so a vanished
 coupling costs nothing and changes no germ or draw. An identity is checked on
@@ -40,12 +41,14 @@ combination), a printed relation its left side (AAB - 2ABA + BAA for
 [A,[A,B]]) and one combination per basis row, {A,B} being AB + BA. One batch
 draws a point and then a germ per sample; the germs are jets of the highest
 word order, with as many spin rows as the letters act on. Each distinct
-suffix of the words is applied once, at the highest degree any word reads it
-at, to the suffix one letter shorter; a word that reads it at a lower degree
+suffix of the words is computed once, at the highest degree any word reads it
+at, from the suffix one letter shorter; a word that reads it at a lower degree
 takes the prefix, which by the rule above is bit for bit what an apply at that
-degree gives. Commutator residuals, printed-relation residuals and
-least-squares fits of unknown structure constants are reductions over the
-constant terms, so they are checked at every derivative order they contain.
+degree gives. The suffixes of one length that start with the same letter at
+the same degree share one apply, on their inputs stacked. Commutator
+residuals, printed-relation residuals and least-squares fits of unknown
+structure constants are reductions over the constant terms, so they are
+checked at every derivative order they contain.
 A residual is relative to the largest term it sums, |c X1 ... Xk f| at the
 sample (at least 1), since the rounding of a sum of words grows with its
 words, not with the sum.
@@ -121,8 +124,8 @@ class Operator:
     is_zero = False
 
     def apply(self, coeffs: np.ndarray, ctx: PointContext, degree: int) -> np.ndarray:
-        """The tree applied to an (S, spin_dim, n) array of jets, one per point
-        of ctx, up to the given degree.
+        """The tree applied to an (S, ..., spin_dim, n) array of jets, the
+        first axis one per point of ctx, up to the given degree.
 
         The input needs the terms up to degree + order; the result is a new
         array of the terms up to degree, each equal to that term of the tree
@@ -237,7 +240,7 @@ class OpCoord(Operator):
 
     def apply(self, coeffs, ctx, degree):
         sp = jet_space(ctx.n_vars, degree)
-        out = ctx.points[..., self.v, None, None] * coeffs[..., :sp.n_terms]
+        out = _per_sample(ctx.points[..., self.v], coeffs.ndim) * coeffs[..., :sp.n_terms]
         out[..., sp.deriv_src[self.v]] += coeffs[..., sp.deriv_dst[self.v]]
         return out
 
@@ -257,7 +260,7 @@ class OpMul(Operator):
     def apply(self, coeffs, ctx, degree):
         sp = jet_space(ctx.n_vars, degree)
         coef = ctx.at(max(degree, 1)).coef(self.key, self.builder).coeffs[..., :sp.n_terms]
-        return sp.mul_coeffs(coef[..., None, :], coeffs[..., :sp.n_terms])
+        return sp.mul_coeffs(_per_sample(coef, coeffs.ndim, 1), coeffs[..., :sp.n_terms])
 
 
 class OpMat(Operator):
@@ -269,15 +272,23 @@ class OpMat(Operator):
         self.is_zero = not self.matrix.any()
 
     def apply(self, coeffs, ctx, degree):
-        if coeffs.shape[1] != self.matrix.shape[1]:
+        if coeffs.shape[-2] != self.matrix.shape[1]:
             raise ValueError("spin dimension mismatch")
         n = jet_space(ctx.n_vars, degree).n_terms
         # a sum over the spin columns rounds every term the same at any jet
         # width, which a matmul does not
-        out = self.matrix[:, 0, None] * coeffs[:, None, 0, :n]
+        out = self.matrix[:, 0, None] * coeffs[..., None, 0, :n]
         for j in range(1, self.matrix.shape[1]):
-            out += self.matrix[:, j, None] * coeffs[:, None, j, :n]
+            out += self.matrix[:, j, None] * coeffs[..., None, j, :n]
         return out
+
+
+def _per_sample(a: np.ndarray, ndim: int, trailing: int = 0) -> np.ndarray:
+    """A per-sample array (first axis one per point, or no such axis for one
+    point) with unit axes inserted before its last trailing axes, so that it
+    broadcasts over an ndim-axis (S, ..., spin_dim, n) stack."""
+    lead = a.ndim - trailing
+    return a.reshape(a.shape[:lead] + (1,) * (ndim - a.ndim) + a.shape[lead:])
 
 
 # --------------------------------------------------------------------------
@@ -378,10 +389,14 @@ def _draw(n_samples: int, sampler: PointSampler, degree: int, spin_dim: int,
 def _word_values(combos: Sequence[dict], ctx: PointContext, f: np.ndarray) -> np.ndarray:
     """Constant terms of every combination applied to the germs f.
 
-    Each distinct suffix of the words is applied once, at the highest degree
-    any word reads it at (the order of the letters before it), to the suffix
-    one letter shorter; a word at a lower degree reads a prefix, which is the
-    value an apply at that degree gives, bit for bit. A word with a zero
+    Each distinct suffix of the words is computed once, at the highest degree
+    any word reads it at (the order of the letters before it), from the
+    suffix one letter shorter; a word at a lower degree reads a prefix, which
+    is the value an apply at that degree gives, bit for bit. The suffixes of
+    one length that start with the same letter at the same degree share one
+    apply of that letter: their inputs, each cut to the terms the letter
+    reads, are stacked on a new axis after the sample axis, and every node
+    acts on each entry of the stack as it would alone. A word with a zero
     coefficient or an exactly-zero letter is not applied. Returns the
     (S, len(combos), spin_dim) complex values and the (S, len(combos)) sizes:
     per sample, the largest |coefficient x word value| of a combination's
@@ -396,9 +411,14 @@ def _word_values(combos: Sequence[dict], ctx: PointContext, f: np.ndarray) -> np
             for j, x in enumerate(word):
                 need[word[j:]] = max(need.get(word[j:], 0), degree)
                 degree += x.order
-    values = {(): f}
+    groups: dict = {}
     for suffix in sorted(need, key=len):
-        values[suffix] = suffix[0].apply(values[suffix[1:]], ctx, need[suffix])
+        groups.setdefault((len(suffix), suffix[0], need[suffix]), []).append(suffix)
+    values = {(): f}
+    for (_, x, degree), suffixes in groups.items():
+        n = jet_space(ctx.n_vars, degree + x.order).n_terms
+        stack = x.apply(np.stack([values[s[1:]][..., :n] for s in suffixes], axis=1), ctx, degree)
+        values.update((s, stack[:, k]) for k, s in enumerate(suffixes))
     out = np.zeros((f.shape[0], len(combos), f.shape[1]), dtype=np.complex128)
     size = np.zeros(out.shape[:2])
     for k, combo in enumerate(live):

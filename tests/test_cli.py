@@ -223,9 +223,9 @@ def _count_solves(monkeypatch):
     solves, by_index = [], []
     extreme, eigh = ode._extreme_levels, ode.eigh_tridiagonal
 
-    def counted(diag, off, k, top, hint=None):
+    def counted(diag, off, levels, top, hint=None):
         solves.append(len(diag))
-        return extreme(diag, off, k, top, hint)
+        return extreme(diag, off, levels, top, hint)
 
     def counted_index(d, e, **kwargs):
         by_index.append(len(d))
@@ -238,12 +238,12 @@ def _count_solves(monkeypatch):
 
 def test_crosscheck_osc8d_solves_all_levels_once_per_grid(tmp_path, monkeypatch):
     # one sweep serves every reported level: one eigensolve on each grid, by
-    # index on the coarsest and certified on the finer ones
+    # index on the pilot only and certified on the three grids
     solves, by_index = _count_solves(monkeypatch)
     assert main(["crosscheck", "osc8d", "--levels", "3",
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert solves == [1024, 2048, 4096]
-    assert by_index == [1024]
+    assert solves == [128, 1024, 2048, 4096]
+    assert by_index == [128]
 
 
 def test_crosscheck_osc8d_accuracy_limit_is_a_finding(tmp_path, capsys):
@@ -584,17 +584,19 @@ def _bench_module(name):
     return module
 
 
-def test_the_oracle_sweep_keeps_its_reference_verdicts(capsys):
-    # every command of the benchmark's oracle-sweep workload at seed 7, judged
-    # against the recorded verdicts as the benchmark judges it, so an oracle
-    # change that flips a sweep verdict fails here and not only there
+@pytest.mark.parametrize("workload", ["kepler5d-verify", "osc8d-verify", "ycm-verify",
+                                      "oracle-sweep"])
+def test_every_workload_keeps_its_reference_verdicts(capsys, workload):
+    # every command of a benchmark workload at seed 7, judged against the
+    # recorded verdicts as the benchmark judges it, so a jet-layer or oracle
+    # change that flips a verdict fails here and not only there
     if not all(os.path.isfile(os.path.join(_BENCH, f"{name}.py"))
                for name in ("workloads", "verdicts")):
         pytest.skip("no perfbench/ beside tests/")
     workloads, verdicts = _bench_module("workloads"), _bench_module("verdicts")
     reference = verdicts.load_reference()
     failed = {}
-    for key, argv in workloads.commands("oracle-sweep", 7):
+    for key, argv in workloads.commands(workload, 7):
         code = main(argv)
         reasons = verdicts.failures(reference[key], code, capsys.readouterr().out)
         if reasons:
@@ -606,26 +608,26 @@ def test_the_oracle_sweep_keeps_its_reference_verdicts(capsys):
 @pytest.mark.parametrize("channel, solves", [("s1=0.5,s2=0.5", 3), ("s1=0,s2=1", 6)])
 def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
         tmp_path, monkeypatch, channel, solves):
-    # three grids; equal channels share one solve for both levels; only the
-    # coarsest grid is solved by index
+    # three grids per distinct unit level; equal channels at equal levels
+    # share one; only each level's pilot is solved by index
     from quadalg import odecheck as ode
 
-    ode._unit_ladder.cache_clear()
+    ode._unit_level.cache_clear()
     calls, by_index = _count_solves(monkeypatch)
-    main(["crosscheck", "ycm", "--channel", channel, "--n1", "1",
+    main(["crosscheck", "ycm", "--channel", channel, "--n1", "1", "--n2", "1",
           "--out", str(tmp_path / "r.json")])
-    assert len(calls) == solves
-    assert sorted(set(calls)) == [1024, 2048, 4096]
-    assert by_index == [1024] * (solves // 3)
+    assert sorted(c for c in calls if c > 128) == sorted([1024, 2048, 4096] * (solves // 3))
+    assert by_index == [128] * (solves // 3)
+    assert len(calls) == solves + len(by_index)
 
 
 def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, monkeypatch):
-    # a process keeps each unit-channel ladder, so a repeated command reads them
+    # a process keeps each unit level, so a repeated command reads them
     from quadalg import odecheck as ode
 
     argv = ["crosscheck", "ycm", "--channel", "s1=0,s2=0.5", "--n1", "1",
             "--out", str(tmp_path / "r.json")]
-    ode._unit_ladder.cache_clear()
+    ode._unit_level.cache_clear()
     assert main(argv) == 0
     calls, _ = _count_solves(monkeypatch)
     assert main(argv) == 0
@@ -640,8 +642,9 @@ _YCM_SWEEP = [["crosscheck", "ycm", "--channel", f"s1={a},s2={b}", "--n1", str(n
 
 
 def test_crosscheck_ycm_reports_do_not_depend_on_the_ladders_kept(capsys):
-    # each report from an empty ladder cache equals, byte for byte, its report
-    # after every other command of the sweep has run in the same process
+    # each report from an empty cache of unit levels equals, byte for byte,
+    # its report after every other command of the sweep has run in the same
+    # process
     from quadalg import odecheck as ode
 
     def run(argv):
@@ -650,10 +653,10 @@ def test_crosscheck_ycm_reports_do_not_depend_on_the_ladders_kept(capsys):
 
     cold = []
     for argv in _YCM_SWEEP:
-        ode._unit_ladder.cache_clear()
+        ode._unit_level.cache_clear()
         cold.append(run(argv))
     assert all(code == 0 for code, _, _ in cold)
-    ode._unit_ladder.cache_clear()
+    ode._unit_level.cache_clear()
     for i, argv in enumerate(_YCM_SWEEP):
         for other in _YCM_SWEEP[:i] + _YCM_SWEEP[i + 1:]:
             run(other)
@@ -745,28 +748,31 @@ def test_solver_closing_sets_are_kept(config):
 
 
 def test_commands_start_without_scipy(tmp_path):
-    # numpy.random is loaded at import, not in the first pass; a verify and an
-    # ODE-oracle crosscheck then run without loading any scipy module
+    # numpy.random and locale are loaded at import, not in the first pass; a
+    # verify and an ODE-oracle crosscheck then run without loading any module
     src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
     out = str(tmp_path / "r.json")
     script = f"""
 import json, sys
 import quadalg.cli as cli
 random_at_import = "numpy.random" in sys.modules
+loaded = set(sys.modules)
 codes = [cli.main(["verify", "kepler5d", "--p", "1", "--trials", "2", "--seed", "7",
                    "--out", {out!r}]),
          cli.main(["crosscheck", "ycm", "--channel", "s1=0,s2=0", "--n1", "0", "--n2", "0",
                    "--out", {out!r}])]
-print(json.dumps([random_at_import, codes,
+print(json.dumps([random_at_import, codes, sorted(set(sys.modules) - loaded),
                   sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    random_at_import, codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    random_at_import, codes, loaded_in_pass, scipy_modules = json.loads(
+        done.stdout.splitlines()[-1])
     assert random_at_import
     assert codes == [0, 0]
+    assert loaded_in_pass == []
     assert scipy_modules == []
 
 

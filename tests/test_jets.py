@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadalg import _jet_kernels as kernels
+from quadalg import jets
 from quadalg.errors import SingularPoint
 from quadalg.jets import Jet, JetSpace, jet_seed_polynomial, jet_space, random_polynomial
 
@@ -224,3 +225,47 @@ def test_tables_match_brute_force_enumeration(n_vars, degree):
     for bad in ((n_vars, -1), (0, 1)):
         with pytest.raises(ValueError):
             JetSpace(*bad)
+
+
+@pytest.mark.parametrize("n_vars, degree", [(5, 6), (8, 6), (3, 4)])
+def test_a_cut_space_is_the_built_space(n_vars, degree):
+    # every table of a lower degree cut from a higher space equals, array for
+    # array and dtype for dtype, the table a built space holds
+    top = JetSpace(n_vars, degree)
+    for d in range(degree):
+        cut, built = vars(top.cut(d)), vars(JetSpace(n_vars, d))
+        assert cut.keys() == built.keys()
+        for name, table in built.items():
+            got = cut[name]
+            if isinstance(table, list):
+                assert len(got) == len(table), (d, name)
+                pairs = zip(got, table)
+            elif isinstance(table, np.ndarray):
+                pairs = [(got, table)]
+            else:
+                assert got == table, (d, name)
+                continue
+            for a, b in pairs:
+                assert a.dtype == b.dtype and np.array_equal(a, b), (d, name)
+
+
+def test_jet_space_cuts_a_lower_degree_from_a_kept_space(monkeypatch):
+    # with a higher space of the same variables kept, a lower degree is cut
+    # from it and no space is built
+    monkeypatch.setattr(jets, "_spaces", {})
+    built = []
+    init = JetSpace.__init__
+
+    def counted(self, n_vars, degree):
+        built.append((n_vars, degree))
+        init(self, n_vars, degree)
+
+    monkeypatch.setattr(JetSpace, "__init__", counted)
+    top = jet_space(4, 5)
+    low = jet_space(4, 2)
+    assert built == [(4, 5)]
+    assert jet_space(4, 5) is top and jet_space(4, 2) is low
+    assert low.degree == 2 and low.n_terms == 15
+    jet_space(3, 2)
+    jet_space(4, 7)
+    assert built == [(4, 5), (3, 2), (4, 7)]

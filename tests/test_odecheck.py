@@ -37,18 +37,31 @@ def kummer(n: int, b: float, x):
     return total
 
 
+def _channel_levels(spec, levels, n_grid, cutoff=40.0, hint=None):
+    """The channel's levels (a range, from the top, descending), times 2 as
+    the unit levels hold them; hint, times 2 too, is handed on as in a sweep."""
+    found = ode._extreme_levels(*ode._parabolic_matrix(spec, n_grid, cutoff), levels, True,
+                                None if hint is None else np.asarray(hint) / 2)
+    return 2 * found
+
+
+def _radial_levels(spec, levels, n_grid, cutoff, hint=None):
+    """The radial block's levels (a range, from the bottom, ascending)."""
+    return ode._extreme_levels(*ode._radial_matrix(spec, n_grid, cutoff), levels, False, hint)
+
+
 def parabolic_eigensolve(spec, n_levels, n_grid=1024, cutoff=None, target=1e-7,
                          max_grid=4096):
     """Top n_levels quantized v values of one channel, Richardson-extrapolated.
 
-    Every grid brackets its levels by index (no coarser-grid hint), and an
-    error estimate above target raises GridTooCoarse.
+    One sweep of the levels, as the oracle runs it, and an error estimate
+    above target raises GridTooCoarse.
     """
     if cutoff is None:
         cutoff = 40.0 / np.sqrt(-spec.beta)
-    grid, _, extrap, err = ode._richardson(
-        lambda n, previous: ode._parabolic_levels(spec, n_levels, n, cutoff),
-        n_grid, max_grid)
+    grid, rows = ode._sweep(lambda n: ode._parabolic_matrix(spec, n, cutoff), range(n_levels),
+                            True, n_grid, max_grid)
+    extrap, err = ode._richardson(2 * rows)
     for idx in range(n_levels):
         if err[idx] > target:
             raise GridTooCoarse(
@@ -239,13 +252,13 @@ def test_pair_solver_monotone_in_n1():
 def test_parabolic_levels_follow_the_scaling_law(s):
     # with the cutoff 40/kappa the grid in kappa x is fixed, so the channel
     # matrix is kappa M_s + alpha/4 with M_s the matrix at beta = -1, alpha = 0
-    mu = ode._parabolic_levels(ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0),
-                               3, 256, 40.0) / 2
+    mu = _channel_levels(ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0),
+                         range(3), 256) / 2
     for beta in (-0.01, -0.3, -1.7, -25.0):
         kappa = np.sqrt(-beta)
         for alpha in (0.0, 1.3):
             spec = ode.ParabolicChannelSpec(s=s, alpha=alpha, beta=beta)
-            got = ode._parabolic_levels(spec, 3, 256, 40.0 / kappa)
+            got = _channel_levels(spec, range(3), 256, 40.0 / kappa)
             assert got == pytest.approx(2 * (kappa * mu + alpha / 4), rel=1e-9)
 
 
@@ -257,8 +270,8 @@ def test_pair_solver_matches_bracketed_root(n1, n2):
 
     def mismatch(beta, n):
         cut = 40.0 / np.sqrt(-beta)
-        v1 = ode._parabolic_levels(ode.ParabolicChannelSpec(0.0, alpha, beta), n1 + 1, n, cut)
-        v2 = ode._parabolic_levels(ode.ParabolicChannelSpec(0.0, alpha, beta), n2 + 1, n, cut)
+        v1 = _channel_levels(ode.ParabolicChannelSpec(0.0, alpha, beta), range(n1 + 1), n, cut)
+        v2 = _channel_levels(ode.ParabolicChannelSpec(0.0, alpha, beta), range(n2 + 1), n, cut)
         return v1[n1] + v2[n2]
 
     _, _, eps, _, per_grid = ode.solve_parabolic_pair(0.0, 0.0, alpha, n1, n2,
@@ -296,9 +309,9 @@ def test_pair_solver_input_validation():
 
 def test_an_integer_s_is_the_float_channel():
     # an integer s must not truncate the singular cell's boundary weight; the
-    # kept ladders are keyed by value, where 2 == 2.0
-    levels = [ode._parabolic_levels(ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0),
-                                    2, 256, 40.0) for s in (2, 2.0)]
+    # kept levels are keyed by value, where 2 == 2.0
+    levels = [_channel_levels(ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0),
+                              range(2), 256) for s in (2, 2.0)]
     assert np.array_equal(levels[0], levels[1])
 
 
@@ -310,87 +323,89 @@ def test_channel_spec_validation():
 
 
 def test_richardson_solves_only_the_three_finest_grids(monkeypatch):
+    # the three finest grids, after the pilot of the coarsest one
     grids = []
-    levels = ode._radial_levels
+    matrix = ode._radial_matrix
 
-    def spy(spec, n_levels, n_grid, cutoff, hint=None):
+    def spy(spec, n_grid, cutoff):
         grids.append(n_grid)
-        return levels(spec, n_levels, n_grid, cutoff, hint)
+        return matrix(spec, n_grid, cutoff)
 
-    monkeypatch.setattr(ode, "_radial_levels", spy)
+    monkeypatch.setattr(ode, "_radial_matrix", spy)
     r = ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0, n_grid=256,
                                          max_grid=5000)[0]
-    assert grids == [1024, 2048, 4096]
+    assert grids == [1024 // ode._PILOT_RATIO, 1024, 2048, 4096]
     assert r.grid_size == 4096
     assert r.extrapolated == ode.radial_oscillator_eigensolve(
         ode.RadialOscillatorSpec(), 0, n_grid=1024)[0].extrapolated
 
 
-# -- certified finer grids -------------------------------------------------------------
+def test_richardson_extrapolates_hand_made_h2_values():
+    # v(h) = 1 + 3 h^2 + 5 h^4 on h = 1/4, 1/8, 1/16: the h^2 term cancels in
+    # each pair, the finer pair leaves 1 - 5 h^4 / 64, and the two pairs differ
+    # by 75 h^4 / 64
+    h = np.array([0.25, 0.125, 0.0625])
+    values = 1 + 3 * h**2 + 5 * h**4
+    extrap, err = ode._richardson(values)
+    assert extrap == pytest.approx(1 - 5 * 0.25**4 / 64, rel=1e-15)
+    assert err == pytest.approx(75 * 0.25**4 / 64, rel=1e-12)
+    # an array per grid is extrapolated entry by entry
+    extrap, err = ode._richardson(np.stack([values, 2 * values, 7.0 + 0 * h], axis=1))
+    assert extrap.shape == err.shape == (3,)
+    assert extrap[1] == pytest.approx(2 * (1 - 5 * 0.25**4 / 64), rel=1e-15)
+    assert extrap[2] == 7.0 and err[2] == 0.0
+
+
+# -- certified Richardson grids --------------------------------------------------------
 
 def _radial_cutoff(spec, n):
     # the cutoff radial_oscillator_eigensolve uses for level n
     return np.sqrt(spec.hbar / spec.omega) * (np.sqrt(4.0 * n + 10.0) + 6.0)
 
 
-def _matrix(monkeypatch, levels, spec, n_grid, cutoff):
-    # the (diag, off, top) that levels() hands to the eigensolver
-    seen = []
-    extreme = ode._extreme_levels
-
-    def spy(diag, off, k, top, hint=None):
-        seen.append((diag, off, top))
-        return extreme(diag, off, k, top, hint)
-
-    monkeypatch.setattr(ode, "_extreme_levels", spy)
-    levels(spec, 1, n_grid, cutoff)
-    monkeypatch.setattr(ode, "_extreme_levels", extreme)
-    return seen[0]
-
-
 def _index_solves(monkeypatch):
-    # the select of every eigh_tridiagonal call from here on
-    selects = []
+    # the grid size of every index-form eigensolve from here on
+    sizes = []
     eigh = ode.eigh_tridiagonal
 
     def spy(d, e, **kwargs):
-        selects.append(kwargs["select"])
+        sizes.append(len(d))
         return eigh(d, e, **kwargs)
 
     monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
-    return selects
+    return sizes
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("k", [1, 2])
-def test_bracketed_parabolic_levels_equal_the_index_form(monkeypatch, s, k):
-    # each finer grid refines its levels from the next coarser grid's, as in
-    # the Richardson sweep: every level is certified, and the certified levels
-    # are the index form's
+def test_bracketed_parabolic_levels_equal_the_index_form(s, k):
+    # each grid refines its levels from the next coarser grid's, as in the
+    # sweep: every level is certified, and the certified levels are the index
+    # form's
     spec = ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
-    for n in (2048, 4096):
-        hint = ode._parabolic_levels(spec, k, n // 2, 40.0)
-        diag, off, top = _matrix(monkeypatch, ode._parabolic_levels, spec, n, 40.0)
-        certified = ode._certified_levels(diag, off, k, top, hint / 2)
+    for n in (1024, 2048, 4096):
+        hint = _channel_levels(spec, range(k), n // 2)
+        diag, off = ode._parabolic_matrix(spec, n, 40.0)
+        certified = ode._certified_levels(diag, off, range(k), True, hint / 2)
         assert certified is not None and certified.shape == (k,)
-        np.testing.assert_allclose(2 * certified, ode._parabolic_levels(spec, k, n, 40.0),
+        np.testing.assert_allclose(2 * certified, _channel_levels(spec, range(k), n),
                                    rtol=0, atol=1e-9)
-        assert np.array_equal(ode._parabolic_levels(spec, k, n, 40.0, hint), 2 * certified)
+        assert np.array_equal(_channel_levels(spec, range(k), n, hint=hint), 2 * certified)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_bracketed_radial_levels_equal_the_index_form(monkeypatch, lam, k):
+def test_bracketed_radial_levels_equal_the_index_form(lam, k):
     spec = ode.RadialOscillatorSpec(lam=lam)
     cutoff = _radial_cutoff(spec, k - 1)
-    for n in (2048, 4096):
-        hint = ode._radial_levels(spec, k, n // 2, cutoff)
-        diag, off, top = _matrix(monkeypatch, ode._radial_levels, spec, n, cutoff)
-        certified = ode._certified_levels(diag, off, k, top, hint)
+    for n in (1024, 2048, 4096):
+        hint = _radial_levels(spec, range(k), n // 2, cutoff)
+        diag, off = ode._radial_matrix(spec, n, cutoff)
+        certified = ode._certified_levels(diag, off, range(k), False, hint)
         assert certified is not None and certified.shape == (k,)
-        np.testing.assert_allclose(certified, ode._radial_levels(spec, k, n, cutoff),
+        np.testing.assert_allclose(certified, _radial_levels(spec, range(k), n, cutoff),
                                    rtol=0, atol=1e-9)
-        assert np.array_equal(ode._radial_levels(spec, k, n, cutoff, hint), certified)
+        assert np.array_equal(_radial_levels(spec, range(k), n, cutoff, hint), certified)
 
 
 @pytest.mark.parametrize("hint", [-1e6, -50.0, -0.2, 50.0, 1e6])
@@ -398,8 +413,8 @@ def test_parabolic_levels_do_not_depend_on_a_wrong_hint(hint):
     # the top two unit levels are about -1.7 and -3.7; both start from a value
     # far from them or between them
     spec = ode.ParabolicChannelSpec(s=0.5, alpha=0.0, beta=-1.0)
-    expected = ode._parabolic_levels(spec, 2, 1024, 40.0)
-    got = ode._parabolic_levels(spec, 2, 1024, 40.0, (hint, hint))
+    expected = _channel_levels(spec, range(2), 1024)
+    got = _channel_levels(spec, range(2), 1024, hint=(hint, hint))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
@@ -408,8 +423,8 @@ def test_radial_levels_do_not_depend_on_a_wrong_hint(hint):
     # the lowest three levels are about 2, 4 and 6
     spec = ode.RadialOscillatorSpec()
     cutoff = _radial_cutoff(spec, 2)
-    expected = ode._radial_levels(spec, 3, 1024, cutoff)
-    got = ode._radial_levels(spec, 3, 1024, cutoff, (hint,) * 3)
+    expected = _radial_levels(spec, range(3), 1024, cutoff)
+    got = _radial_levels(spec, range(3), 1024, cutoff, (hint,) * 3)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
@@ -420,13 +435,13 @@ def test_a_hint_nearer_the_neighbouring_level_falls_back_to_the_index_form(monke
     # that one, the Sturm counts place it at the other's index, and the index
     # form decides the grid
     spec = ode.ParabolicChannelSpec(s=0.0, alpha=0.0, beta=-1.0)
-    expected = ode._parabolic_levels(spec, 2, 2048, 40.0)
-    hint = ode._parabolic_levels(spec, 2, 1024, 40.0)
+    expected = _channel_levels(spec, range(2), 2048)
+    hint = _channel_levels(spec, range(2), 1024)
     hint[misled] = hint[1 - misled] + 0.1 * (hint[misled] - hint[1 - misled])
-    selects = _index_solves(monkeypatch)
-    got = ode._parabolic_levels(spec, 2, 2048, 40.0, hint)
+    sizes = _index_solves(monkeypatch)
+    got = _channel_levels(spec, range(2), 2048, hint=hint)
     assert np.array_equal(got, expected)
-    assert selects == ["i"]
+    assert sizes == [2048]
 
 
 @pytest.mark.parametrize("plant", [lambda lo, hi: (lo + 1, hi + 1), lambda lo, hi: (lo - 1, hi)],
@@ -434,28 +449,31 @@ def test_a_hint_nearer_the_neighbouring_level_falls_back_to_the_index_form(monke
 def test_a_planted_count_mismatch_falls_back_to_the_index_form(monkeypatch, plant):
     spec = ode.RadialOscillatorSpec()
     cutoff = _radial_cutoff(spec, 2)
-    hint = ode._radial_levels(spec, 3, 1024, cutoff)
-    expected = ode._radial_levels(spec, 3, 2048, cutoff)
-    selects = _index_solves(monkeypatch)
-    certified = ode._radial_levels(spec, 3, 2048, cutoff, hint)
-    assert selects == []
+    hint = _radial_levels(spec, range(3), 1024, cutoff)
+    expected = _radial_levels(spec, range(3), 2048, cutoff)
+    sizes = _index_solves(monkeypatch)
+    certified = _radial_levels(spec, range(3), 2048, cutoff, hint)
+    assert sizes == []
     np.testing.assert_allclose(certified, expected, rtol=0, atol=1e-9)
     counts = ode._sturm_counts
     monkeypatch.setattr(ode, "_sturm_counts", lambda *args: plant(*counts(*args)))
-    assert np.array_equal(ode._radial_levels(spec, 3, 2048, cutoff, hint), expected)
-    assert selects == ["i"]
+    assert np.array_equal(_radial_levels(spec, range(3), 2048, cutoff, hint), expected)
+    assert sizes == [2048]
 
 
 @pytest.mark.parametrize("routine", ["_DGTSV", "_DLARRC"])
 def test_without_the_refinement_routines_every_grid_is_solved_by_index(monkeypatch,
                                                                        routine):
     spec = ode.ParabolicChannelSpec(s=0.5, alpha=0.0, beta=-1.0)
-    hint = ode._parabolic_levels(spec, 2, 1024, 40.0)
-    expected = ode._parabolic_levels(spec, 2, 2048, 40.0)
+    hint = _channel_levels(spec, range(2), 1024)
+    expected = _channel_levels(spec, range(2), 2048)
     monkeypatch.setattr(ode, routine, None)
-    selects = _index_solves(monkeypatch)
-    assert np.array_equal(ode._parabolic_levels(spec, 2, 2048, 40.0, hint), expected)
-    assert selects == ["i"]
+    sizes = _index_solves(monkeypatch)
+    assert np.array_equal(_channel_levels(spec, range(2), 2048, hint=hint), expected)
+    assert sizes == [2048]
+    # and a whole sweep bisects its pilot and every grid
+    ode._sweep(lambda n: ode._parabolic_matrix(spec, n, 40.0), range(2), True, 1024, 4096)
+    assert sizes == [2048, 128, 1024, 2048, 4096]
 
 
 def test_a_shift_at_an_eigenvalue_does_not_crash(monkeypatch):
@@ -463,17 +481,18 @@ def test_a_shift_at_an_eigenvalue_does_not_crash(monkeypatch):
     # as a shift gets, and the levels are still certified
     spec = ode.RadialOscillatorSpec(lam=0.5)
     cutoff = _radial_cutoff(spec, 2)
-    expected = ode._radial_levels(spec, 3, 2048, cutoff)
-    np.testing.assert_allclose(ode._radial_levels(spec, 3, 2048, cutoff, expected),
+    expected = _radial_levels(spec, range(3), 2048, cutoff)
+    np.testing.assert_allclose(_radial_levels(spec, range(3), 2048, cutoff, expected),
                                expected, rtol=0, atol=1e-9)
     # 0 is an eigenvalue of this matrix in exact arithmetic, and the LU of
     # the matrix shifted by 0 meets a zero pivot: the index form decides
     d, e = np.zeros(3), np.ones(2)
     assert ode._shifted_solve(d, e, 0.0, np.ones(3)) is None
     expected = ode.eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
-    selects = _index_solves(monkeypatch)
-    assert np.array_equal(ode._extreme_levels(d, e, 2, False, (-np.sqrt(2.0), 0.0)), expected)
-    assert selects == ["i"]
+    sizes = _index_solves(monkeypatch)
+    assert np.array_equal(ode._extreme_levels(d, e, range(2), False, (-np.sqrt(2.0), 0.0)),
+                          expected)
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("k", [0, 65])
@@ -481,27 +500,27 @@ def test_level_count_must_fit_the_grid(k):
     spec = ode.RadialOscillatorSpec()
     for hint in (None, (2.0,) * k):
         with pytest.raises(ValueError, match="levels"):
-            ode._radial_levels(spec, k, 64, 10.0, hint)
+            _radial_levels(spec, range(k), 64, 10.0, hint)
 
 
-# -- one sweep for every level -------------------------------------------------------
+# -- one sweep for every grid ----------------------------------------------------------
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 def test_radial_sweep_top_level_is_the_single_level_solve(lam):
-    # level n of the sweep is bitwise the sweep's matrices at level n's cutoff,
-    # each finer grid refined from the coarser grid's levels; and it is a
+    # level n of the oracle is the sweep's at level n's cutoff; and it is a
     # solve of level n alone, by index on every grid, up to bisection noise
     spec = ode.RadialOscillatorSpec(lam=lam)
     n = 2
     cutoff = _radial_cutoff(spec, n)
-    grid, _, extrap, err = ode._richardson(
-        lambda g, previous: ode._radial_levels(spec, n + 1, g, cutoff, previous), 1024, 4096)
+    grid, rows = ode._sweep(lambda g: ode._radial_matrix(spec, g, cutoff), range(n + 1),
+                            False, 1024, 4096)
+    extrap, err = ode._richardson(rows)
     levels = ode.radial_oscillator_eigensolve(spec, n)
     assert len(levels) == n + 1
     assert levels[n] == ode.EigenResult(grid_size=grid, extrapolated=float(extrap[n]),
                                         error_estimate=float(err[n]))
-    _, _, alone, alone_err = ode._richardson(
-        lambda g, _previous: ode._radial_levels(spec, n + 1, g, cutoff)[n], 1024, 4096)
+    alone, alone_err = ode._richardson(
+        [_radial_levels(spec, range(n, n + 1), g, cutoff)[0] for g in (1024, 2048, 4096)])
     assert abs(levels[n].extrapolated - alone) <= 1e-9
     assert abs(levels[n].error_estimate - alone_err) <= 1e-9
 
@@ -524,34 +543,109 @@ def test_radial_sweep_names_the_lowest_level_that_misses_the_target():
         ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 2, target=1e-10)
 
 
+def test_a_default_sweep_bisects_only_its_pilot(monkeypatch):
+    # on the default grids, the oracle sweep's three radial sweeps and six
+    # unit levels make one index-form solve each, on the pilot; every
+    # Richardson grid is refined and certified
+    sizes = _index_solves(monkeypatch)
+    for lam in (0.0, 0.5, 2.0):
+        ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(lam=lam), 2)
+    ode._unit_level.cache_clear()
+    for s in (0.0, 0.5, 1.0):
+        for level in (0, 1):
+            ode._unit_level(s, level, 1024)
+    assert sizes == [1024 // ode._PILOT_RATIO] * 9
+
+
+@pytest.mark.parametrize("plant", [lambda v: v[::-1].copy(), lambda v: v + 50.0],
+                         ids=["levels-swapped", "far-off"])
+def test_a_wrong_pilot_level_falls_back_to_the_index_form(monkeypatch, plant):
+    # the coarsest grid cannot certify levels refined from a wrong pilot, so
+    # it is bisected, and the finer grids refine from its levels: the same
+    # levels as the sweep from a right pilot
+    spec = ode.RadialOscillatorSpec(lam=0.5)
+    cutoff = _radial_cutoff(spec, 2)
+
+    def matrix(n):
+        return ode._radial_matrix(spec, n, cutoff)
+
+    _, expected = ode._sweep(matrix, range(3), False, 1024, 4096)
+    extreme = ode._extreme_levels
+
+    def planted(diag, off, levels, top, hint=None):
+        found = extreme(diag, off, levels, top, hint)
+        return plant(found) if len(diag) == 128 else found
+
+    monkeypatch.setattr(ode, "_extreme_levels", planted)
+    sizes = _index_solves(monkeypatch)
+    _, rows = ode._sweep(matrix, range(3), False, 1024, 4096)
+    assert sizes == [128, 1024]
+    assert np.array_equal(rows[0], extreme(*matrix(1024), range(3), False))
+    np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_grid, levels", [(4, range(1)), (16, range(3)), (16, range(1, 3))],
+                         ids=["no-pilot", "pilot-of-2-for-3-levels", "pilot-of-2-for-level-2"])
+def test_a_coarsest_grid_too_small_for_a_pilot_is_bisected_itself(monkeypatch, n_grid,
+                                                                   levels):
+    # the pilot, n_grid // 8 cells, holds fewer cells than the levels need
+    spec = ode.RadialOscillatorSpec()
+    cutoff = _radial_cutoff(spec, 2)
+
+    def matrix(n):
+        return ode._radial_matrix(spec, n, cutoff)
+
+    sizes = _index_solves(monkeypatch)
+    _, rows = ode._sweep(matrix, levels, False, n_grid, 4 * n_grid)
+    assert sizes[0] == n_grid
+    assert np.array_equal(rows[0], ode._extreme_levels(*matrix(n_grid), levels, False))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_a_level_solved_alone_is_the_level_every_pair_reads(s):
+    # each unit level is swept alone, so every pair reads the same level,
+    # whichever pair ran first and whatever other levels are kept
+    spec = ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
+    alone = {}
+    for j in range(3):
+        _, rows = ode._sweep(lambda n: ode._parabolic_matrix(spec, n, 40.0), range(j, j + 1),
+                             True, 256, 1024)
+        alone[j] = [2.0 * float(v) for v in rows[:, 0]]
+    ode._unit_level.cache_clear()
+    for n1, n2 in [(2, 0), (0, 0), (1, 2), (0, 1), (2, 2)]:
+        per_grid = ode.solve_parabolic_pair(s, s, 2.0, n1, n2, n_grid=256, target=1.0)[4]
+        assert per_grid == [-(2.0 / (w1 + w2)) ** 2 / 2.0
+                            for w1, w2 in zip(alone[n1], alone[n2])]
+        if n1 == n2:
+            ode._unit_level.cache_clear()
+    assert all(ode._unit_level(s, j, 256) == tuple(alone[j]) for j in range(3))
+
+
 # -- tridiagonal bisection through numpy's LAPACK ------------------------------------
 
 def _sweep_solves(monkeypatch):
-    """(d, e, keywords) of eigensolves on the oracle sweep's matrices: the
-    parabolic unit channels s in {0, 0.5, 1} and the radial blocks lambda in
-    {0, 0.5, 2} on 1024, 2048 and 4096 cells, each by index and by value
-    around the levels found."""
+    """(d, e, keywords) of index-form eigensolves on the oracle sweep's
+    matrices: the parabolic unit channels s in {0, 0.5, 1} (one level alone
+    and two together) and the radial blocks lambda in {0, 0.5, 2}, on the
+    pilot of 1024 cells and on 1024, 2048 and 4096 cells."""
     calls = []
     eigh = ode.eigh_tridiagonal
 
     def spy(d, e, **kwargs):
-        vals = eigh(d, e, **kwargs)
         calls.append((d, e, kwargs))
-        calls.append((d, e, {"select": "v", "eigvals_only": True,
-                             "select_range": (vals.min() - 0.5, vals.max() + 0.5)}))
-        return vals
+        return eigh(d, e, **kwargs)
 
     monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
-    cases = [(ode._parabolic_levels, ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0), 2, 40.0)
-             for s in (0.0, 0.5, 1.0)]
-    for lam in (0.0, 0.5, 2.0):
-        spec = ode.RadialOscillatorSpec(lam=lam)
-        cases.append((ode._radial_levels, spec, 3, _radial_cutoff(spec, 2)))
-    for levels, spec, k, cutoff in cases:
-        for n in (1024, 2048, 4096):
-            levels(spec, k, n, cutoff)
+    for n in (128, 1024, 2048, 4096):
+        for s in (0.0, 0.5, 1.0):
+            spec = ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
+            _channel_levels(spec, range(1, 2), n)
+            _channel_levels(spec, range(2), n)
+        for lam in (0.0, 0.5, 2.0):
+            spec = ode.RadialOscillatorSpec(lam=lam)
+            _radial_levels(spec, range(3), n, _radial_cutoff(spec, 2))
     monkeypatch.setattr(ode, "eigh_tridiagonal", eigh)
-    assert sorted({kw["select"] for _, _, kw in calls}) == ["i", "v"]
+    assert len(calls) == 36
     return calls
 
 
@@ -573,7 +667,7 @@ def test_eigenvalues_are_bitwise_scipys(monkeypatch, binding):
     monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counted)
     for d, e, kwargs in solves:
         got = ode.eigh_tridiagonal(d, e, **kwargs)
-        expected = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+        expected = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, **kwargs)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
     assert len(used) == (0 if binding == "numpy lapack" else len(solves))
@@ -589,14 +683,12 @@ def _outcome(eigh, *args, **kwargs):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_small_matrices_match_scipy(n):
     # values and refusals alike, including scipy's 1x1 answer without LAPACK
-    # and LAPACK's refusal of an empty value range on larger matrices
     rng = np.random.default_rng(n)
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
-    for select, select_range in (("i", (0, n - 1)), ("i", (n - 1, n - 1)),
-                                 ("v", (-10.0, 10.0)), ("v", (10.0, 11.0)), ("v", (0.0, 0.0))):
-        got = _outcome(ode.eigh_tridiagonal, d, e, select=select, select_range=select_range)
+    for select_range in ((0, n - 1), (n - 1, n - 1), (0, 0), (0, n), (-1, 0)):
+        got = _outcome(ode.eigh_tridiagonal, d, e, select="i", select_range=select_range)
         expected = _outcome(scipy.linalg.eigh_tridiagonal, d, e, eigvals_only=True,
-                            select=select, select_range=select_range)
+                            select="i", select_range=select_range)
         if isinstance(expected, type):
             assert got is expected
         else:

@@ -130,6 +130,23 @@ def test_stacked_samples_equal_each_sample_alone(systems, name, tree):
             assert np.array_equal(values[s], alone[..., :n_terms[d]]), (d, s)
 
 
+@pytest.mark.parametrize("tree", ["H", "A", "B"])
+@pytest.mark.parametrize("name", ["kepler5d", "osc8d", "ycm"])
+def test_stacked_inputs_equal_each_input_alone(systems, name, tree):
+    # inputs stacked on a new axis after the sample axis, as the word
+    # evaluator stacks the suffixes one letter serves: each entry, spin rows
+    # included, is that input applied alone, bit for bit
+    op = _TREES[tree](systems[name][0])
+    space, points, f = _samples(systems[name], op, 1, 3, seed=20 + len(tree))
+    ctx = ops.PointContext(space, points)
+    g = np.random.default_rng(1).uniform(-1.0, 1.0, f.shape) + 0j
+    for d in (0, 1):
+        stacked = op.apply(np.stack([f, g, f], axis=1), ctx, d)
+        assert stacked.shape[:3] == (3, 3, f.shape[1])
+        for k, alone in enumerate((f, g, f)):
+            assert np.array_equal(stacked[:, k], op.apply(alone, ctx, d)), (d, k)
+
+
 def _coefficients(*trees):
     """{key: builder} of every OpMul node in the trees."""
     found, todo = {}, list(trees)
@@ -474,8 +491,8 @@ def test_kepler_A_reduces_to_full_rotation_casimir(kepler_pure, sampler5):
 # -- quadratic closure and constant fits ----------------------------------------
 
 class _Counting(ops.Operator):
-    """A tree that counts how often it is applied, to how many samples and at
-    which degrees."""
+    """A tree that counts how often it is applied, to how many samples, at
+    which degrees and to how many stacked inputs (1 for an unstacked one)."""
 
     def __init__(self, child):
         self.child = child
@@ -484,11 +501,13 @@ class _Counting(ops.Operator):
         self.calls = 0
         self.samples = []
         self.degrees = []
+        self.stacked = []
 
     def apply(self, coeffs, ctx, degree):
         self.calls += 1
         self.samples.append(coeffs.shape[0])
         self.degrees.append(degree)
+        self.stacked.append(coeffs.shape[1] if coeffs.ndim == 4 else 1)
         return self.child.apply(coeffs, ctx, degree)
 
 
@@ -526,13 +545,17 @@ def test_each_suffix_is_applied_once_at_the_highest_degree_it_is_read(kepler_pur
     assert v.shape == (3, len(combos), 1) and size.shape == (3, len(combos))
     assert ctx.space.degree == 6
     for x in (H, A, B):
+        # every suffix that starts with x is in exactly one stacked input, at
+        # the degree it is read at; one apply serves each length and degree
         suffixes = [s for s in read if s[0] is x]
-        assert x.calls == len(suffixes) == {H: 3, A: 7, B: 7}[x]
-        assert sorted(x.degrees) == sorted(read[s] for s in suffixes)
+        assert len(suffixes) == sum(x.stacked) == {H: 3, A: 7, B: 7}[x]
+        assert sorted(d for d, k in zip(x.degrees, x.stacked) for _ in range(k)) == \
+            sorted(read[s] for s in suffixes)
+        assert x.calls == len({(len(s), read[s]) for s in suffixes}) == {H: 2, A: 4, B: 4}[x]
         assert x.samples == [3] * x.calls
     # a second batch applies its own suffixes again: (A), (H, A), (H), (A, H)
     ops.sample_words(combos[:2], 3, sampler5, np.random.default_rng(1))
-    assert (H.calls, A.calls, B.calls) == (5, 9, 7)
+    assert (H.calls, A.calls, B.calls) == (4, 6, 4)
 
 
 def test_a_word_is_its_tree_bit_for_bit_on_the_same_batch(kepler, sampler5):
