@@ -8,6 +8,24 @@ and a CLI that emits JSON verification reports.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# The package's matrices are small (Fock matrices of p + 1 rows, fits of tens
+# of rows, tridiagonal bisection), so none reaches OpenBLAS's threading
+# thresholds; yet the OpenBLAS numpy loads starts a worker per extra core, and
+# each worker busy-waits for about 0.12 s of CPU after load. OpenBLAS reads its
+# thread count only while it loads, so numpy is loaded here on one thread,
+# unless it is loaded already or the user has set a thread count of their own,
+# and the environment is restored as it was.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARIABLES):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .algebra import (
     FockRealization,
     PhiFamily,

@@ -3,14 +3,15 @@ separated parabolic channels and the 4D radial oscillator blocks.
 
 Discretizations are flux-form symmetric second-order schemes, and eigenvalues
 are Richardson-extrapolated over three doubled grids, all solved in one sweep
-(_sweep). A pilot grid of 1/_PILOT_RATIO of the coarsest grid's cells finds
+(_sweep). A pilot grid of 1/_PILOT_RATIO of the coarsest grid's cells, or of
+_PILOT_CELLS_PER_LEVEL cells per wanted level where that is more, finds
 the wanted levels by LAPACK's symmetric tridiagonal bisection (dstebz) by
 index. Each Richardson grid refines every level by Rayleigh-quotient
 iteration from the same level on the next coarser grid (one tridiagonal
 solve, dgtsv, per step) and certifies it by two Sturm counts (dlarrc): a
 window of a few ulps of the matrix norm around the level must hold exactly
-one eigenvalue, at the wanted index. Where any level fails, or the pilot has
-too few cells for the wanted levels, the index form decides that grid, so a
+one eigenvalue, at the wanted index. Where any level fails, or the pilot is
+over half the coarsest grid, the index form decides that grid, so a
 coarser grid's levels set the cost and the last bits, never which eigenvalue
 a level is. The paired parabolic channels are matched through the grid's
 exact scaling with sqrt(-beta) instead of a root search on beta: each channel
@@ -184,10 +185,12 @@ class EigenResult:
 
 
 # Rayleigh-quotient steps before the index form decides, the half-width of the
-# certification window in ulps of the matrix norm, and coarsest cells per pilot cell
-_RQI_STEPS = 4
+# certification window in ulps of the matrix norm, coarsest cells per pilot
+# cell, and the fewest pilot cells per wanted level
+_RQI_STEPS = 6
 _WINDOW_ULPS = 64
 _PILOT_RATIO = 8
+_PILOT_CELLS_PER_LEVEL = 8
 
 
 def _shifted_solve(diag: np.ndarray, off: np.ndarray, shift: float,
@@ -283,10 +286,12 @@ def _sweep(matrix, levels: range, top: bool, n_grid: int, max_grid: int) -> tupl
     <= max_grid: (finest grid, an array with one row per grid, coarsest first).
 
     matrix(cells) is the (diag, off) of the operator on that many cells. The
-    pilot grid, the coarsest grid's cells // _PILOT_RATIO, bisects the levels
-    by index, and each grid refines them from the next coarser grid's. A pilot
-    with too few cells for the levels is skipped: the coarsest grid is then
-    bisected itself.
+    pilot grid bisects the levels by index, and each grid refines them from
+    the next coarser grid's. The pilot has the coarsest grid's cells //
+    _PILOT_RATIO, or _PILOT_CELLS_PER_LEVEL cells per wanted level (levels.stop)
+    where that is more, so a higher level is found on a finer pilot. A pilot
+    of more than half the coarsest grid's cells is skipped: the coarsest grid
+    is then bisected itself.
     """
     if n_grid < 1:
         raise ValueError(f"n_grid must be at least 1, got {n_grid}")
@@ -295,10 +300,11 @@ def _sweep(matrix, levels: range, top: bool, n_grid: int, max_grid: int) -> tupl
         fine *= 2
     if fine < 4 * n_grid:
         raise ValueError("need at least three grid sizes between n_grid and max_grid")
-    pilot = fine // (4 * _PILOT_RATIO)
-    hint = _extreme_levels(*matrix(pilot), levels, top) if pilot >= levels.stop else None
+    coarse = fine // 4
+    pilot = max(coarse // _PILOT_RATIO, _PILOT_CELLS_PER_LEVEL * levels.stop)
+    hint = _extreme_levels(*matrix(pilot), levels, top) if 2 * pilot <= coarse else None
     rows = []
-    for grid in (fine // 4, fine // 2, fine):
+    for grid in (coarse, 2 * coarse, fine):
         hint = _extreme_levels(*matrix(grid), levels, top, hint)
         rows.append(hint)
     return fine, np.array(rows)

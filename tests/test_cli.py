@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import quadalg
 from quadalg import catalog as cat
 from quadalg import hurwitz as hw
 from quadalg import operators as ops
@@ -21,6 +22,17 @@ def _run_json(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--format", "json", "--out", str(out)])
     return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+def _child_env(**extra):
+    """Environment of a child python: the package's src/ first on PYTHONPATH,
+    none of the BLAS thread counts of the shell that runs the tests, then
+    extra."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in quadalg._THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env.update(extra)
+    return env
 
 
 def test_spectrum_kepler_rows(tmp_path):
@@ -454,11 +466,8 @@ def test_a_closed_pipe_ends_with_the_reports_exit_code(capsys, monkeypatch):
 def test_a_closed_pipe_ends_the_process_quietly():
     # the reader closes its end before the report is written: the write
     # fails, and so would the flush at exit without stdout pointed at devnull
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.Popen([sys.executable, "-m", "quadalg.cli", "hurwitz-check"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -571,7 +580,7 @@ tracing.install(tracer)
 print(json.dumps(tracer.absent))
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, check=True)
+                          env=_child_env(), timeout=120, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
@@ -750,7 +759,6 @@ def test_solver_closing_sets_are_kept(config):
 def test_commands_start_without_scipy(tmp_path):
     # numpy.random and locale are loaded at import, not in the first pass; a
     # verify and an ODE-oracle crosscheck then run without loading any module
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cat.__file__)))
     out = str(tmp_path / "r.json")
     script = f"""
 import json, sys
@@ -764,16 +772,74 @@ codes = [cli.main(["verify", "kepler5d", "--p", "1", "--trials", "2", "--seed", 
 print(json.dumps([random_at_import, codes, sorted(set(sys.modules) - loaded),
                   sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_child_env(), timeout=120, check=True)
     random_at_import, codes, loaded_in_pass, scipy_modules = json.loads(
         done.stdout.splitlines()[-1])
     assert random_at_import
     assert codes == [0, 0]
     assert loaded_in_pass == []
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "OPENBLAS_NUM_THREADS=2"])
+def test_the_package_loads_openblas_on_one_thread_unless_told_otherwise(preset):
+    # OpenBLAS reads its thread count only while it loads; importing the
+    # package loads it on one thread, so no idle worker spins, and restores
+    # the environment. A count the user set is left to OpenBLAS.
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count native threads")
+    # OpenBLAS's thread count is asked as the benchmark's environment stamp
+    # asks it, where perfbench/ is there
+    script = f"""
+import json, os, sys
+before = dict(os.environ)
+import quadalg.cli
+native, unchanged = len(os.listdir("/proc/self/task")), dict(os.environ) == before
+sys.path.insert(0, {_BENCH!r})
+try:
+    from worker import _blas_threads
+except ImportError:
+    _blas_threads = lambda: None
+print(json.dumps([native, _blas_threads(), unchanged, os.environ.get("OPENBLAS_NUM_THREADS"),
+                  len(os.sched_getaffinity(0))]))
+"""
+    extra = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(**extra), timeout=120, check=True)
+    native, blas, unchanged, variable, cores = json.loads(done.stdout.splitlines()[-1])
+    assert unchanged
+    assert variable == preset
+    if preset is None:
+        assert native == 1
+    if blas is None:
+        pytest.skip("the loaded OpenBLAS exports no thread-count getter")
+    assert blas == (1 if preset is None else min(int(preset), cores))
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every matrix the package factors is below OpenBLAS's threading
+    # thresholds, so one or two BLAS threads give byte-identical reports
+    argvs = [["verify", "kepler5d", "--p", "3", "--trials", "20"],
+             ["verify", "osc8d", "--p", "2", "--trials", "4"],
+             ["crosscheck", "ycm"],
+             ["crosscheck", "osc8d", "--levels", "3"],
+             ["crosscheck", "euler", "--samples", "2000"]]
+    reports = {}
+    for threads in ("1", "2"):
+        outs = [str(tmp_path / f"{threads}-{i}.json") for i in range(len(argvs))]
+        script = f"""
+import json
+import quadalg.cli as cli
+print(json.dumps([cli.main(argv + ["--seed", "7", "--out", out])
+                  for argv, out in zip({argvs!r}, {outs!r})]))
+"""
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads), timeout=300,
+                              check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs)
+        reports[threads] = [open(out, "rb").read() for out in outs]
+    assert reports["1"] == reports["2"]
 
 
 # -- one batch per verify suite --------------------------------------------------

@@ -557,6 +557,34 @@ def test_a_default_sweep_bisects_only_its_pilot(monkeypatch):
     assert sizes == [1024 // ode._PILOT_RATIO] * 9
 
 
+def _radial_sweep(lam, n_grid, max_grid):
+    try:
+        ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(lam=lam), 2,
+                                         n_grid=n_grid, max_grid=max_grid)
+    except GridTooCoarse:  # the sweep ran; only its error estimate missed
+        pass
+
+
+@pytest.mark.parametrize("n_grid", [128, 256, 512, 1024])
+def test_every_sweep_bisects_at_most_one_grid(monkeypatch, n_grid):
+    # the pilot grows with the wanted levels, so a higher level is not lost
+    # on too coarse a pilot: unit levels 0..5 of s in {0, 0.5, 1}, and levels
+    # 0..2 of the radial blocks on the CLI's grids and on n_grid, 2 n_grid and
+    # 4 n_grid, each make one index-form solve
+    sizes = _index_solves(monkeypatch)
+    ode._unit_level.cache_clear()
+    sweeps = {f"unit s={s} level {n}": (ode._unit_level, s, n, n_grid)
+              for s in (0.0, 0.5, 1.0) for n in range(6)}
+    sweeps.update({f"radial lambda={lam} max_grid={top}": (_radial_sweep, lam, n_grid, top)
+                   for lam in (0.0, 0.5, 2.0) for top in (4096, 4 * n_grid)})
+    solves = {}
+    for name, (sweep, *args) in sweeps.items():
+        del sizes[:]
+        sweep(*args)
+        solves[name] = len(sizes)
+    assert solves == dict.fromkeys(sweeps, 1)
+
+
 @pytest.mark.parametrize("plant", [lambda v: v[::-1].copy(), lambda v: v + 50.0],
                          ids=["levels-swapped", "far-off"])
 def test_a_wrong_pilot_level_falls_back_to_the_index_form(monkeypatch, plant):
@@ -588,7 +616,8 @@ def test_a_wrong_pilot_level_falls_back_to_the_index_form(monkeypatch, plant):
                          ids=["no-pilot", "pilot-of-2-for-3-levels", "pilot-of-2-for-level-2"])
 def test_a_coarsest_grid_too_small_for_a_pilot_is_bisected_itself(monkeypatch, n_grid,
                                                                    levels):
-    # the pilot, n_grid // 8 cells, holds fewer cells than the levels need
+    # a pilot of n_grid // 8 cells holds fewer cells than the levels need, and
+    # one of 8 cells per level would hold more than half the coarsest grid's
     spec = ode.RadialOscillatorSpec()
     cutoff = _radial_cutoff(spec, 2)
 
