@@ -246,16 +246,21 @@ def _closed_form(spectrum: Callable[[int], SpectrumRecord], u_of: Callable[[floa
     return build
 
 
-def kepler5d_spectrum(p: Kepler5DParams, rep_p: int) -> SpectrumRecord:
+def kepler5d_energy(c0: float, hbar: float, rep_p: int, m1: float, m2: float) -> float:
     """Printed closed-form energy, E = -c0^2 / (hbar^2 (p+1+(m1+m2)/2)^2).
 
     The printed denominator lacks the factor 2 carried by the parabolic and
     duality spectra; the ODE cross-check adjudicates it.
     """
+    return -c0**2 / (hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
+
+
+def kepler5d_spectrum(p: Kepler5DParams, rep_p: int) -> SpectrumRecord:
+    """kepler5d_energy at the printed m parameters."""
     if rep_p < 0:
         raise ValueError("rep_p must be nonnegative")
     m1, m2 = kepler5d_m_parameters(p)
-    energy = -p.c0**2 / (p.hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
+    energy = kepler5d_energy(p.c0, p.hbar, rep_p, m1, m2)
     return SpectrumRecord(
         system="kepler5d",
         quantum_numbers={"p": rep_p, "m1": m1, "m2": m2, "l": p.l},
@@ -396,13 +401,18 @@ def ycm_parabolic_s_parameters(p: YCMParams) -> tuple[float, float]:
     return float(s1), float(s2)
 
 
-def ycm_spectrum_parabolic(p: YCMParams, n1: int, n2: int) -> SpectrumRecord:
+def ycm_parabolic_energy(c0: float, hbar: float, n1: int, n2: int, s1: float,
+                         s2: float) -> float:
     """Printed parabolic spectrum, eps = -c0^2 / (2 hbar^2 (n1+n2+s1+s2+1)^2)."""
+    return -c0**2 / (2 * hbar**2 * (n1 + n2 + (s1 + s2 + 1)) ** 2)
+
+
+def ycm_spectrum_parabolic(p: YCMParams, n1: int, n2: int) -> SpectrumRecord:
+    """ycm_parabolic_energy at the printed channel parameters."""
     if n1 < 0 or n2 < 0:
         raise ValueError("n1 and n2 must be nonnegative")
     s1, s2 = ycm_parabolic_s_parameters(p)
-    kp = p.kepler
-    energy = -kp.c0**2 / (2 * kp.hbar**2 * (n1 + n2 + (s1 + s2 + 1)) ** 2)
+    energy = ycm_parabolic_energy(p.kepler.c0, p.kepler.hbar, n1, n2, s1, s2)
     return SpectrumRecord(
         system="ycm",
         quantum_numbers={"n1": n1, "n2": n2, "s1": s1, "s2": s2, "T": p.T},
@@ -418,16 +428,18 @@ def ycm_dual_oscillator(p: YCMParams) -> Oscillator8DParams:
                               hbar=kp.hbar, j=p.J, k=p.L)
 
 
-def ycm_spectrum_duality(p: YCMParams, rep_p: int) -> SpectrumRecord:
+def ycm_duality_energy(c0: float, hbar: float, rep_p: int, m1: float, m2: float) -> float:
     """Spectrum re-derived through the oscillator dual,
-    eps = -c0^2 / (2 hbar^2 (p+1+(m1+m2)/2)^2) with the dual m parameters."""
+    eps = -c0^2 / (2 hbar^2 (p+1+(m1+m2)/2)^2)."""
+    return -c0**2 / (2 * hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
+
+
+def ycm_spectrum_duality(p: YCMParams, rep_p: int) -> SpectrumRecord:
+    """ycm_duality_energy at the dual oscillator's printed m parameters."""
     if rep_p < 0:
         raise ValueError("rep_p must be nonnegative")
-    kp = p.kepler
-    dual = ycm_dual_oscillator(p)
-    printed, indicial = osc8d_m_parameters(dual)
-    m1, m2 = printed
-    energy = -kp.c0**2 / (2 * kp.hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
+    printed, indicial = osc8d_m_parameters(ycm_dual_oscillator(p))
+    energy = ycm_duality_energy(p.kepler.c0, p.kepler.hbar, rep_p, *printed)
     return SpectrumRecord(
         system="ycm",
         quantum_numbers={"p": rep_p, "J": p.J, "L": p.L, "T": p.T},

@@ -83,8 +83,7 @@ def _system_params(args):
 # spectrum
 # --------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    report = Report(command="spectrum", config=_config_echo(args), version=__version__)
+def cmd_spectrum(report: Report, args) -> None:
     rows = []
     p = _system_params(args)
     if args.system == "ycm":
@@ -106,7 +105,6 @@ def cmd_spectrum(args) -> int:
                            **{f"qn_{k}": v for k, v in sorted(rec.quantum_numbers.items())},
                            **({"m_printed": list(rec.m_printed)} if rec.m_printed else {}),
                            **({"m_indicial": list(rec.m_indicial)} if rec.m_indicial else {})})
-    return _write_report(report, args)
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +203,8 @@ class _Suite:
     and the relations on one batch of n_samples points of sampler, then the
     Fock side of the parameters fock, if given. A measure is the sides of a
     check, or a function of the batch (residuals of the checks, relations:
-    check_relation results by name, ctx) giving residual or (residual, values).
+    check_suite's relation results by name, ctx) giving residual or (residual,
+    values).
     """
 
     rows: list
@@ -331,8 +330,7 @@ def _ycm_suite(args) -> _Suite:
     return _Suite(rows, {}, ops.kepler_sampler(), max(10, args.trials // 4), unreported=plain)
 
 
-def cmd_verify(args) -> int:
-    report = Report(command="verify", config=_config_echo(args), version=__version__)
+def cmd_verify(report: Report, args) -> None:
     suite = {"kepler5d": _kepler5d_suite, "osc8d": _osc8d_suite,
              "ycm": _ycm_suite}[args.system](args)
     checks = [measure for _, measure, _, _ in suite.rows if not callable(measure)]
@@ -348,7 +346,6 @@ def cmd_verify(args) -> int:
                    *(residual if isinstance(residual, tuple) else (residual,)))
     if suite.fock is not None:
         _verify_fock_track(report, suite.fock, args.p)
-    return _write_report(report, args)
 
 
 # --------------------------------------------------------------------------
@@ -359,8 +356,7 @@ def cmd_verify(args) -> int:
 _EULER_BLOCK = 2048
 
 
-def cmd_crosscheck(args) -> int:
-    report = Report(command="crosscheck", config=_config_echo(args), version=__version__)
+def cmd_crosscheck(report: Report, args) -> None:
     if args.target == "euler":
         # successive (block, 8) draws are the same stream as one (samples, 8)
         # draw, and as one 8-draw per sample
@@ -387,23 +383,32 @@ def cmd_crosscheck(args) -> int:
                                   values={"samples": args.samples})
     elif args.target == "ycm":
         s1, s2 = _channel(args.channel)
+        c0, hbar, n1, n2 = args.c0, args.hbar, args.n1, args.n2
+        # the oracle before the closed forms: input that overflows both fails in the oracle
         try:
-            t = hw.ycm_triple(s1, s2, args.c0, args.hbar, args.n1, args.n2, n_grid=args.grid)
+            _, _, eps_beta, err, _ = ode.solve_parabolic_pair(s1, s2, 2 * c0 / hbar**2, n1, n2,
+                                                              n_grid=args.grid)
         except GridTooCoarse as exc:
             report.add("ode.ycm.pair-solve", "parabolic pair oracle",
                        status="finding", values={"error": str(exc)})
-            return _write_report(report, args)
+            return
+        parabolic = cat.ycm_parabolic_energy(c0, hbar, n1, n2, s1, s2)
+        # the duality chain at the channel identification m_i = 2 s_i,
+        # p = n1 + n2, with and without the factor 2 (the printed Kepler form)
+        duality = cat.ycm_duality_energy(c0, hbar, n1 + n2, 2 * s1, 2 * s2)
+        unhalved = cat.kepler5d_energy(c0, hbar, n1 + n2, 2 * s1, 2 * s2)
+        oracle, oracle_error = eps_beta * hbar**2, err * hbar**2 / 2
         report.required_check("ode.ycm.oracle-error", "extrapolated oracle error",
-                              residual=t.oracle_error, tolerance=1e-6)
+                              residual=oracle_error, tolerance=1e-6)
         report.add("ode.ycm.triple",
                    "parabolic closed form vs duality chain vs oracle",
                    status="finding",
-                   values={"parabolic": t.parabolic, "duality": t.duality,
-                           "oracle": t.oracle, "oracle_error": t.oracle_error})
+                   values={"parabolic": parabolic, "duality": duality,
+                           "oracle": oracle, "oracle_error": oracle_error})
         supported = []
-        if abs(t.parabolic - t.oracle) < 1e-5:
+        if abs(parabolic - oracle) < 1e-5:
             supported.append("parabolic")
-        if abs(t.duality - t.oracle) < 1e-5:
+        if abs(duality - oracle) < 1e-5:
             supported.append("duality")
         report.add("ode.ycm.supported-forms",
                    "closed forms within 1e-5 of the oracle",
@@ -411,10 +416,10 @@ def cmd_crosscheck(args) -> int:
         report.add("ode.ycm.halving-adjudication",
                    "denominator normalization: the factor-2 form vs the form without it",
                    status="finding",
-                   values={"with_half": t.duality, "without_half": t.unhalved,
-                           "oracle": t.oracle,
-                           "resolved": "factor-2 form" if abs(t.duality - t.oracle)
-                           < abs(t.unhalved - t.oracle) else "form without 2"})
+                   values={"with_half": duality, "without_half": unhalved,
+                           "oracle": oracle,
+                           "resolved": "factor-2 form" if abs(duality - oracle)
+                           < abs(unhalved - oracle) else "form without 2"})
     elif args.target == "osc8d":
         spec = ode.RadialOscillatorSpec(angular=0.0, lam=args.lambda1, omega=args.omega,
                                         hbar=args.hbar)
@@ -423,7 +428,7 @@ def cmd_crosscheck(args) -> int:
         except GridTooCoarse as exc:
             report.add("ode.osc8d.block-solve", "radial block oracle",
                        status="finding", values={"error": str(exc)})
-            return _write_report(report, args)
+            return
         for n, r in enumerate(eigs):
             report.add(f"ode.osc8d.block-level.{n}", "radial block eigenvalue",
                        status="finding",
@@ -443,15 +448,13 @@ def cmd_crosscheck(args) -> int:
                    status="finding",
                    values={"oracle": two_block, "formula": e_formula,
                            "difference": abs(two_block - e_formula)})
-    return _write_report(report, args)
 
 
 # --------------------------------------------------------------------------
 # dualize / hurwitz-check
 # --------------------------------------------------------------------------
 
-def cmd_dualize(args) -> int:
-    report = Report(command="dualize", config=_config_echo(args), version=__version__)
+def cmd_dualize(report: Report, args) -> None:
     if args.direction == "forward":
         dm = hw.DualityMap.forward(args.energy, args.omega, args.lambda1, args.lambda2)
         report.add("duality.forward", "oscillator parameters to Coulomb-side",
@@ -464,11 +467,9 @@ def cmd_dualize(args) -> int:
                    status="finding",
                    values={"energy": energy, "omega": omega,
                            "lambda1": l1, "lambda2": l2})
-    return _write_report(report, args)
 
 
-def cmd_hurwitz_check(args) -> int:
-    report = Report(command="hurwitz-check", config=_config_echo(args), version=__version__)
+def cmd_hurwitz_check(report: Report, args) -> None:
     u = hw.Point8(_point(args.point))
     f = hw.hurwitz_forward(u, literal_x0=args.literal_x0)
     res = hw.euler_identity_residual(u, literal_x0=args.literal_x0)
@@ -480,7 +481,6 @@ def cmd_hurwitz_check(args) -> int:
         report.required_check("hurwitz.point", "norm identity at the point",
                               residual=res, tolerance=1e-12,
                               values={"x": list(f.x), "angles": list(f.angles)})
-    return _write_report(report, args)
 
 
 # --------------------------------------------------------------------------
@@ -671,7 +671,10 @@ def main(argv=None) -> int:
         # a numpy overflow, division by zero or invalid operation raises
         # FloatingPointError, an ArithmeticError, instead of a warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            report = Report(command=args.command, config=_config_echo(args),
+                            version=__version__)
+            args.func(report, args)
+            return _write_report(report, args)
     except (QuadalgError, ValueError, ArithmeticError) as exc:
         # the input passed every check above, so the fault is the package's
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

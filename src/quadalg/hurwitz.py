@@ -1,6 +1,7 @@
 """The R^8 -> R^5 x S^3 quadratic transformation, the Euler norm identity, and
 the parameter duality between the 8D singular oscillator and the monopole
-system.
+system. The spectra on either side of the duality are the catalog's printed
+forms; `crosscheck ycm` sets them beside the pair oracle.
 
 The printed first component of the base-space map omits three squares and
 fails the Euler identity; the completed form is adopted (and verified by
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import odecheck
 from .catalog import Kepler5DParams, Oscillator8DParams
 from .errors import SignError
 
@@ -138,34 +138,3 @@ class DualityMap:
         Kepler5DParams(c0=self.c0, c1=self.c1, c2=self.c2)
         return (4.0 * self.c0, float(np.sqrt(-8.0 * self.eps)),
                 self.c1 / 2.0, self.c2 / 2.0)
-
-
-@dataclass(frozen=True)
-class YCMTriple:
-    """One monopole channel's energy three ways, plus the unhalved closed form."""
-
-    parabolic: float   # -c0^2 / (2 hbar^2 (n1 + n2 + s1 + s2 + 1)^2)
-    duality: float     # the chain with m_i = 2 s_i, p = n1 + n2
-    unhalved: float    # the duality form without the factor 2 in the denominator
-    oracle: float      # finite-difference pair solve
-    oracle_error: float  # the oracle energy's error estimate, (beta error) hbar^2 / 2
-
-
-def ycm_triple(s1: float, s2: float, c0: float, hbar: float, n1: int, n2: int,
-               n_grid: int = 1024) -> YCMTriple:
-    """Closed forms and the pair oracle for the channel (s1, n1), (s2, n2).
-
-    The oracle is odecheck.solve_parabolic_pair, looked up at call time.
-    """
-    alpha = 2 * c0 / hbar**2
-    _, _, eps_beta, err, _ = odecheck.solve_parabolic_pair(s1, s2, alpha, n1, n2,
-                                                          n_grid=n_grid)
-    N = n1 + n2 + (s1 + s2 + 1)
-    rep_p, m1, m2 = n1 + n2, 2 * s1, 2 * s2
-    return YCMTriple(
-        parabolic=-c0**2 / (2 * hbar**2 * N**2),
-        duality=-c0**2 / (2 * hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2),
-        unhalved=-c0**2 / (hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2),
-        oracle=eps_beta * hbar**2, oracle_error=err * hbar**2 / 2)
-
-

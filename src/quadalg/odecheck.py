@@ -25,11 +25,12 @@ closed forms, so no printed formula is used in this module's numerics.
 
 The LAPACK routines are called through ctypes in the LAPACK that numpy's own
 linalg extension is linked against (numpy's bundled OpenBLAS, with 64-bit
-integers), so no command loads scipy. dstebz gets the arguments
-scipy.linalg.eigh_tridiagonal passes for an index range, so every pilot
-eigenvalue is bitwise scipy's; where that library exports no dstebz of known
-integer width, scipy.linalg.lapack.dstebz is imported on the first solve
-instead. Where it exports no dgtsv or dlarrc, every grid is solved by index.
+integers), so no command loads scipy. The eigensolver, eigh_tridiagonal, is
+one dstebz call by index, with the arguments scipy.linalg.eigh_tridiagonal
+passes for an index range, so every pilot eigenvalue is bitwise scipy's;
+where that library exports no dstebz of known integer width,
+scipy.linalg.lapack.dstebz is imported on the first solve instead. Where it
+exports no dgtsv or dlarrc, every grid is solved by index.
 """
 
 from __future__ import annotations
@@ -87,15 +88,15 @@ _DGTSV = _bind("dgtsv", [_I, _I, _A, _A, _A, _A, _I, _I])
 _DLARRC = _bind("dlarrc", [_C, _I, _F, _F, _A, _A, _F, _I, _I, _I, _I, _LEN])
 
 
-
-
 def _dstebz(d: np.ndarray, e: np.ndarray, il: int, iu: int) -> tuple:
     """(m, w, info) of dstebz for the 1-based indices il..iu with ABSTOL 0 and
     ORDER 'E', as scipy calls it."""
     if _DSTEBZ is None:
         from scipy.linalg.lapack import dstebz
 
-        m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "E")
+        # scipy's wrapper refuses an empty e, which dstebz does not read at N = 1
+        m, w, _, _, info = dstebz(d, e if e.size else np.zeros(1), 2, 0.0, 1.0, il, iu, 0.0,
+                                  "E")
         return int(m), w, int(info)
     n = len(d)
     i64, f64 = ctypes.c_int64, ctypes.c_double
@@ -108,15 +109,15 @@ def _dstebz(d: np.ndarray, e: np.ndarray, il: int, iu: int) -> tuple:
     return m.value, w, info.value
 
 
-def eigh_tridiagonal(d, e, *, select: str, select_range) -> np.ndarray:
-    """Eigenvalues (ascending) of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, by 0-based index min..max of select_range.
+def eigh_tridiagonal(d, e, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues lo..hi (0-based, ascending) of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, by dstebz.
 
-    scipy.linalg.eigh_tridiagonal with eigvals_only=True and select="i", the
-    one form computed, on the same LAPACK call, with its input checks and
-    error mapping: non-finite entries, a length mismatch and an index range
-    outside [0, len(d)) raise ValueError before LAPACK runs; a negative LAPACK
-    info raises ValueError and a positive one LinAlgError.
+    d and e must be 1-D and finite, with one more element in d than in e:
+    LAPACK reads them through raw pointers, so anything else raises
+    ValueError before it runs. dstebz checks the index range itself. A
+    negative LAPACK info raises ValueError and a positive one LinAlgError,
+    as in scipy.linalg.eigh_tridiagonal.
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     e = np.ascontiguousarray(e, dtype=np.float64)
@@ -126,21 +127,7 @@ def eigh_tridiagonal(d, e, *, select: str, select_range) -> np.ndarray:
         raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if select != "i":
-        raise ValueError(f"only the index form is computed: select must be 'i', got {select!r}")
-    sr = np.asarray(select_range)
-    if sr.ndim != 1 or sr.size != 2 or not sr[0] <= sr[1]:
-        raise ValueError("select_range must be a 2-element array-like "
-                         "in nondecreasing order")
-    if sr.dtype.char.lower() not in "hilqp":
-        raise ValueError(f'when using select="i", select_range must contain '
-                         f"integers, got dtype {sr.dtype}")
-    il, iu = int(sr[0]) + 1, int(sr[1]) + 1
-    if il < 1 or iu > d.size:
-        raise ValueError("select_range out of bounds")
-    if d.size == 1:  # scipy answers a 1x1 matrix without LAPACK
-        return d.copy()
-    m, w, info = _dstebz(d, e, il, iu)
+    m, w, info = _dstebz(d, e, lo + 1, hi + 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal stebz "
                          f"(eigh_tridiagonal)")
@@ -277,7 +264,7 @@ def _extreme_levels(diag: np.ndarray, off: np.ndarray, levels: range, top: bool,
         if found is not None:
             return found
     index = range(n - levels.stop, n - levels.start) if top else levels
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(index[0], index[-1]))
+    vals = eigh_tridiagonal(diag, off, index[0], index[-1])
     return vals[::-1] if top else vals
 
 
@@ -336,8 +323,7 @@ def _parabolic_matrix(spec: ParabolicChannelSpec, n_grid: int, cutoff: float) ->
         # indicial boundary weight: cell-average of s/(4x) against the x^(sqrt(s))
         # profile instead of the midpoint value, refining the singular cell
         m = np.sqrt(abs(spec.s))
-        if m > 0:
-            sx[0] = spec.s * (m + 1) / (2 * m)
+        sx[0] = spec.s * (m + 1) / (2 * m)
     diag = diag - sx / (4 * x) + spec.alpha / 4 + (spec.beta / 4) * x
     return diag, faces_right[:-1] / h**2
 

@@ -888,7 +888,8 @@ def check_suite(checks: Sequence[Sequence[dict]], relations: Sequence[RelationSp
     A check is a sequence of combinations, its sides, whose sum vanishes; its
     residual is the largest |sum of the sides| relative to the sample's
     largest |coefficient x word value| over the sides (at least 1). A relation
-    gives its check_relation result.
+    gives (printed residual, {basis name: (printed, fitted)}, fit residual),
+    see _relation_result.
     Every word of every side, left side and basis goes through one
     sample_words call, so a shared suffix is applied once. Returns (check
     residuals, relation results, the batch's PointContext).
@@ -906,18 +907,6 @@ def check_suite(checks: Sequence[Sequence[dict]], relations: Sequence[RelationSp
         results.append(_relation_result(spec, v[:, span], size[:, span]))
         at += 1 + len(spec.rows)
     return residuals, results, ctx
-
-
-def check_relation(spec: RelationSpec, trials: int, sampler: PointSampler,
-                   rng: np.random.Generator):
-    """Residual of the printed relation, then a fit of its coefficients.
-
-    Returns (printed residual, {basis name: (printed, fitted)}, fit residual),
-    both over one batch of relation_samples(spec, trials) samples.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one sample, got {trials}")
-    return check_suite((), [spec], relation_samples(spec, trials), sampler, rng)[1][0]
 
 
 @dataclass(frozen=True)

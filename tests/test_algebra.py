@@ -452,7 +452,6 @@ def test_jacobi_identity_for_any_constants():
         fock = alg.build_fock_realization(cand.sf, real, 4)
         rep = alg.verify_commutation(fock, c)
         assert rep.jacobi < 1e-10
-        assert rep.r_ab == 0.0  # C is the literal commutator
 
 
 def test_recurrence_phi_matches_factored_for_oscillator():

@@ -215,6 +215,23 @@ def test_crosscheck_ycm_triple(tmp_path):
         {"parabolic", "duality"}
 
 
+def test_crosscheck_ycm_and_spectrum_ycm_share_the_parabolic_form(tmp_path):
+    # one transcription of the printed parabolic spectrum serves both
+    # commands: the same energy to the bit at n1 = 1, n2 = 0, s1 = s2 = 0
+    code, cross = _run_json(tmp_path, "x.json",
+                            ["crosscheck", "ycm", "--channel", "s1=0,s2=0", "--n1", "1",
+                             "--c0", "1.3", "--hbar", "0.7"])
+    assert code == 0
+    (triple,) = [f["values"] for f in cross["findings"] if f["check"] == "ode.ycm.triple"]
+    code, spec = _run_json(tmp_path, "s.json", ["spectrum", "ycm", "--c0", "1.3", "--hbar", "0.7"])
+    assert code == 0
+    (row,) = [f["values"] for f in spec["findings"]
+              if f["check"].startswith("spectrum.ycm.algebraic.")
+              and (f["values"]["qn_n1"], f["values"]["qn_n2"]) == (1, 0)]
+    assert (row["qn_s1"], row["qn_s2"]) == (0.0, 0.0)
+    assert triple["parabolic"].hex() == row["energy"].hex()
+
+
 def test_crosscheck_osc8d_block_sum_uses_the_solved_coupling(tmp_path):
     # both blocks carry lambda = 0.5: 2 (1 + sqrt(2)) against the printed form
     # at lambda1 = lambda2 = 0.5, 2 (1 + 1 + (1 + 1) / 2) = 6
@@ -227,35 +244,13 @@ def test_crosscheck_osc8d_block_sum_uses_the_solved_coupling(tmp_path):
     assert block_sum["formula"] == pytest.approx(6.0)
 
 
-def _count_solves(monkeypatch):
-    """Grid sizes of the oracle's eigensolves from here on: every solve, and
-    those made by index (LAPACK bisection) rather than certified refinement."""
-    from quadalg import odecheck as ode
-
-    solves, by_index = [], []
-    extreme, eigh = ode._extreme_levels, ode.eigh_tridiagonal
-
-    def counted(diag, off, levels, top, hint=None):
-        solves.append(len(diag))
-        return extreme(diag, off, levels, top, hint)
-
-    def counted_index(d, e, **kwargs):
-        by_index.append(len(d))
-        return eigh(d, e, **kwargs)
-
-    monkeypatch.setattr(ode, "_extreme_levels", counted)
-    monkeypatch.setattr(ode, "eigh_tridiagonal", counted_index)
-    return solves, by_index
-
-
-def test_crosscheck_osc8d_solves_all_levels_once_per_grid(tmp_path, monkeypatch):
+def test_crosscheck_osc8d_solves_all_levels_once_per_grid(tmp_path, eigensolves):
     # one sweep serves every reported level: one eigensolve on each grid, by
     # index on the pilot only and certified on the three grids
-    solves, by_index = _count_solves(monkeypatch)
     assert main(["crosscheck", "osc8d", "--levels", "3",
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert solves == [128, 1024, 2048, 4096]
-    assert by_index == [128]
+    assert eigensolves.levels == [128, 1024, 2048, 4096]
+    assert eigensolves.index_sizes == [128]
 
 
 def test_crosscheck_osc8d_accuracy_limit_is_a_finding(tmp_path, capsys):
@@ -616,21 +611,21 @@ def test_every_workload_keeps_its_reference_verdicts(capsys, workload):
 
 @pytest.mark.parametrize("channel, solves", [("s1=0.5,s2=0.5", 3), ("s1=0,s2=1", 6)])
 def test_crosscheck_ycm_solves_each_distinct_channel_once_per_grid(
-        tmp_path, monkeypatch, channel, solves):
+        tmp_path, eigensolves, channel, solves):
     # three grids per distinct unit level; equal channels at equal levels
     # share one; only each level's pilot is solved by index
     from quadalg import odecheck as ode
 
     ode._unit_level.cache_clear()
-    calls, by_index = _count_solves(monkeypatch)
     main(["crosscheck", "ycm", "--channel", channel, "--n1", "1", "--n2", "1",
           "--out", str(tmp_path / "r.json")])
+    calls, by_index = eigensolves.levels, eigensolves.index_sizes
     assert sorted(c for c in calls if c > 128) == sorted([1024, 2048, 4096] * (solves // 3))
     assert by_index == [128] * (solves // 3)
     assert len(calls) == solves + len(by_index)
 
 
-def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, monkeypatch):
+def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, eigensolves):
     # a process keeps each unit level, so a repeated command reads them
     from quadalg import odecheck as ode
 
@@ -638,9 +633,9 @@ def test_crosscheck_ycm_run_again_makes_no_eigensolve(tmp_path, monkeypatch):
             "--out", str(tmp_path / "r.json")]
     ode._unit_level.cache_clear()
     assert main(argv) == 0
-    calls, _ = _count_solves(monkeypatch)
+    eigensolves.clear()
     assert main(argv) == 0
-    assert calls == []
+    assert eigensolves.levels == eigensolves.index == []
 
 
 # the crosscheck ycm commands of the benchmark's oracle sweep

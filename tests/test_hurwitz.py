@@ -7,6 +7,7 @@ import pytest
 from quadalg import catalog as cat
 from quadalg import hurwitz as hw
 from quadalg.errors import SignError
+from quadalg.odecheck import solve_parabolic_pair
 
 
 # -- reference oracles ---------------------------------------------------------
@@ -44,18 +45,21 @@ def duality_spectrum_check(p, rep_p, oracle_grid=1024):
     kp = p.kepler
     n1, n2 = rep_p, 0
     s1, s2 = cat.ycm_parabolic_s_parameters(p)
-    t = hw.ycm_triple(s1, s2, kp.c0, kp.hbar, n1, n2, n_grid=oracle_grid)
+    _, _, eps_beta, err, _ = solve_parabolic_pair(s1, s2, 2 * kp.c0 / kp.hbar**2, n1, n2,
+                                                  n_grid=oracle_grid)
+    duality = cat.ycm_duality_energy(kp.c0, kp.hbar, rep_p, 2 * s1, 2 * s2)
 
     # channel identification: the chain reproduces the parabolic form
     lhs = 4 * kp.c0
-    rhs = 2 * np.sqrt(-8 * t.duality) * kp.hbar * (rep_p + 1 + (2 * s1 + 2 * s2) / 2)
+    rhs = 2 * np.sqrt(-8 * duality) * kp.hbar * (rep_p + 1 + (2 * s1 + 2 * s2) / 2)
     chain_res = abs(lhs - rhs) / abs(lhs)
 
     dual_record = cat.ycm_spectrum_duality(p, rep_p)
     return DualitySpectrumReport(
-        eps_parabolic=float(t.parabolic), eps_duality=float(t.duality),
+        eps_parabolic=float(cat.ycm_parabolic_energy(kp.c0, kp.hbar, n1, n2, s1, s2)),
+        eps_duality=float(duality),
         eps_duality_oscillator_m=float(dual_record.energy),
-        eps_oracle=float(t.oracle), oracle_error=float(t.oracle_error),
+        eps_oracle=float(eps_beta * kp.hbar**2), oracle_error=float(err * kp.hbar**2 / 2),
         chain_identity_residual=float(chain_res), n1=n1, n2=n2, rep_p=rep_p)
 
 
@@ -211,7 +215,7 @@ def test_duality_scaling():
 
 
 def test_crosscheck_ycm_and_duality_check_share_the_triple(tmp_path):
-    # one path computes the closed forms and the oracle for both callers
+    # both read the catalog's closed forms and the one pair oracle
     from quadalg.cli import main
 
     out = tmp_path / "t.json"
@@ -225,7 +229,5 @@ def test_crosscheck_ycm_and_duality_check_share_the_triple(tmp_path):
     assert (rep.eps_parabolic, rep.eps_duality, rep.eps_oracle) == (
         triple["parabolic"], triple["duality"], triple["oracle"])
     # both report the error of the oracle energy eps = hbar^2 beta / 2
-    from quadalg.odecheck import solve_parabolic_pair
-
     beta_error = solve_parabolic_pair(0.0, 0.0, 2 * 1.3 / 0.7**2, 1, 0)[3]
     assert rep.oracle_error == triple["oracle_error"] == beta_error * 0.7**2 / 2

@@ -363,19 +363,6 @@ def _radial_cutoff(spec, n):
     return np.sqrt(spec.hbar / spec.omega) * (np.sqrt(4.0 * n + 10.0) + 6.0)
 
 
-def _index_solves(monkeypatch):
-    # the grid size of every index-form eigensolve from here on
-    sizes = []
-    eigh = ode.eigh_tridiagonal
-
-    def spy(d, e, **kwargs):
-        sizes.append(len(d))
-        return eigh(d, e, **kwargs)
-
-    monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
-    return sizes
-
-
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_bracketed_parabolic_levels_equal_the_index_form(s, k):
@@ -429,7 +416,7 @@ def test_radial_levels_do_not_depend_on_a_wrong_hint(hint):
 
 
 @pytest.mark.parametrize("misled", [0, 1])
-def test_a_hint_nearer_the_neighbouring_level_falls_back_to_the_index_form(monkeypatch,
+def test_a_hint_nearer_the_neighbouring_level_falls_back_to_the_index_form(eigensolves,
                                                                            misled):
     # one level starts nearer the other wanted level, so the iteration finds
     # that one, the Sturm counts place it at the other's index, and the index
@@ -438,45 +425,46 @@ def test_a_hint_nearer_the_neighbouring_level_falls_back_to_the_index_form(monke
     expected = _channel_levels(spec, range(2), 2048)
     hint = _channel_levels(spec, range(2), 1024)
     hint[misled] = hint[1 - misled] + 0.1 * (hint[misled] - hint[1 - misled])
-    sizes = _index_solves(monkeypatch)
+    eigensolves.clear()
     got = _channel_levels(spec, range(2), 2048, hint=hint)
     assert np.array_equal(got, expected)
-    assert sizes == [2048]
+    assert eigensolves.index_sizes == [2048]
 
 
 @pytest.mark.parametrize("plant", [lambda lo, hi: (lo + 1, hi + 1), lambda lo, hi: (lo - 1, hi)],
                          ids=["wrong-index", "two-in-the-window"])
-def test_a_planted_count_mismatch_falls_back_to_the_index_form(monkeypatch, plant):
+def test_a_planted_count_mismatch_falls_back_to_the_index_form(monkeypatch, eigensolves,
+                                                                 plant):
     spec = ode.RadialOscillatorSpec()
     cutoff = _radial_cutoff(spec, 2)
     hint = _radial_levels(spec, range(3), 1024, cutoff)
     expected = _radial_levels(spec, range(3), 2048, cutoff)
-    sizes = _index_solves(monkeypatch)
+    eigensolves.clear()
     certified = _radial_levels(spec, range(3), 2048, cutoff, hint)
-    assert sizes == []
+    assert eigensolves.index_sizes == []
     np.testing.assert_allclose(certified, expected, rtol=0, atol=1e-9)
     counts = ode._sturm_counts
     monkeypatch.setattr(ode, "_sturm_counts", lambda *args: plant(*counts(*args)))
     assert np.array_equal(_radial_levels(spec, range(3), 2048, cutoff, hint), expected)
-    assert sizes == [2048]
+    assert eigensolves.index_sizes == [2048]
 
 
 @pytest.mark.parametrize("routine", ["_DGTSV", "_DLARRC"])
 def test_without_the_refinement_routines_every_grid_is_solved_by_index(monkeypatch,
-                                                                       routine):
+                                                                       eigensolves, routine):
     spec = ode.ParabolicChannelSpec(s=0.5, alpha=0.0, beta=-1.0)
     hint = _channel_levels(spec, range(2), 1024)
     expected = _channel_levels(spec, range(2), 2048)
     monkeypatch.setattr(ode, routine, None)
-    sizes = _index_solves(monkeypatch)
+    eigensolves.clear()
     assert np.array_equal(_channel_levels(spec, range(2), 2048, hint=hint), expected)
-    assert sizes == [2048]
+    assert eigensolves.index_sizes == [2048]
     # and a whole sweep bisects its pilot and every grid
     ode._sweep(lambda n: ode._parabolic_matrix(spec, n, 40.0), range(2), True, 1024, 4096)
-    assert sizes == [2048, 128, 1024, 2048, 4096]
+    assert eigensolves.index_sizes == [2048, 128, 1024, 2048, 4096]
 
 
-def test_a_shift_at_an_eigenvalue_does_not_crash(monkeypatch):
+def test_a_shift_at_an_eigenvalue_does_not_crash(eigensolves):
     # the grid's own levels as the hint: the first solve is as near singular
     # as a shift gets, and the levels are still certified
     spec = ode.RadialOscillatorSpec(lam=0.5)
@@ -488,11 +476,11 @@ def test_a_shift_at_an_eigenvalue_does_not_crash(monkeypatch):
     # the matrix shifted by 0 meets a zero pivot: the index form decides
     d, e = np.zeros(3), np.ones(2)
     assert ode._shifted_solve(d, e, 0.0, np.ones(3)) is None
-    expected = ode.eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
-    sizes = _index_solves(monkeypatch)
+    expected = ode.eigh_tridiagonal(d, e, 0, 1)
+    eigensolves.clear()
     assert np.array_equal(ode._extreme_levels(d, e, range(2), False, (-np.sqrt(2.0), 0.0)),
                           expected)
-    assert sizes == [3]
+    assert eigensolves.index_sizes == [3]
 
 
 @pytest.mark.parametrize("k", [0, 65])
@@ -543,18 +531,17 @@ def test_radial_sweep_names_the_lowest_level_that_misses_the_target():
         ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 2, target=1e-10)
 
 
-def test_a_default_sweep_bisects_only_its_pilot(monkeypatch):
+def test_a_default_sweep_bisects_only_its_pilot(eigensolves):
     # on the default grids, the oracle sweep's three radial sweeps and six
     # unit levels make one index-form solve each, on the pilot; every
     # Richardson grid is refined and certified
-    sizes = _index_solves(monkeypatch)
     for lam in (0.0, 0.5, 2.0):
         ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(lam=lam), 2)
     ode._unit_level.cache_clear()
     for s in (0.0, 0.5, 1.0):
         for level in (0, 1):
             ode._unit_level(s, level, 1024)
-    assert sizes == [1024 // ode._PILOT_RATIO] * 9
+    assert eigensolves.index_sizes == [1024 // ode._PILOT_RATIO] * 9
 
 
 def _radial_sweep(lam, n_grid, max_grid):
@@ -566,12 +553,11 @@ def _radial_sweep(lam, n_grid, max_grid):
 
 
 @pytest.mark.parametrize("n_grid", [128, 256, 512, 1024])
-def test_every_sweep_bisects_at_most_one_grid(monkeypatch, n_grid):
+def test_every_sweep_bisects_at_most_one_grid(eigensolves, n_grid):
     # the pilot grows with the wanted levels, so a higher level is not lost
     # on too coarse a pilot: unit levels 0..5 of s in {0, 0.5, 1}, and levels
     # 0..2 of the radial blocks on the CLI's grids and on n_grid, 2 n_grid and
     # 4 n_grid, each make one index-form solve
-    sizes = _index_solves(monkeypatch)
     ode._unit_level.cache_clear()
     sweeps = {f"unit s={s} level {n}": (ode._unit_level, s, n, n_grid)
               for s in (0.0, 0.5, 1.0) for n in range(6)}
@@ -579,15 +565,15 @@ def test_every_sweep_bisects_at_most_one_grid(monkeypatch, n_grid):
                    for lam in (0.0, 0.5, 2.0) for top in (4096, 4 * n_grid)})
     solves = {}
     for name, (sweep, *args) in sweeps.items():
-        del sizes[:]
+        eigensolves.clear()
         sweep(*args)
-        solves[name] = len(sizes)
+        solves[name] = len(eigensolves.index)
     assert solves == dict.fromkeys(sweeps, 1)
 
 
 @pytest.mark.parametrize("plant", [lambda v: v[::-1].copy(), lambda v: v + 50.0],
                          ids=["levels-swapped", "far-off"])
-def test_a_wrong_pilot_level_falls_back_to_the_index_form(monkeypatch, plant):
+def test_a_wrong_pilot_level_falls_back_to_the_index_form(monkeypatch, eigensolves, plant):
     # the coarsest grid cannot certify levels refined from a wrong pilot, so
     # it is bisected, and the finer grids refine from its levels: the same
     # levels as the sweep from a right pilot
@@ -605,16 +591,16 @@ def test_a_wrong_pilot_level_falls_back_to_the_index_form(monkeypatch, plant):
         return plant(found) if len(diag) == 128 else found
 
     monkeypatch.setattr(ode, "_extreme_levels", planted)
-    sizes = _index_solves(monkeypatch)
+    eigensolves.clear()
     _, rows = ode._sweep(matrix, range(3), False, 1024, 4096)
-    assert sizes == [128, 1024]
+    assert eigensolves.index_sizes == [128, 1024]
     assert np.array_equal(rows[0], extreme(*matrix(1024), range(3), False))
     np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n_grid, levels", [(4, range(1)), (16, range(3)), (16, range(1, 3))],
                          ids=["no-pilot", "pilot-of-2-for-3-levels", "pilot-of-2-for-level-2"])
-def test_a_coarsest_grid_too_small_for_a_pilot_is_bisected_itself(monkeypatch, n_grid,
+def test_a_coarsest_grid_too_small_for_a_pilot_is_bisected_itself(eigensolves, n_grid,
                                                                    levels):
     # a pilot of n_grid // 8 cells holds fewer cells than the levels need, and
     # one of 8 cells per level would hold more than half the coarsest grid's
@@ -624,9 +610,8 @@ def test_a_coarsest_grid_too_small_for_a_pilot_is_bisected_itself(monkeypatch, n
     def matrix(n):
         return ode._radial_matrix(spec, n, cutoff)
 
-    sizes = _index_solves(monkeypatch)
     _, rows = ode._sweep(matrix, levels, False, n_grid, 4 * n_grid)
-    assert sizes[0] == n_grid
+    assert eigensolves.index_sizes[0] == n_grid
     assert np.array_equal(rows[0], ode._extreme_levels(*matrix(n_grid), levels, False))
 
 
@@ -652,19 +637,11 @@ def test_a_level_solved_alone_is_the_level_every_pair_reads(s):
 
 # -- tridiagonal bisection through numpy's LAPACK ------------------------------------
 
-def _sweep_solves(monkeypatch):
-    """(d, e, keywords) of index-form eigensolves on the oracle sweep's
+def _sweep_solves(eigensolves):
+    """(d, e, lo, hi) of index-form eigensolves on the oracle sweep's
     matrices: the parabolic unit channels s in {0, 0.5, 1} (one level alone
     and two together) and the radial blocks lambda in {0, 0.5, 2}, on the
     pilot of 1024 cells and on 1024, 2048 and 4096 cells."""
-    calls = []
-    eigh = ode.eigh_tridiagonal
-
-    def spy(d, e, **kwargs):
-        calls.append((d, e, kwargs))
-        return eigh(d, e, **kwargs)
-
-    monkeypatch.setattr(ode, "eigh_tridiagonal", spy)
     for n in (128, 1024, 2048, 4096):
         for s in (0.0, 0.5, 1.0):
             spec = ode.ParabolicChannelSpec(s=s, alpha=0.0, beta=-1.0)
@@ -673,14 +650,23 @@ def _sweep_solves(monkeypatch):
         for lam in (0.0, 0.5, 2.0):
             spec = ode.RadialOscillatorSpec(lam=lam)
             _radial_levels(spec, range(3), n, _radial_cutoff(spec, 2))
-    monkeypatch.setattr(ode, "eigh_tridiagonal", eigh)
-    assert len(calls) == 36
-    return calls
+    assert len(eigensolves.index) == 36
+    return list(eigensolves.index)
+
+
+def _use_binding(monkeypatch, binding):
+    """Solve through numpy's LAPACK (skipped where it exports no dstebz of
+    known integer width) or through the scipy fallback."""
+    if binding == "numpy lapack":
+        if ode._DSTEBZ is None:
+            pytest.skip("numpy's LAPACK exports no dstebz of known integer width")
+    else:
+        monkeypatch.setattr(ode, "_DSTEBZ", None)
 
 
 @pytest.mark.parametrize("binding", ["numpy lapack", "scipy fallback"])
-def test_eigenvalues_are_bitwise_scipys(monkeypatch, binding):
-    solves = _sweep_solves(monkeypatch)
+def test_eigenvalues_are_bitwise_scipys(monkeypatch, eigensolves, binding):
+    solves = _sweep_solves(eigensolves)
     used = []
     dstebz = scipy.linalg.lapack.dstebz
 
@@ -688,18 +674,25 @@ def test_eigenvalues_are_bitwise_scipys(monkeypatch, binding):
         used.append(args)
         return dstebz(*args)
 
-    if binding == "numpy lapack":
-        if ode._DSTEBZ is None:
-            pytest.skip("numpy's LAPACK exports no dstebz of known integer width")
-    else:
-        monkeypatch.setattr(ode, "_DSTEBZ", None)
+    _use_binding(monkeypatch, binding)
     monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counted)
-    for d, e, kwargs in solves:
-        got = ode.eigh_tridiagonal(d, e, **kwargs)
-        expected = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, **kwargs)
+    for d, e, lo, hi in solves:
+        got = ode.eigh_tridiagonal(d, e, lo, hi)
+        expected = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                                 select_range=(lo, hi))
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
     assert len(used) == (0 if binding == "numpy lapack" else len(solves))
+
+
+@pytest.mark.parametrize("binding", ["numpy lapack", "scipy fallback"])
+def test_a_1x1_matrix_is_its_diagonal(monkeypatch, binding):
+    # dstebz answers N = 1 with d itself, as scipy does without LAPACK
+    _use_binding(monkeypatch, binding)
+    for value in (0.3, -1e300, 5e-324, -0.0):
+        got = ode.eigh_tridiagonal([value], [], 0, 0)
+        assert got.dtype == np.float64 and got.shape == (1,)
+        assert got.tobytes() == np.float64(value).tobytes()
 
 
 def _outcome(eigh, *args, **kwargs):
@@ -711,13 +704,13 @@ def _outcome(eigh, *args, **kwargs):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_small_matrices_match_scipy(n):
-    # values and refusals alike, including scipy's 1x1 answer without LAPACK
+    # values and refusals alike; at n = 1 scipy answers without LAPACK
     rng = np.random.default_rng(n)
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
-    for select_range in ((0, n - 1), (n - 1, n - 1), (0, 0), (0, n), (-1, 0)):
-        got = _outcome(ode.eigh_tridiagonal, d, e, select="i", select_range=select_range)
+    for lo, hi in ((0, n - 1), (n - 1, n - 1), (0, 0), (0, n), (-1, 0)):
+        got = _outcome(ode.eigh_tridiagonal, d, e, lo, hi)
         expected = _outcome(scipy.linalg.eigh_tridiagonal, d, e, eigvals_only=True,
-                            select="i", select_range=select_range)
+                            select="i", select_range=(lo, hi))
         if isinstance(expected, type):
             assert got is expected
         else:
@@ -727,30 +720,35 @@ def test_small_matrices_match_scipy(n):
 _D, _E = np.linspace(1.0, 2.0, 8), np.full(7, 0.5)
 
 
-@pytest.mark.parametrize("d, e, select, select_range", [
-    (np.where(np.arange(8) == 3, np.nan, _D), _E, "i", (0, 1)),
-    (np.where(np.arange(8) == 7, np.inf, _D), _E, "v", (0.0, 3.0)),
-    (_D, np.where(np.arange(7) == 0, np.nan, _E), "v", (0.0, 3.0)),
-    (_D, np.where(np.arange(7) == 6, -np.inf, _E), "i", (0, 1)),
-    (_D, _E[:-1], "i", (0, 1)),
-    (_D, np.full(8, 0.5), "v", (0.0, 3.0)),
-    (_D, _E, "i", (0, 8)),
-    (_D, _E, "i", (-1, 0)),
-    (_D, _E, "i", (3, 2)),
-    (_D, _E, "v", (np.nan, 3.0)),
-    (_D.reshape(2, 4), _E, "i", (0, 1)),
+@pytest.mark.parametrize("d, e", [
+    (np.where(np.arange(8) == 3, np.nan, _D), _E),
+    (np.where(np.arange(8) == 7, np.inf, _D), _E),
+    (_D, np.where(np.arange(7) == 0, np.nan, _E)),
+    (_D, np.where(np.arange(7) == 6, -np.inf, _E)),
+    (_D, _E[:-1]),
+    (_D, np.full(8, 0.5)),
+    (_D.reshape(2, 4), _E),
 ])
-def test_eigensolve_refuses_bad_input_before_lapack(monkeypatch, d, e, select, select_range):
+def test_eigensolve_refuses_bad_input_before_lapack(monkeypatch, d, e):
+    # LAPACK reads d and e through raw pointers
     def lapack(*args):
         raise AssertionError("LAPACK was called")
 
     monkeypatch.setattr(ode, "_dstebz", lapack)
     with pytest.raises(ValueError):
-        ode.eigh_tridiagonal(d, e, select=select, select_range=select_range)
+        ode.eigh_tridiagonal(d, e, 0, 1)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 8), (-1, 0), (3, 2)])
+def test_dstebz_refuses_an_index_range_outside_the_matrix_or_reversed(lo, hi):
+    if ode._DSTEBZ is None:
+        pytest.skip("numpy's LAPACK exports no dstebz of known integer width")
+    with pytest.raises(ValueError, match="illegal value in argument [67] of internal stebz"):
+        ode.eigh_tridiagonal(_D, _E, lo, hi)
 
 
 @pytest.mark.parametrize("info, error", [(-3, ValueError), (2, np.linalg.LinAlgError)])
 def test_lapack_info_maps_to_scipys_errors(monkeypatch, info, error):
     monkeypatch.setattr(ode, "_dstebz", lambda *args: (0, np.empty(8), info))
     with pytest.raises(error, match="stebz"):
-        ode.eigh_tridiagonal(_D, _E, select="i", select_range=(0, 1))
+        ode.eigh_tridiagonal(_D, _E, 0, 1)

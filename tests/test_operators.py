@@ -583,6 +583,13 @@ def test_zero_words_are_not_applied_but_set_the_germ(kepler_pure, sampler5):
     assert not v[:, 1].any() and not size[:, 1].any()
 
 
+def check_relation(spec, trials, sampler, rng):
+    """(printed residual, {basis name: (printed, fitted)}, fit residual) of one
+    relation on a batch of relation_samples(spec, trials), as check_suite
+    gives it for a relation of a verify suite."""
+    return ops.check_suite((), [spec], ops.relation_samples(spec, trials), sampler, rng)[1][0]
+
+
 def _rotation_relation(kepler_pure):
     lhs = _Counting(kepler_pure.L[(0, 1)])
     return lhs, ops.RelationSpec(ops.letter(lhs), (("L01", ops.letter(kepler_pure.L[(0, 1)]), 1.0),))
@@ -592,8 +599,7 @@ def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5)
     # once, to the residual's trials and the fit's 2 * len(rows) + 4 samples
     # together
     lhs, spec = _rotation_relation(kepler_pure)
-    residual, fit, fit_residual = ops.check_relation(spec, 3, sampler5,
-                                                     np.random.default_rng(0))
+    residual, fit, fit_residual = check_relation(spec, 3, sampler5, np.random.default_rng(0))
     assert lhs.samples == [3 + 2 * len(spec.rows) + 4]
     assert residual < 1e-14 and fit_residual < 1e-14
     assert fit["L01"][1] == pytest.approx(1.0, abs=1e-12)
@@ -602,8 +608,6 @@ def test_check_relation_applies_each_side_once_per_sample(kepler_pure, sampler5)
 def test_checks_refuse_zero_samples(kepler_pure, sampler5):
     # a required check must not pass over nothing
     lhs, spec = _rotation_relation(kepler_pure)
-    with pytest.raises(ValueError):
-        ops.check_relation(spec, 0, sampler5, np.random.default_rng(0))
     with pytest.raises(ValueError):
         ops.fit_operator_coefficients(spec.lhs, [ops.letter(kepler_pure.H)], 0, sampler5,
                                       np.random.default_rng(0))
@@ -629,8 +633,8 @@ def test_check_relation_is_the_residual_then_the_fit(system, sampler5, sampler8)
     for spec in ops.closure_relations(o, algebra):
         n = ops.relation_samples(spec, trials)
         assert n == trials + 2 * len(spec.rows) + 4
-        residual, fit, fit_residual = ops.check_relation(spec, trials, sampler,
-                                                         np.random.default_rng(5))
+        residual, fit, fit_residual = check_relation(spec, trials, sampler,
+                                                     np.random.default_rng(5))
         coefficients, expected_fit_residual = ops.fit_operator_coefficients(
             spec.lhs, [b for _, b, _ in spec.rows], n, sampler, np.random.default_rng(5))
         assert fit_residual == expected_fit_residual
@@ -676,8 +680,7 @@ def test_check_relation_on_monopole_trees(sampler5):
     y = ops.build_ycm_operators(c0=1.0, c1=0.0, c2=0.0, T=0.5)
     spec = ops.RelationSpec(ops.bracket(ops.letter(y.L[(1, 2)]), ops.letter(y.L[(2, 3)])),
                             (("L13", {(y.L[(1, 3)],): -1j}, 1.0),))
-    residual, fit, fit_residual = ops.check_relation(spec, 2, sampler5,
-                                                     np.random.default_rng(3))
+    residual, fit, fit_residual = check_relation(spec, 2, sampler5, np.random.default_rng(3))
     assert residual < 1e-14 and fit_residual < 1e-14
     assert fit["L13"] == (1.0, pytest.approx(1.0, abs=1e-12))
 
@@ -726,8 +729,8 @@ def test_kepler_casimir_fit_matches_printed():
         cat.kepler5d_constants(cat.Kepler5DParams(c0=1.0, c1=0.25, c2=0.1)),
         ops.kepler_quadratic_closure(c0=1.0, c1=0.25, c2=0.1, seed=0))
     k = ops.build_kepler_operators(c0=1.0, c1=0.25, c2=0.1)
-    _, fit, fit_residual = ops.check_relation(ops.casimir_relation(k, algebra), 2,
-                                              ops.kepler_sampler(), np.random.default_rng(0))
+    _, fit, fit_residual = check_relation(ops.casimir_relation(k, algebra), 2,
+                                          ops.kepler_sampler(), np.random.default_rng(0))
     assert fit_residual < 1e-9
     for name, (printed, fitted) in fit.items():
         assert fitted == pytest.approx(printed, rel=1e-7, abs=1e-7), name
@@ -740,7 +743,7 @@ def test_osc8d_casimir_relation_closes_with_one_printed_sign_off():
     algebra = _fitted_algebra(cat.osc8d_constants(cat.Oscillator8DParams()),
                               ops.osc8d_quadratic_closure(seed=0))
     o = ops.build_osc8d_operators()
-    residual, fit, fit_residual = ops.check_relation(
+    residual, fit, fit_residual = check_relation(
         ops.casimir_relation(o, algebra), 2, ops.osc8d_sampler(), np.random.default_rng(0))
     assert fit_residual < 1e-9
     assert fit.pop("K2^2") == (-1.0, pytest.approx(1.0, abs=1e-7))
