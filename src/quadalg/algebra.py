@@ -16,13 +16,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._record import Frozen, field_eq, set_fields
 from .errors import DegenerateDenominator, NegativePhi, NotPolynomialInEnergy
 
 _REALIZATION_NORM = 2**12 * 3  # 12288, the fixed prefactor in rho(N)
 
 
-@dataclass(frozen=True)
-class QuadraticAlgebraConstants:
+class QuadraticAlgebraConstants(Frozen):
     """Structure constants of the three-generator quadratic algebra.
 
     Fields follow [A,B] = C, [A,C] = gamma*{A,B} + epsilon_c*B + zeta_c,
@@ -30,20 +30,16 @@ class QuadraticAlgebraConstants:
     to a number. casimir_value is the scalar the Casimir combination acts by.
     """
 
-    gamma: float
-    epsilon_c: float
-    zeta_c: float
-    d_c: float
-    z_c: float
-    casimir_value: float
+    __slots__ = ("gamma", "epsilon_c", "zeta_c", "d_c", "z_c", "casimir_value")
 
-    def __post_init__(self):
-        if self.gamma == 0:
+    def __init__(self, gamma: float, epsilon_c: float, zeta_c: float, d_c: float, z_c: float,
+                 casimir_value: float):
+        if gamma == 0:
             raise ValueError("gamma = 0 branch is not implemented")
+        set_fields(self, gamma, epsilon_c, zeta_c, d_c, z_c, casimir_value)
 
 
-@dataclass(frozen=True)
-class StructureFunction:
+class StructureFunction(Frozen):
     """Degree-6 structure function in factored form.
 
     Phi(x) = scale * prod_i (x + u - roots[i]). The stored scale is the signed
@@ -52,15 +48,15 @@ class StructureFunction:
     by positivity of Phi on the representation window.
     """
 
-    roots: tuple
-    scale: float
-    u: float = 0.0
+    __slots__ = ("roots", "scale", "u")
+    __eq__ = field_eq
 
-    def __post_init__(self):
-        if self.scale == 0:
+    def __init__(self, roots: tuple, scale: float, u: float = 0.0):
+        if scale == 0:
             raise ValueError("scale must be nonzero")
-        if len(self.roots) != 6:
+        if len(roots) != 6:
             raise ValueError("need six roots")
+        set_fields(self, roots, scale, u)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -74,38 +70,31 @@ class StructureFunction:
         return np.prod(x[..., None] + self.u - r, axis=-1)
 
 
-@dataclass(frozen=True)
-class RepresentationCandidate:
+class RepresentationCandidate(Frozen):
     """A (u, E) pair carrying a (p+1)-dimensional unitary representation."""
 
-    p: int
-    u: float
-    energy: float
-    phi_values: tuple
-    sf: StructureFunction
-    endpoint_residual: float = 0.0
+    __slots__ = ("p", "u", "energy", "phi_values", "sf", "endpoint_residual")
+    __eq__ = field_eq
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __init__(self, p: int, u: float, energy: float, phi_values: tuple,
+                 sf: StructureFunction, endpoint_residual: float = 0.0):
+        if p < 0:
             raise ValueError("p must be nonnegative")
+        set_fields(self, p, u, energy, phi_values, sf, endpoint_residual)
 
 
-@dataclass(frozen=True)
-class FockRealization:
-    """Explicit matrices of the deformed-oscillator realization on dim = p+1."""
+class FockRealization(Frozen):
+    """Explicit matrices of the deformed-oscillator realization on dim = p+1;
+    phi holds Phi(0..p+1), used for the shift entries."""
 
-    dim: int
-    N: np.ndarray
-    b_dag: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    phi: np.ndarray  # Phi(0..p+1) used for the shift entries
+    __slots__ = ("dim", "N", "b_dag", "b", "A", "B", "C", "phi")
+
+    def __init__(self, dim: int, N: np.ndarray, b_dag: np.ndarray, b: np.ndarray,
+                 A: np.ndarray, B: np.ndarray, C: np.ndarray, phi: np.ndarray):
+        set_fields(self, dim, N, b_dag, b, A, B, C, phi)
 
 
-@dataclass(frozen=True)
-class OscillatorRealization:
+class OscillatorRealization(Frozen):
     """Closed forms A(N), b(N), rho(N) evaluated at integer levels n -> n + u.
 
     rho_convention selects between the printed rho expression and its square
@@ -114,9 +103,11 @@ class OscillatorRealization:
     printed reading is kept for literal transcription checks.
     """
 
-    constants: QuadraticAlgebraConstants
-    u: float
-    rho_convention: str = "sqrt"
+    __slots__ = ("constants", "u", "rho_convention")
+
+    def __init__(self, constants: QuadraticAlgebraConstants, u: float,
+                 rho_convention: str = "sqrt"):
+        set_fields(self, constants, u, rho_convention)
 
     def A(self, n) -> np.ndarray:
         g, e = self.constants.gamma, self.constants.epsilon_c
@@ -566,13 +557,13 @@ def _anti(x, y):
     return x @ y + y @ x
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(Frozen):
     """Max-norm residuals of the defining relations, relative to the largest term."""
 
-    r_ac: float
-    r_bc: float
-    jacobi: float
+    __slots__ = ("r_ac", "r_bc", "jacobi")
+
+    def __init__(self, r_ac: float, r_bc: float, jacobi: float):
+        set_fields(self, r_ac, r_bc, jacobi)
 
     def max_relation_residual(self) -> float:
         return max(self.r_ac, self.r_bc)
@@ -602,15 +593,14 @@ def verify_commutation(f: FockRealization, c: QuadraticAlgebraConstants) -> Comm
     )
 
 
-@dataclass(frozen=True)
-class CasimirReport:
+class CasimirReport(Frozen):
     """Casimir matrix diagnostics: scalarness and the value it acts by."""
 
-    value: float
-    expected: float
-    off_diagonal: float
-    commutant_a: float
-    commutant_b: float
+    __slots__ = ("value", "expected", "off_diagonal", "commutant_a", "commutant_b")
+
+    def __init__(self, value: float, expected: float, off_diagonal: float,
+                 commutant_a: float, commutant_b: float):
+        set_fields(self, value, expected, off_diagonal, commutant_a, commutant_b)
 
 
 def verify_casimir(f: FockRealization, c: QuadraticAlgebraConstants) -> CasimirReport:
@@ -649,14 +639,13 @@ def _bc_diagonal_recurrence(rhs, g: float, u: float) -> np.ndarray:
     return G
 
 
-@dataclass(frozen=True)
-class RelationFit:
+class RelationFit(Frozen):
     """Least-squares (d, z, scale) that close the [B,C] relation for a given window."""
 
-    d: float
-    z: float
-    scale: float
-    residual: float
+    __slots__ = ("d", "z", "scale", "residual")
+
+    def __init__(self, d: float, z: float, scale: float, residual: float):
+        set_fields(self, d, z, scale, residual)
 
 
 def fit_relation_constants(c: QuadraticAlgebraConstants, u: float,

@@ -11,7 +11,7 @@ is the transcription layer, the oracles decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add, mul
 from typing import Callable, ClassVar, Optional
@@ -27,6 +27,7 @@ from .algebra import (
     fit_relation_constants,
     general_phi_leading_coefficient,
 )
+from ._record import Frozen, set_fields
 from .errors import DegenerateDenominator, NegativePhi
 
 KEPLER_PHI_PREFACTOR = 6191456          # as printed in the pre-substitution factored form
@@ -110,38 +111,34 @@ class YCMParams:
             raise ValueError("J must satisfy |L - T| <= J <= L + T")
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
+class SpectrumRecord(Frozen):
     """One spectrum evaluation with its provenance and side-by-side m-values."""
 
-    system: str
-    quantum_numbers: dict
-    energy: float
-    provenance: str
-    m_printed: Optional[tuple] = None
-    m_indicial: Optional[tuple] = None
+    __slots__ = ("system", "quantum_numbers", "energy", "provenance", "m_printed",
+                 "m_indicial")
 
-    def __post_init__(self):
-        if self.provenance not in ("algebraic", "duality"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.system in ("kepler5d", "ycm") and not self.energy < 0:
+    def __init__(self, system: str, quantum_numbers: dict, energy: float, provenance: str,
+                 m_printed: Optional[tuple] = None, m_indicial: Optional[tuple] = None):
+        if provenance not in ("algebraic", "duality"):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if system in ("kepler5d", "ycm") and not energy < 0:
             raise ValueError("Kepler-type bound states need energy < 0")
-        if self.system == "osc8d" and not self.energy > 0:
+        if system == "osc8d" and not energy > 0:
             raise ValueError("oscillator spectra need energy > 0")
+        set_fields(self, system, quantum_numbers, energy, provenance, m_printed, m_indicial)
 
 
-@dataclass(frozen=True)
-class PrintedAlgebra:
+class PrintedAlgebra(Frozen):
     """A quadratic algebra as printed: (name, word, printed coefficient) rows of
     [A,C], [B,C] and the Casimir value, in printed order. A word is a tuple of
     letters multiplied left to right, "A", "B", "{A,B}", "H" and the Casimirs
     that labels maps to their eigenvalues; () stands for 1. The operator
     closures check these rows, and at_energy reads them with H = E."""
 
-    ac: tuple
-    bc: tuple
-    casimir: tuple
-    labels: dict
+    __slots__ = ("ac", "bc", "casimir", "labels")
+
+    def __init__(self, ac: tuple, bc: tuple, casimir: tuple, labels: dict):
+        set_fields(self, ac, bc, casimir, labels)
 
     def split(self) -> tuple:
         """(gamma, epsilon, zeta rows, d rows, z rows) of the deformed-oscillator
@@ -358,13 +355,17 @@ def osc8d_phi_family(p: Oscillator8DParams) -> PhiFamily:
     return PhiFamily(roots_of=roots_of, scale_of=scale_of)
 
 
-def osc8d_spectrum(p: Oscillator8DParams, rep_p: int) -> SpectrumRecord:
+def osc8d_energy(omega: float, hbar: float, rep_p: int, m1: float, m2: float) -> float:
     """Printed closed-form energy, E = 2 omega hbar (p+1+(m1+m2)/2)."""
+    return 2 * omega * hbar * (rep_p + 1 + (m1 + m2) / 2)
+
+
+def osc8d_spectrum(p: Oscillator8DParams, rep_p: int) -> SpectrumRecord:
+    """osc8d_energy at the printed m parameters."""
     if rep_p < 0:
         raise ValueError("rep_p must be nonnegative")
     printed, indicial = osc8d_m_parameters(p)
-    m1, m2 = printed
-    energy = 2 * p.omega * p.hbar * (rep_p + 1 + (m1 + m2) / 2)
+    energy = osc8d_energy(p.omega, p.hbar, rep_p, *printed)
     return SpectrumRecord(
         system="osc8d",
         quantum_numbers={"p": rep_p, "j": p.j, "k": p.k},
@@ -454,18 +455,15 @@ def ycm_spectrum_duality(p: YCMParams, rep_p: int) -> SpectrumRecord:
 # Fock-side convention adjudication
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConventionResult:
+class ConventionResult(Frozen):
     """Residuals of one (rho reading, (u,E) source, constants source) assignment."""
 
-    name: str
-    u: float
-    energy: float
-    r_ac: float
-    r_bc: float
-    jacobi: float
-    casimir_value: float
-    casimir_expected: float
+    __slots__ = ("name", "u", "energy", "r_ac", "r_bc", "jacobi", "casimir_value",
+                 "casimir_expected")
+
+    def __init__(self, name: str, u: float, energy: float, r_ac: float, r_bc: float,
+                 jacobi: float, casimir_value: float, casimir_expected: float):
+        set_fields(self, name, u, energy, r_ac, r_bc, jacobi, casimir_value, casimir_expected)
 
 
 def fock_side(params, p_max: int) -> tuple:
@@ -485,15 +483,15 @@ def fock_side(params, p_max: int) -> tuple:
 
 
 def _consistent_pair(params, rep_p: int) -> tuple[float, float]:
-    """(u, E) solving both endpoint constraints of the factored family exactly."""
+    """(u, E) solving both endpoint constraints of the factored family exactly:
+    for Kepler the factor-2 energy of the duality spectrum, for the oscillator
+    its printed one."""
     if isinstance(params, Kepler5DParams):
         m1, m2 = kepler5d_m_parameters(params)
-        q = rep_p + 1 + (m1 + m2) / 2
-        energy = -params.c0**2 / (2 * params.hbar**2 * q * q)
-        return 0.5 - q, energy
+        energy = ycm_duality_energy(params.c0, params.hbar, rep_p, m1, m2)
+        return 0.5 - (rep_p + 1 + (m1 + m2) / 2), energy
     printed, _ = osc8d_m_parameters(params)
-    m1, m2 = printed
-    energy = 2 * params.omega * params.hbar * (rep_p + 1 + (m1 + m2) / 2)
+    energy = osc8d_energy(params.omega, params.hbar, rep_p, *printed)
     return 0.5 - energy / (2 * params.omega * params.hbar), energy
 
 
@@ -532,12 +530,13 @@ def fock_convention_scan(params, rep_p: int) -> list[ConventionResult]:
     lead = general_phi_leading_coefficient(c_cons)
     if lead < 0:
         run("consistent-uE/leading-scale-phi/rho-sqrt", "sqrt", u_cons, e_cons,
-            replace(closed.sf, scale=lead), c_cons)
+            StructureFunction(closed.sf.roots, lead, closed.sf.u), c_cons)
 
     # 4: consistent (u, E), relation-fitted (d, z, scale)
     fit = fit_relation_constants(c_cons, u_cons, closed.sf, rep_p)
     if fit.scale > 0:
-        fitted = replace(c_cons, d_c=fit.d, z_c=fit.z)
+        fitted = QuadraticAlgebraConstants(c_cons.gamma, c_cons.epsilon_c, c_cons.zeta_c,
+                                           fit.d, fit.z, c_cons.casimir_value)
         run("consistent-uE/relation-fitted-dz/rho-sqrt", "sqrt", u_cons, e_cons,
-            replace(closed.sf, scale=-fit.scale), fitted)
+            StructureFunction(closed.sf.roots, -fit.scale, closed.sf.u), fitted)
     return results

@@ -41,6 +41,7 @@ from . import catalog as cat
 from . import hurwitz as hw
 from . import odecheck as ode
 from . import operators as ops
+from ._record import Frozen, set_fields
 from .errors import (ConfigError, DegenerateDenominator, GridTooCoarse, NegativePhi,
                      QuadalgError)
 from .report import Report
@@ -196,8 +197,7 @@ def _verify_fock_track(report: Report, params, p_max: int) -> None:
                    status="finding", values={"count": 0})
 
 
-@dataclasses.dataclass(frozen=True)
-class _Suite:
+class _Suite(Frozen):
     """A system's verify suite, declared: rows, each (check name, measure,
     tolerance, claim) for _write_row, measured with the unreported checks
     and the relations on one batch of n_samples points of sampler, then the
@@ -207,12 +207,11 @@ class _Suite:
     values).
     """
 
-    rows: list
-    relations: dict
-    sampler: ops.PointSampler
-    n_samples: int
-    fock: object = None
-    unreported: tuple = ()
+    __slots__ = ("rows", "relations", "sampler", "n_samples", "fock", "unreported")
+
+    def __init__(self, rows: list, relations: dict, sampler: ops.PointSampler,
+                 n_samples: int, fock: object = None, unreported: tuple = ()):
+        set_fields(self, rows, relations, sampler, n_samples, fock, unreported)
 
 
 def _closure_rows(system: str) -> list:

@@ -11,31 +11,34 @@ literal flag as a regression witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Frozen, set_fields
 from .catalog import Kepler5DParams, Oscillator8DParams
 from .errors import SignError
 
 
-@dataclass(frozen=True)
-class Point8:
-    u: tuple
+class Point8(Frozen):
+    __slots__ = ("u",)
 
-    def __post_init__(self):
-        if len(self.u) != 8:
+    def __init__(self, u: tuple):
+        if len(u) != 8:
             raise ValueError("need eight components")
+        set_fields(self, u)
 
     @property
     def array(self) -> np.ndarray:
         return np.asarray(self.u, dtype=float)
 
 
-@dataclass(frozen=True)
-class Point5Fiber:
-    x: tuple
-    angles: tuple  # (alpha_T, beta_T, gamma_T); NaNs when the chart is singular
+class Point5Fiber(Frozen):
+    """A base point x and its fiber angles (alpha_T, beta_T, gamma_T), NaNs
+    where the chart is singular."""
+
+    __slots__ = ("x", "angles")
+
+    def __init__(self, x: tuple, angles: tuple):
+        set_fields(self, x, angles)
 
     @property
     def array(self) -> np.ndarray:
@@ -105,14 +108,13 @@ def euler_identity_residual(p, literal_x0: bool = False):
     return float(res[0]) if u.ndim == 1 else res
 
 
-@dataclass(frozen=True)
-class DualityMap:
+class DualityMap(Frozen):
     """Parameter dictionary between the monopole system and its oscillator dual."""
 
-    c0: float
-    eps: float
-    c1: float
-    c2: float
+    __slots__ = ("c0", "eps", "c1", "c2")
+
+    def __init__(self, c0: float, eps: float, c1: float, c2: float):
+        set_fields(self, c0, eps, c1, c2)
 
     @classmethod
     def forward(cls, energy: float, omega: float, lambda1: float, lambda2: float) -> "DualityMap":

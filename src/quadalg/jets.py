@@ -16,7 +16,6 @@ axes, so a constant jet of shape (n_terms,) combines with a stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -24,6 +23,7 @@ from math import comb
 import numpy as np
 
 from . import _jet_kernels as kernels
+from ._record import Frozen
 from .errors import SingularPoint
 
 
@@ -178,10 +178,13 @@ def jet_space(n_vars: int, degree: int) -> JetSpace:
     return space
 
 
-@dataclass(frozen=True)
-class Jet:
-    space: JetSpace
-    coeffs: np.ndarray
+class Jet(Frozen):
+    __slots__ = ("space", "coeffs")
+
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+        # the slots' own setters: a jet is built on every jet operation
+        _set_space(self, space)
+        _set_coeffs(self, coeffs)
 
     @property
     def value(self) -> complex:
@@ -252,6 +255,9 @@ class Jet:
         for k in range(self.space.degree - 1, -1, -1):
             acc = acc * w + _binom_half(k)
         return Jet(self.space, acc.coeffs * np.sqrt(c0))
+
+
+_set_space, _set_coeffs = Jet.space.__set__, Jet.coeffs.__set__
 
 
 def _shift_const(coeffs: np.ndarray, value) -> np.ndarray:

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._record import Frozen, field_eq, set_fields
 from .errors import GridTooCoarse, NoRoot
 
 
@@ -115,9 +115,11 @@ def eigh_tridiagonal(d, e, lo: int, hi: int) -> np.ndarray:
 
     d and e must be 1-D and finite, with one more element in d than in e:
     LAPACK reads them through raw pointers, so anything else raises
-    ValueError before it runs. dstebz checks the index range itself. A
-    negative LAPACK info raises ValueError and a positive one LinAlgError,
-    as in scipy.linalg.eigh_tridiagonal.
+    ValueError before it runs. So does an index range outside 0 <= lo <= hi
+    < len(d), with the argument (6, IL, or 7, IU) that dstebz would name:
+    LAPACK's error handler would print its refusal on stdout. A negative
+    LAPACK info raises ValueError and a positive one LinAlgError, as in
+    scipy.linalg.eigh_tridiagonal.
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     e = np.ascontiguousarray(e, dtype=np.float64)
@@ -127,7 +129,12 @@ def eigh_tridiagonal(d, e, lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("array must not contain infs or NaNs")
-    m, w, info = _dstebz(d, e, lo + 1, hi + 1)
+    if not 0 <= lo < d.size:
+        info = -6
+    elif not lo <= hi < d.size:
+        info = -7
+    else:
+        m, w, info = _dstebz(d, e, lo + 1, hi + 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal stebz "
                          f"(eigh_tridiagonal)")
@@ -137,38 +144,35 @@ def eigh_tridiagonal(d, e, lo: int, hi: int) -> np.ndarray:
     return w[:m]
 
 
-@dataclass(frozen=True)
-class ParabolicChannelSpec:
+class ParabolicChannelSpec(Frozen):
     """One separated parabolic channel: operator d/dx(x d/dx) - s/(4x) + alpha/4 + (beta/4) x."""
 
-    s: float
-    alpha: float
-    beta: float
+    __slots__ = ("s", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.beta >= 0:
+    def __init__(self, s: float, alpha: float, beta: float):
+        if beta >= 0:
             raise ValueError("bound channels need beta < 0")
+        set_fields(self, s, alpha, beta)
 
 
-@dataclass(frozen=True)
-class RadialOscillatorSpec:
+class RadialOscillatorSpec(Frozen):
     """Radial reduction of one 4-variable oscillator block."""
 
-    angular: float = 0.0
-    lam: float = 0.0
-    omega: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ("angular", "lam", "omega", "hbar")
 
-    def __post_init__(self):
-        if self.omega <= 0 or self.hbar <= 0:
+    def __init__(self, angular: float = 0.0, lam: float = 0.0, omega: float = 1.0,
+                 hbar: float = 1.0):
+        if omega <= 0 or hbar <= 0:
             raise ValueError("omega and hbar must be positive")
+        set_fields(self, angular, lam, omega, hbar)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    grid_size: int
-    extrapolated: float
-    error_estimate: float
+class EigenResult(Frozen):
+    __slots__ = ("grid_size", "extrapolated", "error_estimate")
+    __eq__ = field_eq
+
+    def __init__(self, grid_size: int, extrapolated: float, error_estimate: float):
+        set_fields(self, grid_size, extrapolated, error_estimate)
 
 
 # Rayleigh-quotient steps before the index form decides, the half-width of the

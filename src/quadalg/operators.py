@@ -68,6 +68,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily: load it here, not in the first draw
 
 from . import catalog as cat
+from ._record import Frozen, set_fields
 from .errors import SingularPoint
 from .jets import Jet, JetSpace, jet_space
 
@@ -503,14 +504,13 @@ def _least_squares(v: np.ndarray):
 # spin representations and the gauge sector
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinRep:
+class SpinRep(Frozen):
     """su(2) irreducible representation: [T_a, T_b] = i eps_abc T_c on dim 2T+1."""
 
-    T: float
-    T1: np.ndarray
-    T2: np.ndarray
-    T3: np.ndarray
+    __slots__ = ("T", "T1", "T2", "T3")
+
+    def __init__(self, T: float, T1: np.ndarray, T2: np.ndarray, T3: np.ndarray):
+        set_fields(self, T, T1, T2, T3)
 
     @property
     def dim(self) -> int:
@@ -664,8 +664,7 @@ def _coulomb_parts(mom: list, L: dict, c0: float, c1: float, c2: float) -> tuple
 # generalized 5D Kepler operators
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeplerOperators:
+class KeplerOperators(Frozen):
     """Integrals of the generalized 5D Kepler system.
 
     L2 is the so(4) Casimir over indices 1..4 (the central charge of the
@@ -674,13 +673,11 @@ class KeplerOperators:
     coupling terms compensate exactly the rotations broken by the potential.
     """
 
-    H: Operator
-    A: Operator
-    B: Operator
-    L2: Operator
-    L2_full: Operator
-    L: dict
-    M: dict
+    __slots__ = ("H", "A", "B", "L2", "L2_full", "L", "M")
+
+    def __init__(self, H: Operator, A: Operator, B: Operator, L2: Operator,
+                 L2_full: Operator, L: dict, M: dict):
+        set_fields(self, H, A, B, L2, L2_full, L, M)
 
 
 def build_kepler_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
@@ -698,18 +695,13 @@ def build_kepler_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
 # generalized Yang-Coulomb monopole operators
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class YCMOperators:
-    H: Operator
-    A: Operator
-    B: Operator
-    L2: Operator
-    L2_full: Operator
-    L: dict
-    M: dict
-    pi: list
-    spin: SpinRep
-    gauge: GaugeData
+class YCMOperators(Frozen):
+    __slots__ = ("H", "A", "B", "L2", "L2_full", "L", "M", "pi", "spin", "gauge")
+
+    def __init__(self, H: Operator, A: Operator, B: Operator, L2: Operator,
+                 L2_full: Operator, L: dict, M: dict, pi: list, spin: SpinRep,
+                 gauge: GaugeData):
+        set_fields(self, H, A, B, L2, L2_full, L, M, pi, spin, gauge)
 
 
 def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
@@ -761,16 +753,12 @@ def build_ycm_operators(c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
 # 8D singular oscillator operators
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Osc8DOperators:
-    H: Operator
-    A: Operator
-    B: Operator
-    B_literal: Operator
-    J2: Operator
-    K2: Operator
-    J: dict
-    K: dict
+class Osc8DOperators(Frozen):
+    __slots__ = ("H", "A", "B", "B_literal", "J2", "K2", "J", "K")
+
+    def __init__(self, H: Operator, A: Operator, B: Operator, B_literal: Operator,
+                 J2: Operator, K2: Operator, J: dict, K: dict):
+        set_fields(self, H, A, B, B_literal, J2, K2, J, K)
 
 
 def _osc_block_jet(ctx: PointContext, lo: int, hi: int, key: str) -> Jet:
@@ -841,16 +829,17 @@ def build_osc8d_operators(omega: float = 1.0, lambda1: float = 0.0, lambda2: flo
 # quadratic-algebra relations at the operator level
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(Frozen):
     """A printed relation lhs = sum_k c_k basis_k, as data.
 
     lhs is a combination of words; rows holds one (basis name, basis
     combination, printed coefficient c_k) per term of the right side.
     """
 
-    lhs: dict
-    rows: tuple
+    __slots__ = ("lhs", "rows")
+
+    def __init__(self, lhs: dict, rows: tuple):
+        set_fields(self, lhs, rows)
 
 
 def relation_samples(spec: RelationSpec, trials: int) -> int:
@@ -909,8 +898,7 @@ def check_suite(checks: Sequence[Sequence[dict]], relations: Sequence[RelationSp
     return residuals, results, ctx
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Frozen):
     """Residuals of the printed quadratic-algebra relations as operator
     identities, plus least-squares fits of the structure constants.
 
@@ -919,12 +907,13 @@ class ClosureReport:
     the chosen basis, making the fitted values the operator-level ground truth.
     """
 
-    residual_ac_printed: float
-    residual_bc_printed: float
-    fit_ac: dict
-    fit_bc: dict
-    fit_ac_residual: float
-    fit_bc_residual: float
+    __slots__ = ("residual_ac_printed", "residual_bc_printed", "fit_ac", "fit_bc",
+                 "fit_ac_residual", "fit_bc_residual")
+
+    def __init__(self, residual_ac_printed: float, residual_bc_printed: float, fit_ac: dict,
+                 fit_bc: dict, fit_ac_residual: float, fit_bc_residual: float):
+        set_fields(self, residual_ac_printed, residual_bc_printed, fit_ac, fit_bc,
+                   fit_ac_residual, fit_bc_residual)
 
 
 def _words(o, word: tuple) -> dict:

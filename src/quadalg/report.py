@@ -10,7 +10,6 @@ seed give byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 SCHEMA = "quadalg/1"
 
@@ -31,14 +30,15 @@ def _jsonable(value):
     return value
 
 
-@dataclass
 class Finding:
-    check: str
-    ref: str
-    status: str  # pass | fail | finding
-    residual: float | None = None
-    tolerance: float | None = None
-    values: dict | None = None
+    """One row of a report; status is pass, fail or finding."""
+
+    __slots__ = ("check", "ref", "status", "residual", "tolerance", "values")
+
+    def __init__(self, check: str, ref: str, status: str, residual: float | None = None,
+                 tolerance: float | None = None, values: dict | None = None):
+        self.check, self.ref, self.status = check, ref, status
+        self.residual, self.tolerance, self.values = residual, tolerance, values
 
     def as_dict(self) -> dict:
         out = {"check": self.check, "ref": self.ref, "status": self.status}
@@ -51,12 +51,12 @@ class Finding:
         return out
 
 
-@dataclass
 class Report:
-    command: str
-    config: dict
-    version: str
-    findings: list = field(default_factory=list)
+    __slots__ = ("command", "config", "version", "findings")
+
+    def __init__(self, command: str, config: dict, version: str):
+        self.command, self.config, self.version = command, config, version
+        self.findings = []
 
     def add(self, check: str, ref: str, status: str, residual=None, tolerance=None,
             values=None) -> Finding:

@@ -854,7 +854,8 @@ def test_a_planted_coefficient_error_turns_its_closure_check_red(tmp_path, monke
         algebra = declared(p)
         rows = tuple((n, w, c * (1 + 1e-3) if n == row else c)
                      for n, w, c in getattr(algebra, side))
-        return dataclasses.replace(algebra, **{side: rows})
+        return cat.PrintedAlgebra(**{"ac": algebra.ac, "bc": algebra.bc, side: rows},
+                                  casimir=algebra.casimir, labels=algebra.labels)
 
     monkeypatch.setattr(cat, "kepler5d_constants", off)
     code, rep = _run_json(tmp_path, "k.json",
@@ -873,7 +874,8 @@ def test_a_planted_fourth_order_term_in_H_turns_its_commutators_red(tmp_path, mo
     def planted(**params):
         k = build(**params)
         d = [ops.OpPartial(i) for i in range(5)]
-        return dataclasses.replace(k, H=k.H + ops.OpScale(1e-3, d[0] @ d[0] @ d[1] @ d[2]))
+        return ops.KeplerOperators(H=k.H + ops.OpScale(1e-3, d[0] @ d[0] @ d[1] @ d[2]),
+                                   A=k.A, B=k.B, L2=k.L2, L2_full=k.L2_full, L=k.L, M=k.M)
 
     monkeypatch.setattr(ops, "build_kepler_operators", planted)
     code, rep = _run_json(tmp_path, "k.json",
@@ -921,7 +923,7 @@ def test_verify_kepler5d_work_does_not_grow(tmp_path, monkeypatch):
         def wrap(t):
             return _CountedLetter(t, counts)
 
-        return dataclasses.replace(k, H=wrap(k.H), A=wrap(k.A), B=wrap(k.B), L2=wrap(k.L2),
+        return ops.KeplerOperators(H=wrap(k.H), A=wrap(k.A), B=wrap(k.B), L2=wrap(k.L2),
                                    L2_full=wrap(k.L2_full),
                                    L={key: wrap(t) for key, t in k.L.items()},
                                    M={key: wrap(t) for key, t in k.M.items()})

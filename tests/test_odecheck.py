@@ -739,12 +739,19 @@ def test_eigensolve_refuses_bad_input_before_lapack(monkeypatch, d, e):
         ode.eigh_tridiagonal(d, e, 0, 1)
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 8), (-1, 0), (3, 2)])
-def test_dstebz_refuses_an_index_range_outside_the_matrix_or_reversed(lo, hi):
-    if ode._DSTEBZ is None:
-        pytest.skip("numpy's LAPACK exports no dstebz of known integer width")
-    with pytest.raises(ValueError, match="illegal value in argument [67] of internal stebz"):
+@pytest.mark.parametrize("lo, hi, argument", [(0, 8, 7), (-1, 0, 6), (3, 2, 7), (8, 8, 6)])
+def test_dstebz_refuses_an_index_range_outside_the_matrix_or_reversed(monkeypatch, capfd, lo,
+                                                                       hi, argument):
+    # refused before LAPACK runs, whose error handler prints on stdout, with
+    # the argument dstebz names: IL (6) outside 1..N, or IU (7) outside IL..N
+    def lapack(*args):
+        raise AssertionError("LAPACK was called")
+
+    monkeypatch.setattr(ode, "_dstebz", lapack)
+    with pytest.raises(ValueError,
+                       match=f"illegal value in argument {argument} of internal stebz"):
         ode.eigh_tridiagonal(_D, _E, lo, hi)
+    assert capfd.readouterr().out == ""
 
 
 @pytest.mark.parametrize("info, error", [(-3, ValueError), (2, np.linalg.LinAlgError)])
