@@ -4,11 +4,11 @@ command of the benchmark workloads (perfbench/workloads.py) at seeds 7 and 1.
 Each command's JSON report is stored whole, byte for byte, under reports/;
 index.json holds its exit code and the sha256 of its --format table output.
 tests/test_golden.py regenerates every report in one process and compares
-bytes. Run this file to re-record the corpus after a change that moves a
-report on purpose, and list every moved value in CHANGES.md:
+bytes, and names every moved value. Run this file to re-record the corpus
+after a change that moves a report on purpose, and list every moved value in
+CHANGES.md:
 
-    python tests/golden/record.py            # rewrite the corpus
-    python tests/golden/record.py --check    # print what moved, write nothing
+    python tests/golden/record.py
 """
 
 from __future__ import annotations
@@ -154,31 +154,7 @@ def record(commands: list[str]) -> list[dict]:
     return entries
 
 
-def corpus_commands() -> list[str]:
-    seen = {}
-    for command in readme_commands() + workload_commands():
-        seen.setdefault(command, None)
-    return list(seen)
-
-
-def main(argv: list[str]) -> int:
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    if argv == ["--check"]:
-        moved = 0
-        for entry in load_index():
-            code, report = run(entry["command"], "json")
-            _, table = run(entry["command"], "table")
-            for line in differences(entry, code, report, table):
-                print(f"{entry['command']}: {line}")
-                moved += 1
-        return 1 if moved else 0
-    if argv:
-        print(__doc__, file=sys.stderr)
-        return 2
-    entries = record(corpus_commands())
-    print(f"recorded {len(entries)} commands in {os.path.relpath(HERE, ROOT)}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    entries = record(list(dict.fromkeys(readme_commands() + workload_commands())))
+    print(f"recorded {len(entries)} commands in {os.path.relpath(HERE, ROOT)}")

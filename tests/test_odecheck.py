@@ -739,7 +739,8 @@ def test_eigensolve_refuses_bad_input_before_lapack(monkeypatch, d, e):
         ode.eigh_tridiagonal(d, e, 0, 1)
 
 
-@pytest.mark.parametrize("lo, hi, argument", [(0, 8, 7), (-1, 0, 6), (3, 2, 7), (8, 8, 6)])
+@pytest.mark.parametrize("lo, hi, argument", [(0, 8, 7), (-1, 0, 6), (3, 2, 7), (8, 8, 6)],
+                         ids=["0-8", "-1-0", "3-2", "8-8"])
 def test_dstebz_refuses_an_index_range_outside_the_matrix_or_reversed(monkeypatch, capfd, lo,
                                                                        hi, argument):
     # refused before LAPACK runs, whose error handler prints on stdout, with
