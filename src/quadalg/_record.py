@@ -1,10 +1,12 @@
 """Immutable records, built without generated code.
 
-A record class lists its fields in __slots__ and sets them in its own
-__init__, through set_fields; assigning or deleting a field afterwards raises
-AttributeError, as on a frozen dataclass. Records compare and hash by
-identity, unless their class takes field_eq as its __eq__. A dataclass would
-generate and compile its methods on every import of the package.
+A record class lists its fields in __slots__ and takes them, in that order, as
+the parameters of its own __init__, which sets them through set_fields.
+Assigning or deleting a field afterwards raises AttributeError, as on a frozen
+dataclass. A copy or an unpickled record is rebuilt through __init__, so it
+passes the class's checks again. Records compare and hash by identity, unless
+their class takes field_eq as its __eq__, which makes them unhashable. A
+dataclass would generate and compile its methods on every import.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen "
                              f"{type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
 
 
 def set_fields(record: Frozen, *values) -> None:

@@ -59,9 +59,7 @@ class StructureFunction(Frozen):
         set_fields(self, roots, scale, u)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.asarray(self.roots, dtype=float)
-        return self.scale * np.prod(x[..., None] + self.u - r, axis=-1)
+        return self.scale * self.monic(x)
 
     def monic(self, x):
         """Evaluation with unit leading coefficient, for absolute residuals."""
@@ -623,7 +621,7 @@ def check_fock(c: QuadraticAlgebraConstants, sf: StructureFunction, u: float, p:
     """(Fock matrices, relation residuals, Casimir diagnostics) of the
     (p+1)-dimensional realization of sf at u under the constants c; raises
     DegenerateDenominator or NegativePhi where it has no such matrices."""
-    real = oscillator_realization(c, u, p=p, rho_convention=rho_convention)
+    real = oscillator_realization(c, u, rho_convention=rho_convention)
     fock = build_fock_realization(sf, real, p)
     return fock, verify_commutation(fock, c), verify_casimir(fock, c)
 

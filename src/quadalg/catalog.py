@@ -11,10 +11,9 @@ is the transcription layer, the oracles decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add, mul
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,76 +37,67 @@ OSC_PHI_PREFACTOR_SUBST = 3 * 2**19
 
 def _require_finite(params) -> None:
     """Name the first NaN or infinite number field; both pass the sign checks."""
-    for f in fields(params):
-        value = getattr(params, f.name)
+    for name in type(params).__slots__:
+        value = getattr(params, name)
         if isinstance(value, (int, float)) and not np.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class Kepler5DParams:
+class Kepler5DParams(Frozen):
     """Generalized 5D Kepler couplings and the so(4) Casimir eigenvalue l."""
 
-    system: ClassVar[str] = "kepler5d"
-    c0: float = 1.0
-    c1: float = 0.0
-    c2: float = 0.0
-    hbar: float = 1.0
-    l: float = 0.0
+    system = "kepler5d"
+    __slots__ = ("c0", "c1", "c2", "hbar", "l")
 
-    def __post_init__(self):
+    def __init__(self, c0: float = 1.0, c1: float = 0.0, c2: float = 0.0,
+                 hbar: float = 1.0, l: float = 0.0):
+        set_fields(self, c0, c1, c2, hbar, l)
         _require_finite(self)
-        if self.c0 <= 0:
+        if c0 <= 0:
             raise ValueError("c0 must be positive")
-        if self.c1 < 0 or self.c2 < 0:
+        if c1 < 0 or c2 < 0:
             raise ValueError("c1 and c2 are non-negative")
-        if self.hbar <= 0:
+        if hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("Casimir label l is non-negative")
 
 
-@dataclass(frozen=True)
-class Oscillator8DParams:
+class Oscillator8DParams(Frozen):
     """8D singular oscillator: frequency, singular strengths, Casimir labels j, k."""
 
-    system: ClassVar[str] = "osc8d"
-    omega: float = 1.0
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    hbar: float = 1.0
-    j: float = 0.0
-    k: float = 0.0
+    system = "osc8d"
+    __slots__ = ("omega", "lambda1", "lambda2", "hbar", "j", "k")
 
-    def __post_init__(self):
+    def __init__(self, omega: float = 1.0, lambda1: float = 0.0, lambda2: float = 0.0,
+                 hbar: float = 1.0, j: float = 0.0, k: float = 0.0):
+        set_fields(self, omega, lambda1, lambda2, hbar, j, k)
         _require_finite(self)
-        if self.omega <= 0:
+        if omega <= 0:
             raise ValueError("omega must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if lambda1 < 0 or lambda2 < 0:
             raise ValueError("singular strengths must be non-negative")
-        if self.hbar <= 0:
+        if hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.j < 0 or self.k < 0:
+        if j < 0 or k < 0:
             raise ValueError("Casimir labels j, k are non-negative")
 
 
-@dataclass(frozen=True)
-class YCMParams:
+class YCMParams(Frozen):
     """Generalized Yang-Coulomb monopole: Kepler couplings plus su(2) isospin T
     and the (J, L) labels of the parabolic channel."""
 
-    kepler: Kepler5DParams = field(default_factory=Kepler5DParams)
-    T: float = 0.0
-    J: float = 0.0
-    L: float = 0.0
+    __slots__ = ("kepler", "T", "J", "L")
 
-    def __post_init__(self):
+    def __init__(self, kepler: Optional[Kepler5DParams] = None, T: float = 0.0,
+                 J: float = 0.0, L: float = 0.0):
+        set_fields(self, Kepler5DParams() if kepler is None else kepler, T, J, L)
         _require_finite(self)
-        if self.T < 0 or round(2 * self.T) != 2 * self.T:
+        if T < 0 or round(2 * T) != 2 * T:
             raise ValueError("T must be a non-negative half-integer")
-        if self.L < 0:
+        if L < 0:
             raise ValueError("Casimir label L is non-negative")
-        if not (abs(self.L - self.T) <= self.J <= self.L + self.T + 1e-12):
+        if not (abs(L - T) <= J <= L + T + 1e-12):
             raise ValueError("J must satisfy |L - T| <= J <= L + T")
 
 
@@ -198,6 +188,11 @@ def kepler5d_m_parameters(p: Kepler5DParams) -> tuple[float, float]:
     return m1, m2
 
 
+def _coulomb_energy(c0: float, hbar: float, q):
+    """The factor-2 Kepler energy -c0^2 / (2 hbar^2 q^2) at principal number q."""
+    return -c0**2 / (2 * hbar**2 * q**2)
+
+
 def _coulomb_q(p: Kepler5DParams, energy: float) -> float:
     if energy >= 0:
         raise ValueError("bound-state energy must be negative")
@@ -279,8 +274,7 @@ def kepler5d_energy_window(p: Kepler5DParams, p_max: int) -> tuple[float, float]
     """Bound-state energies E = -c0^2 / (2 hbar^2 q^2) with 0.02 <= q <= p_max + 3 + m1 + m2,
     which hold every representation of dimension up to p_max + 1."""
     m1, m2 = kepler5d_m_parameters(p)
-    q = np.array([0.02, p_max + 3 + m1 + m2])
-    lo, hi = -p.c0**2 / (2 * p.hbar**2 * q**2)
+    lo, hi = _coulomb_energy(p.c0, p.hbar, np.array([0.02, p_max + 3 + m1 + m2]))
     return float(lo), float(hi)
 
 
@@ -405,7 +399,7 @@ def ycm_parabolic_s_parameters(p: YCMParams) -> tuple[float, float]:
 def ycm_parabolic_energy(c0: float, hbar: float, n1: int, n2: int, s1: float,
                          s2: float) -> float:
     """Printed parabolic spectrum, eps = -c0^2 / (2 hbar^2 (n1+n2+s1+s2+1)^2)."""
-    return -c0**2 / (2 * hbar**2 * (n1 + n2 + (s1 + s2 + 1)) ** 2)
+    return _coulomb_energy(c0, hbar, n1 + n2 + (s1 + s2 + 1))
 
 
 def ycm_spectrum_parabolic(p: YCMParams, n1: int, n2: int) -> SpectrumRecord:
@@ -432,7 +426,7 @@ def ycm_dual_oscillator(p: YCMParams) -> Oscillator8DParams:
 def ycm_duality_energy(c0: float, hbar: float, rep_p: int, m1: float, m2: float) -> float:
     """Spectrum re-derived through the oscillator dual,
     eps = -c0^2 / (2 hbar^2 (p+1+(m1+m2)/2)^2)."""
-    return -c0**2 / (2 * hbar**2 * (rep_p + 1 + (m1 + m2) / 2) ** 2)
+    return _coulomb_energy(c0, hbar, rep_p + 1 + (m1 + m2) / 2)
 
 
 def ycm_spectrum_duality(p: YCMParams, rep_p: int) -> SpectrumRecord:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
 import locale  # noqa: F401  argparse loads it lazily: load it here, not in the first message
@@ -68,8 +67,7 @@ def _write_report(report: Report, args) -> int:
 def _params(cls, args, **given):
     """cls built from the flags named after its fields and then given; a
     field with neither keeps its default."""
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-             if hasattr(args, f.name)}
+    flags = {name: getattr(args, name) for name in cls.__slots__ if hasattr(args, name)}
     return cls(**{**flags, **given})
 
 

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import importlib.util
 import json
 import os
@@ -484,7 +483,7 @@ _SWEPT = ([["spectrum", s] for s in ("kepler5d", "osc8d", "ycm")]
 
 
 def _flags(cls):
-    return {f"--{f.name}" for f in dataclasses.fields(cls)}
+    return {f"--{name}" for name in cls.__slots__}
 
 
 # the flags each system's parameter class reads

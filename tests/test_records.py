@@ -1,9 +1,12 @@
 """The package's record classes: which stay dataclasses, and what the plain
 ones keep of the frozen dataclasses they replace."""
 
+import copy
 import dataclasses
+import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -14,17 +17,15 @@ from quadalg import algebra as alg
 from quadalg import catalog as cat
 from quadalg import cli
 from quadalg import hurwitz as hw
+from quadalg import jets
 from quadalg import odecheck as ode
 from quadalg import operators as ops
 from quadalg._record import Frozen
 from quadalg.jets import Jet, jet_space
 
 # the benchmark tracer replaces fields of these two with dataclasses.replace;
-# the parameter classes stay for cli._params and catalog._require_finite,
-# which walk their fields
-_DATACLASSES = {"quadalg.operators.PointSampler", "quadalg.algebra.PhiFamily",
-                "quadalg.catalog.Kepler5DParams", "quadalg.catalog.Oscillator8DParams",
-                "quadalg.catalog.YCMParams"}
+# every other record class is a Frozen record
+_DATACLASSES = {"quadalg.operators.PointSampler", "quadalg.algebra.PhiFamily"}
 
 
 def test_the_tracer_can_replace_the_sampler_predicate_and_the_family_roots():
@@ -73,6 +74,10 @@ def _records():
     yield ode.radial_oscillator_eigensolve(ode.RadialOscillatorSpec(), 0)[0]
     yield ops.SpinRep.make(0.5)
     yield ops.build_kepler_operators()
+    yield cat.Kepler5DParams(c0=2.0, c1=0.1, l=1.0)
+    yield cat.Oscillator8DParams(omega=0.5, lambda2=0.2, j=1.0, k=2.0)
+    yield cat.YCMParams(T=0.5, J=0.5)
+
 
 
 @pytest.mark.parametrize("record", list(_records()), ids=lambda r: type(r).__name__)
@@ -88,14 +93,81 @@ def test_a_frozen_record_refuses_assignment(record):
     assert getattr(record, name) is value
 
 
+def _same(a, b) -> bool:
+    """a and b of one type holding the same values: records and other objects
+    field by field, arrays entry by entry, functions by identity."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Frozen):
+        names = type(a).__slots__
+        return _same([getattr(a, n) for n in names], [getattr(b, n) for n in names])
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if hasattr(a, "__dict__") and not inspect.isroutine(a):
+        return _same(vars(a), vars(b))
+    return a is b or a == b
+
+
+@pytest.mark.parametrize("record", list(_records()), ids=lambda r: type(r).__name__)
+def test_a_record_copies_and_deep_copies_through_its_init(record):
+    shallow = copy.copy(record)
+    assert type(shallow) is type(record) and shallow is not record
+    for name in type(record).__slots__:
+        assert getattr(shallow, name) is getattr(record, name), name
+    deep = copy.deepcopy(record)
+    assert deep is not record and _same(deep, record)
+
+
+@pytest.mark.parametrize("record", list(_records()), ids=lambda r: type(r).__name__)
+def test_a_record_whose_fields_pickle_survives_a_pickle_round_trip(record):
+    if isinstance(record, ops.KeplerOperators):
+        # its coefficient builders are local functions, which pickle cannot name
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(record)
+        return
+    loaded = pickle.loads(pickle.dumps(record))
+    assert loaded is not record and _same(loaded, record)
+
+
+def test_a_loaded_record_is_built_by_its_init(monkeypatch):
+    params = cat.YCMParams(T=0.5, J=0.5)
+    built = []
+    init = cat.YCMParams.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cat.YCMParams, "__init__", counted)
+    for load in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        load(params)
+    assert [args[1:] for args in built] == [(0.5, 0.5, 0.0)] * 3
+    assert built[0][0] is params.kepler and built[1][0] is not params.kepler
+
+
+def _frozen_classes() -> set:
+    return {cls for module in (alg, cat, cli, hw, jets, ode, ops)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, Frozen) and cls is not Frozen}
+
+
 def test_every_frozen_record_class_has_slots_only():
-    classes = {cls for module in (alg, cat, cli, hw, ode, ops)
-               for cls in vars(module).values()
-               if isinstance(cls, type) and issubclass(cls, Frozen) and cls is not Frozen}
-    assert len(classes) >= 20
+    classes = _frozen_classes()
+    assert len(classes) >= 28 and Jet in classes
     for cls in classes:
         assert cls.__dictoffset__ == 0, cls.__name__
         assert "__slots__" in vars(cls), cls.__name__
+
+
+def test_every_frozen_record_init_takes_its_slots_in_order():
+    # set_fields and __reduce__ both pair __slots__ with __init__'s parameters
+    for cls in _frozen_classes():
+        parameters = list(inspect.signature(cls.__init__).parameters)
+        assert parameters[1:] == list(cls.__slots__), cls.__name__
 
 
 @pytest.mark.parametrize("build, message", [
@@ -112,6 +184,17 @@ def test_every_frozen_record_class_has_slots_only():
     (lambda: cat.SpectrumRecord("kepler5d", {}, -1.0, "printed"), "unknown provenance"),
     (lambda: cat.SpectrumRecord("ycm", {}, 0.0, "duality"), "Kepler-type bound states"),
     (lambda: cat.SpectrumRecord("osc8d", {}, -1.0, "algebraic"), "oscillator spectra"),
+    (lambda: cat.Kepler5DParams(c0=0), "c0 must be positive"),
+    (lambda: cat.Kepler5DParams(c0=-np.inf), "c0 must be finite, got -inf"),
+    (lambda: cat.Kepler5DParams(c2=-1.0), "c1 and c2 are non-negative"),
+    (lambda: cat.Kepler5DParams(hbar=0.0), "hbar must be positive"),
+    (lambda: cat.Oscillator8DParams(omega=np.nan), "omega must be finite, got nan"),
+    (lambda: cat.Oscillator8DParams(lambda2=-1.0), "singular strengths must be non-negative"),
+    (lambda: cat.Oscillator8DParams(hbar=-1.0), "hbar must be positive"),
+    (lambda: cat.Oscillator8DParams(k=-1.0), "Casimir labels j, k are non-negative"),
+    (lambda: cat.YCMParams(T=0.3), "T must be a non-negative half-integer"),
+    (lambda: cat.YCMParams(T=np.inf), "T must be finite, got inf"),
+    (lambda: cat.YCMParams(T=0.5, J=2.0), "J must satisfy"),
 ])
 def test_a_record_refuses_what_its_dataclass_refused(build, message):
     with pytest.raises(ValueError, match=message):
