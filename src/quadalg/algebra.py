@@ -12,7 +12,8 @@ adjudication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import compress
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -82,18 +83,25 @@ class RepresentationCandidate(Frozen):
 
 
 class FockRealization(Frozen):
-    """Explicit matrices of the deformed-oscillator realization on dim = p+1;
-    phi holds Phi(0..p+1), used for the shift entries."""
+    """Explicit matrices of the deformed-oscillator realization on dim = p+1,
+    for a stack of candidates: N is the (dim, dim) number operator they
+    share; b_dag, b, A, B and C are (k, dim, dim), one matrix per candidate
+    that built, and phi (k, p+2) holds its Phi(0..p+1), used for the shift
+    entries. errors has one entry per candidate given: None where it built,
+    else the DegenerateDenominator or NegativePhi it has no matrices for."""
 
-    __slots__ = ("dim", "N", "b_dag", "b", "A", "B", "C", "phi")
+    __slots__ = ("dim", "N", "b_dag", "b", "A", "B", "C", "phi", "errors")
 
     def __init__(self, dim: int, N: np.ndarray, b_dag: np.ndarray, b: np.ndarray,
-                 A: np.ndarray, B: np.ndarray, C: np.ndarray, phi: np.ndarray):
-        set_fields(self, dim, N, b_dag, b, A, B, C, phi)
+                 A: np.ndarray, B: np.ndarray, C: np.ndarray, phi: np.ndarray,
+                 errors: tuple):
+        set_fields(self, dim, N, b_dag, b, A, B, C, phi, errors)
 
 
 class OscillatorRealization(Frozen):
-    """Closed forms A(N), b(N), rho(N) evaluated at integer levels n -> n + u.
+    """Closed forms A(N), b(N), rho(N) evaluated at integer levels n -> n + u,
+    for a stack of realizations: member i has constants[i], offset u[i] and
+    rho reading rho_convention[i]. A single realization is a stack of one.
 
     rho_convention selects between the printed rho expression and its square
     root. The square-root reading is the one under which the [B,C] relation
@@ -103,58 +111,45 @@ class OscillatorRealization(Frozen):
 
     __slots__ = ("constants", "u", "rho_convention")
 
-    def __init__(self, constants: QuadraticAlgebraConstants, u: float,
-                 rho_convention: str = "sqrt"):
+    def __init__(self, constants: tuple, u: tuple, rho_convention: tuple):
+        if not set(rho_convention) <= {"sqrt", "printed"}:
+            raise ValueError("rho_convention must be 'sqrt' or 'printed'")
         set_fields(self, constants, u, rho_convention)
 
-    def A(self, n) -> np.ndarray:
-        g, e = self.constants.gamma, self.constants.epsilon_c
-        y = np.asarray(n, dtype=float) + self.u
-        return g / 2 * (y * y - 0.25 - e / g**2)
-
-    def b(self, n) -> np.ndarray:
-        g, zt = self.constants.gamma, self.constants.zeta_c
-        y = np.asarray(n, dtype=float) + self.u
-        if zt == 0:
-            return np.zeros_like(y)
-        return -(zt / g**2) / (y * y - 0.25)
-
-    def rho_denominator(self, n) -> np.ndarray:
-        g = self.constants.gamma
-        y = np.asarray(n, dtype=float) + self.u
-        return _REALIZATION_NORM * g**8 * y * (1 + y) * (1 + 2 * y) ** 2
-
-    def rho(self, n) -> np.ndarray:
-        den = self.rho_denominator(n)
-        if np.any(den == 0):
-            raise DegenerateDenominator(f"rho denominator vanishes at n={n}, u={self.u}")
-        if self.rho_convention == "printed":
-            return 1.0 / den
-        if np.any(den < 0):
-            raise DegenerateDenominator(
-                f"rho denominator negative at n={n}, u={self.u}; square-root reading undefined")
-        return 1.0 / np.sqrt(den)
-
-    def check_levels(self, p: int) -> None:
-        n = np.arange(p + 1)
-        den = self.rho_denominator(n)
-        if np.any(den == 0) or (self.rho_convention == "sqrt" and np.any(den < 0)):
-            raise DegenerateDenominator(f"invalid u={self.u} for p={p}")
-        if self.constants.zeta_c != 0:
-            y = n + self.u
-            if np.any(y * y == 0.25):
-                raise DegenerateDenominator(f"b(N) pole at u={self.u} for p={p}")
+    def closed_forms(self, p: int) -> tuple:
+        """((A, b, rho) at the levels n = 0..p of the members that are valid
+        there, one row each; per member, the DegenerateDenominator that its
+        levels meet, or None). A member is invalid where its rho denominator
+        vanishes, or is negative under the square-root reading, or where b(N)
+        has a pole."""
+        y = np.arange(p + 1.0) + np.reshape(self.u, (-1, 1))
+        den = (np.reshape([_REALIZATION_NORM * c.gamma**8 for c in self.constants], (-1, 1))
+               * y * (1 + y) * (1 + 2 * y) ** 2)
+        sqrt = np.array([r == "sqrt" for r in self.rho_convention], bool)
+        zeta = np.reshape([c.zeta_c for c in self.constants], (-1, 1))
+        undefined = (den == 0).any(axis=1) | (sqrt & (den < 0).any(axis=1))
+        errors = [DegenerateDenominator(f"invalid u={u} for p={p}") if bad
+                  else DegenerateDenominator(f"b(N) pole at u={u} for p={p}") if pole else None
+                  for u, bad, pole in zip(self.u, undefined,
+                                          ((zeta != 0) & (y * y == 0.25)).any(axis=1))]
+        valid = [error is None for error in errors]
+        y, den, zeta, printed = y[valid], den[valid], zeta[valid], ~sqrt[valid, None]
+        half_g, shift, b_scale = np.reshape(
+            [(c.gamma / 2, c.epsilon_c / c.gamma**2, -(c.zeta_c / c.gamma**2) if c.zeta_c else 0.0)
+             for c in compress(self.constants, valid)], (-1, 3)).T[..., None]
+        w = y * y - 0.25
+        return (half_g * (w - shift), np.divide(b_scale, w, out=np.zeros_like(y), where=zeta != 0),
+                np.where(printed, 1.0 / den, 1.0 / np.sqrt(np.where(printed, 1.0, den)))), errors
 
 
 def oscillator_realization(c: QuadraticAlgebraConstants, u: float,
                            p: Optional[int] = None,
                            rho_convention: str = "sqrt") -> OscillatorRealization:
-    """Closed-form realization functions for the gamma != 0 branch."""
-    if rho_convention not in ("sqrt", "printed"):
-        raise ValueError("rho_convention must be 'sqrt' or 'printed'")
-    real = OscillatorRealization(c, u, rho_convention)
-    if p is not None:
-        real.check_levels(p)
+    """Closed-form realization functions for the gamma != 0 branch, as a stack
+    of one; with p given, its levels 0..p must be valid (DegenerateDenominator)."""
+    real = OscillatorRealization((c,), (u,), (rho_convention,))
+    if p is not None and (error := real.closed_forms(p)[1][0]):
+        raise error
     return real
 
 
@@ -275,22 +270,20 @@ def phi_family_from_coefficients(coefficients) -> PhiFamily:
     return PhiFamily(roots_of=roots_of, scale_of=scale_of, coefficients=coefficients)
 
 
-def _polished_roots(coeffs: np.ndarray) -> list:
-    """Polished, sorted roots of each row of coeffs (highest power first).
+def _companion_groups(coeffs: np.ndarray):
+    """(row indices, roots) of each set of rows of coeffs (highest power
+    first) that strip alike, from one eigvals call per set.
 
     The roots of a row are np.roots of it: the eigenvalues of the companion
     matrix of the row stripped of leading and trailing zeros, then one zero
-    per trailing zero. The companion matrices of rows stripped alike are
-    stacked into one eigvals call, whose result is complex if any of them has
-    a complex root; a row whose roots are all real is polished in real
-    arithmetic, as it would be alone.
+    per trailing zero. A set's roots are complex if any of its rows has a
+    complex root; each root is, bit for bit, that of its row alone.
     """
-    n_rows, width = coeffs.shape
+    width = coeffs.shape[1]
     nonzero = coeffs != 0
     # a zero row has no roots, as a constant one
     first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width - 1)
     last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
-    out = [None] * n_rows
     for f, l in sorted(set(zip(first.tolist(), last.tolist()))):
         rows = np.nonzero((first == f) & (last == l))[0]
         p = coeffs[rows, f:l + 1]
@@ -300,14 +293,21 @@ def _polished_roots(coeffs: np.ndarray) -> list:
             companion[:, 0, :] = -p[:, 1:] / p[:, :1]
             companion[:, np.arange(1, l - f), np.arange(l - f - 1)] = 1.0
             roots = np.linalg.eigvals(companion)
-        roots = np.concatenate([roots, np.zeros((len(rows), width - 1 - l), roots.dtype)],
-                               axis=1)
+        yield rows, np.concatenate([roots, np.zeros((len(rows), width - 1 - l), roots.dtype)],
+                                   axis=1)
+
+
+def _polished_roots(coeffs: np.ndarray) -> list:
+    """Polished, sorted roots of each row of coeffs (highest power first):
+    its companion roots (_companion_groups), polished in real arithmetic if
+    they are all real, as the row alone would be."""
+    out = {}
+    for rows, roots in _companion_groups(coeffs):
         real = (roots.imag == 0).all(axis=1)
         for part, part_roots in ((rows[real], roots[real].real), (rows[~real], roots[~real])):
             if len(part):
-                for k, r in zip(part, _polish(coeffs[part], part_roots)):
-                    out[k] = r
-    return out
+                out.update(zip(part, _polish(coeffs[part], part_roots)))
+    return [out[k] for k in range(len(coeffs))]
 
 
 def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -350,11 +350,18 @@ def _same(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-8 * (1.0 + max(abs(a), abs(b)))
 
 
-def _roots(coeffs: np.ndarray) -> np.ndarray:
-    """np.roots after dropping leading coefficients that are fit noise."""
-    coeffs = np.asarray(coeffs)
-    big = np.nonzero(np.abs(coeffs) > _ROUNDING * np.abs(coeffs).max())[0]
-    return np.roots(coeffs[big[0]:]) if len(big) else np.empty(0)
+def _roots(polys) -> list:
+    """np.roots of each polynomial (highest power first) after dropping its
+    leading coefficients that are fit noise, all from one stacked extraction
+    (_companion_groups)."""
+    width = max(map(len, polys), default=1)
+    coeffs = np.zeros((len(polys), width))
+    for row, poly in zip(coeffs, polys):
+        row[width - len(poly):] = poly
+    big = np.abs(coeffs) > _ROUNDING * np.abs(coeffs).max(axis=1, keepdims=True)
+    coeffs[~np.logical_or.accumulate(big, axis=1)] = 0.0
+    out = {k: r for rows, roots in _companion_groups(coeffs) for k, r in zip(rows, roots)}
+    return [out[k] for k in range(len(polys))]
 
 
 def _real(values: np.ndarray) -> np.ndarray:
@@ -375,7 +382,7 @@ def _energy_independent_roots(coefficients: np.ndarray) -> np.ndarray:
         return all(abs(np.polyval(pk, r)) <= 1e-9 * np.polyval(np.abs(pk), abs(r))
                    for pk in nonzero)
 
-    lowest = min((_roots(pk) for pk in nonzero), key=len)
+    lowest = min(_roots(nonzero), key=len)
     return np.array([r for r in lowest if on_every_pk(r)], dtype=complex)
 
 
@@ -395,9 +402,24 @@ def _resultant_in_energy(a: list, b: list) -> np.ndarray:
                       np.polymul(cross(2, 1), cross(1, 0)))
 
 
-def _energies_at(cofactor: list, t: float) -> np.ndarray:
-    """Real E at which t is a root of the cofactor sum_k E^k Q_k."""
-    return _real(_roots([np.polyval(qk, t) for qk in cofactor[::-1]]))
+def _shifted(polys: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """P(t + s) for each row P of polys (highest power first) and each s of
+    spans, as an array of shape (len(spans),) + polys.shape. Each Horner step
+    in t + s rounds as np.poly1d composition does: a convolution with (1, s),
+    then the next coefficient added to the constant term."""
+    s = spans[:, None, None]
+    out = np.zeros((len(spans), len(polys), 1))
+    for c in polys.T:
+        out = np.concatenate([out, out[..., -1:] * s], axis=-1)
+        out[..., 1:-1] += out[..., :-2] * s
+        out[..., -1] += c
+    return out[..., 1:]
+
+
+def _energies_at(cofactor: np.ndarray, ts) -> list:
+    """Per t of ts, the real E at which t is a root of the cofactor
+    sum_k E^k Q_k, from one stacked extraction."""
+    return [_real(r) for r in _roots(np.array([np.polyval(qk, ts) for qk in cofactor[::-1]]).T)]
 
 
 def find_representations(family: PhiFamily, p_max: int,
@@ -417,9 +439,12 @@ def find_representations(family: PhiFamily, p_max: int,
     - both endpoints on F hold for every E, a continuum with no energy of its
       own, so no candidate is built from them.
 
-    The (u, E) of every p inside the window are then finished together on
-    the family's own extracted roots (one roots_of call per secant step for
-    all of them), and survivors must have a strictly positive window.
+    Each root extraction of the elimination (the roots of the P_k, the
+    resultant roots of every p, the E-roots of every endpoint) is one
+    stacked solve. The (u, E) of every p inside the window are then finished
+    together on the family's own extracted roots (one roots_of call per
+    secant step for all of them, each seed equal bit for bit to another
+    finished once), and survivors must have a strictly positive window.
     """
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
@@ -427,22 +452,23 @@ def find_representations(family: PhiFamily, p_max: int,
         raise ValueError("the representation search needs a family with energy coefficients")
     lo, hi = energy_window
     shared = _energy_independent_roots(family.coefficients)
-    cofactor = [np.polydiv(pk, np.poly(shared).real)[0] for pk in family.coefficients]
+    cofactor = np.array([np.polydiv(pk, np.poly(shared).real)[0] for pk in family.coefficients])
     fixed = _real(shared)
-    seeds = []
-    for p in range(p_max + 1):
-        s = p + 1.0
-        shifted = [np.poly1d(qk)(np.poly1d([1.0, s])).coeffs for qk in cofactor]
-        pairs = [(u, e) for u in _real(_roots(_resultant_in_energy(cofactor, shifted)))
-                 for e in _energies_at(cofactor, u)]
+    spans = np.arange(1.0, p_max + 2)  # p + 1
+    resultants = [_resultant_in_energy(cofactor, q) for q in _shifted(cofactor, spans)]
+    ends = []  # (p, u, t): a seed at u for each real E at which t is a root
+    for p, (s, us) in enumerate(zip(spans, map(_real, _roots(resultants)))):
+        ends += [(p, u, u) for u in us]
         for r in fixed:
             for other in (r + s, r - s):
                 if np.any(np.abs(fixed - other) <= _ROOT_TOL * (1.0 + abs(other))):
                     continue  # both endpoints on F
-                pairs += [(min(r, other), e) for e in _energies_at(cofactor, other)]
-        seeds += [(p, u, e) for u, e in pairs if lo <= e <= hi]
+                ends.append((p, min(r, other), other))
+    energies = _energies_at(cofactor, [t for *_, t in ends])
+    seeds = [(p, u, e) for (p, u, _), es in zip(ends, energies) for e in es if lo <= e <= hi]
     found: dict[int, list[RepresentationCandidate]] = {p: [] for p in range(p_max + 1)}
-    for cand in _finish(family, seeds):
+    # a seed equal bit for bit to an earlier one would finish as a duplicate
+    for cand in _finish(family, list(dict.fromkeys(seeds))):
         if cand is None or any(_same(f.u, cand.u) and _same(f.energy, cand.energy)
                                for f in found[cand.p]):
             continue
@@ -511,40 +537,46 @@ def _candidate(family: PhiFamily, p: int, u: float, energy: float,
                                    sf=sf, endpoint_residual=float(endpoints.max()))
 
 
-def build_fock_realization(sf: StructureFunction, realization: OscillatorRealization,
-                           p: int) -> FockRealization:
-    """Explicit (p+1)-dimensional matrices N, b, b^dag, A, B, C.
+def build_fock_realization(sfs: Sequence[StructureFunction],
+                           realization: OscillatorRealization, p: int) -> FockRealization:
+    """Explicit (p+1)-dimensional matrices N, b, b^dag, A, B, C of a stack of
+    candidates, candidate i being sfs[i] on member i of the realization.
 
     b^dag carries sqrt(Phi(n)) on the subdiagonal, A is diagonal, and
     B = b(N) + b^dag rho(N) + rho(N) b; C is the literal matrix commutator.
+    A candidate whose levels are invalid (DegenerateDenominator) or whose Phi
+    is negative inside the window (NegativePhi) gets no matrices; errors
+    holds that exception in its place.
     """
-    realization.check_levels(p)
     n = np.arange(p + 1)
-    phi = sf(np.arange(0, p + 2, dtype=float))
-    if np.any(phi[1:p + 1] < 0):
-        raise NegativePhi(f"Phi negative inside the window: {phi[1:p + 1]}")
-    Nmat = np.diag(n.astype(float))
-    b_dag = np.zeros((p + 1, p + 1))
-    for m in range(1, p + 1):
-        b_dag[m, m - 1] = np.sqrt(phi[m])
-    b = b_dag.T.copy()
-    A = np.diag(realization.A(n))
-    rho = realization.rho(n)
-    B = np.diag(realization.b(n)) + b_dag @ np.diag(rho) + np.diag(rho) @ b
+    rows, errors = realization.closed_forms(p)
+    phi = np.reshape([sf(np.arange(0, p + 2, dtype=float))
+                      for sf, error in zip(sfs, errors, strict=True) if error is None], (-1, p + 2))
+    valid = [i for i, error in enumerate(errors) if error is None]
+    for i, window in zip(valid, phi[:, 1:p + 1]):
+        if np.any(window < 0):
+            errors[i] = NegativePhi(f"Phi negative inside the window: {window}")
+    built = [errors[i] is None for i in valid]
+    A, b_n, rho = (_diag(r[built]) for r in rows)
+    phi = phi[built]
+    b_dag = np.zeros((len(phi), p + 1, p + 1))
+    b_dag[:, n[1:], n[:-1]] = np.sqrt(phi[:, 1:p + 1])
+    b = b_dag.transpose(0, 2, 1).copy()
+    B = b_n + b_dag @ rho + rho @ b
     C = A @ B - B @ A
-    return FockRealization(dim=p + 1, N=Nmat, b_dag=b_dag, b=b, A=A, B=B, C=C, phi=phi)
+    return FockRealization(p + 1, np.diag(n.astype(float)), b_dag, b, A, B, C, phi, tuple(errors))
 
 
-def fock_invariant_residuals(f: FockRealization) -> dict:
-    """Shift-structure and ladder-product residuals, relative to the entry scale."""
-    scale_b = max(1.0, _absmax(f.b_dag))
-    scale_phi = max(1.0, _absmax(f.phi))
-    shift = max(_absmax(f.N @ f.b_dag - f.b_dag @ f.N - f.b_dag),
-                _absmax(f.N @ f.b - f.b @ f.N + f.b)) / scale_b
-    p = f.dim - 1
-    ladder = max(_absmax(f.b @ f.b_dag - np.diag(f.phi[1:])),
-                 _absmax(f.b_dag @ f.b - np.diag(f.phi[:p + 1]))) / scale_phi
-    return {"shift": float(shift), "ladder": float(ladder)}
+def fock_invariant_residuals(f: FockRealization) -> list[dict]:
+    """Shift-structure and ladder-product residuals of each matrix set of the
+    stack, relative to its entry scale."""
+    scale_b = np.maximum(1.0, _absmax(f.b_dag))
+    scale_phi = np.maximum(1.0, np.abs(f.phi).max(axis=1))
+    shift = np.maximum(_absmax(f.N @ f.b_dag - f.b_dag @ f.N - f.b_dag),
+                       _absmax(f.N @ f.b - f.b @ f.N + f.b)) / scale_b
+    ladder = np.maximum(_absmax(f.b @ f.b_dag - _diag(f.phi[:, 1:])),
+                        _absmax(f.b_dag @ f.b - _diag(f.phi[:, :-1]))) / scale_phi
+    return [{"shift": float(s), "ladder": float(lad)} for s, lad in zip(shift, ladder)]
 
 
 def _comm(x, y):
@@ -553,6 +585,12 @@ def _comm(x, y):
 
 def _anti(x, y):
     return x @ y + y @ x
+
+
+def _per_matrix(cs: Sequence[QuadraticAlgebraConstants], *fields: str) -> np.ndarray:
+    """The named fields of the constants of each matrix set of a stack, one
+    (k, 1, 1) array per field, to scale the (k, d, d) stack by."""
+    return np.array([[getattr(c, name) for c in cs] for name in fields], float)[..., None, None]
 
 
 class CommutationReport(Frozen):
@@ -567,28 +605,30 @@ class CommutationReport(Frozen):
         return max(self.r_ac, self.r_bc)
 
 
-def verify_commutation(f: FockRealization, c: QuadraticAlgebraConstants) -> CommutationReport:
-    """Residuals of the [A,C] and [B,C] relations and of the Jacobi identity;
-    [A,B] = C holds by construction (build_fock_realization)."""
-    I = np.eye(f.dim)
-    AC = _comm(f.A, f.C)
-    BC = _comm(f.B, f.C)
-    anti = _anti(f.A, f.B)
-    rhs_ac = c.gamma * anti + c.epsilon_c * f.B + c.zeta_c * I
-    rhs_bc = -c.gamma * f.B @ f.B + c.d_c * f.A + c.z_c * I
+def verify_commutation(f: FockRealization,
+                       cs: Sequence[QuadraticAlgebraConstants]) -> list[CommutationReport]:
+    """Residuals of the [A,C] and [B,C] relations and of the Jacobi identity
+    of each matrix set of the stack under its constants cs[i]; [A,B] = C holds
+    by construction (build_fock_realization)."""
+    g, e, zt, d, z = _per_matrix(cs, "gamma", "epsilon_c", "zeta_c", "d_c", "z_c")
+    AC, BC, CA = _comm(f.A, f.C), _comm(f.B, f.C), _comm(f.C, f.A)
+    g_anti, eB, dA = g * _anti(f.A, f.B), e * f.B, d * f.A
+    rhs_ac = g_anti + eB + zt * np.eye(f.dim)
+    rhs_bc = -g * f.B @ f.B + dA + z * np.eye(f.dim)
     # floors reflect the natural magnitude of the algebra so that relations
     # whose every term vanishes (possible at dim 1) read as satisfied
-    scale_ac = max(_absmax(AC), _absmax(c.gamma * anti), _absmax(c.epsilon_c * f.B),
-                   abs(c.zeta_c), abs(c.epsilon_c), abs(c.gamma), 1.0)
-    scale_bc = max(_absmax(BC), _absmax(c.gamma * f.B @ f.B), _absmax(c.d_c * f.A),
-                   abs(c.z_c), abs(c.d_c), abs(c.gamma), 1.0)
-    jac = _comm(f.A, _comm(f.B, f.C)) + _comm(f.B, _comm(f.C, f.A)) + _comm(f.C, _comm(f.A, f.B))
-    scale_j = max(_absmax(_comm(f.B, f.C)), _absmax(_comm(f.C, f.A)), _absmax(f.C @ f.C), 1.0)
-    return CommutationReport(
-        r_ac=_absmax(AC - rhs_ac) / scale_ac,
-        r_bc=_absmax(BC - rhs_bc) / scale_bc,
-        jacobi=_absmax(jac) / scale_j,
-    )
+    scale_ac = np.maximum.reduce([
+        _absmax(AC), _absmax(g_anti), _absmax(eB),
+        [max(abs(c.zeta_c), abs(c.epsilon_c), abs(c.gamma), 1.0) for c in cs]])
+    scale_bc = np.maximum.reduce([
+        _absmax(BC), _absmax(g * f.B @ f.B), _absmax(dA),
+        [max(abs(c.z_c), abs(c.d_c), abs(c.gamma), 1.0) for c in cs]])
+    jac = _comm(f.A, BC) + _comm(f.B, CA) + _comm(f.C, _comm(f.A, f.B))
+    scale_j = np.maximum.reduce([_absmax(BC), _absmax(CA), _absmax(f.C @ f.C), np.ones(len(cs))])
+    return [CommutationReport(r_ac=float(r_ac), r_bc=float(r_bc), jacobi=float(jacobi))
+            for r_ac, r_bc, jacobi in zip(_absmax(AC - rhs_ac) / scale_ac,
+                                          _absmax(BC - rhs_bc) / scale_bc,
+                                          _absmax(jac) / scale_j)]
 
 
 class CasimirReport(Frozen):
@@ -601,29 +641,34 @@ class CasimirReport(Frozen):
         set_fields(self, value, expected, off_diagonal, commutant_a, commutant_b)
 
 
-def verify_casimir(f: FockRealization, c: QuadraticAlgebraConstants) -> CasimirReport:
-    """Casimir combination on the Fock matrices versus the stored scalar."""
-    K = (f.C @ f.C - c.gamma * _anti(f.A, f.B @ f.B)
-         + (c.gamma**2 - c.epsilon_c) * f.B @ f.B
-         - 2 * c.zeta_c * f.B + c.d_c * f.A @ f.A + 2 * c.z_c * f.A)
-    diag = np.diag(K)
-    return CasimirReport(
-        value=float(diag.mean()),
-        expected=c.casimir_value,
-        off_diagonal=_absmax(K - np.diag(diag)),
-        commutant_a=_absmax(_comm(K, f.A)),
-        commutant_b=_absmax(_comm(K, f.B)),
-    )
+def verify_casimir(f: FockRealization,
+                   cs: Sequence[QuadraticAlgebraConstants]) -> list[CasimirReport]:
+    """Casimir combination on each matrix set of the stack versus the scalar
+    of its constants cs[i]."""
+    g, zt, d, z = _per_matrix(cs, "gamma", "zeta_c", "d_c", "z_c")
+    K = (f.C @ f.C - g * _anti(f.A, f.B @ f.B)
+         + np.reshape([c.gamma**2 - c.epsilon_c for c in cs], (-1, 1, 1)) * f.B @ f.B
+         - 2 * zt * f.B + d * f.A @ f.A + 2 * z * f.A)
+    diag = np.ascontiguousarray(np.diagonal(K, axis1=1, axis2=2))
+    return [CasimirReport(value=float(value), expected=c.casimir_value,
+                          off_diagonal=float(off), commutant_a=float(ka), commutant_b=float(kb))
+            for c, value, off, ka, kb in zip(cs, diag.mean(axis=1), _absmax(K - _diag(diag)),
+                                             _absmax(_comm(K, f.A)), _absmax(_comm(K, f.B)))]
 
 
-def check_fock(c: QuadraticAlgebraConstants, sf: StructureFunction, u: float, p: int,
-               rho_convention: str = "sqrt") -> tuple:
-    """(Fock matrices, relation residuals, Casimir diagnostics) of the
-    (p+1)-dimensional realization of sf at u under the constants c; raises
-    DegenerateDenominator or NegativePhi where it has no such matrices."""
-    real = oscillator_realization(c, u, rho_convention=rho_convention)
-    fock = build_fock_realization(sf, real, p)
-    return fock, verify_commutation(fock, c), verify_casimir(fock, c)
+def check_fock(p: int, cases: Sequence[tuple]) -> list:
+    """Each case (constants c, structure function sf, u, rho reading) as a
+    (p+1)-dimensional realization of sf at u under c, all checked as one
+    stack: per case, its (Fock invariants, relation residuals, Casimir
+    diagnostics), or the DegenerateDenominator or NegativePhi it has no
+    matrices for. A case checked alone, as a stack of one, gives the same bits.
+    """
+    cs, sfs, us, rhos = (tuple(case[i] for case in cases) for i in range(4))
+    fock = build_fock_realization(sfs, OscillatorRealization(cs, us, rhos), p)
+    built = list(compress(cs, [error is None for error in fock.errors]))
+    checks = zip(fock_invariant_residuals(fock), verify_commutation(fock, built),
+                 verify_casimir(fock, built))
+    return [error or next(checks) for error in fock.errors]
 
 
 def _bc_diagonal_recurrence(rhs, g: float, u: float) -> np.ndarray:
@@ -655,24 +700,23 @@ def fit_relation_constants(c: QuadraticAlgebraConstants, u: float,
     family and only the ratio z/d is determined; the scale is then pinned to
     the general-polynomial leading coefficient instead).
     """
-    real = oscillator_realization(c, u, p=p)
-    n = np.arange(p + 1)
+    ((a,), (b,), (rho,)), _ = oscillator_realization(c, u, p=p).closed_forms(p)
     g = c.gamma
     phihat = sf.monic(np.arange(0, p + 2, dtype=float))
     window_sign = np.sign(phihat[1]) if p >= 1 else -1.0
     phihat = phihat * window_sign  # window-positive, unit |leading|
 
-    Gd = _bc_diagonal_recurrence(real.A(n), g, u)
+    Gd = _bc_diagonal_recurrence(a, g, u)
     Gz = _bc_diagonal_recurrence(np.ones(p + 1), g, u)
-    G0 = _bc_diagonal_recurrence(-g * real.b(n) ** 2, g, u)
-    rho2 = real.rho(n) ** 2
+    G0 = _bc_diagonal_recurrence(-g * b ** 2, g, u)
+    rho2 = rho ** 2
     target = rho2 * phihat[1:]
     if abs(c.zeta_c) > 0 and p >= 2:
         # B normalization pinned by zeta: (d, z, scale) all absolute
         M = np.column_stack([Gd, Gz, -target])
         sol, *_ = np.linalg.lstsq(M, -G0, rcond=None)
         pred = M @ sol
-        resid = _absmax(pred + G0) / max(_absmax(pred), _absmax(G0), 1e-300)
+        resid = np.abs(pred + G0).max() / max(np.abs(pred).max(), np.abs(G0).max(), 1e-300)
         return RelationFit(d=float(sol[0]), z=float(sol[1]), scale=float(sol[2]),
                            residual=float(resid))
     # zeta = 0 leaves a B-rescaling gauge (and p < 2 underdetermines the full
@@ -682,11 +726,18 @@ def fit_relation_constants(c: QuadraticAlgebraConstants, u: float,
     M = np.column_stack([Gd, Gz])
     sol, *_ = np.linalg.lstsq(M, scale * target - G0, rcond=None)
     pred = M @ sol + G0
-    resid = _absmax(pred - scale * target) / max(_absmax(scale * target), 1e-300)
+    resid = np.abs(pred - scale * target).max() / max(np.abs(scale * target).max(), 1e-300)
     return RelationFit(d=float(sol[0]), z=float(sol[1]), scale=float(scale),
                        residual=float(resid))
 
 
-def _absmax(x) -> float:
-    x = np.asarray(x)
-    return float(np.abs(x).max()) if x.size else 0.0
+def _absmax(x: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each matrix of a (k, d, d) stack."""
+    return np.abs(x).max(axis=(1, 2))
+
+
+def _diag(rows: np.ndarray) -> np.ndarray:
+    """The (k, d, d) stack of diagonal matrices of the rows of a (k, d) array."""
+    out = np.zeros(rows.shape + rows.shape[-1:])
+    np.einsum("kii->ki", out)[...] = rows
+    return out

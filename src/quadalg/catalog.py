@@ -501,36 +501,36 @@ def fock_convention_scan(params, rep_p: int) -> list[ConventionResult]:
     constants, closed_form, _, _ = fock_side(params, rep_p)
     closed = closed_form(rep_p)
     u_cons, e_cons = _consistent_pair(params, rep_p)
-    results = []
-
-    def run(name, rho_convention, u, energy, sf, c):
-        try:
-            _, rep, cas = check_fock(c, sf, u, rep_p, rho_convention)
-        except (DegenerateDenominator, NegativePhi):  # record as inf
-            results.append(ConventionResult(name, u, energy, np.inf, np.inf, np.inf,
-                                            np.nan, c.casimir_value))
-            return
-        results.append(ConventionResult(
-            name=name, u=u, energy=energy, r_ac=rep.r_ac, r_bc=rep.r_bc, jacobi=rep.jacobi,
-            casimir_value=cas.value, casimir_expected=cas.expected))
-
+    # (name, E, (constants, Phi, u, rho reading)) of each assignment, checked
+    # as one stack
     # 1-2: printed closed-form (u, E), printed constants, window Phi
-    for rho in ("printed", "sqrt"):
-        run(f"closed-form-uE/window-phi/rho-{rho}", rho, closed.u, closed.energy,
-            closed.sf, constants.at_energy(closed.energy))
+    assignments = [(f"closed-form-uE/window-phi/rho-{rho}", closed.energy,
+                    (constants.at_energy(closed.energy), closed.sf, closed.u, rho))
+                   for rho in ("printed", "sqrt")]
 
     # 3: consistent (u, E), printed constants, Phi scale from the leading coefficient
     c_cons = constants.at_energy(e_cons)
     lead = general_phi_leading_coefficient(c_cons)
     if lead < 0:
-        run("consistent-uE/leading-scale-phi/rho-sqrt", "sqrt", u_cons, e_cons,
-            StructureFunction(closed.sf.roots, lead, closed.sf.u), c_cons)
+        assignments.append(("consistent-uE/leading-scale-phi/rho-sqrt", e_cons,
+                            (c_cons, StructureFunction(closed.sf.roots, lead, closed.sf.u),
+                             u_cons, "sqrt")))
 
     # 4: consistent (u, E), relation-fitted (d, z, scale)
     fit = fit_relation_constants(c_cons, u_cons, closed.sf, rep_p)
     if fit.scale > 0:
         fitted = QuadraticAlgebraConstants(c_cons.gamma, c_cons.epsilon_c, c_cons.zeta_c,
                                            fit.d, fit.z, c_cons.casimir_value)
-        run("consistent-uE/relation-fitted-dz/rho-sqrt", "sqrt", u_cons, e_cons,
-            StructureFunction(closed.sf.roots, -fit.scale, closed.sf.u), fitted)
+        assignments.append(("consistent-uE/relation-fitted-dz/rho-sqrt", e_cons,
+                            (fitted, StructureFunction(closed.sf.roots, -fit.scale, closed.sf.u),
+                             u_cons, "sqrt")))
+    results = []
+    checks = check_fock(rep_p, [case for _, _, case in assignments])
+    for (name, energy, (c, _, u, _)), check in zip(assignments, checks):
+        # a degenerate u or a negative window is recorded as inf
+        r_ac, r_bc, jacobi, casimir = (
+            (np.inf, np.inf, np.inf, np.nan) if isinstance(check, (DegenerateDenominator, NegativePhi))
+            else (check[1].r_ac, check[1].r_bc, check[1].jacobi, check[2].value))
+        results.append(ConventionResult(name, u, energy, r_ac, r_bc, jacobi, casimir,
+                                        c.casimir_value))
     return results

@@ -119,11 +119,22 @@ def _write_row(report: Report, check: str, tolerance, claim: str, residual, valu
 
 
 def _verify_fock_track(report: Report, params, p_max: int) -> None:
-    """Closed-form representation invariants plus the convention scan."""
+    """Closed-form representation invariants, the convention scan, and the
+    representation search; the closed form and the search candidates of one
+    dimension are checked as one stack."""
     system = params.system
     constants, closed_form, family, e_window = cat.fock_side(params, p_max)
+    # honest representation search on the general polynomial family built from
+    # the (operator-verified) structure constants; its candidates come by p
+    found = alg.find_representations(alg.phi_family_from_constants(constants.at_energy), p_max,
+                                     energy_window=e_window)
+    checked = []  # per p, (candidate, check) with the closed form first
+    for p in range(p_max + 1):
+        stack = [closed_form(p)] + [c for c in found if c.p == p]
+        checked.append(list(zip(stack, alg.check_fock(
+            p, [(constants.at_energy(c.energy), c.sf, c.u, "sqrt") for c in stack]))))
 
-    for cand in map(closed_form, range(p_max + 1)):
+    for (cand, result), *_ in checked:
         check = f"fock.{system}.closed-form.p{cand.p}"
         uE = {"u": cand.u, "energy": cand.energy}
         ends = np.array([0.0, cand.p + 1.0])
@@ -138,13 +149,11 @@ def _verify_fock_track(report: Report, params, p_max: int) -> None:
         _write_row(report, f"{check}.family-endpoint", None,
                    "printed (u, E) against the pre-substitution factored roots",
                    float(np.abs(fam_sf.monic(ends)).max()), uE)
-        try:
-            fock, rep, _ = alg.check_fock(constants.at_energy(cand.energy), cand.sf, cand.u, cand.p)
-        except (DegenerateDenominator, NegativePhi) as exc:
+        if isinstance(result, (DegenerateDenominator, NegativePhi)):
             report.add(f"{check}.build", "Fock build at the printed closed-form pair",
-                       status="finding", values={"error": str(exc)})
+                       status="finding", values={"error": str(result)})
             continue
-        inv = alg.fock_invariant_residuals(fock)
+        inv, rep, _ = result
         for suffix, tolerance, claim, residual in (
                 ("shift", 1e-12, "shift structure [N,b+]=b+, [N,b]=-b", inv["shift"]),
                 ("ladder", 1e-12, "bb+ = Phi(N+1), b+b = Phi(N)", inv["ladder"]),
@@ -173,16 +182,11 @@ def _verify_fock_track(report: Report, params, p_max: int) -> None:
                else "no convention assignment closes the relations here",
                status="pass" if closes else "finding", residual=best, tolerance=1e-9)
 
-    # honest representation search on the general polynomial family built from
-    # the (operator-verified) structure constants
-    gen = alg.phi_family_from_constants(constants.at_energy)
     closing = 0
-    for cand in alg.find_representations(gen, p_max, energy_window=e_window):
-        try:
-            _, rep, cas = alg.check_fock(constants.at_energy(cand.energy), cand.sf, cand.u,
-                                         cand.p)
-        except (DegenerateDenominator, NegativePhi):
+    for cand, result in (pair for _, *searched in checked for pair in searched):
+        if isinstance(result, (DegenerateDenominator, NegativePhi)):
             continue
+        _, rep, cas = result
         if rep.max_relation_residual() < 1e-9 and \
                 abs(cas.value - cas.expected) < 1e-7 * max(1.0, abs(cas.expected)):
             closing += 1

@@ -59,6 +59,11 @@ class JetSpace:
         self._build_div_table()
         self._build_deriv_tables()
 
+    def __reduce__(self):
+        # a copy or an unpickled space is the one jet_space keeps, not a
+        # private copy of its tables
+        return jet_space, (self.n_vars, self.degree)
+
     def cut(self, degree: int) -> "JetSpace":
         """The space of the same variables at a lower degree, its tables cut
         from these rather than built: terms are ordered by degree, so each
@@ -292,12 +297,4 @@ def jet_seed_polynomial(poly: dict, point, space: JetSpace) -> Jet:
             if e:
                 term = term * coords[v] ** int(e)
         out = out + term
-    return out
-
-
-def random_polynomial(rng: np.random.Generator, n_vars: int, degree: int = 3) -> dict:
-    """Dense random polynomial with coefficients uniform in [-1, 1]."""
-    out = {}
-    for row in _multi_indices(n_vars, degree):
-        out[tuple(int(x) for x in row)] = rng.uniform(-1.0, 1.0)
     return out

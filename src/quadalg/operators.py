@@ -152,14 +152,6 @@ class Operator:
         return OpCompose(self, other)
 
 
-class OpZero(Operator):
-    is_zero = True
-
-    def apply(self, coeffs, ctx, degree):
-        n = jet_space(ctx.n_vars, degree).n_terms
-        return np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
-
-
 class OpSum(Operator):
     """A sum of trees; exactly-zero terms are dropped, but order and spin_dim
     are taken over every term given."""

@@ -26,7 +26,6 @@ def _jsonable(value):
             return "nan"
         if value in (float("inf"), float("-inf")):
             return "inf" if value > 0 else "-inf"
-        return float(repr(value))  # shortest round-trip repr, stable
     return value
 
 

@@ -20,6 +20,7 @@ from quadalg import operators as ops
 from quadalg.cli import main as cli_main
 from test_hurwitz import duality_spectrum_check
 from test_odecheck import kummer
+from test_operators import OpZero
 
 
 def _gate(num, ok, detail):
@@ -82,8 +83,8 @@ def test_criterion_2_fock_construction_grid():
                                abs(cand.energy - expected) / abs(expected))
             real = alg.oscillator_realization(constants.at_energy(cand.energy),
                                               cand.u, p=p, rho_convention="sqrt")
-            fock = alg.build_fock_realization(cand.sf, real, p)
-            inv = alg.fock_invariant_residuals(fock)
+            fock = alg.build_fock_realization([cand.sf], real, p)
+            (inv,) = alg.fock_invariant_residuals(fock)
             worst_inv = max(worst_inv, inv["shift"], inv["ladder"])
             if p >= 1:
                 assert min(cand.phi_values) > 0
@@ -106,10 +107,9 @@ def test_criterion_3_matrix_closure_and_conventions():
             cand = closed(p)
             real = alg.oscillator_realization(constants.at_energy(cand.energy),
                                               cand.u, p=p, rho_convention="sqrt")
-            fock = alg.build_fock_realization(cand.sf, real, p)
-            worst_jacobi = max(worst_jacobi,
-                               alg.verify_commutation(
-                                   fock, constants.at_energy(cand.energy)).jacobi)
+            fock = alg.build_fock_realization([cand.sf], real, p)
+            (rep,) = alg.verify_commutation(fock, [constants.at_energy(cand.energy)])
+            worst_jacobi = max(worst_jacobi, rep.jacobi)
     for params in _kepler_grid():
         results = cat.fock_convention_scan(params, 3)
         for r in results:
@@ -149,7 +149,7 @@ def test_criterion_4_jet_verifier():
 
     def L_signed(i, j):
         if i == j:
-            return ops.OpZero()
+            return OpZero()
         return L[(i, j)] if i < j else ops.OpScale(-1.0, L[(j, i)])
 
     worst_so5 = 0.0

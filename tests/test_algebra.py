@@ -5,6 +5,7 @@ import pytest
 
 from quadalg import algebra as alg
 from quadalg import catalog as cat
+from quadalg import cli
 from quadalg.errors import DegenerateDenominator, NegativePhi, NotPolynomialInEnergy
 
 
@@ -19,10 +20,9 @@ def relation_phi_recurrence(c, u, p):
     and general printed forms.
     """
     real = alg.oscillator_realization(c, u, p=p)
-    n = np.arange(p + 1)
-    G = alg._bc_diagonal_recurrence(-c.gamma * real.b(n) ** 2 + c.d_c * real.A(n) + c.z_c,
-                                    c.gamma, u)
-    return np.concatenate([[0.0], G / real.rho(n) ** 2])
+    ((a,), (b,), (rho,)), _ = real.closed_forms(p)
+    G = alg._bc_diagonal_recurrence(-c.gamma * b ** 2 + c.d_c * a + c.z_c, c.gamma, u)
+    return np.concatenate([[0.0], G / rho ** 2])
 
 
 def _kepler_pure():
@@ -40,14 +40,16 @@ def test_realization_A_at_printed_example():
     c = alg.QuadraticAlgebraConstants(gamma=2.0, epsilon_c=8.0, zeta_c=0.0,
                                       d_c=0.0, z_c=0.0, casimir_value=0.0)
     real = alg.oscillator_realization(c, u=0.5)
-    assert real.A(0) == pytest.approx(-2.0)
+    ((A,), _, _), _ = real.closed_forms(0)
+    assert A == pytest.approx([-2.0])
 
 
 def test_realization_b_vanishes_for_zero_zeta():
     c = alg.QuadraticAlgebraConstants(gamma=2.0, epsilon_c=8.0, zeta_c=0.0,
                                       d_c=1.0, z_c=1.0, casimir_value=0.0)
-    real = alg.oscillator_realization(c, u=-3.0)
-    assert np.all(real.b(np.arange(6)) == 0.0)
+    # levels 0..5 from u = 1/2: n + u = 1/2 is the pole of b(N) when zeta != 0
+    (_, b, _), (error,) = alg.oscillator_realization(c, u=0.5).closed_forms(5)
+    assert error is None and b.shape == (1, 6) and np.all(b == 0.0)
 
 
 def test_realization_degenerate_denominator():
@@ -184,11 +186,10 @@ def test_solver_recovers_physical_kepler_tower():
             cc = cons.at_energy(s.energy)
             try:
                 real = alg.oscillator_realization(cc, s.u, p=s.p, rho_convention="sqrt")
-                fock = alg.build_fock_realization(s.sf, real, s.p)
             except DegenerateDenominator:
                 continue
-            rep = alg.verify_commutation(fock, cc)
-            cas = alg.verify_casimir(fock, cc)
+            fock = alg.build_fock_realization([s.sf], real, s.p)
+            (rep,), (cas,) = alg.verify_commutation(fock, [cc]), alg.verify_casimir(fock, [cc])
             if rep.max_relation_residual() < 1e-9 and \
                     abs(cas.value - cas.expected) <= 1e-9 * max(1, abs(cas.expected)):
                 verified += 1
@@ -309,6 +310,51 @@ def test_search_extracts_roots_once_per_secant_step(constants, window, params):
     assert len(calls) <= 1 + alg._SECANT_STEPS
 
 
+@pytest.mark.parametrize("constants, window, params",
+                         [(cat.kepler5d_constants, cat.kepler5d_energy_window,
+                           cat.Kepler5DParams())] + _SEARCHED)
+def test_search_makes_few_stacked_eigen_solves(constants, window, params, monkeypatch):
+    # the elimination extracts the shared roots, the resultant roots of every
+    # p and the E-roots of every u in a few stacked solves (one np.roots per
+    # polynomial made 43 on the default Kepler family); the finish makes one
+    # per roots_of call
+    solves, finish = [], alg._finish
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(alg, "_finish", lambda *a: solves.append("finish") or finish(*a))
+    assert alg.find_representations(_general_family(constants(params)), 3,
+                                    energy_window=window(params, 3))
+    split = solves.index("finish")
+    assert split <= 4 and len(solves) - split - 1 <= alg._SECANT_STEPS + 1
+
+
+def test_stacked_root_extraction_equals_np_roots_of_each_polynomial():
+    # polynomials of several lengths, leading coefficients of fit-noise size,
+    # trailing zeros and a zero polynomial, in one stack
+    rng = np.random.default_rng(5)
+    polys = [rng.normal(size=n) for n in (1, 2, 3, 5, 7, 7)]
+    polys[3][:2] = (1e-14, -2e-13)
+    polys[4][-2:] = 0.0
+    polys += [np.zeros(4), np.array([3e-13, 0.0, 2.0, -1.0])]
+    for poly, roots in zip(polys, alg._roots(polys)):
+        big = np.nonzero(np.abs(poly) > alg._ROUNDING * np.abs(poly).max())[0]
+        alone = np.roots(poly[big[0]:]) if len(big) else np.empty(0)
+        assert np.array_equal(roots, alone)
+
+
+def test_shifted_polynomials_equal_poly1d_composition():
+    # the elimination's Q(t + p + 1), bit for bit as np.poly1d composes them
+    rng = np.random.default_rng(6)
+    polys = rng.normal(size=(3, 5)) * 10.0 ** rng.integers(-6, 6, size=(3, 5))
+    polys[2, 0] = 0.0
+    spans = np.arange(1.0, 6.0)
+    for s, shifted in zip(spans, alg._shifted(polys, spans)):
+        for poly, row in zip(polys, shifted):
+            composed = np.poly1d(poly)(np.poly1d([1.0, s])).coeffs
+            assert np.array_equal(row[len(row) - len(composed):], composed)
+            assert not row[:len(row) - len(composed)].any()
+
+
 def _roots_one_at_a_time(coeffs):
     """The roots of one polynomial as np.roots, np.polyval and np.argsort give them."""
     roots = np.roots(coeffs)
@@ -401,10 +447,10 @@ def test_fock_p0_is_scalar():
     cand = cat.osc8d_closed_form(p)(0)
     cons = cat.osc8d_constants(p).at_energy(cand.energy)
     real = alg.oscillator_realization(cons, cand.u, p=0, rho_convention="sqrt")
-    fock = alg.build_fock_realization(cand.sf, real, 0)
+    fock = alg.build_fock_realization([cand.sf], real, 0)
     assert fock.dim == 1
-    assert fock.C.shape == (1, 1)
-    assert abs(fock.C[0, 0]) == 0.0
+    assert fock.C.shape == (1, 1, 1)
+    assert abs(fock.C[0, 0, 0]) == 0.0
 
 
 def test_fock_p1_ladder_products():
@@ -412,10 +458,11 @@ def test_fock_p1_ladder_products():
     cand = cat.osc8d_closed_form(p)(1)
     cons = cat.osc8d_constants(p).at_energy(cand.energy)
     real = alg.oscillator_realization(cons, cand.u, p=1, rho_convention="sqrt")
-    fock = alg.build_fock_realization(cand.sf, real, 1)
+    fock = alg.build_fock_realization([cand.sf], real, 1)
+    (b_dag,), (b,) = fock.b_dag, fock.b
     phi = cand.sf(np.arange(0.0, 3.0))
-    assert np.abs(fock.b_dag @ fock.b - np.diag([0.0, phi[1]])).max() < 1e-12 * phi.max()
-    assert np.abs(fock.b @ fock.b_dag - np.diag(phi[1:])).max() < 1e-12 * phi.max()
+    assert np.abs(b_dag @ b - np.diag([0.0, phi[1]])).max() < 1e-12 * phi.max()
+    assert np.abs(b @ b_dag - np.diag(phi[1:])).max() < 1e-12 * phi.max()
 
 
 def test_fock_shift_structure_exact():
@@ -423,18 +470,70 @@ def test_fock_shift_structure_exact():
     cand = cat.kepler5d_closed_form(p)(2)
     cons = cat.kepler5d_constants(p).at_energy(cand.energy)
     real = alg.oscillator_realization(cons, cand.u, p=2, rho_convention="sqrt")
-    fock = alg.build_fock_realization(cand.sf, real, 2)
-    assert np.abs(fock.N @ fock.b_dag - fock.b_dag @ fock.N - fock.b_dag).max() == 0.0
-    assert np.abs(fock.N @ fock.b - fock.b @ fock.N + fock.b).max() == 0.0
+    fock = alg.build_fock_realization([cand.sf], real, 2)
+    (b_dag,), (b,), N = fock.b_dag, fock.b, fock.N
+    assert np.abs(N @ b_dag - b_dag @ N - b_dag).max() == 0.0
+    assert np.abs(N @ b - b @ N + b).max() == 0.0
 
 
-def test_fock_negative_phi_raises():
+def test_fock_negative_phi_is_refused():
     sf = alg.StructureFunction(roots=(0.0, 3.0, 5.0, 6.0, 7.0, 8.0), scale=1.0)
     c = alg.QuadraticAlgebraConstants(gamma=2.0, epsilon_c=8.0, zeta_c=0.0,
                                       d_c=-1.0, z_c=0.0, casimir_value=0.0)
     real = alg.oscillator_realization(c, u=-9.0)
-    with pytest.raises(NegativePhi):
-        alg.build_fock_realization(sf, real, 2)
+    fock = alg.build_fock_realization([sf], real, 2)
+    assert isinstance(fock.errors[0], NegativePhi) and fock.C.shape == (0, 3, 3)
+
+
+def _bits(result):
+    """A Fock check as comparable bits: an exception's type and message, or
+    every number of its invariants, relation residuals and Casimir report."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    inv, rep, cas = result
+    return tuple(float(x).hex() for x in (
+        inv["shift"], inv["ladder"], rep.r_ac, rep.r_bc, rep.jacobi, cas.value, cas.expected,
+        cas.off_diagonal, cas.commutant_a, cas.commutant_b))
+
+
+@pytest.mark.parametrize("command", [
+    "verify kepler5d --p 3", "verify kepler5d --p 3 --l 1",
+    "verify kepler5d --p 3 --c1 0.25 --c2 0.1", "verify kepler5d --p 3 --hbar 0.1",
+    "verify osc8d --p 3 --lambda1 0.5 --lambda2 2", "verify osc8d --p 2 --j 1 --k 2"])
+def test_a_stacked_fock_check_equals_each_case_checked_alone(command, monkeypatch, capsys):
+    # every stack verify checks (the closed form and the search candidates of
+    # one p, the convention assignments), case by case against a stack of one
+    stacks, check_fock = [], alg.check_fock
+
+    def spy(p, cases):
+        stacks.append((p, cases))
+        return check_fock(p, cases)
+
+    monkeypatch.setattr(alg, "check_fock", spy)
+    monkeypatch.setattr(cat, "check_fock", spy)
+    assert cli.main([*command.split(), "--trials", "2"]) == 0
+    capsys.readouterr()
+    checked = [(p, case, result) for p, cases in stacks
+               for case, result in zip(cases, check_fock(p, cases))]
+    assert any(len(cases) > 1 for _, cases in stacks)
+    assert any(isinstance(result, DegenerateDenominator) for *_, result in checked)
+    for p, case, result in checked:
+        assert _bits(result) == _bits(check_fock(p, [case])[0])
+
+
+def test_a_stack_gives_each_case_its_own_refusal():
+    params = _kepler_pure()
+    cand = cat.kepler5d_closed_form(params)(2)
+    c = cat.kepler5d_constants(params).at_energy(cand.energy)
+    bad = alg.QuadraticAlgebraConstants(gamma=2.0, epsilon_c=8.0, zeta_c=0.0,
+                                        d_c=-1.0, z_c=0.0, casimir_value=0.0)
+    sf = alg.StructureFunction(roots=(0.0, 3.0, 5.0, 6.0, 7.0, 8.0), scale=1.0)
+    cases = [(c, cand.sf, cand.u, "sqrt"), (bad, sf, -9.0, "sqrt"), (bad, sf, -2.0, "sqrt"),
+             (c, cand.sf, cand.u, "printed")]
+    results = alg.check_fock(2, cases)
+    assert [type(r) for r in results[1:3]] == [NegativePhi, DegenerateDenominator]
+    for case, result in zip(cases, results):
+        assert _bits(result) == _bits(alg.check_fock(2, [case])[0])
 
 
 def test_jacobi_identity_for_any_constants():
@@ -449,8 +548,8 @@ def test_jacobi_identity_for_any_constants():
             zeta_c=rng.uniform(-1, 1), d_c=rng.uniform(-20, -1),
             z_c=rng.uniform(-5, 5), casimir_value=0.0)
         real = alg.oscillator_realization(c, cand.u, p=4, rho_convention="sqrt")
-        fock = alg.build_fock_realization(cand.sf, real, 4)
-        rep = alg.verify_commutation(fock, c)
+        fock = alg.build_fock_realization([cand.sf], real, 4)
+        (rep,) = alg.verify_commutation(fock, [c])
         assert rep.jacobi < 1e-10
 
 
@@ -491,8 +590,8 @@ def test_casimir_report_commutant():
     lead = abs(alg.general_phi_leading_coefficient(cons))
     sf = alg.StructureFunction(cand.sf.roots, cand.sf.scale * (lead / abs(cand.sf.scale)),
                                cand.sf.u)
-    fock = alg.build_fock_realization(sf, real, 3)
-    cas = alg.verify_casimir(fock, cons)
+    fock = alg.build_fock_realization([sf], real, 3)
+    (cas,) = alg.verify_casimir(fock, [cons])
     assert cas.commutant_a < 1e-9
     assert cas.commutant_b < 1e-9
     assert cas.off_diagonal < 1e-9

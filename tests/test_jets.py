@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +8,15 @@ import pytest
 from quadalg import _jet_kernels as kernels
 from quadalg import jets
 from quadalg.errors import SingularPoint
-from quadalg.jets import Jet, JetSpace, jet_seed_polynomial, jet_space, random_polynomial
+from quadalg.jets import Jet, JetSpace, _multi_indices, jet_seed_polynomial, jet_space
+
+
+def random_polynomial(rng: np.random.Generator, n_vars: int, degree: int = 3) -> dict:
+    """Dense random polynomial with coefficients uniform in [-1, 1]."""
+    out = {}
+    for row in _multi_indices(n_vars, degree):
+        out[tuple(int(x) for x in row)] = rng.uniform(-1.0, 1.0)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +279,14 @@ def test_jet_space_cuts_a_lower_degree_from_a_kept_space(monkeypatch):
     jet_space(3, 2)
     jet_space(4, 7)
     assert built == [(4, 5), (3, 2), (4, 7)]
+
+
+def test_a_copied_or_pickled_jet_keeps_the_space_jet_space_keeps():
+    space = jet_space(5, 6)
+    jet = Jet(space, space.constant(1.5).coeffs)
+    data = pickle.dumps(jet)
+    # the space is named by its shape, not sent with its tables (420 kB)
+    assert len(data) < 16 * 1024
+    for twin in (copy.copy(jet), copy.deepcopy(jet), pickle.loads(data)):
+        assert twin.space is space and np.array_equal(twin.coeffs, jet.coeffs)
+    assert copy.deepcopy(space) is space and pickle.loads(pickle.dumps(space)) is space

@@ -7,6 +7,16 @@ from quadalg.errors import SingularPoint
 from quadalg.jets import JetSpace, jet_seed_polynomial, jet_space
 
 
+class OpZero(ops.Operator):
+    """The zero operator, a leaf that is exactly zero, so a sum drops it."""
+
+    is_zero = True
+
+    def apply(self, coeffs, ctx, degree):
+        n = jet_space(ctx.n_vars, degree).n_terms
+        return np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
+
+
 class OpIdentity(ops.Operator):
     """The identity tree, a reference for hand-built identities."""
 
@@ -264,7 +274,7 @@ def test_so5_closure_all_pairs(kepler_pure, sampler5):
 
     def L_signed(i, j):
         if i == j:
-            return ops.OpZero()
+            return OpZero()
         return L[(i, j)] if i < j else ops.OpScale(-1.0, L[(j, i)])
 
     pairs = list(L.keys())
@@ -313,7 +323,7 @@ def test_tree_order_is_the_differential_order(kepler_pure):
     casimir = ops.OpSum([C @ C, k.A @ k.B @ k.B, k.H @ k.L2, OpIdentity()])
     assert casimir.order == 8
     assert ops.OpScale(2.0, ops.OpPartial(3)).order == 1
-    assert ops.OpSum([ops.OpZero()]).order == 0
+    assert ops.OpSum([OpZero()]).order == 0
 
 
 # -- exactly-zero terms -----------------------------------------------------------
@@ -354,10 +364,10 @@ def test_sum_drops_an_exactly_zero_term(zero, sampler5):
 def test_is_zero_marks_exactly_zero_trees():
     x = ops.OpPartial(0)
     zero_mat = ops.OpMat(np.zeros((2, 2)))
-    assert ops.OpZero().is_zero and zero_mat.is_zero
+    assert OpZero().is_zero and zero_mat.is_zero
     assert (0.0 * x).is_zero and (-1.0 * (0.0 * x)).is_zero and (2.0 * zero_mat).is_zero
     assert (x @ zero_mat).is_zero and (zero_mat @ x).is_zero
-    assert ops.OpSum([0.0 * x, zero_mat, ops.OpZero()]).is_zero
+    assert ops.OpSum([0.0 * x, zero_mat, OpZero()]).is_zero
     assert ops.OpSum([]).is_zero and (2.0 * ops.OpSum([0.0 * x])).is_zero
     # a flag set at construction, not a symbolic simplification
     assert not any(t.is_zero for t in (x, ops.OpMat(np.eye(2)), ops.OpCoord(1),

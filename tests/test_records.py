@@ -65,7 +65,7 @@ def _records():
     yield c
     yield sf
     yield alg.RepresentationCandidate(p=0, u=0.5, energy=-1.0, phi_values=(), sf=sf)
-    yield alg.OscillatorRealization(c, 0.5)
+    yield alg.OscillatorRealization((c,), (0.5,), ("sqrt",))
     yield cat.kepler5d_constants(cat.Kepler5DParams())
     yield cat.kepler5d_spectrum(cat.Kepler5DParams(), 0)
     yield hw.Point8((1.0,) + (0.0,) * 7)
